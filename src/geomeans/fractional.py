@@ -28,9 +28,6 @@ __all__ = [
     "rl_matrix",
 ]
 
-_CHUNK = 128
-
-
 @dataclass(frozen=True)
 class FractionalSpec:
     """Weight index eta and order alpha of an Erdelyi-Kober operator."""
@@ -63,6 +60,30 @@ def _ek_rule(eta: float, alpha: float, order: int):
     return s, F
 
 
+def _quintic_operator(grid: TGrid, rows: np.ndarray, x: np.ndarray,
+                      coef: np.ndarray) -> np.ndarray:
+    """N x N matrix A with (samples @ A.T)[:, j] = sum over nodes k with
+    rows[k] == j of coef[k] * quintic_interp(samples, grid, x[k], fill=0.0).
+
+    Each node's six stencil weights come from quintic_interp applied to the
+    rows of an 8 x 8 identity on a unit grid, at the node's local coordinate s:
+    the stencil starts at base 0 when s < 1 (interior cells and the left-edge
+    clip, s in [-2, 1)) and at base 2 at the right-edge clip (s in [1, 3]).
+    """
+    inside = (x >= grid.a) & (x <= grid.b)
+    rows, x, coef = rows[inside], x[inside], coef[inside]
+    u = (x - grid.a) / grid.h
+    idx = np.clip(np.floor(u).astype(np.int64), 2, grid.n - 4)
+    s = u - idx
+    base = np.where(s < 1.0, 0, 2)
+    w = quintic_interp(np.eye(8), TGrid(np.arange(8.0)), s + 2.0 + base)
+    stencil = np.arange(6)[:, None]
+    w = np.take_along_axis(w, base + stencil, axis=0)
+    flat = rows * grid.n + idx - 2 + stencil
+    A = np.bincount(flat.ravel(), (w * coef).ravel(), minlength=grid.n * grid.n)
+    return A.reshape(grid.n, grid.n)
+
+
 def ek_matrix(samples: np.ndarray, grid: TGrid, eta: float, alpha: float,
               order: int = 192) -> np.ndarray:
     """Positive-order Erdelyi-Kober integral of each row of samples (M, N).
@@ -70,7 +91,9 @@ def ek_matrix(samples: np.ndarray, grid: TGrid, eta: float, alpha: float,
     (I_eta^a phi)(t) = (2 t^{-2(a+eta)} / Gamma(a)) *
                        int_0^t (t^2 - r^2)^{a-1} r^{2 eta + 1} phi(r) dr,
     evaluated at every grid node; rows are treated as independent profiles
-    extended by zero outside the grid.
+    extended by zero outside the grid. The rule is built once as an N x N
+    operator (quintic interpolation at the nodes t * s_q) and applied to all
+    rows with one matrix product.
     """
     if alpha <= 0:
         raise ValueError("use the analytic-continuation path for alpha <= 0")
@@ -79,15 +102,10 @@ def ek_matrix(samples: np.ndarray, grid: TGrid, eta: float, alpha: float,
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     t = grid.values
     s, F = _ek_rule(eta, alpha, order)
-    out = np.empty((samples.shape[0], t.size))
-    pref = 2.0 / gamma(alpha)
-    for lo in range(0, t.size, _CHUNK):
-        hi = min(lo + _CHUNK, t.size)
-        r = t[lo:hi, None] * s[None, :]
-        vals = quintic_interp(samples, grid, r.ravel(), fill=0.0)
-        vals = vals.reshape(samples.shape[0], hi - lo, s.size)
-        out[:, lo:hi] = pref * np.einsum("mtq,q->mt", vals, F)
-    return out
+    rows = np.repeat(np.arange(t.size), s.size)
+    coef = np.tile(2.0 / gamma(alpha) * F, t.size)
+    A = _quintic_operator(grid, rows, (t[:, None] * s[None, :]).ravel(), coef)
+    return samples @ A.T
 
 
 def _ek_integer_neg_matrix(samples: np.ndarray, grid: TGrid, eta: float, m: int) -> np.ndarray:
@@ -149,19 +167,15 @@ def rl_matrix(samples: np.ndarray, grid: TGrid, alpha: float, order: int = 192) 
         inner = samples if rem == 0 else rl_matrix(samples, grid, rem, order)
         return (-1.0) ** m * diff_matrix(inner, grid, m)
     t = grid.values
-    b = grid.b
     x, w = _jacobi_rule(order, 0.0, alpha - 1.0)
     v = 0.5 * (1.0 + x)
     F = w * 2.0 ** (-alpha)
-    out = np.empty((samples.shape[0], t.size))
-    for lo in range(0, t.size, _CHUNK):
-        hi = min(lo + _CHUNK, t.size)
-        span = (b - t[lo:hi])[:, None]
-        tau = t[lo:hi, None] + span * v[None, :]
-        vals = quintic_interp(samples, grid, tau.ravel(), fill=0.0)
-        vals = vals.reshape(samples.shape[0], hi - lo, v.size)
-        out[:, lo:hi] = (span.T ** alpha / gamma(alpha)) * np.einsum("mtq,q->mt", vals, F)
-    return out
+    span = (grid.b - t)[:, None]
+    tau = t[:, None] + span * v[None, :]
+    coef = (span ** alpha / gamma(alpha)) * F[None, :]
+    rows = np.repeat(np.arange(t.size), v.size)
+    A = _quintic_operator(grid, rows, tau.ravel(), coef.ravel())
+    return samples @ A.T
 
 
 def riemann_liouville_right(profile: SampledProfile, alpha: float, order: int = 192) -> SampledProfile:

@@ -24,7 +24,6 @@ __all__ = [
     "d_operator",
     "darboux_L",
     "graded_panels",
-    "log_kernel_integral",
     "log_kernel_table",
     "laplacian_fd",
 ]
@@ -351,44 +350,31 @@ def _log_singular_points(s: float, kernel: str) -> list[float]:
     return [abs(s), -abs(s)]
 
 
-def log_kernel_integral(profile: SampledProfile, s: float, kernel: str = "log|t-s|",
-                        order: int = 20) -> float:
-    """Integral of profile(t) * kernel(t; s) over the grid range.
-
-    The integrable log singularity is handled by geometrically graded panels
-    plus an analytic moment for the excluded sliver; the profile is cubic
-    interpolated between samples.
-    """
-    grid = profile.grid
-    pts = _log_singular_points(s, kernel)
-    nodes, weights, slivers = graded_panels(grid.a, grid.b, pts, order=order)
-    vals = profile(nodes, fill=0.0)
-    total = float(np.dot(weights, vals * _log_kernel_values(nodes, s, kernel)))
-    for c, eps in slivers:
-        total += float(profile(np.array([c]))[0]) * _log_sliver_moment(c, eps, s, kernel)
-    return total
-
-
 def log_kernel_table(profiles: np.ndarray, grid: TGrid, targets: np.ndarray,
                      kernel: str = "log|t-s|", order: int = 20) -> np.ndarray:
-    """Batched log-kernel integrals: profiles (M, N) x targets (K,) -> (M, K).
+    """Log-kernel integrals of cubic-interpolated profiles (M, N) at targets (K,) -> (M, K).
 
-    Same panel construction as log_kernel_integral, one shared node set per
-    target, vectorized over the profile rows.
+    Entry (i, j) is the integral of profile i times kernel(t; targets[j]) over
+    the grid range. The integrable log singularity is handled by
+    geometrically graded panels plus an analytic moment for each excluded
+    sliver. Row j of a K x N operator holds target j's rule folded into the
+    cubic interpolation weights; one matrix product applies it to every row.
     """
     profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
     targets = np.asarray(targets, dtype=float)
-    out = np.empty((profiles.shape[0], targets.size))
+    A = np.empty((targets.size, grid.n))
     for j, s in enumerate(targets):
-        pts = _log_singular_points(float(s), kernel)
-        nodes, weights, slivers = graded_panels(grid.a, grid.b, pts, order=order)
-        kv = _log_kernel_values(nodes, float(s), kernel) * weights
-        vals = cubic_interp(profiles, grid, nodes, fill=0.0)
-        col = vals @ kv
-        for c, eps in slivers:
-            col += cubic_interp(profiles, grid, np.array([c]))[:, 0] * _log_sliver_moment(c, eps, float(s), kernel)
-        out[:, j] = col
-    return out
+        s = float(s)
+        nodes, weights, slivers = graded_panels(grid.a, grid.b, _log_singular_points(s, kernel),
+                                                order=order)
+        kv = _log_kernel_values(nodes, s, kernel) * weights
+        # each excluded sliver adds its kernel moment times the profile at its centre
+        nodes = np.concatenate([nodes, [c for c, _ in slivers]])
+        kv = np.concatenate([kv, [_log_sliver_moment(c, eps, s, kernel) for c, eps in slivers]])
+        idx, u = _cubic_cells(grid, nodes)
+        A[j] = sum(np.bincount(idx + off, w * kv, minlength=grid.n)
+                   for off, w in zip((-1, 0, 1, 2), _cubic_weights(u)))
+    return profiles @ A.T
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,15 @@ def test_schema_errors_carry_field_paths():
         parse_config(bad)
 
 
+@pytest.mark.parametrize("field", ["boundary_points", "t_points"])
+@pytest.mark.parametrize("value", [128.9, 128.0, "128", True])
+def test_grid_sizes_must_be_integers(field, value):
+    bad = cfg_with()
+    bad["grids"][field] = value
+    with pytest.raises(ConfigError, match=f"config.grids.{field} must be an integer"):
+        parse_config(bad)
+
+
 def test_phantom_margin_enforced():
     bad = cfg_with()
     bad["phantom"][0]["center"] = [0.75, 0.0]
@@ -83,6 +92,85 @@ def test_means_csv_roundtrip_bitwise(tmp_path):
     assert back.alpha is None and back.space == data.space
     write_means(back, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.fixture
+def means_file(tmp_path):
+    """A valid means file and the data written to it."""
+    space = SpaceSpec(EUCLIDEAN, 2, 1.0)
+    ph = Phantom(space, (Bump(np.array([0.25, 0.1]), 0.3, 1.0),))
+    data = forward_means(ph, boundary_grid(space, 8), default_tgrid(space, 64))
+    path = tmp_path / "means.csv"
+    write_means(data, str(path))
+    return path, data
+
+
+def rewrite_rows(path, edit):
+    """Replace the data rows of a means file by edit(rows), rows as field lists."""
+    lines = path.read_text().splitlines()
+    rows = edit([line.split(",") for line in lines[3:]])
+    path.write_text("\n".join(lines[:3] + [",".join(r) for r in rows]) + "\n")
+
+
+def test_means_rows_in_any_order(means_file):
+    path, data = means_file
+    rewrite_rows(path, lambda rows: sorted(rows, key=lambda r: (float(r[1]), int(r[0]))))
+    assert path.read_text().splitlines()[4].startswith("1,")  # t-major now
+    assert np.array_equal(read_means(str(path)).values, data.values)
+
+
+def test_means_t_column_checked(means_file):
+    path, _ = means_file
+
+    def shift(rows):
+        rows[70][1] = repr(float(rows[70][1]) + 1e-9)
+        return rows
+
+    rewrite_rows(path, shift)
+    with pytest.raises(ValueError, match="row 70: t .* not on the metadata t-grid"):
+        read_means(str(path))
+
+
+def test_means_t_column_out_of_range(means_file):
+    path, _ = means_file
+    rewrite_rows(path, lambda rows: [[r[0], "123.0", r[2]] for r in rows])
+    with pytest.raises(ValueError, match="row 0: .* outside the 8 centres x 64 t-points"):
+        read_means(str(path))
+
+
+@pytest.mark.parametrize("idx", ["8", "-1", "2.5"])
+def test_means_center_index_out_of_range(means_file, idx):
+    path, _ = means_file
+
+    def corrupt(rows):
+        rows[5][0] = idx
+        return rows
+
+    rewrite_rows(path, corrupt)
+    with pytest.raises(ValueError, match="row 5: center_idx"):
+        read_means(str(path))
+
+
+def test_means_missing_cell(means_file):
+    path, _ = means_file
+    rewrite_rows(path, lambda rows: rows[:100] + rows[101:])
+    with pytest.raises(ValueError, match="no row for center_idx 1, t "):
+        read_means(str(path))
+
+
+def test_means_repeated_cell(means_file):
+    path, _ = means_file
+    # same row count as the metadata: one cell twice, another never
+    rewrite_rows(path, lambda rows: rows[:100] + [rows[99]] + rows[101:])
+    with pytest.raises(ValueError, match="has 2 rows for center_idx 1, t "):
+        read_means(str(path))
+
+
+def test_means_empty_body(means_file):
+    path, _ = means_file
+    rewrite_rows(path, lambda rows: [])
+    with pytest.raises(ValueError, match="no data rows"):
+        read_means(str(path))
 
 
 def test_means_magic_check(tmp_path):

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from scipy.special import gamma, roots_jacobi
 
 from geomeans.fractional import (
     FractionalSpec,
+    _quintic_operator,
+    ek_ac_matrix,
+    ek_matrix,
     erdelyi_kober,
     erdelyi_kober_ac,
     riemann_liouville_right,
+    rl_matrix,
 )
-from geomeans.numerics import SampledProfile, TGrid
+from geomeans.numerics import SampledProfile, TGrid, d_operator_matrix, diff_matrix, quintic_interp
 from geomeans.phantoms import bump_profile
 
 
@@ -136,3 +141,99 @@ def test_positive_path_rejects_nonpositive_alpha(pos_grid):
         erdelyi_kober(p, FractionalSpec(0.5, -0.5))
     with pytest.raises(ValueError):
         erdelyi_kober_ac(p, FractionalSpec(0.5, 0.5))
+
+
+# Reference routes without the operator matrix: interpolate the samples at
+# every quadrature node of every grid node, one grid node at a time.
+
+def ek_rule(eta, alpha, order):
+    x, w = roots_jacobi(order, eta, 2.0 * alpha - 1.0)
+    c = 0.5 * (1.0 + x)
+    return np.sqrt(np.clip(1.0 - c * c, 0.0, None)), w * 2.0 ** (-2.0 * alpha - eta) * (1.0 + c) ** eta
+
+
+def rl_rule(alpha, order):
+    x, w = roots_jacobi(order, 0.0, alpha - 1.0)
+    return 0.5 * (1.0 + x), w * 2.0 ** (-alpha)
+
+
+def ek_per_node(samples, grid, eta, alpha, order):
+    s, F = ek_rule(eta, alpha, order)
+    return np.stack([2.0 / gamma(alpha) * quintic_interp(samples, grid, t * s, fill=0.0) @ F
+                     for t in grid.values], axis=-1)
+
+
+def rl_per_node(samples, grid, alpha, order):
+    v, F = rl_rule(alpha, order)
+    return np.stack([(grid.b - t) ** alpha / gamma(alpha)
+                     * quintic_interp(samples, grid, t + (grid.b - t) * v, fill=0.0) @ F
+                     for t in grid.values], axis=-1)
+
+
+def close(got, ref):
+    return np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def clips(grid, nodes):
+    """Whether the nodes reach the left and the right quintic stencil clip."""
+    u = (nodes[(nodes >= grid.a) & (nodes <= grid.b)] - grid.a) / grid.h
+    return bool(np.any(u < 2.0)), bool(np.any(u >= grid.n - 3))
+
+
+@pytest.fixture
+def small_rows():
+    g = TGrid.linspace(0.05, 2.0, 96)
+    t = g.values
+    return g, np.stack([np.exp(-3.0 * (t - 1.0) ** 2), np.cos(2.0 * t), t ** 2])
+
+
+@pytest.mark.parametrize("eta,alpha", [(0.5, 0.3), (1.0, 1.0), (-0.5, 1.7)])
+def test_ek_operator_matches_per_node_route(small_rows, eta, alpha):
+    g, rows = small_rows
+    order = 24
+    s, _ = ek_rule(eta, alpha, order)
+    # some nodes t*s fall below the grid start (filled with zero)
+    assert np.any(np.outer(g.values, s) < g.a)
+    assert clips(g, np.outer(g.values, s).ravel()) == (True, True)
+    assert close(ek_matrix(rows, g, eta, alpha, order), ek_per_node(rows, g, eta, alpha, order))
+
+
+@pytest.mark.parametrize("alpha", [-0.4, -1.0, -1.6])
+def test_ek_continuation_matches_per_node_route(small_rows, alpha):
+    g, rows = small_rows
+    eta, order = 0.5, 24
+    m = int(np.ceil(-alpha))
+    rem = m + alpha
+    t = g.values
+    inner = d_operator_matrix(rows * t ** (2.0 * (eta + rem)), g, m) * t ** (-2.0 * (eta + rem - m))
+    ref = inner if rem == 0 else ek_per_node(inner, g, eta, rem, order)
+    assert close(ek_ac_matrix(rows, g, eta, alpha, order), ref)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.3, -0.5, -1.0, -1.5])
+def test_rl_operator_matches_per_node_route(alpha):
+    g = TGrid.linspace(-0.95, 0.95, 96)
+    t = g.values
+    rows = np.stack([np.exp(-3.0 * t ** 2), np.sin(2.0 * t) + 0.3, np.ones_like(t)])
+    order = 24
+    m = max(0, int(np.ceil(-alpha)))
+    rem = m + alpha
+    ref = rows
+    if rem > 0:
+        v, _ = rl_rule(rem, order)
+        assert clips(g, (t[:, None] + (g.b - t)[:, None] * v).ravel()) == (True, True)
+        ref = rl_per_node(rows, g, rem, order)
+    ref = (-1.0) ** m * diff_matrix(ref, g, m)
+    assert close(rl_matrix(rows, g, alpha, order), ref)
+
+
+def test_operator_nodes_at_the_grid_ends():
+    # nodes on, and one ulp beyond, both grid ends; with a start this close to
+    # 0 the node below it lands on the unit stencil's end unless it is masked
+    g = TGrid.linspace(1e-3, 2.0, 96)
+    x = np.array([np.nextafter(g.a, -1.0), g.a, g.b, np.nextafter(g.b, 3.0), 1.0])
+    A = _quintic_operator(g, np.arange(x.size), x, np.ones(x.size))
+    rows = np.stack([np.cos(g.values), 1.0 + g.values ** 2])
+    direct = np.stack([quintic_interp(rows, g, x[k:k + 1], fill=0.0)[:, 0] for k in range(x.size)], axis=-1)
+    assert np.array_equal((rows @ A.T)[:, :x.size] == 0.0, direct == 0.0)
+    assert close((rows @ A.T)[:, :x.size], direct)

@@ -11,7 +11,6 @@ from geomeans.numerics import (
     gauss_legendre,
     graded_panels,
     laplacian_fd,
-    log_kernel_integral,
     log_kernel_table,
     quintic_interp,
 )
@@ -100,17 +99,44 @@ def test_darboux_radial_operator(grid):
     assert np.max(np.abs(out.samples[4:-4])) < 5e-5
 
 
+def log_kernel_reference(profile: SampledProfile, s: float, kernel: str = "log|t-s|",
+                         order: int = 20) -> float:
+    """One target's log-kernel integral by interpolating the profile at every
+    panel node: the route without the operator matrix."""
+    grid = profile.grid
+    if kernel == "log|t-s|":
+        pts = [s]
+        kern = lambda t: np.log(np.abs(t - s))
+    else:
+        pts = [abs(s), -abs(s)]
+        kern = lambda t: np.log(np.abs(t * t - s * s))
+    nodes, weights, slivers = graded_panels(grid.a, grid.b, pts, order=order)
+    total = float(np.dot(weights, profile(nodes, fill=0.0) * kern(nodes)))
+    for c, eps in slivers:
+        # kernel moment over (c - eps, c + eps); log|t + c| is smooth there
+        moment = 2.0 * eps * (np.log(eps) - 1.0)
+        if kernel == "log|t^2-s^2|":
+            moment = 2.0 * moment if c < 1e-8 else moment + 2.0 * eps * np.log(2.0 * c)
+        total += float(profile(np.array([c]))[0]) * moment
+    return total
+
+
+def log_kernel_one(profile: SampledProfile, s: float, kernel: str = "log|t-s|",
+                   order: int = 20) -> float:
+    return float(log_kernel_table(profile.samples, profile.grid, [s], kernel, order)[0, 0])
+
+
 def test_log_kernel_point_singularity():
     g = TGrid(np.linspace(-1.0, 1.0, 400))
     p = SampledProfile(g, np.ones(400))
-    assert abs(log_kernel_integral(p, 0.0, "log|t-s|") - (-2.0)) < 1e-10
+    assert abs(log_kernel_one(p, 0.0, "log|t-s|") - (-2.0)) < 1e-10
 
 
 def test_log_kernel_difference_of_squares():
     g = TGrid(np.linspace(1e-6, 2.0, 400))
     p = SampledProfile(g, np.ones(400))
     exact = 3.0 * np.log(3.0) - 4.0
-    assert abs(log_kernel_integral(p, 1.0, "log|t^2-s^2|") - exact) < 1e-8
+    assert abs(log_kernel_one(p, 1.0, "log|t^2-s^2|") - exact) < 1e-8
 
 
 def test_log_kernel_profile_away_from_singularity():
@@ -123,15 +149,15 @@ def test_log_kernel_profile_away_from_singularity():
     x, w = gauss_legendre(400, 1.2, 1.8)
     # oracle integrates the same interpolant, isolating the panel scheme
     expected = np.dot(w, p(x) * np.log(np.abs(x - 0.3)))
-    assert abs(log_kernel_integral(p, 0.3) - expected) < 1e-8
+    assert abs(log_kernel_one(p, 0.3) - expected) < 1e-8
 
 
 def test_log_kernel_panel_doubling():
     g = TGrid(np.linspace(0.0, 2.0, 600))
     t = g.values
     p = SampledProfile(g, np.exp(-((t - 1.0) ** 2) * 8.0))
-    a = log_kernel_integral(p, 0.8, order=12)
-    b = log_kernel_integral(p, 0.8, order=24)
+    a = log_kernel_one(p, 0.8, order=12)
+    b = log_kernel_one(p, 0.8, order=24)
     assert abs(a - b) < 1e-8
 
 
@@ -143,8 +169,23 @@ def test_log_kernel_table_matches_scalar():
     table = log_kernel_table(rows, g, targets, kernel="log|t-s|")
     for i in range(2):
         for j, s in enumerate(targets):
-            ref = log_kernel_integral(SampledProfile(g, rows[i]), float(s))
+            ref = log_kernel_reference(SampledProfile(g, rows[i]), float(s))
             assert abs(table[i, j] - ref) < 1e-12
+
+
+@pytest.mark.parametrize("kernel,lo", [("log|t-s|", -1.0), ("log|t^2-s^2|", 1e-6)])
+def test_log_kernel_operator_matches_per_node_route(kernel, lo):
+    # targets at both grid ends, on and between nodes, and (log|t-s|) outside
+    # the grid; every target's panels reach both cubic stencil clips
+    g = TGrid.linspace(lo, 1.0, 96)
+    t = g.values
+    rows = np.stack([np.exp(-4.0 * (t - 0.3) ** 2), np.sin(3.0 * t) + 0.5, np.ones_like(t)])
+    targets = np.concatenate([[g.a, g.b, t[40], 0.5 * (t[60] + t[61])],
+                              [-1.2, 1.3] if kernel == "log|t-s|" else [0.0]])
+    table = log_kernel_table(rows, g, targets, kernel=kernel)
+    ref = np.array([[log_kernel_reference(SampledProfile(g, r), float(s), kernel)
+                     for s in targets] for r in rows])
+    assert np.max(np.abs(table - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_graded_panels_cover_interval():
