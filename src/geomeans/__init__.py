@@ -12,8 +12,7 @@ from .spaces import (
     h_parameter,
 )
 from .phantoms import Bump, Phantom
-from .numerics import TGrid, SampledProfile
-from .fractional import FractionalSpec, erdelyi_kober, erdelyi_kober_ac, riemann_liouville_right
+from .numerics import TGrid
 from .forward import MeanData, default_tgrid, forward_means, epd_trace_euclidean, epd_trace_sphere
 from .inversion import (
     ReconstructionReport,
@@ -39,11 +38,6 @@ __all__ = [
     "Bump",
     "Phantom",
     "TGrid",
-    "SampledProfile",
-    "FractionalSpec",
-    "erdelyi_kober",
-    "erdelyi_kober_ac",
-    "riemann_liouville_right",
     "MeanData",
     "default_tgrid",
     "forward_means",

@@ -15,28 +15,12 @@ import time
 import warnings
 
 import numpy as np
-from scipy.special import gamma
 
-from . import spaces, special_verify as sv
+from . import checks, spaces
 from .forward import MeanData, default_tgrid, epd_trace_euclidean, epd_trace_sphere, forward_means
-from .fractional import FractionalSpec, erdelyi_kober, erdelyi_kober_ac, riemann_liouville_right
-from .inversion import (
-    backproject,
-    chart_box_grid,
-    invert,
-    log_potential,
-    make_report,
-    phantom_integral,
-    riesz_potential,
-)
-from .numerics import (
-    SampledProfile,
-    TGrid,
-    darboux_L_matrix,
-    laplacian_fd,
-    log_kernel_table,
-)
-from .phantoms import Bump, Phantom, laplacian_field, validate_margin
+from .inversion import chart_box_grid, invert, make_report
+from .numerics import TGrid
+from .phantoms import Bump, Phantom, validate_margin
 from .spaces import SpaceSpec, boundary_grid
 
 MEANS_MAGIC = "# geomeans-means v1"
@@ -171,13 +155,12 @@ def write_means(data: MeanData, path: str) -> None:
         "t_points": data.tgrid.n,
         "alpha": None if data.alpha is None else repr(data.alpha),
     }
-    lines = [MEANS_MAGIC, "# " + json.dumps(meta, sort_keys=True), "center_idx,t,value"]
-    t = data.tgrid.values
-    for i in range(data.boundary.m):
-        for j in range(data.tgrid.n):
-            lines.append(f"{i},{float(t[j])!r},{float(data.values[i, j])!r}")
+    t = [repr(v) for v in data.tgrid.values.tolist()]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{MEANS_MAGIC}\n# {json.dumps(meta, sort_keys=True)}\ncenter_idx,t,value\n")
+        # one centre's rows at a time, so the text of the whole file is never held
+        for i, row in enumerate(data.values):
+            fh.write("".join([f"{i},{tj},{v!r}\n" for tj, v in zip(t, row.tolist())]))
 
 
 def read_means(path: str) -> MeanData:
@@ -197,7 +180,7 @@ def read_means(path: str) -> MeanData:
         m = int(meta["boundary_m"])
         npts = int(meta["t_points"])
         t0, t1 = float(meta["t0"]), float(meta["t1"])
-        grid = TGrid(np.linspace(t0, t1, npts))
+        grid = TGrid.linspace(t0, t1, npts)
         # allocated before the parse buffers: allocated after them, it pins
         # the heap above them once they are freed, and later stages peak
         # about 9 MB higher on an 800 x 800 file
@@ -386,199 +369,15 @@ def _min_spacing(vals: np.ndarray) -> float:
     return float(np.min(np.diff(u))) if u.size > 1 else 1.0
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-# ---------------------------------------------------------------------------
-
-def _suite_lemmas():
-    checks = []
-    for n in (3, 4, 5, 6):
-        expect = float(gamma((n - 1) / 2.0))
-        for h in (-0.9, -0.5, 0.0, 0.4, 0.8):
-            got = sv.g_alpha_continued(n, 3 - n, h)
-            checks.append((f"g_alpha_limit n={n} h={h:+.1f}", got, expect,
-                           1e-6 * expect, abs(got - expect) <= 1e-6 * expect))
-    for n in (3, 4, 5):
-        for a in (0.5, 1.0, 1.7):
-            for h in (-0.6, 0.0, 0.7):
-                d = sv.g_alpha_direct(n, a, h)
-                cont = sv.g_alpha_continued(n, a, h)
-                checks.append((f"g_alpha_match n={n} a={a} h={h:+.1f}", d, cont,
-                               1e-8, abs(d - cont) < 1e-8))
-    expect = -2.0 * np.pi * np.log(2.0)
-    for h in (-0.9, 0.0, 0.5):
-        got = sv.log_circle_integral(h)
-        checks.append((f"log_circle h={h:+.1f}", got, expect, 1e-8,
-                       abs(got - expect) < 1e-8))
-    for nn in range(1, 7):
-        for h in (-0.7, 0.0, 0.3, 0.8):
-            got = sv.chebyshev_pv(nn, h)
-            expect = np.pi * sv.chebyshev_u(nn - 1, h)
-            checks.append((f"chebyshev_pv deg={nn} h={h:+.1f}", got, expect,
-                           1e-6, abs(got - expect) < 1e-6))
-    gp = sv.gaussian_profile()
-    for a in (-4.0, -3.0, -2.0, -1.0):
-        got = sv.regularized_power_integral(gp, a)
-        checks.append((f"power_integral a={a}", got, 1.0, 1e-6, abs(got - 1.0) < 1e-6))
-    for m in (1, 2):
-        got = sv.power_integral_log_form(gp, m)
-        checks.append((f"power_integral_log m={m}", got, 1.0, 1e-6, abs(got - 1.0) < 1e-6))
-    return checks
-
-
-def _suite_fractional():
-    from .phantoms import bump_profile
-
-    checks = []
-    g = TGrid.linspace(1e-3, 2.0, 1200)
-    bump = bump_profile((g.values - 1.0) / 0.4)
-    pb = SampledProfile(g, bump)
-    for a in (0.5, 1.0, 1.5):
-        fwd = erdelyi_kober(pb, FractionalSpec(0.5, a), order=256)
-        back = erdelyi_kober_ac(fwd, FractionalSpec(0.5 + a, -a), order=256)
-        err = float(np.max(np.abs(back.samples - bump)))
-        checks.append((f"ek_roundtrip a={a}", err, 0.0, 1e-4, err <= 1e-4))
-    g2 = TGrid.linspace(-1 + 1e-3, 1 - 1e-3, 1200)
-    bump2 = bump_profile(g2.values / 0.5)
-    pb2 = SampledProfile(g2, bump2)
-    for a in (0.5, 1.0, 1.5):
-        fwd = riemann_liouville_right(pb2, a, order=256)
-        back = riemann_liouville_right(fwd, -a, order=256)
-        err = float(np.max(np.abs(back.samples - bump2)))
-        checks.append((f"rl_roundtrip a={a}", err, 0.0, 1e-4, err <= 1e-4))
-    for a, b in ((0.5, 0.5), (0.5, 1.0), (1.0, 1.0)):
-        one = erdelyi_kober(pb, FractionalSpec(0.5, a), order=256)
-        two = erdelyi_kober(one, FractionalSpec(0.5 + a, b), order=256)
-        direct = erdelyi_kober(pb, FractionalSpec(0.5, a + b), order=256)
-        err = float(np.max(np.abs(two.samples - direct.samples)))
-        checks.append((f"ek_semigroup {a}+{b}", err, 0.0, 1e-4, err <= 1e-4))
-    return checks
-
-
-def _suite_identities(seed: int = 20240817):
-    checks = []
-    # potential identities
-    spec3 = SpaceSpec(spaces.EUCLIDEAN, 3, 1.0)
-    ph3 = Phantom(spec3, (Bump(np.array([0.2, 0.1, -0.15]), 0.32, 1.0),))
-    xs3 = np.array([[0.2, 0.1, -0.15], [0.3, 0.15, -0.1], [0.1, 0.0, -0.2]])
-    lap = laplacian_fd(lambda P: np.array([riesz_potential(ph3, p) for p in P]), xs3, 3e-3)
-    tru = ph3(xs3)
-    for k in range(3):
-        rel = abs(-lap[k] - tru[k]) / abs(tru[k])
-        checks.append((f"riesz_inverse pt{k}", -lap[k], tru[k], 0.01 * abs(tru[k]), rel <= 0.01))
-    spec2 = SpaceSpec(spaces.EUCLIDEAN, 2, 1.0)
-    ph2 = Phantom(spec2, (Bump(np.array([0.25, 0.1]), 0.30, 1.0),))
-    xs2 = np.array([[0.25, 0.1], [0.35, 0.05], [0.15, 0.2]])
-    lap2 = laplacian_fd(lambda P: np.array([log_potential(ph2, p) for p in P]), xs2, 3e-3)
-    tru2 = ph2(xs2)
-    for k in range(3):
-        rel = abs(lap2[k] - tru2[k]) / abs(tru2[k])
-        checks.append((f"log_inverse pt{k}", lap2[k], tru2[k], 0.01 * abs(tru2[k]), rel <= 0.01))
-    # boundary-integral identities against the chart potential
-    for kind, rad, const in ((spaces.EUCLIDEAN, 1.0, None),
-                             (spaces.SPHERE, 0.8, None),
-                             (spaces.HYPERBOLIC, 0.8, None)):
-        spec = SpaceSpec(kind, 2, rad)
-        cp = np.array([0.15, -0.10])
-        center = spaces.lift(spec, cp)
-        ph = Phantom(spec, (Bump(center, 0.22, 1.0),))
-        bd = boundary_grid(spec, 128)
-        tg = default_tgrid(spec)
-        data = forward_means(ph, bd, tg)
-        t = tg.values
-        if kind == spaces.EUCLIDEAN:
-            prof = data.values * t
-            kern = "log|t^2-s^2|"
-            cf_log = np.log(spec.radius)
-        else:
-            prof = data.values
-            kern = "log|t-s|"
-            cf_log = np.log(np.sin(rad) / 2) if kind == spaces.SPHERE else np.log(np.sinh(rad) / 2)
-        lo, hi = spec.tgrid_range
-        slack = 1e-6 * (hi - lo)
-        tbl_grid = TGrid.linspace(lo + slack, hi - slack, 700)
-        tbl = log_kernel_table(prof, tg, tbl_grid.values, kernel=kern)
-        cf = -cf_log / (2.0 * np.pi) * phantom_integral(ph)
-        for xp in (np.array([0.15, -0.10]), np.array([0.05, 0.02])):
-            x = spaces.lift(spec, xp)
-            rhs = float(backproject(bd, tbl_grid, tbl, x[None, :], fill="error")[0]) + cf
-            lhs = log_potential(ph, x)
-            checks.append((f"log_identity {kind} x=({xp[0]:+.2f},{xp[1]:+.2f})",
-                           rhs, lhs, 1e-3, abs(lhs - rhs) <= 1e-3))
-    # radial wave operator intertwines with the means (n = 3)
-    spec = SpaceSpec(spaces.EUCLIDEAN, 3, 1.0)
-    ph = Phantom(spec, (Bump(np.array([0.2, 0.1, -0.15]), 0.32, 1.0),))
-    bd = boundary_grid(spec, 16)
-    tg = default_tgrid(spec)
-    means = forward_means(ph, bd, tg)
-    lap_means = forward_means(laplacian_field(ph), bd, tg)
-    L_means = darboux_L_matrix(means.values, tg, 3)
-    sel = (tg.values > 0.7) & (tg.values < 1.3)
-    rel = float(np.max(np.abs(lap_means.values[:, sel] - L_means[:, sel]))
-                / np.max(np.abs(lap_means.values[:, sel])))
-    checks.append(("darboux_property n=3", rel, 0.0, 1e-3, rel <= 1e-3))
-    # interior pairs keep the kernel offset strictly inside (-1, 1)
-    rng = np.random.default_rng(seed)
-    for kind, rad in ((spaces.EUCLIDEAN, 1.0), (spaces.SPHERE, 0.8), (spaces.HYPERBOLIC, 0.8)):
-        spec = SpaceSpec(kind, 2, rad)
-        worst = _h_bound_worst(spec, rng, 10_000)
-        checks.append((f"h_bound {kind}", worst, 0.0, 1.0, worst < 1.0))
-    return checks
-
-
-def _h_bound_worst(spec: SpaceSpec, rng, pairs: int) -> float:
-    """Largest |h| over random pairs at geodesic distance <= 0.9 radius."""
-    bound = 0.9 * spec.radius
-    worst = 0.0
-    got = 0
-    while got < pairs:
-        draw = rng.uniform(-1.0, 1.0, size=(2 * pairs, 2, spec.n)) * bound
-        r = np.linalg.norm(draw, axis=2)
-        sel = draw[(r <= bound).all(axis=1)][: pairs - got]
-        if sel.size == 0:
-            continue
-        got += sel.shape[0]
-        if spec.kind == spaces.EUCLIDEAN:
-            x, y = sel[:, 0, :], sel[:, 1, :]
-            sep = np.linalg.norm(x - y, axis=1)
-            ok = sep > 1e-9
-            h = ((x ** 2).sum(1) - (y ** 2).sum(1))[ok] / (2.0 * spec.radius * sep[ok])
-        else:
-            # cube radius taken as geodesic distance in polar normal coordinates
-            r = np.linalg.norm(sel, axis=2)
-            scale = np.sin(r) if spec.kind == spaces.SPHERE else np.sinh(r)
-            chart = sel * np.divide(scale, r, out=np.ones_like(r), where=r > 0)[..., None]
-            lifted = spaces.lift(spec, chart)
-            sep = np.linalg.norm(chart[:, 0, :] - chart[:, 1, :], axis=1)
-            ok = sep > 1e-9
-            ratio = (lifted[:, 0, -1] - lifted[:, 1, -1])[ok] / sep[ok]
-            factor = 1.0 / np.tan(spec.radius) if spec.kind == spaces.SPHERE \
-                else 1.0 / np.tanh(spec.radius)
-            h = ratio * factor
-        if h.size:
-            worst = max(worst, float(np.max(np.abs(h))))
-    return worst
-
-
-def cmd_verify(suite: str, seed: int = 20240817) -> int:
-    suites = {
-        "lemmas": _suite_lemmas,
-        "identities": lambda: _suite_identities(seed),
-        "fractional": _suite_fractional,
-    }
-    if suite == "all":
-        names = ["lemmas", "fractional", "identities"]
-    elif suite in suites:
-        names = [suite]
-    else:
-        raise ConfigError(f"unknown suite {suite!r}; pick lemmas|identities|fractional|all")
+def cmd_verify(suite: str, seed: int = checks.SEED) -> int:
+    if suite != "all" and suite not in checks.SUITES:
+        raise ConfigError(f"unknown suite {suite!r}; pick {'|'.join(checks.SUITES)}|all")
     failures = 0
-    for name in names:
-        for label, got, expect, tol, ok in suites[name]():
-            status = "PASS" if ok else "FAIL"
-            print(f"{label:<42s} computed={got: .10g} expected={expect: .10g} "
-                  f"tol={tol:.2g} {status}")
-            failures += 0 if ok else 1
+    for check in checks.CHECKS:
+        if suite in ("all", check.suite):
+            for figure in check.figures(seed):
+                print(figure.line())
+                failures += 0 if figure.passed else 1
     print(f"{'all checks passed' if failures == 0 else f'{failures} check(s) FAILED'}")
     return 0 if failures == 0 else 1
 
@@ -612,9 +411,8 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="run identity/lemma verification checks")
-    p.add_argument("--suite", default="all",
-                   choices=["lemmas", "identities", "fractional", "all"])
-    p.add_argument("--seed", type=int, default=20240817,
+    p.add_argument("--suite", default="all", choices=[*checks.SUITES, "all"])
+    p.add_argument("--seed", type=int, default=checks.SEED,
                    help="seed for the sampling-based property checks")
 
     p = sub.add_parser("render", help="render a report slice as a PGM image")

@@ -10,34 +10,14 @@ from the numerics module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma, roots_jacobi
 
-from .numerics import SampledProfile, TGrid, quintic_interp, d_operator_matrix, diff_matrix
+from .numerics import TGrid, quintic_interp, d_operator_matrix, diff_matrix
 
-__all__ = [
-    "FractionalSpec",
-    "erdelyi_kober",
-    "erdelyi_kober_ac",
-    "riemann_liouville_right",
-    "ek_matrix",
-    "ek_ac_matrix",
-    "rl_matrix",
-]
-
-@dataclass(frozen=True)
-class FractionalSpec:
-    """Weight index eta and order alpha of an Erdelyi-Kober operator."""
-
-    eta: float
-    alpha: float
-
-    def __post_init__(self):
-        if self.alpha > 0 and self.eta < -0.5:
-            raise ValueError("positive-order operators need eta >= -1/2")
+__all__ = ["ek_matrix", "ek_ac_matrix", "rl_matrix"]
 
 
 @lru_cache(maxsize=64)
@@ -137,20 +117,6 @@ def ek_ac_matrix(samples: np.ndarray, grid: TGrid, eta: float, alpha: float,
     return ek_matrix(inner, grid, eta, rem, order=order)
 
 
-def erdelyi_kober(profile: SampledProfile, spec: FractionalSpec, order: int = 192) -> SampledProfile:
-    """Positive-order Erdelyi-Kober integral of a sampled profile."""
-    if spec.alpha <= 0:
-        raise ValueError("alpha <= 0: use erdelyi_kober_ac")
-    out = ek_matrix(profile.samples[None, :], profile.grid, spec.eta, spec.alpha, order)
-    return SampledProfile(profile.grid, out[0])
-
-
-def erdelyi_kober_ac(profile: SampledProfile, spec: FractionalSpec, order: int = 192) -> SampledProfile:
-    """Erdelyi-Kober operator of nonpositive order (analytic continuation)."""
-    out = ek_ac_matrix(profile.samples[None, :], profile.grid, spec.eta, spec.alpha, order)
-    return SampledProfile(profile.grid, out[0])
-
-
 def rl_matrix(samples: np.ndarray, grid: TGrid, alpha: float, order: int = 192) -> np.ndarray:
     """Right-sided Riemann-Liouville integral of order alpha of rows (M, N).
 
@@ -176,9 +142,3 @@ def rl_matrix(samples: np.ndarray, grid: TGrid, alpha: float, order: int = 192) 
     rows = np.repeat(np.arange(t.size), v.size)
     A = _quintic_operator(grid, rows, tau.ravel(), coef.ravel())
     return samples @ A.T
-
-
-def riemann_liouville_right(profile: SampledProfile, alpha: float, order: int = 192) -> SampledProfile:
-    """Right-sided Riemann-Liouville operator of any real order."""
-    out = rl_matrix(profile.samples[None, :], profile.grid, alpha, order)
-    return SampledProfile(profile.grid, out[0])

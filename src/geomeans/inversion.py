@@ -9,7 +9,6 @@ logarithmic potentials used as independent cross-checks.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,50 +59,25 @@ __all__ = [
 class InversionConstants:
     n: int
     radius: float
-    alpha: float | None
     sigma: float
-    delta_n: float | None
-    lambda_n: float
     d_n1: float | None
     d_n2: float | None
-    d_n1_trace: float | None
-    d_n2_trace: float | None
     d_curved: float
-    c_trace_sphere: float | None
 
 
-def constants(n: int, radius: float, alpha: float | None = None) -> InversionConstants:
+def constants(n: int, radius: float) -> InversionConstants:
     """Numeric values of the inversion prefactors for dimension n."""
     if n < 2:
         raise ValueError("dimension must be >= 2")
     sigma = 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
-    delta_n = None
-    if n >= 3:
-        delta_n = (-1.0) ** ((n // 2) - 1) * gamma((n - 1) / 2.0) / gamma(n - 2.0)
-    lambda_n = (2.0 * radius) ** (2 - n) * np.pi ** (-0.5) * gamma(n / 2.0)
     d_n1 = d_n2 = None
     if n % 2 == 1:
         d_n1 = (-1.0) ** ((n - 1) // 2) * np.pi ** (1 - n / 2.0) / (4.0 * radius * gamma(n / 2.0))
     else:
         d_n2 = (-1.0) ** (n // 2 - 1) * np.pi ** (-n / 2.0) / (2.0 * radius * gamma(n / 2.0))
-    d_n1_trace = d_n2_trace = c_trace = None
-    if alpha is not None:
-        ga = alpha + n / 2.0
-        if ga <= 0 and abs(ga - round(ga)) < 1e-12:
-            raise ValueError("alpha + n/2 hits a gamma pole")
-        if d_n1 is not None:
-            d_n1_trace = d_n1 * gamma(n / 2.0) / gamma(ga)
-        if d_n2 is not None:
-            d_n2_trace = d_n2 * gamma(n / 2.0) / gamma(ga)
-        if alpha != 0:
-            c_trace = 2.0 ** (alpha - 1.0) * np.pi ** (-n / 2.0) * gamma(ga) / gamma(alpha)
     d_curved = (-1.0) ** ((n // 2) - 1) / (2.0 ** (n - 1) * np.pi ** (n / 2.0 - 1.0) * gamma(n / 2.0))
-    return InversionConstants(
-        n=n, radius=radius, alpha=alpha, sigma=sigma, delta_n=delta_n,
-        lambda_n=lambda_n, d_n1=d_n1, d_n2=d_n2,
-        d_n1_trace=d_n1_trace, d_n2_trace=d_n2_trace,
-        d_curved=d_curved, c_trace_sphere=c_trace,
-    )
+    return InversionConstants(n=n, radius=radius, sigma=sigma, d_n1=d_n1, d_n2=d_n2,
+                              d_curved=d_curved)
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +329,6 @@ def epd_invert_euclidean(traces: MeanData, x: np.ndarray, fd_step: float | None 
     n = space.n
     if alpha < (1.0 - n) / 2.0:
         raise ValueError(f"alpha must be >= (1-n)/2 = {(1 - n) / 2}")
-    ga = alpha + n / 2.0
-    if ga <= 0 and abs(ga - round(ga)) < 1e-12:
-        raise ValueError("alpha + n/2 hits a gamma pole")
     eta = n / 2.0 - 1.0
     if alpha == 0:
         phi = traces.values.copy()
@@ -365,7 +336,7 @@ def epd_invert_euclidean(traces: MeanData, x: np.ndarray, fd_step: float | None 
         phi = ek_ac_matrix(traces.values, traces.tgrid, eta + alpha, -alpha, order=frac_order)
     else:
         phi = ek_matrix(traces.values, traces.tgrid, eta + alpha, -alpha, order=frac_order)
-    phi *= gamma(n / 2.0) / gamma(ga)
+    phi *= gamma(n / 2.0) / gamma(alpha + n / 2.0)
     means = MeanData(space, traces.boundary, traces.tgrid, phi)
     if n % 2 == 1:
         return invert_euclidean_odd(means, x, fd_step)
@@ -594,11 +565,3 @@ def chart_box_grid(space: SpaceSpec, center: np.ndarray, half_width: float,
     if ball_radius is not None:
         keep &= ((pts - center) ** 2).sum(axis=1) <= ball_radius ** 2
     return spaces.lift(space, pts[keep])
-
-
-def roundtrip_report(phantom: Phantom, data: MeanData, x: np.ndarray,
-                     method: str = "direct", fd_step: float | None = None) -> ReconstructionReport:
-    start = time.perf_counter()
-    rec = invert(data, x, method=method, fd_step=fd_step)
-    elapsed = time.perf_counter() - start
-    return make_report(x, phantom(x), rec, method, elapsed)

@@ -15,14 +15,12 @@ import numpy as np
 
 __all__ = [
     "TGrid",
-    "SampledProfile",
     "gauss_legendre",
-    "cubic_interp",
     "quintic_interp",
     "cubic_interp_rows",
-    "derivative",
-    "d_operator",
-    "darboux_L",
+    "diff_matrix",
+    "d_operator_matrix",
+    "darboux_L_matrix",
     "graded_panels",
     "log_kernel_table",
     "laplacian_fd",
@@ -85,22 +83,6 @@ class TGrid:
         return TGrid(np.linspace(a, b, n))
 
 
-@dataclass
-class SampledProfile:
-    """Samples of a scalar function on a TGrid."""
-
-    grid: TGrid
-    samples: np.ndarray
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.shape != (self.grid.n,):
-            raise ValueError("sample count must match the grid")
-
-    def __call__(self, x, fill: float = 0.0) -> np.ndarray:
-        return cubic_interp(self.samples, self.grid, np.asarray(x, dtype=float), fill=fill)
-
-
 # ---------------------------------------------------------------------------
 # cubic interpolation on uniform grids
 # ---------------------------------------------------------------------------
@@ -122,32 +104,6 @@ def _cubic_weights(s: np.ndarray):
     w_1 = -s * (s + 1.0) * (s - 2.0) / 2.0
     w_2 = s * (s * s - 1.0) / 6.0
     return w_m1, w_0, w_1, w_2
-
-
-def cubic_interp(values: np.ndarray, grid: TGrid, x: np.ndarray, fill: float | str = 0.0) -> np.ndarray:
-    """Local cubic interpolation of `values` (..., N) at points `x` (K,).
-
-    Outside the grid range the result is `fill`; pass fill='error' to raise
-    instead.
-    """
-    values = np.asarray(values, dtype=float)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    inside = (x >= grid.a) & (x <= grid.b)
-    if isinstance(fill, str):
-        if fill != "error":
-            raise ValueError("fill must be a float or 'error'")
-        if not np.all(inside):
-            bad = x[~inside]
-            raise ValueError(f"interpolation point {bad[0]:g} outside grid [{grid.a:g}, {grid.b:g}]")
-    xc = np.where(inside, x, grid.a)
-    idx, s = _cubic_cells(grid, xc)
-    w = _cubic_weights(s)
-    out = np.zeros(values.shape[:-1] + x.shape, dtype=float)
-    for k, off in enumerate((-1, 0, 1, 2)):
-        out += w[k] * values[..., idx + off]
-    if not isinstance(fill, str):
-        out = np.where(inside, out, fill)
-    return out
 
 
 _QUINTIC_OFFSETS = (-2, -1, 0, 1, 2, 3)
@@ -232,13 +188,6 @@ def diff_matrix(samples: np.ndarray, grid: TGrid, k: int = 1) -> np.ndarray:
     return out
 
 
-def derivative(profile: SampledProfile, k: int = 1) -> SampledProfile:
-    """k-th derivative of a sampled profile by repeated 4th-order differences."""
-    if k < 1:
-        raise ValueError("derivative order must be >= 1")
-    return SampledProfile(profile.grid, diff_matrix(profile.samples, profile.grid, k))
-
-
 def d_operator_matrix(samples: np.ndarray, grid: TGrid, m: int) -> np.ndarray:
     """Apply D = (1/2t) d/dt m times along the last axis (positive grids only)."""
     if m < 0:
@@ -252,10 +201,6 @@ def d_operator_matrix(samples: np.ndarray, grid: TGrid, m: int) -> np.ndarray:
     return out
 
 
-def d_operator(profile: SampledProfile, m: int) -> SampledProfile:
-    return SampledProfile(profile.grid, d_operator_matrix(profile.samples, profile.grid, m))
-
-
 def darboux_L_matrix(samples: np.ndarray, grid: TGrid, n: int) -> np.ndarray:
     """L = d^2/dt^2 + (n-1)/t d/dt along the last axis."""
     t = grid.values
@@ -264,10 +209,6 @@ def darboux_L_matrix(samples: np.ndarray, grid: TGrid, n: int) -> np.ndarray:
     d1 = _diff1(np.asarray(samples, dtype=float), grid.h)
     d2 = _diff1(d1, grid.h)
     return d2 + (n - 1) / t * d1
-
-
-def darboux_L(profile: SampledProfile, n: int) -> SampledProfile:
-    return SampledProfile(profile.grid, darboux_L_matrix(profile.samples, profile.grid, n))
 
 
 # ---------------------------------------------------------------------------

@@ -89,14 +89,6 @@ class Phantom:
         ]
         return min(margins)
 
-    def support_radius(self) -> float:
-        """max geodesic distance from the origin to a support point."""
-        o = spaces.origin(self.space)
-        return max(
-            float(spaces.geodesic_distance(self.space, b.center, o)) + b.geodesic_radius
-            for b in self.bumps
-        )
-
     def is_centered(self, tol: float = 1e-14) -> bool:
         """True when every bump sits at the space origin (radial phantom)."""
         o = spaces.origin(self.space)
@@ -109,29 +101,6 @@ class Phantom:
         for b in self.bumps:
             d = spaces.geodesic_distance(self.space, points, b.center)
             out += b.amplitude * bump_profile(d / b.geodesic_radius)
-        return out
-
-    def euclidean_laplacian(self, points: np.ndarray) -> np.ndarray:
-        """Closed-form Laplacian, Euclidean spaces only.
-
-        For a radial profile w(|x - c| / r):
-        Delta f = (w''(s) + (n-1) w'(s)/s) / r^2 with s = |x - c|/r.
-        """
-        if self.space.kind != spaces.EUCLIDEAN:
-            raise ValueError("closed-form Laplacian only implemented for Euclidean phantoms")
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(points.shape[0])
-        n = self.space.n
-        for b in self.bumps:
-            d = np.linalg.norm(points - b.center, axis=-1)
-            s = d / b.geodesic_radius
-            term = bump_profile_d2(s)
-            nz = s > 1e-14
-            rad = np.zeros_like(s)
-            rad[nz] = bump_profile_d1(s[nz]) / s[nz]
-            # w'(s)/s -> w''(0) as s -> 0
-            rad[~nz] = bump_profile_d2(np.zeros(np.count_nonzero(~nz)))
-            out += b.amplitude * (term + (n - 1) * rad) / b.geodesic_radius ** 2
         return out
 
 

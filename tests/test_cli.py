@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from geomeans import checks
 from geomeans.cli import (
+    MEANS_MAGIC,
     ConfigError,
     main,
     parse_config,
@@ -12,7 +15,7 @@ from geomeans.cli import (
     write_means,
     write_pgm,
 )
-from geomeans.forward import default_tgrid, forward_means
+from geomeans.forward import MeanData, default_tgrid, forward_means
 from geomeans.phantoms import Bump, Phantom
 from geomeans.spaces import EUCLIDEAN, SpaceSpec, boundary_grid
 
@@ -94,6 +97,23 @@ def test_means_csv_roundtrip_bitwise(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_means_file_bytes(tmp_path):
+    space = SpaceSpec(EUCLIDEAN, 3, 1.0)
+    bd = boundary_grid(space, 12)
+    tg = default_tgrid(space, 64)
+    values = np.random.default_rng(5).standard_normal((bd.m, tg.n)) * 10.0 ** np.arange(-32, 32)
+    data = MeanData(space, bd, tg, values, alpha=1.5)
+    meta = {"space": {"kind": "euclidean", "n": 3, "radius": "1.0"}, "boundary_m": bd.m,
+            "t0": repr(tg.a), "t1": repr(tg.b), "t_points": 64, "alpha": "1.5"}
+    rows = [f"{i},{float(t)!r},{float(values[i, j])!r}"
+            for i in range(bd.m) for j, t in enumerate(tg.values)]
+    expect = "\n".join([MEANS_MAGIC, "# " + json.dumps(meta, sort_keys=True),
+                        "center_idx,t,value"] + rows) + "\n"
+    path = tmp_path / "means.csv"
+    write_means(data, str(path))
+    assert path.read_bytes() == expect.encode()
+
+
 @pytest.fixture
 def means_file(tmp_path):
     """A valid means file and the data written to it."""
@@ -170,6 +190,19 @@ def test_means_empty_body(means_file):
     path, _ = means_file
     rewrite_rows(path, lambda rows: [])
     with pytest.raises(ValueError, match="no data rows"):
+        read_means(str(path))
+
+
+def test_means_short_t_grid(means_file):
+    # a file consistent in itself, on a 10-point t-grid
+    path, _ = means_file
+    lines = path.read_text().splitlines()
+    meta = json.loads(lines[1][2:])
+    meta["t_points"] = 10
+    t = np.linspace(float(meta["t0"]), float(meta["t1"]), 10)
+    rows = [f"{i},{float(tj)!r},0.5" for i in range(meta["boundary_m"]) for tj in t]
+    path.write_text("\n".join([lines[0], "# " + json.dumps(meta), lines[2]] + rows) + "\n")
+    with pytest.raises(ValueError, match="shorter than 64 nodes"):
         read_means(str(path))
 
 
@@ -250,6 +283,20 @@ def test_pgm_minmax_comment(tmp_path):
 
 def test_verify_subcommand_fractional():
     assert main(["verify", "--suite", "fractional"]) == 0
+
+
+def test_verify_fails_on_a_strict_bound(monkeypatch, capsys):
+    # criterion 2 holds its figure strictly below the bound: a figure equal
+    # to the bound fails in the printed status and in the exit code
+    check = next(c for c in checks.CHECKS if c.number == 2)
+    assert check.op == "<"
+    on_bound = dataclasses.replace(check, compute=lambda seed: (check.bound,))
+    monkeypatch.setattr(checks, "CHECKS", (on_bound,))
+    assert main(["verify", "--suite", "lemmas"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("[acceptance] 2. direct vs continued (abs)")
+    assert out[0].endswith("1.000e-08 < 1.0e-08  FAIL")
+    assert out[1] == "1 check(s) FAILED"
 
 
 def test_bad_config_returns_error_code(tmp_path):

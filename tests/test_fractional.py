@@ -2,17 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import gamma, roots_jacobi
 
-from geomeans.fractional import (
-    FractionalSpec,
-    _quintic_operator,
-    ek_ac_matrix,
-    ek_matrix,
-    erdelyi_kober,
-    erdelyi_kober_ac,
-    riemann_liouville_right,
-    rl_matrix,
-)
-from geomeans.numerics import SampledProfile, TGrid, d_operator_matrix, diff_matrix, quintic_interp
+from geomeans.fractional import _quintic_operator, ek_ac_matrix, ek_matrix, rl_matrix
+from geomeans.numerics import TGrid, d_operator_matrix, diff_matrix, quintic_interp
 from geomeans.phantoms import bump_profile
 
 
@@ -30,41 +21,41 @@ def interior(grid, lo=0.3):
     return grid.values > lo
 
 
-def test_spec_validation():
+def test_spec_validation(pos_grid):
+    ones = np.ones(pos_grid.n)
     with pytest.raises(ValueError):
-        FractionalSpec(-0.8, 1.0)
-    FractionalSpec(-0.8, -1.0)  # negative orders do not need the constraint
-    FractionalSpec(-0.5, 0.5)
+        ek_matrix(ones, pos_grid, -0.8, 1.0)
+    ek_ac_matrix(ones, pos_grid, -0.8, -1.0)  # negative orders do not need the constraint
+    ek_matrix(ones, pos_grid, -0.5, 0.5)
 
 
 def test_constant_profile(pos_grid):
     # the weighted integral of 1 is 1/(eta+1) away from the grid cutoff
-    ones = SampledProfile(pos_grid, np.ones(pos_grid.n))
+    ones = np.ones(pos_grid.n)
     for eta in (0.0, 0.5, 1.0):
-        out = erdelyi_kober(ones, FractionalSpec(eta, 1.0))
+        out = ek_matrix(ones, pos_grid, eta, 1.0)[0]
         sel = interior(pos_grid)
-        assert np.max(np.abs(out.samples[sel] - 1.0 / (eta + 1.0))) < 1e-5
+        assert np.max(np.abs(out[sel] - 1.0 / (eta + 1.0))) < 1e-5
 
 
 def test_quadratic_profile(pos_grid):
     t = pos_grid.values
-    out = erdelyi_kober(SampledProfile(pos_grid, t ** 2), FractionalSpec(0.0, 1.0))
+    out = ek_matrix(t ** 2, pos_grid, 0.0, 1.0)[0]
     sel = interior(pos_grid)
-    assert np.max(np.abs(out.samples[sel] - t[sel] ** 2 / 2.0)) < 1e-5
+    assert np.max(np.abs(out[sel] - t[sel] ** 2 / 2.0)) < 1e-5
 
 
 def test_small_order_limit(pos_grid):
     t = pos_grid.values
     bump = bump_profile((t - 1.0) / 0.4)
-    out = erdelyi_kober(SampledProfile(pos_grid, bump), FractionalSpec(0.5, 1e-3))
-    assert np.max(np.abs(out.samples - bump)) < 1e-2
+    out = ek_matrix(bump, pos_grid, 0.5, 1e-3)[0]
+    assert np.max(np.abs(out - bump)) < 1e-2
 
 
 def test_zero_order_identity(pos_grid):
-    t = pos_grid.values
-    p = SampledProfile(pos_grid, np.sin(t))
-    out = erdelyi_kober_ac(p, FractionalSpec(0.7, 0.0))
-    assert np.array_equal(out.samples, p.samples)
+    p = np.sin(pos_grid.values)
+    out = ek_ac_matrix(p, pos_grid, 0.7, 0.0)[0]
+    assert np.array_equal(out, p)
 
 
 def test_integer_negative_formula_polynomial(pos_grid):
@@ -72,75 +63,69 @@ def test_integer_negative_formula_polynomial(pos_grid):
     t = pos_grid.values
     phi = t ** 2
     eta = 1.0
-    fwd = erdelyi_kober(SampledProfile(pos_grid, phi), FractionalSpec(eta, 1.0))
-    back = erdelyi_kober_ac(fwd, FractionalSpec(eta + 1.0, -1.0))
+    fwd = ek_matrix(phi, pos_grid, eta, 1.0)
+    back = ek_ac_matrix(fwd, pos_grid, eta + 1.0, -1.0)[0]
     sel = interior(pos_grid)
-    assert np.max(np.abs(back.samples[sel] - phi[sel])) < 1e-4
+    assert np.max(np.abs(back[sel] - phi[sel])) < 1e-4
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_ek_roundtrip(alpha):
     g = TGrid.linspace(1e-3, 2.0, 1200)
     bump = bump_profile((g.values - 1.0) / 0.4)
-    p = SampledProfile(g, bump)
-    fwd = erdelyi_kober(p, FractionalSpec(0.5, alpha), order=256)
-    back = erdelyi_kober_ac(fwd, FractionalSpec(0.5 + alpha, -alpha), order=256)
-    assert np.max(np.abs(back.samples - bump)) <= 1e-4
+    fwd = ek_matrix(bump, g, 0.5, alpha, order=256)
+    back = ek_ac_matrix(fwd, g, 0.5 + alpha, -alpha, order=256)[0]
+    assert np.max(np.abs(back - bump)) <= 1e-4
 
 
 def test_rl_constant(sym_grid):
-    ones = SampledProfile(sym_grid, np.ones(sym_grid.n))
-    out = riemann_liouville_right(ones, 1.0)
-    assert np.max(np.abs(out.samples - (sym_grid.b - sym_grid.values))) < 1e-12
+    out = rl_matrix(np.ones(sym_grid.n), sym_grid, 1.0)[0]
+    assert np.max(np.abs(out - (sym_grid.b - sym_grid.values))) < 1e-12
 
 
 def test_rl_zero_order(sym_grid):
-    p = SampledProfile(sym_grid, np.sin(sym_grid.values))
-    out = riemann_liouville_right(p, 0.0)
-    assert np.array_equal(out.samples, p.samples)
+    p = np.sin(sym_grid.values)
+    out = rl_matrix(p, sym_grid, 0.0)[0]
+    assert np.array_equal(out, p)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_rl_roundtrip(alpha):
     g = TGrid.linspace(-1 + 1e-3, 1 - 1e-3, 1200)
     bump = bump_profile(g.values / 0.5)
-    p = SampledProfile(g, bump)
-    fwd = riemann_liouville_right(p, alpha, order=256)
-    back = riemann_liouville_right(fwd, -alpha, order=256)
-    assert np.max(np.abs(back.samples - bump)) <= 1e-4
+    back = rl_matrix(rl_matrix(bump, g, alpha, order=256), g, -alpha, order=256)[0]
+    assert np.max(np.abs(back - bump)) <= 1e-4
 
 
 @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.5, 1.0), (1.0, 1.0)])
 def test_ek_semigroup(a, b):
     g = TGrid.linspace(1e-3, 2.0, 800)
     bump = bump_profile((g.values - 1.0) / 0.4)
-    p = SampledProfile(g, bump)
     eta = 0.5
-    two = erdelyi_kober(erdelyi_kober(p, FractionalSpec(eta, a)), FractionalSpec(eta + a, b))
-    direct = erdelyi_kober(p, FractionalSpec(eta, a + b))
-    assert np.max(np.abs(two.samples - direct.samples)) < 1e-4
+    two = ek_matrix(ek_matrix(bump, g, eta, a), g, eta + a, b)
+    direct = ek_matrix(bump, g, eta, a + b)
+    assert np.max(np.abs(two - direct)) < 1e-4
 
 
 def test_positivity_preserved(pos_grid):
     t = pos_grid.values
     bump = bump_profile((t - 1.0) / 0.4)
-    p = SampledProfile(pos_grid, bump)
     for alpha in (0.5, 1.0):
-        out = erdelyi_kober(p, FractionalSpec(0.5, alpha))
-        assert np.min(out.samples) > -1e-12
+        out = ek_matrix(bump, pos_grid, 0.5, alpha)
+        assert np.min(out) > -1e-12
     g = TGrid.linspace(-1 + 1e-3, 1 - 1e-3, 800)
-    p2 = SampledProfile(g, bump_profile(g.values / 0.5))
+    bump2 = bump_profile(g.values / 0.5)
     for alpha in (0.5, 1.0):
-        out = riemann_liouville_right(p2, alpha)
-        assert np.min(out.samples) > -1e-12
+        out = rl_matrix(bump2, g, alpha)
+        assert np.min(out) > -1e-12
 
 
 def test_positive_path_rejects_nonpositive_alpha(pos_grid):
-    p = SampledProfile(pos_grid, np.ones(pos_grid.n))
+    ones = np.ones(pos_grid.n)
     with pytest.raises(ValueError):
-        erdelyi_kober(p, FractionalSpec(0.5, -0.5))
+        ek_matrix(ones, pos_grid, 0.5, -0.5)
     with pytest.raises(ValueError):
-        erdelyi_kober_ac(p, FractionalSpec(0.5, 0.5))
+        ek_ac_matrix(ones, pos_grid, 0.5, 0.5)
 
 
 # Reference routes without the operator matrix: interpolate the samples at

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from geomeans.numerics import (
-    SampledProfile,
     TGrid,
-    cubic_interp,
-    d_operator,
-    darboux_L,
-    derivative,
+    cubic_interp_rows,
+    d_operator_matrix,
+    darboux_L_matrix,
+    diff_matrix,
     gauss_legendre,
     graded_panels,
     laplacian_fd,
@@ -47,63 +46,67 @@ def grid():
 
 def test_derivative_cubic_exact(grid):
     t = grid.values
-    out = derivative(SampledProfile(grid, t ** 3), 2)
-    assert np.max(np.abs(out.samples - 6.0 * t)) < 1e-8
+    out = diff_matrix(t ** 3, grid, 2)
+    assert np.max(np.abs(out - 6.0 * t)) < 1e-8
 
 
 def test_derivative_quartic_exact_first(grid):
     t = grid.values
-    out = derivative(SampledProfile(grid, t ** 4), 1)
-    assert np.max(np.abs(out.samples - 4.0 * t ** 3)) < 1e-8
+    out = diff_matrix(t ** 4, grid, 1)
+    assert np.max(np.abs(out - 4.0 * t ** 3)) < 1e-8
 
 
 def test_derivative_sin(grid):
     t = grid.values
-    out = derivative(SampledProfile(grid, np.sin(t)), 1)
-    assert np.max(np.abs(out.samples - np.cos(t))) < 5.0 * grid.h ** 4
+    out = diff_matrix(np.sin(t), grid, 1)
+    assert np.max(np.abs(out - np.cos(t))) < 5.0 * grid.h ** 4
 
 
 def test_derivative_constant(grid):
-    out = derivative(SampledProfile(grid, np.full(grid.n, 3.7)), 3)
-    assert np.max(np.abs(out.samples)) < 1e-8
+    out = diff_matrix(np.full(grid.n, 3.7), grid, 3)
+    assert np.max(np.abs(out)) < 1e-8
 
 
 def test_derivative_grid_too_short():
     g = TGrid(np.linspace(0.0, 1.0, 10))
     with pytest.raises(ValueError):
-        derivative(SampledProfile(g, np.zeros(10)), 5)
+        diff_matrix(np.zeros(10), g, 5)
 
 
 def test_d_operator(grid):
     t = grid.values
-    assert np.max(np.abs(d_operator(SampledProfile(grid, t ** 2), 1).samples - 1.0)) < 1e-8
-    assert np.max(np.abs(d_operator(SampledProfile(grid, t ** 4), 2).samples - 2.0)) < 1e-7
-    p = SampledProfile(grid, np.sin(t))
-    assert np.array_equal(d_operator(p, 0).samples, p.samples)
+    assert np.max(np.abs(d_operator_matrix(t ** 2, grid, 1) - 1.0)) < 1e-8
+    assert np.max(np.abs(d_operator_matrix(t ** 4, grid, 2) - 2.0)) < 1e-7
+    p = np.sin(t)
+    assert np.array_equal(d_operator_matrix(p, grid, 0), p)
 
 
 def test_d_operator_needs_positive_grid():
     g = TGrid(np.linspace(-1.0, 1.0, 128))
     with pytest.raises(ValueError):
-        d_operator(SampledProfile(g, np.ones(128)), 1)
+        d_operator_matrix(np.ones(128), g, 1)
 
 
 def test_darboux_radial_operator(grid):
     t = grid.values
-    out = darboux_L(SampledProfile(grid, t ** 2), 3)
-    assert np.max(np.abs(out.samples - 6.0)) < 1e-7
-    out = darboux_L(SampledProfile(grid, np.full(grid.n, 2.0)), 4)
-    assert np.max(np.abs(out.samples)) < 1e-10
+    out = darboux_L_matrix(t ** 2, grid, 3)
+    assert np.max(np.abs(out - 6.0)) < 1e-7
+    out = darboux_L_matrix(np.full(grid.n, 2.0), grid, 4)
+    assert np.max(np.abs(out)) < 1e-10
     # t^{2-n} solves the radial equation for n = 3
-    out = darboux_L(SampledProfile(grid, 1.0 / t), 3)
-    assert np.max(np.abs(out.samples[4:-4])) < 5e-5
+    out = darboux_L_matrix(1.0 / t, grid, 3)
+    assert np.max(np.abs(out[4:-4])) < 5e-5
 
 
-def log_kernel_reference(profile: SampledProfile, s: float, kernel: str = "log|t-s|",
+def interp(samples, grid, x):
+    """Cubic interpolant of one row of samples at the points x, zero outside the grid."""
+    return cubic_interp_rows(samples[None, :], grid, np.asarray(x, dtype=float)[None, :])[0]
+
+
+def log_kernel_reference(samples, grid, s: float, kernel: str = "log|t-s|",
                          order: int = 20) -> float:
     """One target's log-kernel integral by interpolating the profile at every
     panel node: the route without the operator matrix."""
-    grid = profile.grid
     if kernel == "log|t-s|":
         pts = [s]
         kern = lambda t: np.log(np.abs(t - s))
@@ -111,32 +114,29 @@ def log_kernel_reference(profile: SampledProfile, s: float, kernel: str = "log|t
         pts = [abs(s), -abs(s)]
         kern = lambda t: np.log(np.abs(t * t - s * s))
     nodes, weights, slivers = graded_panels(grid.a, grid.b, pts, order=order)
-    total = float(np.dot(weights, profile(nodes, fill=0.0) * kern(nodes)))
+    total = float(np.dot(weights, interp(samples, grid, nodes) * kern(nodes)))
     for c, eps in slivers:
         # kernel moment over (c - eps, c + eps); log|t + c| is smooth there
         moment = 2.0 * eps * (np.log(eps) - 1.0)
         if kernel == "log|t^2-s^2|":
             moment = 2.0 * moment if c < 1e-8 else moment + 2.0 * eps * np.log(2.0 * c)
-        total += float(profile(np.array([c]))[0]) * moment
+        total += float(interp(samples, grid, [c])[0]) * moment
     return total
 
 
-def log_kernel_one(profile: SampledProfile, s: float, kernel: str = "log|t-s|",
-                   order: int = 20) -> float:
-    return float(log_kernel_table(profile.samples, profile.grid, [s], kernel, order)[0, 0])
+def log_kernel_one(samples, grid, s: float, kernel: str = "log|t-s|", order: int = 20) -> float:
+    return float(log_kernel_table(samples, grid, [s], kernel, order)[0, 0])
 
 
 def test_log_kernel_point_singularity():
     g = TGrid(np.linspace(-1.0, 1.0, 400))
-    p = SampledProfile(g, np.ones(400))
-    assert abs(log_kernel_one(p, 0.0, "log|t-s|") - (-2.0)) < 1e-10
+    assert abs(log_kernel_one(np.ones(400), g, 0.0, "log|t-s|") - (-2.0)) < 1e-10
 
 
 def test_log_kernel_difference_of_squares():
     g = TGrid(np.linspace(1e-6, 2.0, 400))
-    p = SampledProfile(g, np.ones(400))
     exact = 3.0 * np.log(3.0) - 4.0
-    assert abs(log_kernel_one(p, 1.0, "log|t^2-s^2|") - exact) < 1e-8
+    assert abs(log_kernel_one(np.ones(400), g, 1.0, "log|t^2-s^2|") - exact) < 1e-8
 
 
 def test_log_kernel_profile_away_from_singularity():
@@ -145,19 +145,19 @@ def test_log_kernel_profile_away_from_singularity():
 
     g = TGrid(np.linspace(0.0, 2.0, 600))
     t = g.values
-    p = SampledProfile(g, bump_profile((t - 1.5) / 0.3))
+    p = bump_profile((t - 1.5) / 0.3)
     x, w = gauss_legendre(400, 1.2, 1.8)
     # oracle integrates the same interpolant, isolating the panel scheme
-    expected = np.dot(w, p(x) * np.log(np.abs(x - 0.3)))
-    assert abs(log_kernel_one(p, 0.3) - expected) < 1e-8
+    expected = np.dot(w, interp(p, g, x) * np.log(np.abs(x - 0.3)))
+    assert abs(log_kernel_one(p, g, 0.3) - expected) < 1e-8
 
 
 def test_log_kernel_panel_doubling():
     g = TGrid(np.linspace(0.0, 2.0, 600))
     t = g.values
-    p = SampledProfile(g, np.exp(-((t - 1.0) ** 2) * 8.0))
-    a = log_kernel_one(p, 0.8, order=12)
-    b = log_kernel_one(p, 0.8, order=24)
+    p = np.exp(-((t - 1.0) ** 2) * 8.0)
+    a = log_kernel_one(p, g, 0.8, order=12)
+    b = log_kernel_one(p, g, 0.8, order=24)
     assert abs(a - b) < 1e-8
 
 
@@ -169,7 +169,7 @@ def test_log_kernel_table_matches_scalar():
     table = log_kernel_table(rows, g, targets, kernel="log|t-s|")
     for i in range(2):
         for j, s in enumerate(targets):
-            ref = log_kernel_reference(SampledProfile(g, rows[i]), float(s))
+            ref = log_kernel_reference(rows[i], g, float(s))
             assert abs(table[i, j] - ref) < 1e-12
 
 
@@ -183,7 +183,7 @@ def test_log_kernel_operator_matches_per_node_route(kernel, lo):
     targets = np.concatenate([[g.a, g.b, t[40], 0.5 * (t[60] + t[61])],
                               [-1.2, 1.3] if kernel == "log|t-s|" else [0.0]])
     table = log_kernel_table(rows, g, targets, kernel=kernel)
-    ref = np.array([[log_kernel_reference(SampledProfile(g, r), float(s), kernel)
+    ref = np.array([[log_kernel_reference(r, g, float(s), kernel)
                      for s in targets] for r in rows])
     assert np.max(np.abs(table - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -219,16 +219,17 @@ def test_cubic_interp_polynomial_exact():
     g = TGrid(np.linspace(0.0, 1.0, 101))
     vals = g.values ** 3 - 2.0 * g.values
     x = np.linspace(0.05, 0.95, 37)
-    out = cubic_interp(vals, g, x)
+    out = interp(vals, g, x)
     assert np.max(np.abs(out - (x ** 3 - 2.0 * x))) < 1e-13
 
 
 def test_cubic_interp_fill_modes():
     g = TGrid(np.linspace(0.0, 1.0, 101))
     vals = np.ones(101)
-    assert cubic_interp(vals, g, np.array([1.5]), fill=0.0)[0] == 0.0
+    x = np.array([[1.5]])
+    assert cubic_interp_rows(vals[None, :], g, x, fill=0.0)[0, 0] == 0.0
     with pytest.raises(ValueError):
-        cubic_interp(vals, g, np.array([1.5]), fill="error")
+        cubic_interp_rows(vals[None, :], g, x, fill="error")
 
 
 def test_quintic_interp_degree5_exact():
