@@ -238,21 +238,15 @@ def _h_bound_worst(spec: SpaceSpec, rng, pairs: int) -> float:
         got += sel.shape[0]
         if spec.kind == EUCLIDEAN:
             x, y = sel[:, 0, :], sel[:, 1, :]
-            sep = np.linalg.norm(x - y, axis=1)
-            ok = sep > 1e-9
-            h = ((x ** 2).sum(1) - (y ** 2).sum(1))[ok] / (2.0 * spec.radius * sep[ok])
         else:
             # cube radius taken as geodesic distance in polar normal coordinates
             r = np.linalg.norm(sel, axis=2)
             scale = np.sin(r) if spec.kind == SPHERE else np.sinh(r)
             chart = sel * np.divide(scale, r, out=np.ones_like(r), where=r > 0)[..., None]
             lifted = spaces.lift(spec, chart)
-            sep = np.linalg.norm(chart[:, 0, :] - chart[:, 1, :], axis=1)
-            ok = sep > 1e-9
-            ratio = (lifted[:, 0, -1] - lifted[:, 1, -1])[ok] / sep[ok]
-            factor = 1.0 / np.tan(spec.radius) if spec.kind == SPHERE \
-                else 1.0 / np.tanh(spec.radius)
-            h = ratio * factor
+            x, y = lifted[:, 0, :], lifted[:, 1, :]
+        ok = np.linalg.norm(spaces.chart(spec, x) - spaces.chart(spec, y), axis=1) > 1e-9
+        h = spaces.h_parameter(spec, x[ok], y[ok])
         if h.size:
             worst = max(worst, float(np.max(np.abs(h))))
     return worst

@@ -304,7 +304,7 @@ def cmd_forward(cfg: dict, out_path: str) -> int:
 def _invert_to_report(cfg: dict, data: MeanData, out_path: str) -> int:
     pts = _recon_points(cfg)
     start = time.perf_counter()
-    rec = invert(data, pts, method=cfg["method"], fd_step=cfg["grids"]["fd_step"])
+    rec = invert(data, pts, method=cfg["method"])
     elapsed = time.perf_counter() - start
     rep = make_report(pts, cfg["phantom"](pts), rec, cfg["method"], elapsed)
     write_report(rep, cfg["space"], out_path)

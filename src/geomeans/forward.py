@@ -125,12 +125,17 @@ def _radial_part_profile(space: SpaceSpec, center: np.ndarray, part_center: np.n
 
         u_star = (t * A - np.cosh(scale)) / np.maximum(S, 1e-300)
     phi_max = np.arccos(np.clip(u_star, -1.0, 1.0))
+    # sections that miss the support (phi_max = 0) have mean exactly 0
+    rows = np.flatnonzero(phi_max > 0)
+    out = np.zeros(t.size)
+    phi_max = phi_max[rows]
     x, w = gauss_legendre(order, 0.0, 1.0)
     phi = phi_max[:, None] * x[None, :]
     u = np.cos(phi)
-    vals = fn(dist(t[:, None], u) / scale) * np.sin(phi) ** (n - 2)
+    vals = fn(dist(t[rows, None], u) / scale) * np.sin(phi) ** (n - 2)
     ratio = float(gamma(n / 2.0) / (np.sqrt(np.pi) * gamma((n - 1) / 2.0)))
-    return ratio * phi_max * (vals @ w)
+    out[rows] = ratio * phi_max * (vals @ w)
+    return out
 
 
 def _exact_means_row(field: RadialField, center: np.ndarray, tgrid: TGrid,

@@ -17,7 +17,7 @@ __all__ = [
     "TGrid",
     "gauss_legendre",
     "quintic_interp",
-    "cubic_interp_rows",
+    "CubicStencil",
     "diff_matrix",
     "d_operator_matrix",
     "darboux_L_matrix",
@@ -133,27 +133,44 @@ def quintic_interp(values: np.ndarray, grid: TGrid, x: np.ndarray, fill: float =
     return np.where(inside, out, fill)
 
 
-def cubic_interp_rows(values: np.ndarray, grid: TGrid, x: np.ndarray, fill: float | str = 0.0) -> np.ndarray:
-    """Row-aligned cubic interpolation: values (M, N), x (M, K) -> (M, K)."""
-    values = np.asarray(values, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if values.ndim != 2 or x.ndim != 2 or x.shape[0] != values.shape[0]:
-        raise ValueError("need values (M, N) and row-aligned queries (M, K)")
-    inside = (x >= grid.a) & (x <= grid.b)
-    if isinstance(fill, str):
-        if fill != "error":
-            raise ValueError("fill must be a float or 'error'")
-        if not np.all(inside):
-            raise ValueError("interpolation point outside grid range")
-    xc = np.where(inside, x, grid.a)
-    idx, s = _cubic_cells(grid, xc)
-    w = _cubic_weights(s)
-    out = np.zeros_like(x)
-    for k, off in enumerate((-1, 0, 1, 2)):
-        out += w[k] * np.take_along_axis(values, idx + off, axis=1)
-    if not isinstance(fill, str):
-        out = np.where(inside, out, fill)
-    return out
+@dataclass(frozen=True)
+class CubicStencil:
+    """Cells and weights of row-aligned cubic interpolation at queries (M, K).
+
+    Built once per query set, it interpolates any number of (M, N) tables
+    on the same grid at those queries; queries outside the grid take `fill`.
+    """
+
+    idx: np.ndarray
+    weights: tuple[np.ndarray, ...]
+    inside: np.ndarray
+    fill: float | str
+
+    @staticmethod
+    def build(grid: TGrid, x: np.ndarray, fill: float | str = 0.0) -> "CubicStencil":
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2:
+            raise ValueError("need row-aligned queries (M, K)")
+        inside = (x >= grid.a) & (x <= grid.b)
+        if isinstance(fill, str):
+            if fill != "error":
+                raise ValueError("fill must be a float or 'error'")
+            if not np.all(inside):
+                raise ValueError("interpolation point outside grid range")
+        idx, s = _cubic_cells(grid, np.where(inside, x, grid.a))
+        return CubicStencil(idx, _cubic_weights(s), inside, fill)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """Interpolate the rows of values (M, N): row i at the queries of row i."""
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 2 or values.shape[0] != self.idx.shape[0]:
+            raise ValueError("need values (M, N) aligned with the query rows")
+        out = np.zeros(self.idx.shape)
+        for k, off in enumerate((-1, 0, 1, 2)):
+            out += self.weights[k] * np.take_along_axis(values, self.idx + off, axis=1)
+        if not isinstance(self.fill, str):
+            out = np.where(self.inside, out, self.fill)
+        return out
 
 
 # ---------------------------------------------------------------------------

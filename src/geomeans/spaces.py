@@ -359,24 +359,25 @@ def section_quadrature(space: SpaceSpec, center: np.ndarray, t: float,
     return rule.nodes(float(t)), rule.weights
 
 
-def h_parameter(space: SpaceSpec, x: np.ndarray, y: np.ndarray) -> float:
-    """The kernel offset h for a pair of interior points.
+def h_parameter(space: SpaceSpec, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    """The kernel offset h for pairs of interior points x, y (..., dim).
 
     Euclidean: (|x|^2 - |y|^2) / (2R|x - y|). Curved spaces:
     (x_{n+1} - y_{n+1}) / |x' - y'| times cot(theta) resp. coth(R).
-    Interior pairs with a support margin satisfy |h| < 1.
+    Interior pairs with a support margin satisfy |h| < 1. One pair gives a
+    float, stacked pairs an array of their values.
     """
     x = validate_point(space, np.asarray(x, dtype=float))
     y = validate_point(space, np.asarray(y, dtype=float))
     if space.kind == EUCLIDEAN:
-        sep = np.linalg.norm(x - y)
-        if sep < 1e-14:
+        sep = np.linalg.norm(x - y, axis=-1)
+        if np.any(sep < 1e-14):
             raise ValueError("coincident points have no h parameter")
-        return float(((x ** 2).sum() - (y ** 2).sum()) / (2.0 * space.radius * sep))
-    sep = np.linalg.norm(x[:-1] - y[:-1])
-    if sep < 1e-14:
-        raise ValueError("coincident chart projections have no h parameter")
-    ratio = (x[-1] - y[-1]) / sep
-    if space.kind == SPHERE:
-        return float(ratio / np.tan(space.radius))
-    return float(ratio / np.tanh(space.radius))
+        h = ((x ** 2).sum(axis=-1) - (y ** 2).sum(axis=-1)) / (2.0 * space.radius * sep)
+    else:
+        sep = np.linalg.norm(x[..., :-1] - y[..., :-1], axis=-1)
+        if np.any(sep < 1e-14):
+            raise ValueError("coincident chart projections have no h parameter")
+        ratio = (x[..., -1] - y[..., -1]) / sep
+        h = ratio / (np.tan(space.radius) if space.kind == SPHERE else np.tanh(space.radius))
+    return float(h) if np.ndim(h) == 0 else h

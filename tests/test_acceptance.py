@@ -34,7 +34,7 @@ def report_line(name, value, bound):
 
 
 def roundtrip(space, chart_center, radius, m, n_t, ball, ppa, alpha=None,
-              method="direct", fd_step=None):
+              method="direct"):
     ph = bump_at(space, chart_center, radius)
     bd = boundary_grid(space, m)
     tg = default_tgrid(space, n_t)
@@ -46,7 +46,7 @@ def roundtrip(space, chart_center, radius, m, n_t, ball, ppa, alpha=None,
         data = epd_trace_sphere(ph, bd, tg, alpha)
     pts = chart_box_grid(space, np.asarray(chart_center, dtype=float), ball, ppa,
                          ball_radius=ball)
-    rec = invert(data, pts, method=method, fd_step=fd_step)
+    rec = invert(data, pts, method=method)
     return make_report(pts, ph(pts), rec, method), ph, data, pts
 
 
@@ -87,7 +87,7 @@ def test_criterion_10_euclidean_roundtrips():
     report_line("10. euclidean n=4 round trip (relL2)", rep4.rel_l2, 0.05)
     assert rep4.rel_l2 <= 0.05
     rep5, *_ = roundtrip(SpaceSpec(EUCLIDEAN, 5, 1.0), [0.0] * 5, 0.45,
-                         m=30000, n_t=800, ball=0.50, ppa=7, fd_step=0.015)
+                         m=30000, n_t=800, ball=0.50, ppa=7)
     report_line("10. euclidean n=5 round trip (relL2)", rep5.rel_l2, 0.05)
     assert rep5.rel_l2 <= 0.05
     print(f"[acceptance] 10. total runtime {time.perf_counter() - start:.1f}s")

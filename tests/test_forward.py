@@ -66,6 +66,74 @@ def test_exact_reduction_matches_sections(space, chart_c):
     assert gap_fine < 5e-5
 
 
+def _radial_part_profile_all_rows(space, center, part_center, scale, fn, tgrid, order):
+    """Reference: the azimuthal reduction evaluated on every t-row, including
+    the sections that miss the part's support; also returns the half-angle
+    phi_max of each section's arc inside the support."""
+    n = space.n
+    t = tgrid.values
+    if space.kind == EUCLIDEAN:
+        d = float(np.linalg.norm(center - part_center))
+        dist = lambda tt, u: np.sqrt(np.maximum(tt ** 2 + d ** 2 - 2.0 * tt * d * u, 0.0))
+        u_star = (t ** 2 + d ** 2 - scale ** 2) / (2.0 * t * d)
+    elif space.kind == SPHERE:
+        a = float(np.dot(center, part_center))
+        dist = lambda tt, u: np.arccos(np.clip(
+            tt * a + np.sqrt(np.maximum((1.0 - tt ** 2) * (1.0 - a ** 2), 0.0)) * u, -1.0, 1.0))
+        B = np.sqrt(np.maximum((1.0 - t ** 2) * (1.0 - a ** 2), 0.0))
+        u_star = (np.cos(scale) - t * a) / np.maximum(B, 1e-300)
+    else:
+        A = float(spaces.minkowski_form(center, part_center))
+        sin_d = np.sqrt(max(A ** 2 - 1.0, 0.0))
+        dist = lambda tt, u: np.arccosh(np.clip(
+            tt * A - np.sqrt(np.maximum(tt ** 2 - 1.0, 0.0)) * sin_d * u, 1.0, None))
+        S = np.sqrt(np.maximum(t ** 2 - 1.0, 0.0)) * sin_d
+        u_star = (t * A - np.cosh(scale)) / np.maximum(S, 1e-300)
+    phi_max = np.arccos(np.clip(u_star, -1.0, 1.0))
+    x, w = gauss_legendre(order, 0.0, 1.0)
+    phi = phi_max[:, None] * x[None, :]
+    vals = fn(dist(t[:, None], np.cos(phi)) / scale) * np.sin(phi) ** (n - 2)
+    ratio = float(gamma(n / 2.0) / (np.sqrt(np.pi) * gamma((n - 1) / 2.0)))
+    return ratio * phi_max * (vals @ w), phi_max
+
+
+@pytest.mark.parametrize("space", [E3, S2, S3, H2, SpaceSpec(HYPERBOLIC, 3, 0.8)])
+def test_radial_part_skips_only_empty_rows(space):
+    # rows whose section misses the support are skipped; the others match
+    # the every-row formula, also where the section only grazes the support
+    from geomeans.forward import _radial_part_profile
+    from geomeans.phantoms import bump_profile
+
+    to_t = {EUCLIDEAN: lambda r: r, SPHERE: np.cos, HYPERBOLIC: np.cosh}[space.kind]
+    center = boundary_grid(space, 12).centers[3]
+    part = spaces.lift(space, 0.3 * spaces.chart(space, center) / np.linalg.norm(
+        spaces.chart(space, center)))
+    d = float(spaces.geodesic_distance(space, center, part))
+    tg = default_tgrid(space, 128)
+    t = tg.values
+    # scales whose inner or outer tangent section sits on a grid node,
+    # just inside or just outside the support, plus one generic scale
+    inner = np.searchsorted(t, to_t(d - 0.2))
+    outer = np.searchsorted(t, to_t(d + 0.2))
+    from_t = {EUCLIDEAN: lambda v: v, SPHERE: np.arccos, HYPERBOLIC: np.arccosh}[space.kind]
+    scales = [0.17]
+    for eps in (-1e-12, 1e-12):
+        scales.append(abs(d - from_t(t[inner])) + eps)
+        scales.append(abs(from_t(t[outer]) - d) + eps)
+    # the bump vanishes to all orders at its edge; the hard-edged profile
+    # gives grazing sections a nonzero mean
+    hard_edge = lambda s: np.where(s < 1.0, 1.0 + s, 0.0)
+    grazing = 0
+    for fn in (bump_profile, hard_edge):
+        for scale in scales:
+            got = _radial_part_profile(space, center, part, scale, fn, tg, 64)
+            ref, phi_max = _radial_part_profile_all_rows(space, center, part, scale, fn, tg, 64)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert np.all(got[phi_max == 0.0] == 0.0)
+            grazing += int(np.count_nonzero((phi_max > 0) & (phi_max < 1e-4)))
+    assert grazing > 0
+
+
 def test_sections_self_convergence_broad_bump():
     # resolved sections change by < 1e-8 when the order doubles
     ph = bump_at(E3, [0.0, 0.0, 0.0], 0.6)

@@ -5,6 +5,7 @@ from scipy.special import gamma
 from geomeans import spaces
 from geomeans.forward import MeanData, default_tgrid, forward_means
 from geomeans.inversion import (
+    _chart_coefficients,
     backproject,
     chart_box_grid,
     constants,
@@ -16,8 +17,8 @@ from geomeans.inversion import (
     phantom_integral,
     riesz_potential,
 )
-
-from geomeans.phantoms import Bump, Phantom
+from geomeans.numerics import TGrid, d_operator_matrix, diff_matrix, laplacian_fd, log_kernel_table
+from geomeans.phantoms import Bump, Phantom, bump_profile
 from geomeans.spaces import EUCLIDEAN, HYPERBOLIC, SPHERE, SpaceSpec, boundary_grid
 
 E2 = SpaceSpec(EUCLIDEAN, 2, 1.0)
@@ -95,6 +96,21 @@ def test_backproject_auto_fill_policy():
     closer = np.array([[0.9997, 0.0]])
     with pytest.raises(ValueError):
         backproject(bd, tg, touching, closer)
+
+
+@pytest.mark.parametrize("space", [E2, SpaceSpec(SPHERE, 3, 0.8)])
+def test_backproject_stack_equals_single_calls(space):
+    # a stack of tables shares arguments and cells but must give exactly the
+    # numbers of one call per table
+    rng = np.random.default_rng(5)
+    bd = boundary_grid(space, 40)
+    tg = default_tgrid(space, 128)
+    tables = rng.standard_normal((3, bd.m, tg.n))
+    x = spaces.lift(space, rng.uniform(-0.3, 0.3, size=(50, space.n)))
+    stacked = backproject(bd, tg, tables, x, fill=0.0)
+    assert stacked.shape == (3, 50)
+    for table, row in zip(tables, stacked):
+        assert np.array_equal(row, backproject(bd, tg, table, x, fill=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +228,110 @@ def test_curved_roundtrips_quick():
         assert abs(rep.calibration - 1.0) < 0.01
 
 
+def _table_grid(space, n_points):
+    lo, hi = space.tgrid_range
+    slack = 1e-6 * (hi - lo)
+    return TGrid.linspace(lo + slack, hi - slack, n_points)
+
+
+def _fd_laplacian_reference(data, x):
+    """Reconstruction by the finite-difference route: the filtered
+    back-projection as a field of chart points, and laplacian_fd on it with
+    a step of 1% of the radius."""
+    space, bd, tg = data.space, data.boundary, data.tgrid
+    n, t = space.n, tg.values
+    c = constants(n, space.radius)
+    h = 1e-2 * space.radius
+    if space.kind == EUCLIDEAN:
+        if n % 2 == 1:
+            grid, fill, pref = tg, 0.0, c.d_n1
+            prof = d_operator_matrix(t ** (n - 2) * data.values, tg, n - 3)
+        else:
+            grid, fill, pref = _table_grid(space, tg.n), "error", c.d_n2
+            q = t * d_operator_matrix(t ** (n - 2) * data.values, tg, n - 2)
+            prof = log_kernel_table(q, tg, grid.values, kernel="log|t^2-s^2|")
+        field = lambda p: space.boundary_area * backproject(bd, grid, prof, p, fill=fill)
+        return pref * laplacian_fd(field, x, h)
+    weight = (1.0 - t ** 2) if space.kind == SPHERE else (t ** 2 - 1.0)
+    F = data.values * weight ** (n / 2.0 - 1.0)
+    if n % 2 == 1:
+        grid, fill, scale = tg, 0.0, -1.0
+        prof = diff_matrix(F, tg, n - 3)
+    else:
+        grid, fill, scale = _table_grid(space, tg.n), "error", 1.0 / np.pi
+        prof = log_kernel_table(diff_matrix(F, tg, n - 2), tg, grid.values, kernel="log|t-s|")
+    field = lambda p: scale * space.boundary_area * backproject(
+        bd, grid, prof, spaces.lift(space, p), fill=fill)
+    rim = np.sin(space.radius) if space.kind == SPHERE else np.sinh(space.radius)
+    return c.d_curved * x[:, -1] / rim * laplacian_fd(field, spaces.chart(space, x), h)
+
+
+@pytest.mark.parametrize("space,chart_c,m,n_t", [
+    (E2, [0.25, 0.1], 64, 256),
+    (E3, [0.2, 0.1, -0.15], 200, 256),
+    (SpaceSpec(EUCLIDEAN, 4, 1.0), [0.2, -0.1, 0.1, 0.05], 500, 256),
+    (SpaceSpec(SPHERE, 2, 0.8), [0.15, -0.1], 64, 256),
+    (SpaceSpec(SPHERE, 3, 0.8), [0.12, -0.08, 0.1], 200, 256),
+    (SpaceSpec(HYPERBOLIC, 2, 0.8), [0.18, -0.12], 64, 256),
+    (SpaceSpec(HYPERBOLIC, 3, 0.8), [0.15, -0.1, 0.08], 200, 256),
+])
+def test_closed_form_laplacian_matches_fd(space, chart_c, m, n_t):
+    # Two inputs: the means of a bump, and synthetic data (one broad bump in
+    # t per centre, moving with the centre). On the means the first-order
+    # terms (n-1)/t P' and C P' back-project to almost nothing, so only the
+    # synthetic data can expose an error in them. Measured differences:
+    # at most 3.4e-3 (means) and 4.1e-3 (synthetic, n = 4; 3.4e-4 elsewhere).
+    cc = np.asarray(chart_c, dtype=float)
+    bd = boundary_grid(space, m)
+    tg = default_tgrid(space, n_t)
+    t = tg.values
+    mid = t[0] + (t[-1] - t[0]) * (0.45 + 0.1 * bd.centers[:, 0] / np.max(np.abs(bd.centers[:, 0])))
+    synthetic = bump_profile((t[None, :] - mid[:, None]) / (0.45 * (t[-1] - t[0])))
+    x = chart_box_grid(space, cc, 0.25, 3, ball_radius=0.25)
+    for data in (forward_means(bump_at(space, cc, 0.3), bd, tg),
+                 MeanData(space, bd, tg, synthetic)):
+        got = invert(data, x)
+        ref = _fd_laplacian_reference(data, x)
+        assert np.linalg.norm(got - ref) <= 1e-2 * np.linalg.norm(ref)
+
+
+def _chart_arg(space, xi, xp):
+    """a(x') = xi . lift(x') resp. [xi, lift(x')], for complex chart points."""
+    rho2 = (xp ** 2).sum(axis=-1)
+    if space.kind == SPHERE:
+        return xp @ xi[:-1] + xi[-1] * np.sqrt(1.0 - rho2)
+    return xi[-1] * np.sqrt(1.0 + rho2) - xp @ xi[:-1]
+
+
+def _chart_arg_gradient(space, xi, xp):
+    """Per-pair chart gradient of a: xi' - xi_{n+1} x'/z resp. xi_{n+1} x'/z - xi'."""
+    rho2 = (xp ** 2).sum(axis=-1, keepdims=True)
+    if space.kind == SPHERE:
+        return xi[:-1] - xi[-1] * xp / np.sqrt(1.0 - rho2)
+    return xi[-1] * xp / np.sqrt(1.0 + rho2) - xi[:-1]
+
+
+@pytest.mark.parametrize("space", [SpaceSpec(SPHERE, 2, 0.8), SpaceSpec(SPHERE, 3, 1.2),
+                                   SpaceSpec(HYPERBOLIC, 2, 0.8), SpaceSpec(HYPERBOLIC, 3, 1.1)])
+def test_chart_coefficients_match_per_pair_derivatives(space):
+    # |grad a|^2 = A + B a and Lap a = C for every centre; the per-pair
+    # derivatives come from complex steps, exact to rounding
+    rng = np.random.default_rng(9)
+    rim = np.sin(space.radius) if space.kind == SPHERE else np.sinh(space.radius)
+    xp = rng.uniform(-0.6, 0.6, size=(20, space.n)) * rim / np.sqrt(space.n)
+    A, B, C = _chart_coefficients(space, xp)
+    step = 1e-30
+    for xi in boundary_grid(space, 12).centers:
+        a = _chart_arg(space, xi, xp)
+        grad = np.stack([_chart_arg(space, xi, xp + 1j * step * e).imag / step
+                         for e in np.eye(space.n)], axis=-1)
+        assert np.max(np.abs(grad - _chart_arg_gradient(space, xi, xp))) < 1e-14
+        lap = sum(_chart_arg_gradient(space, xi, xp + 1j * step * e)[:, j].imag / step
+                  for j, e in enumerate(np.eye(space.n)))
+        assert np.max(np.abs((grad ** 2).sum(axis=-1) - (A + B * a))) < 1e-13
+        assert np.max(np.abs(lap - C)) < 1e-13
+
+
 def test_curved_zero_data():
     spec = SpaceSpec(SPHERE, 2, 0.8)
     bd = boundary_grid(spec, 32)
@@ -260,3 +380,11 @@ def test_epd_zero_order_matches_plain():
     a = invert(traces, x)
     b = invert(means, x)
     assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_invert_ignores_fd_step():
+    # the keyword stays accepted for callers that pass the configured step
+    ph = bump_at(E3, [0.2, 0.1, -0.15], 0.32)
+    data = forward_means(ph, boundary_grid(E3, 96), default_tgrid(E3, 400))
+    x = np.array([[0.2, 0.1, -0.15], [0.1, 0.0, 0.0]])
+    assert np.array_equal(invert(data, x, fd_step=0.5), invert(data, x))

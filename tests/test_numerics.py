@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from geomeans.numerics import (
+    CubicStencil,
     TGrid,
-    cubic_interp_rows,
     d_operator_matrix,
     darboux_L_matrix,
     diff_matrix,
@@ -100,7 +100,7 @@ def test_darboux_radial_operator(grid):
 
 def interp(samples, grid, x):
     """Cubic interpolant of one row of samples at the points x, zero outside the grid."""
-    return cubic_interp_rows(samples[None, :], grid, np.asarray(x, dtype=float)[None, :])[0]
+    return CubicStencil.build(grid, np.asarray(x, dtype=float)[None, :])(samples[None, :])[0]
 
 
 def log_kernel_reference(samples, grid, s: float, kernel: str = "log|t-s|",
@@ -227,9 +227,9 @@ def test_cubic_interp_fill_modes():
     g = TGrid(np.linspace(0.0, 1.0, 101))
     vals = np.ones(101)
     x = np.array([[1.5]])
-    assert cubic_interp_rows(vals[None, :], g, x, fill=0.0)[0, 0] == 0.0
+    assert CubicStencil.build(g, x, fill=0.0)(vals[None, :])[0, 0] == 0.0
     with pytest.raises(ValueError):
-        cubic_interp_rows(vals[None, :], g, x, fill="error")
+        CubicStencil.build(g, x, fill="error")
 
 
 def test_quintic_interp_degree5_exact():

@@ -194,6 +194,20 @@ def test_h_degenerate_pair():
         h_parameter(E2, x, x)
 
 
+@pytest.mark.parametrize("space", [E2, S3, H2])
+def test_h_stacked_pairs_match_single_pairs(space):
+    rng = np.random.default_rng(3)
+    chart_pts = rng.uniform(-0.3, 0.3, size=(2, 4, 3, space.n))
+    x, y = spaces.lift(space, chart_pts)
+    h = h_parameter(space, x, y)
+    assert h.shape == (4, 3)
+    for i in range(4):
+        for j in range(3):
+            assert h[i, j] == h_parameter(space, x[i, j], y[i, j])
+    with pytest.raises(ValueError):
+        h_parameter(space, x, np.where(np.arange(4)[:, None, None] == 2, x, y))
+
+
 @pytest.mark.parametrize("space", [E2, S2, H2, E3, S3, H3])
 def test_h_bound_random_pairs(space):
     rng = np.random.default_rng(11)
