@@ -1,8 +1,12 @@
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from geomeans import checks
 from geomeans.cli import (
@@ -137,6 +141,22 @@ def test_means_rows_in_any_order(means_file):
     rewrite_rows(path, lambda rows: sorted(rows, key=lambda r: (float(r[1]), int(r[0]))))
     assert path.read_text().splitlines()[4].startswith("1,")  # t-major now
     assert np.array_equal(read_means(str(path)).values, data.values)
+
+
+@settings(max_examples=15, deadline=None)
+@given(arrays(np.float64, (6, 64), elements=st.floats(allow_nan=False, allow_infinity=False)),
+       st.permutations(range(6 * 64)))
+def test_means_roundtrip_under_row_permutations(values, order):
+    space = SpaceSpec(EUCLIDEAN, 2, 1.0)
+    data = MeanData(space, boundary_grid(space, 6), default_tgrid(space, 64), values)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "means.csv"
+        write_means(data, str(path))
+        rewrite_rows(path, lambda rows: [rows[k] for k in order])
+        back = read_means(str(path))
+    assert np.array_equal(back.values, data.values)
+    assert np.array_equal(back.tgrid.values, data.tgrid.values)
+    assert np.array_equal(back.boundary.centers, data.boundary.centers)
 
 
 def test_means_t_column_checked(means_file):
