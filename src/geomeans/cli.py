@@ -52,6 +52,23 @@ def _as_int(v, path: str) -> int:
     return v
 
 
+def _as_positive(v, path: str) -> float:
+    v = _as_number(v, path)
+    if v <= 0:
+        raise ConfigError(f"{path} must be positive")
+    return v
+
+
+def _fields(obj, known: tuple[str, ...], path: str) -> dict:
+    """obj as a JSON object with no field outside `known`."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path} must be an object")
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"unknown field {path}.{key}")
+    return obj
+
+
 def load_config(path: str) -> dict:
     with open(path) as fh:
         try:
@@ -62,7 +79,9 @@ def load_config(path: str) -> dict:
 
 
 def parse_config(raw: dict) -> dict:
-    sp = _need(raw, "space", "config")
+    _fields(raw, ("space", "phantom", "grids", "method", "alpha", "forward_profile", "seed"),
+            "config")
+    sp = _fields(_need(raw, "space", "config"), ("kind", "n", "radius"), "config.space")
     kind = _need(sp, "kind", "config.space")
     n = _need(sp, "n", "config.space")
     radius = _as_number(_need(sp, "radius", "config.space"), "config.space.radius")
@@ -74,6 +93,7 @@ def parse_config(raw: dict) -> dict:
     bumps = []
     for i, b in enumerate(_need(raw, "phantom", "config")):
         pth = f"config.phantom[{i}]"
+        _fields(b, ("center", "geodesic_radius", "amplitude"), pth)
         center = np.asarray(_need(b, "center", pth), dtype=float)
         if center.shape != (n,):
             raise ConfigError(f"{pth}.center must have {n} chart coordinates")
@@ -87,22 +107,34 @@ def parse_config(raw: dict) -> dict:
         validate_margin(phantom)
     except ValueError as e:
         raise ConfigError(f"config.phantom: {e}") from None
-    g = _need(raw, "grids", "config")
+    g = _fields(_need(raw, "grids", "config"),
+                ("boundary_points", "t_points", "quadrature_order", "fd_step", "recon_grid"),
+                "config.grids")
     grids = {
         "boundary_points": _as_int(_need(g, "boundary_points", "config.grids"),
                                    "config.grids.boundary_points"),
         "t_points": _as_int(_need(g, "t_points", "config.grids"), "config.grids.t_points"),
         "quadrature_order": _as_int(g.get("quadrature_order", 16), "config.grids.quadrature_order"),
-        "fd_step": _as_number(g.get("fd_step", 1e-2 * radius), "config.grids.fd_step"),
-        "recon_grid": g.get("recon_grid"),
+        "fd_step": _as_positive(g.get("fd_step", 1e-2 * radius), "config.grids.fd_step"),
+        "recon_grid": None,
     }
-    if grids["fd_step"] <= 0:
-        raise ConfigError("config.grids.fd_step must be positive")
-    rg = grids["recon_grid"]
-    if rg is not None:
-        center = np.asarray(_need(rg, "center", "config.grids.recon_grid"), dtype=float)
+    if g.get("recon_grid") is not None:
+        pth = "config.grids.recon_grid"
+        rg = _fields(g["recon_grid"], ("center", "half_width", "points_per_axis", "ball_radius"),
+                     pth)
+        center = np.asarray(_need(rg, "center", pth), dtype=float)
         if center.shape != (n,):
-            raise ConfigError(f"config.grids.recon_grid.center must have {n} coordinates")
+            raise ConfigError(f"{pth}.center must have {n} coordinates")
+        ppa = _as_int(_need(rg, "points_per_axis", pth), f"{pth}.points_per_axis")
+        if ppa < 1:
+            raise ConfigError(f"{pth}.points_per_axis must be positive")
+        ball = rg.get("ball_radius")
+        grids["recon_grid"] = {
+            "center": center,
+            "half_width": _as_positive(_need(rg, "half_width", pth), f"{pth}.half_width"),
+            "points_per_axis": ppa,
+            "ball_radius": None if ball is None else _as_positive(ball, f"{pth}.ball_radius"),
+        }
     method = raw.get("method", "direct")
     if method not in ("direct", "modified"):
         raise ConfigError("config.method must be 'direct' or 'modified'")
@@ -119,7 +151,7 @@ def parse_config(raw: dict) -> dict:
         "method": method,
         "alpha": alpha,
         "forward_profile": profile,
-        "seed": int(raw.get("seed", 0)),
+        "seed": _as_int(raw.get("seed", 0), "config.seed"),
     }
 
 
@@ -132,12 +164,8 @@ def _recon_points(cfg: dict) -> np.ndarray:
         center = spaces.chart(space, b.center)
         half = b.geodesic_radius + 0.1 * space.radius
         return chart_box_grid(space, center, half, 9, ball_radius=half)
-    center = np.asarray(rg["center"], dtype=float)
-    half = float(rg["half_width"])
-    ppa = int(rg["points_per_axis"])
-    ball = rg.get("ball_radius")
-    return chart_box_grid(space, center, half, ppa,
-                          ball_radius=None if ball is None else float(ball))
+    return chart_box_grid(space, rg["center"], rg["half_width"], rg["points_per_axis"],
+                          ball_radius=rg["ball_radius"])
 
 
 # ---------------------------------------------------------------------------

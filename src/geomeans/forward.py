@@ -192,7 +192,7 @@ def forward_means(phantom, boundary: BoundaryGrid, tgrid: TGrid,
 
 
 def epd_trace_euclidean(phantom: Phantom, boundary: BoundaryGrid, tgrid: TGrid,
-                        alpha: float, order: int = 16, frac_order: int = 192) -> MeanData:
+                        alpha: float, order: int = 16) -> MeanData:
     """Weighted-mean trace of order alpha on the boundary cylinder.
 
     The trace profile per center is Gamma(alpha + n/2)/Gamma(n/2) times the
@@ -211,15 +211,15 @@ def epd_trace_euclidean(phantom: Phantom, boundary: BoundaryGrid, tgrid: TGrid,
     if alpha == 0:
         return MeanData(space, boundary, tgrid, means.values, alpha=0.0)
     if alpha > 0:
-        u = ek_matrix(means.values, tgrid, eta, alpha, order=frac_order)
+        u = ek_matrix(means.values, tgrid, eta, alpha)
     else:
-        u = ek_ac_matrix(means.values, tgrid, eta, alpha, order=frac_order)
+        u = ek_ac_matrix(means.values, tgrid, eta, alpha)
     u *= gamma(alpha + n / 2.0) / gamma(n / 2.0)
     return MeanData(space, boundary, tgrid, u, alpha=alpha)
 
 
 def epd_trace_sphere(phantom: Phantom, boundary: BoundaryGrid, tgrid: TGrid,
-                     alpha: float, order: int = 16, frac_order: int = 192) -> MeanData:
+                     alpha: float, order: int = 16) -> MeanData:
     """Weighted-mean trace on the cap boundary, directly integrable regime.
 
     Per center: F(t) = means(t) (1-t^2)^{n/2-1}, G = I_-^alpha F, and the
@@ -235,7 +235,7 @@ def epd_trace_sphere(phantom: Phantom, boundary: BoundaryGrid, tgrid: TGrid,
     means = forward_means(phantom, boundary, tgrid, order)
     t = tgrid.values
     F = means.values * (1.0 - t ** 2) ** (n / 2.0 - 1.0)
-    G = rl_matrix(F, tgrid, alpha, order=frac_order)
+    G = rl_matrix(F, tgrid, alpha)
     u = 2.0 ** alpha * gamma(alpha + n / 2.0) / gamma(n / 2.0) \
         * (1.0 - t ** 2) ** (1.0 - alpha - n / 2.0) * G
     return MeanData(space, boundary, tgrid, u, alpha=alpha)

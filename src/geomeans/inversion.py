@@ -1,10 +1,15 @@
-"""Reconstruction formulas for all three spaces.
+"""Reconstruction from boundary means in R^n, on the cap and on the hyperboloid.
 
-Euclidean odd/even-dimension filtered back-projections (with the direct
-outer Laplacian or the modified radial-operator variant), the cap and
-hyperboloid analogues built on chart Laplacians, the weighted-trace
-inversions that first undo the fractional time-weighting, and the Riesz /
-logarithmic potentials used as independent cross-checks.
+`invert` is the one inversion path. It validates the request once, reduces
+radial data (every centre's row equal) to one row, undoes a trace's
+fractional time weighting (layer 2: Erdelyi-Kober in R^n, right-sided
+Riemann-Liouville on the cap), filters the rows in t and, in even
+dimensions, tables them against the log kernel (layers 3 and 4), and
+back-projects once, with the outer Laplacian in closed form (layer 5). The
+Euclidean odd/even formulas are those of Finch, Haltmeier & Rakesh (SIAM J.
+Appl. Math. 68, 2007), with a Laplacian-free `modified` variant; the cap and
+hyperboloid formulas apply chart Laplacians. Also the Riesz and logarithmic
+potentials used as independent cross-checks, and report helpers.
 """
 
 from __future__ import annotations
@@ -38,13 +43,6 @@ __all__ = [
     "InversionConstants",
     "constants",
     "backproject",
-    "invert_euclidean_odd",
-    "invert_euclidean_even",
-    "invert_euclidean_modified",
-    "invert_sphere",
-    "invert_hyperbolic",
-    "epd_invert_euclidean",
-    "epd_invert_sphere",
     "riesz_potential",
     "log_potential",
     "phantom_integral",
@@ -109,7 +107,7 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, F: np.ndarray, x: np.ndarra
 
     F is (centers x grid), or a stack (k, centers, grid) of such tables,
     and is sampled by cubic interpolation at |x - xi|, xi.x, or [xi, x] per
-    space. The result is (K,) for one table and (k, K) for a stack; the
+    space. A table of one row stands for every centre (radial data). The result is (K,) for one table and (k, K) for a stack; the
     tables of a stack share each point's arguments and cubic cells. With
     fill='auto', arguments outside the grid are treated as zero when the
     data vanish at the grid edge (support strictly inside) and raise
@@ -138,104 +136,61 @@ def _table_grid(space: SpaceSpec, n_points: int) -> TGrid:
     return TGrid.linspace(lo + slack, hi - slack, n_points)
 
 
-def _require_plain(data: MeanData) -> None:
-    if data.alpha not in (None, 0.0):
-        raise ValueError("this inversion needs plain means, not a weighted trace")
-
-
-def _rows_table(profiles: np.ndarray, grid: TGrid, targets: np.ndarray, kernel: str,
-                order: int) -> np.ndarray:
-    """log_kernel_table with a shortcut for identical rows (radial data)."""
-    if profiles.shape[0] > 1 and np.all(profiles == profiles[0]):
-        row = log_kernel_table(profiles[:1], grid, targets, kernel=kernel, order=order)
-        return np.tile(row, (profiles.shape[0], 1))
-    return log_kernel_table(profiles, grid, targets, kernel=kernel, order=order)
-
-
 # ---------------------------------------------------------------------------
-# Euclidean inversions
+# the inversion pipeline
 # ---------------------------------------------------------------------------
-#
+
+def _untrace(space: SpaceSpec, grid: TGrid, values: np.ndarray, alpha: float) -> np.ndarray:
+    """Plain means from weighted-trace rows of order alpha (layer 2).
+
+    R^n: means = Gamma(n/2)/Gamma(alpha + n/2) EK(eta + alpha, -alpha) trace
+    with eta = n/2 - 1. Cap: means = (1-t^2)^{1-n/2} I_-^{-alpha} G, with G
+    the trace times (1-t^2)^{alpha-1+n/2} Gamma(n/2)/(2^alpha Gamma(alpha+n/2)).
+    """
+    n, t = space.n, grid.values
+    if space.kind == spaces.EUCLIDEAN:
+        eta = n / 2.0 - 1.0
+        if alpha >= 0:
+            phi = ek_ac_matrix(values, grid, eta + alpha, -alpha)
+        else:
+            phi = ek_matrix(values, grid, eta + alpha, -alpha)
+        phi *= gamma(n / 2.0) / gamma(alpha + n / 2.0)
+        return phi
+    G = values * (1.0 - t ** 2) ** (alpha - 1.0 + n / 2.0) \
+        * gamma(n / 2.0) / (2.0 ** alpha * gamma(alpha + n / 2.0))
+    return rl_matrix(G, grid, -alpha) * (1.0 - t ** 2) ** (1.0 - n / 2.0)
+
+
 # The Laplacian of x -> P(|x - xi|) is (L_n P)(|x - xi|) with the radial
 # operator L_n = d^2/dt^2 + (n-1)/t d/dt, so the outer Laplacian of a
-# back-projection is the back-projection of L_n applied to its profiles.
+# Euclidean back-projection is the back-projection of L_n applied to its
+# profiles.
 
-def _euclid_odd_profiles(data: MeanData) -> np.ndarray:
-    n = data.space.n
-    t = data.tgrid.values
-    return d_operator_matrix(t ** (n - 2) * data.values, data.tgrid, n - 3)
+def _euclidean_rows(space: SpaceSpec, grid: TGrid, values: np.ndarray, method: str):
+    """Grid, rows and fill of the Euclidean back-projection (layers 3 and 4).
 
-
-def _euclid_even_table(data: MeanData, table_order: int):
-    n = data.space.n
-    t = data.tgrid.values
-    q = t * d_operator_matrix(t ** (n - 2) * data.values, data.tgrid, n - 2)
-    tgrid = _table_grid(data.space, data.tgrid.n)
-    table = _rows_table(q, data.tgrid, tgrid.values, "log|t^2-s^2|", table_order)
-    return tgrid, table
-
-
-def invert_euclidean_odd(data: MeanData, x: np.ndarray) -> np.ndarray:
-    """Odd-dimension reconstruction at ambient points x (K, n).
-
-    f = d_{n,1} Laplacian of the boundary integral of
-    P = D^{n-3}[t^{n-2} means](xi, |x - xi|), computed as the boundary
-    integral of L_n P.
+    Odd n: P = D^{n-3}[t^{n-2} means]. Even n: P is the log|t^2-s^2| table
+    of t D^{n-2}[t^{n-2} means] on the full t-range; n = 2 reproduces the
+    disk formula. The direct method back-projects L_n P (along the table's
+    target axis in even n); the Laplacian-free modified method applies L_n
+    to the means first and back-projects P.
     """
-    space = data.space
-    if space.kind != spaces.EUCLIDEAN or space.n % 2 == 0:
-        raise ValueError("odd-dimension Euclidean inversion needs odd n >= 3")
-    _require_plain(data)
-    c = constants(space.n, space.radius)
-    lap = darboux_L_matrix(_euclid_odd_profiles(data), data.tgrid, space.n)
-    return c.d_n1 * space.boundary_area * backproject(data.boundary, data.tgrid, lap,
-                                                      np.atleast_2d(x), fill=0.0)
-
-
-def invert_euclidean_even(data: MeanData, x: np.ndarray, table_order: int = 20) -> np.ndarray:
-    """Even-dimension reconstruction at ambient points x (K, n).
-
-    f = d_{n,2} Laplacian of the boundary integral of the log-kernel
-    transform of t D^{n-2}[t^{n-2} means], computed as the boundary
-    integral of L_n applied along the table's target axis; n = 2 uses the
-    identity radial operator and reproduces the disk formula.
-    """
-    space = data.space
-    if space.kind != spaces.EUCLIDEAN or space.n % 2 == 1:
-        raise ValueError("even-dimension Euclidean inversion needs even n >= 2")
-    _require_plain(data)
-    c = constants(space.n, space.radius)
-    tgrid, table = _euclid_even_table(data, table_order)
-    lap = darboux_L_matrix(table, tgrid, space.n)
-    return c.d_n2 * space.boundary_area * backproject(data.boundary, tgrid, lap,
-                                                      np.atleast_2d(x), fill="error")
-
-
-def invert_euclidean_modified(data: MeanData, x: np.ndarray,
-                              table_order: int = 20) -> np.ndarray:
-    """Laplacian-free variant: the radial wave operator is applied to the
-    means profiles instead of the outer Laplacian, same constants."""
-    space = data.space
-    if space.kind != spaces.EUCLIDEAN:
-        raise ValueError("modified inversion is Euclidean-only")
-    _require_plain(data)
-    n = space.n
-    c = constants(n, space.radius)
-    filtered = MeanData(space, data.boundary, data.tgrid,
-                        darboux_L_matrix(data.values, data.tgrid, n))
-    x = np.atleast_2d(x)
+    n, t = space.n, grid.values
+    if method == "modified":
+        values = darboux_L_matrix(values, grid, n)
+    # t^{n-2} means stays a temporary: held through the log table, it would
+    # raise the peak memory by one more (m, N) array
     if n % 2 == 1:
-        return c.d_n1 * space.boundary_area * backproject(
-            data.boundary, data.tgrid, _euclid_odd_profiles(filtered), x, fill=0.0)
-    tgrid, table = _euclid_even_table(filtered, table_order)
-    return c.d_n2 * space.boundary_area * backproject(data.boundary, tgrid, table, x,
-                                                      fill="error")
+        out_grid, rows, fill = grid, d_operator_matrix(t ** (n - 2) * values, grid, n - 3), 0.0
+    else:
+        out_grid, fill = _table_grid(space, grid.n), "error"
+        rows = log_kernel_table(t * d_operator_matrix(t ** (n - 2) * values, grid, n - 2),
+                                grid, out_grid.values, kernel="log|t^2-s^2|")
+    if method == "direct":
+        rows = darboux_L_matrix(rows, out_grid, n)
+    return out_grid, rows, fill
 
 
-# ---------------------------------------------------------------------------
-# sphere and hyperboloid inversions
-# ---------------------------------------------------------------------------
-#
 # Every boundary centre has the same height xi_{n+1} = cos R (cosh R), so
 # the argument a(x') = xi . lift(x') (resp. [xi, lift(x')]) has a chart
 # gradient with |grad a|^2 = A + B a and a chart Laplacian C that depend on
@@ -255,131 +210,92 @@ def _chart_coefficients(space: SpaceSpec, xp: np.ndarray):
             c * (n / z - rho2 / z ** 3))
 
 
-def _curved_tables(data: MeanData, table_order: int):
-    """Grid, stack (P'', t P'', P'), scale and fill of the filtered
-    back-projection f0 = scale * integral of P(xi, arg(xi, x))."""
-    space = data.space
-    n = space.n
-    t = data.tgrid.values
+def _curved_rows(space: SpaceSpec, grid: TGrid, values: np.ndarray):
+    """Grid, stack (P'', t P'', P') and fill of the cap/hyperboloid
+    back-projection (layers 3 and 4).
+
+    F = means (1-t^2)^{n/2-1} on the cap, means (t^2-1)^{n/2-1} on the
+    hyperboloid. Odd n: P = F^{(n-3)}. Even n (including 2): P is the
+    log|t-s| table of F^{(n-2)} on the full t-range.
+    """
+    n, t = space.n, grid.values
     if space.kind == spaces.SPHERE:
         weight = (1.0 - t ** 2) ** (n / 2.0 - 1.0)
     else:
         weight = (t ** 2 - 1.0) ** (n / 2.0 - 1.0)
-    F = data.values * weight
+    F = values * weight
     if n % 2 == 1:
-        grid, prof, scale, fill = data.tgrid, diff_matrix(F, data.tgrid, n - 3), -1.0, 0.0
+        out_grid, rows, fill = grid, diff_matrix(F, grid, n - 3), 0.0
     else:
-        grid = _table_grid(space, data.tgrid.n)
-        prof = _rows_table(diff_matrix(F, data.tgrid, n - 2), data.tgrid, grid.values,
-                           "log|t-s|", table_order)
-        scale, fill = 1.0 / np.pi, "error"
-    d1 = diff_matrix(prof, grid, 1)
-    d2 = diff_matrix(d1, grid, 1)
-    return grid, np.stack([d2, grid.values * d2, d1]), scale, fill
+        out_grid, fill = _table_grid(space, grid.n), "error"
+        rows = log_kernel_table(diff_matrix(F, grid, n - 2), grid, out_grid.values,
+                                kernel="log|t-s|")
+    d1 = diff_matrix(rows, out_grid, 1)
+    d2 = diff_matrix(d1, out_grid, 1)
+    return out_grid, np.stack([d2, out_grid.values * d2, d1]), fill
 
 
-def _curved_invert(data: MeanData, x: np.ndarray, table_order: int) -> np.ndarray:
-    space = data.space
+def invert(data: MeanData, x: np.ndarray, method: str = "direct",
+           fd_step: float | None = None) -> np.ndarray:
+    """Reconstruct f at ambient points x (K, n) in R^n, (K, n+1) on the cap
+    and the hyperboloid.
+
+    R^n: f = d_{n,1} (odd n) resp. d_{n,2} (even n) times the Laplacian of
+    the boundary integral of the filtered profiles. Cap and hyperboloid:
+    f = d_n x_{n+1}/sin(theta) resp. /sinh(R) times the chart Laplacian of
+    the boundary integral of P(xi, arg(xi, x)), scaled by -1 (odd n) resp.
+    1/pi (even n); points must lie strictly inside. Trace data (`data.alpha`
+    set) first have their fractional weighting undone, and then take the
+    direct formula. Radial data, whose rows are all equal, run as one row
+    through every layer, which back-projects to the same numbers.
+
+    `fd_step` is accepted and ignored: every outer Laplacian is computed in
+    closed form inside the back-projection, with no finite-difference step.
+    The keyword stays for callers that still pass the configured step.
+    """
+    space, alpha, n = data.space, data.alpha, data.space.n
+    if method not in ("direct", "modified"):
+        raise ValueError(f"unknown method {method!r}")
+    if alpha is not None and method != "direct":
+        raise ValueError("trace data only supports the direct method")
+    if method == "modified" and space.kind != spaces.EUCLIDEAN:
+        raise ValueError("modified inversion is Euclidean-only")
+    if alpha is not None:
+        if space.kind == spaces.HYPERBOLIC:
+            raise ValueError("hyperboloid trace inversion is not provided")
+        if space.kind == spaces.EUCLIDEAN and alpha < (1.0 - n) / 2.0:
+            raise ValueError(f"alpha must be >= (1-n)/2 = {(1 - n) / 2}")
+        if space.kind == spaces.SPHERE and alpha <= 0:
+            raise ValueError("cap traces are generated with alpha > 0")
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    spaces.validate_point(space, x)
-    xp = spaces.chart(space, x)
-    interior = (xp ** 2).sum(axis=1)
-    if space.kind == spaces.SPHERE:
-        if np.any(x[:, -1] <= np.cos(space.radius) + 1e-12):
-            raise ValueError("evaluation points must lie strictly inside the cap")
-        rim = np.sin(space.radius)
-    else:
-        if np.any(interior >= np.sinh(space.radius) ** 2):
-            raise ValueError("evaluation points must lie strictly inside the ball")
-        rim = np.sinh(space.radius)
-    c = constants(space.n, space.radius)
-    grid, tables, scale, fill = _curved_tables(data, table_order)
-    p2, tp2, p1 = backproject(data.boundary, grid, tables, x, fill=fill)
-    A, B, C = _chart_coefficients(space, xp)
-    lap = scale * space.boundary_area * (A * p2 + B * tp2 + C * p1)
-    return c.d_curved * x[:, -1] / rim * lap
-
-
-def invert_sphere(data: MeanData, x: np.ndarray, table_order: int = 20) -> np.ndarray:
-    """Cap reconstruction at ambient points x (K, n+1) strictly inside the cap.
-
-    f = d_n x_{n+1}/sin(theta) times the chart Laplacian of the filtered
-    back-projection of means(xi, t)(1-t^2)^{n/2-1}; odd n differentiates
-    the profile n-3 times, even n (including 2) goes through the log
-    kernel.
-    """
-    if data.space.kind != spaces.SPHERE:
-        raise ValueError("needs cap data")
-    _require_plain(data)
-    return _curved_invert(data, x, table_order)
-
-
-def invert_hyperbolic(data: MeanData, x: np.ndarray, table_order: int = 20) -> np.ndarray:
-    """Hyperboloid reconstruction, mirror of the cap formula.
-
-    Weight (t^2-1)^{n/2-1}, log bounds (1, cosh 2R), prefactor
-    d_n x_{n+1}/sinh(R). The invariant-measure convention fixes the
-    prefactor; see the chart-measure consistency tests.
-    """
-    if data.space.kind != spaces.HYPERBOLIC:
-        raise ValueError("needs hyperboloid data")
-    _require_plain(data)
-    return _curved_invert(data, x, table_order)
-
-
-# ---------------------------------------------------------------------------
-# weighted-trace (EPD) inversions
-# ---------------------------------------------------------------------------
-
-def epd_invert_euclidean(traces: MeanData, x: np.ndarray, frac_order: int = 192,
-                         table_order: int = 20) -> np.ndarray:
-    """Recover plain means from the weighted trace, then invert.
-
-    Per center: means = Gamma(n/2)/Gamma(alpha + n/2) * EK(eta + alpha,
-    -alpha) applied to the trace profile (eta = n/2 - 1); the remaining
-    steps coincide with the plain-means inversion, the trace constants
-    differing only by the gamma factor already absorbed here.
-    """
-    space = traces.space
     if space.kind != spaces.EUCLIDEAN:
-        raise ValueError("needs Euclidean trace data")
-    if traces.alpha is None:
-        raise ValueError("trace data must carry its order tag")
-    alpha = traces.alpha
-    n = space.n
-    if alpha < (1.0 - n) / 2.0:
-        raise ValueError(f"alpha must be >= (1-n)/2 = {(1 - n) / 2}")
-    eta = n / 2.0 - 1.0
-    if alpha == 0:
-        phi = traces.values.copy()
-    elif alpha > 0:
-        phi = ek_ac_matrix(traces.values, traces.tgrid, eta + alpha, -alpha, order=frac_order)
+        spaces.validate_point(space, x)
+        xp = spaces.chart(space, x)
+        if space.kind == spaces.SPHERE:
+            if np.any(x[:, -1] <= np.cos(space.radius) + 1e-12):
+                raise ValueError("evaluation points must lie strictly inside the cap")
+        elif np.any((xp ** 2).sum(axis=1) >= space.chart_radius ** 2):
+            raise ValueError("evaluation points must lie strictly inside the ball")
+
+    values = data.values
+    if np.all(values == values[0]):
+        values = values[:1]
+    if alpha is not None:
+        values = _untrace(space, data.tgrid, values, alpha)
+    if space.kind == spaces.EUCLIDEAN:
+        grid, rows, fill = _euclidean_rows(space, data.tgrid, values, method)
     else:
-        phi = ek_matrix(traces.values, traces.tgrid, eta + alpha, -alpha, order=frac_order)
-    phi *= gamma(n / 2.0) / gamma(alpha + n / 2.0)
-    means = MeanData(space, traces.boundary, traces.tgrid, phi)
-    if n % 2 == 1:
-        return invert_euclidean_odd(means, x)
-    return invert_euclidean_even(means, x, table_order)
+        grid, rows, fill = _curved_rows(space, data.tgrid, values)
+    f0 = backproject(data.boundary, grid, rows, x, fill=fill)
 
-
-def epd_invert_sphere(traces: MeanData, x: np.ndarray, frac_order: int = 192,
-                      table_order: int = 20) -> np.ndarray:
-    """Undo the right-sided fractional weighting of a cap trace, then invert."""
-    space = traces.space
-    if space.kind != spaces.SPHERE:
-        raise ValueError("needs cap trace data")
-    if traces.alpha is None or traces.alpha <= 0:
-        raise ValueError("cap traces are generated with alpha > 0")
-    alpha = traces.alpha
-    n = space.n
-    t = traces.tgrid.values
-    G = traces.values * (1.0 - t ** 2) ** (alpha - 1.0 + n / 2.0) \
-        * gamma(n / 2.0) / (2.0 ** alpha * gamma(alpha + n / 2.0))
-    F = rl_matrix(G, traces.tgrid, -alpha, order=frac_order)
-    means = MeanData(space, traces.boundary, traces.tgrid,
-                     F * (1.0 - t ** 2) ** (1.0 - n / 2.0))
-    return invert_sphere(means, x, table_order)
+    c = constants(n, space.radius)
+    if space.kind == spaces.EUCLIDEAN:
+        return (c.d_n1 if n % 2 == 1 else c.d_n2) * space.boundary_area * f0
+    p2, tp2, p1 = f0
+    A, B, C = _chart_coefficients(space, xp)
+    scale = -1.0 if n % 2 == 1 else 1.0 / np.pi
+    lap = scale * space.boundary_area * (A * p2 + B * tp2 + C * p1)
+    return c.d_curved * x[:, -1] / space.chart_radius * lap
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +371,7 @@ def log_potential(phantom: Phantom, x: np.ndarray, radial_order: int = 24,
     if space.n != 2:
         raise ValueError("logarithmic potential is the n = 2 companion")
     xp = spaces.chart(space, np.asarray(x, dtype=float))
-    if space.kind == spaces.EUCLIDEAN:
-        chart_bound = space.radius
-    elif space.kind == spaces.SPHERE:
-        chart_bound = np.sin(space.radius)
-    else:
-        chart_bound = np.sinh(space.radius)
-    rho_max = chart_bound + float(np.linalg.norm(xp))
+    rho_max = space.chart_radius + float(np.linalg.norm(xp))
     mean = _radial_mean_factory(phantom, xp, ang_order)
     # rho log(rho) is integrable; geometric panels resolve the kink at 0,
     # uniform panels the bulk
@@ -502,38 +412,8 @@ def phantom_integral(phantom: Phantom, radial_order: int = 64) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dispatch and reporting
+# reporting
 # ---------------------------------------------------------------------------
-
-def invert(data: MeanData, x: np.ndarray, method: str = "direct",
-           fd_step: float | None = None) -> np.ndarray:
-    """Reconstruct at ambient points, dispatching on space, parity, and trace tag.
-
-    `fd_step` is accepted and ignored: every outer Laplacian is computed in
-    closed form inside the back-projection, with no finite-difference step.
-    The keyword stays for callers that still pass the configured step.
-    """
-    space = data.space
-    if data.alpha is not None:
-        if method != "direct":
-            raise ValueError("trace data only supports the direct method")
-        if space.kind == spaces.EUCLIDEAN:
-            return epd_invert_euclidean(data, x)
-        if space.kind == spaces.SPHERE:
-            return epd_invert_sphere(data, x)
-        raise ValueError("hyperboloid trace inversion is not provided")
-    if method == "modified":
-        return invert_euclidean_modified(data, x)
-    if method != "direct":
-        raise ValueError(f"unknown method {method!r}")
-    if space.kind == spaces.EUCLIDEAN:
-        if space.n % 2 == 1:
-            return invert_euclidean_odd(data, x)
-        return invert_euclidean_even(data, x)
-    if space.kind == spaces.SPHERE:
-        return invert_sphere(data, x)
-    return invert_hyperbolic(data, x)
-
 
 @dataclass
 class ReconstructionReport:
@@ -580,13 +460,7 @@ def chart_box_grid(space: SpaceSpec, center: np.ndarray, half_width: float,
     axes = [np.linspace(c - half_width, c + half_width, points_per_axis) for c in center]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    if space.kind == spaces.EUCLIDEAN:
-        bound = space.radius
-    elif space.kind == spaces.SPHERE:
-        bound = np.sin(space.radius)
-    else:
-        bound = np.sinh(space.radius)
-    keep = (pts ** 2).sum(axis=1) < ((1.0 - interior_margin) * bound) ** 2
+    keep = (pts ** 2).sum(axis=1) < ((1.0 - interior_margin) * space.chart_radius) ** 2
     if ball_radius is not None:
         keep &= ((pts - center) ** 2).sum(axis=1) <= ball_radius ** 2
     return spaces.lift(space, pts[keep])

@@ -138,7 +138,8 @@ class CubicStencil:
     """Cells and weights of row-aligned cubic interpolation at queries (M, K).
 
     Built once per query set, it interpolates any number of (M, N) tables
-    on the same grid at those queries; queries outside the grid take `fill`.
+    on the same grid at those queries, or one (1, N) row that stands for
+    all M rows; queries outside the grid take `fill`.
     """
 
     idx: np.ndarray
@@ -161,10 +162,13 @@ class CubicStencil:
         return CubicStencil(idx, _cubic_weights(s), inside, fill)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        """Interpolate the rows of values (M, N): row i at the queries of row i."""
+        """Interpolate the rows of values (M, N): row i at the queries of row i.
+
+        One row (1, N) is interpolated at the queries of every row.
+        """
         values = np.asarray(values, dtype=float)
-        if values.ndim != 2 or values.shape[0] != self.idx.shape[0]:
-            raise ValueError("need values (M, N) aligned with the query rows")
+        if values.ndim != 2 or values.shape[0] not in (1, self.idx.shape[0]):
+            raise ValueError("need values (M, N) aligned with the query rows, or one row")
         out = np.zeros(self.idx.shape)
         for k, off in enumerate((-1, 0, 1, 2)):
             out += self.weights[k] * np.take_along_axis(values, self.idx + off, axis=1)
@@ -324,14 +328,26 @@ def _log_kernel_values(t: np.ndarray, s: np.ndarray, kernel: str) -> np.ndarray:
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
+def _u_log_u(u: np.ndarray) -> np.ndarray:
+    """u log|u| - u, the antiderivative of log|u|, continued by 0 at u = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(u == 0.0, 0.0, u * np.log(np.abs(u)) - u)
+
+
 def _log_sliver_moments(c: np.ndarray, eps: float, kernel: str) -> np.ndarray:
     """Integrals of the kernel over (c-eps, c+eps) around the singular points c."""
     base = 2.0 * eps * (np.log(eps) - 1.0)
     if kernel == "log|t-s|":
         return np.full(c.shape, base)
-    # log|t^2-s^2| = log|t-c| + log|t+c| with c = |s|; second factor is smooth
-    tiny = c < 1e-8
-    return np.where(tiny, 2.0 * base, base + 2.0 * eps * np.log(2.0 * np.where(tiny, 1.0, c)))
+    # log|t^2-s^2| = log|t-c| + log|t+c| at c = +-|s|. The first term gives
+    # base, the second exactly G(2c+eps) - G(2c-eps) with G(u) = u log|u| - u.
+    # For c >= 1e-8 the midpoint value 2 eps log(2c) differs from that by
+    # about eps (eps/2c)^2 / 3. At s = 0 the slivers at |s| and -|s|
+    # coincide, and each carries the moment of one of the two equal terms.
+    far = c >= 1e-8
+    exact = _u_log_u(2.0 * c + eps) - _u_log_u(2.0 * c - eps)
+    smooth = np.where(far, 2.0 * eps * np.log(2.0 * np.where(far, c, 1.0)), exact)
+    return np.where(c == 0.0, base, base + smooth)
 
 
 def _log_singular_points(s: np.ndarray, kernel: str) -> np.ndarray:

@@ -69,14 +69,19 @@ class SpaceSpec:
         return self.n if self.kind == EUCLIDEAN else self.n + 1
 
     @property
+    def chart_radius(self) -> float:
+        """Chart radius of the boundary sphere: R, sin(theta) or sinh(R)."""
+        if self.kind == EUCLIDEAN:
+            return self.radius
+        if self.kind == SPHERE:
+            return np.sin(self.radius)
+        return np.sinh(self.radius)
+
+    @property
     def boundary_area(self) -> float:
         """Surface area of the boundary sphere/cap rim."""
         sigma = 2.0 * np.pi ** (self.n / 2.0) / gamma(self.n / 2.0)
-        if self.kind == EUCLIDEAN:
-            return sigma * self.radius ** (self.n - 1)
-        if self.kind == SPHERE:
-            return sigma * np.sin(self.radius) ** (self.n - 1)
-        return sigma * np.sinh(self.radius) ** (self.n - 1)
+        return sigma * self.chart_radius ** (self.n - 1)
 
     @property
     def tgrid_range(self) -> tuple[float, float]:
@@ -232,16 +237,10 @@ def boundary_grid(space: SpaceSpec, m: int) -> BoundaryGrid:
         if p < 2:
             raise ValueError(f"m={m} too small for the requested polar order in {d} angles")
         omega, w = unit_sphere_rule(d, p)
-    if space.kind == EUCLIDEAN:
-        centers = space.radius * omega
-    elif space.kind == SPHERE:
-        centers = np.concatenate(
-            [np.sin(space.radius) * omega,
-             np.full((omega.shape[0], 1), np.cos(space.radius))], axis=1)
-    else:
-        centers = np.concatenate(
-            [np.sinh(space.radius) * omega,
-             np.full((omega.shape[0], 1), np.cosh(space.radius))], axis=1)
+    centers = space.chart_radius * omega
+    if space.kind != EUCLIDEAN:
+        height = np.cos(space.radius) if space.kind == SPHERE else np.cosh(space.radius)
+        centers = np.concatenate([centers, np.full((omega.shape[0], 1), height)], axis=1)
     return BoundaryGrid(space, centers, w / w.sum())
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -76,6 +77,61 @@ def test_grid_sizes_must_be_integers(field, value):
     bad["grids"][field] = value
     with pytest.raises(ConfigError, match=f"config.grids.{field} must be an integer"):
         parse_config(bad)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("half_width", None, "missing field config.grids.recon_grid.half_width"),
+    ("half_width", -0.4, "config.grids.recon_grid.half_width must be positive"),
+    ("half_width", "0.4", "config.grids.recon_grid.half_width must be a number"),
+    ("points_per_axis", None, "missing field config.grids.recon_grid.points_per_axis"),
+    ("points_per_axis", 7.9, "config.grids.recon_grid.points_per_axis must be an integer"),
+    ("points_per_axis", "7", "config.grids.recon_grid.points_per_axis must be an integer"),
+    ("points_per_axis", 0, "config.grids.recon_grid.points_per_axis must be positive"),
+    ("ball_radius", 0.0, "config.grids.recon_grid.ball_radius must be positive"),
+    ("ball_radius", "0.4", "config.grids.recon_grid.ball_radius must be a number"),
+])
+def test_recon_grid_fields_checked(field, value, message):
+    bad = cfg_with()
+    if value is None:
+        del bad["grids"]["recon_grid"][field]
+    else:
+        bad["grids"]["recon_grid"][field] = value
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        parse_config(bad)
+
+
+def test_recon_grid_ball_radius_optional():
+    raw = cfg_with()
+    del raw["grids"]["recon_grid"]["ball_radius"]
+    assert parse_config(raw)["grids"]["recon_grid"]["ball_radius"] is None
+
+
+@pytest.mark.parametrize("where,key", [
+    ((), "methd"),
+    (("space",), "raduis"),
+    (("phantom", 0), "centre"),
+    (("grids",), "quadrature_ordr"),
+    (("grids", "recon_grid"), "centre"),
+])
+def test_unknown_fields_rejected(where, key):
+    bad = cfg_with()
+    obj = bad
+    for step in where:
+        obj = obj[step]
+    obj[key] = 1
+    path = "config" + "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in where)
+    with pytest.raises(ConfigError, match=f"^unknown field {re.escape(path)}.{key}$"):
+        parse_config(bad)
+
+
+def test_config_errors_exit_cleanly(tmp_path, capsys):
+    raw = cfg_with()
+    del raw["grids"]["recon_grid"]["half_width"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["roundtrip", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "error: missing field config.grids.recon_grid.half_width\n")
 
 
 def test_phantom_margin_enforced():

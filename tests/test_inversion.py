@@ -3,16 +3,13 @@ import pytest
 from scipy.special import gamma
 
 from geomeans import spaces
-from geomeans.forward import MeanData, default_tgrid, forward_means
+from geomeans.forward import MeanData, default_tgrid, epd_trace_sphere, forward_means
 from geomeans.inversion import (
     _chart_coefficients,
     backproject,
     chart_box_grid,
     constants,
     invert,
-    invert_euclidean_even,
-    invert_euclidean_modified,
-    invert_euclidean_odd,
     make_report,
     phantom_integral,
     riesz_potential,
@@ -111,6 +108,13 @@ def test_backproject_stack_equals_single_calls(space):
     assert stacked.shape == (3, 50)
     for table, row in zip(tables, stacked):
         assert np.array_equal(row, backproject(bd, tg, table, x, fill=0.0))
+    # one (1, N) row stands for every centre, alone and in a stack
+    one = tables[:, :1]
+    tiled = np.tile(one, (1, bd.m, 1))
+    assert np.array_equal(backproject(bd, tg, one[0], x, fill=0.0),
+                          backproject(bd, tg, tiled[0], x, fill=0.0))
+    assert np.array_equal(backproject(bd, tg, one, x, fill=0.0),
+                          backproject(bd, tg, tiled, x, fill=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -122,25 +126,12 @@ def test_zero_data_reconstructs_zero():
     tg = default_tgrid(E3, 300)
     data = MeanData(E3, bd, tg, np.zeros((bd.m, tg.n)))
     x = np.array([[0.1, 0.0, 0.2]])
-    assert invert_euclidean_odd(data, x)[0] == 0.0
+    assert invert(data, x)[0] == 0.0
     bd2 = boundary_grid(E2, 16)
     tg2 = default_tgrid(E2, 300)
     data2 = MeanData(E2, bd2, tg2, np.zeros((bd2.m, tg2.n)))
-    assert invert_euclidean_even(data2, np.array([[0.1, 0.2]]))[0] == 0.0
-    assert invert_euclidean_modified(data2, np.array([[0.1, 0.2]]))[0] == 0.0
-
-
-def test_parity_dispatch_errors():
-    bd = boundary_grid(E3, 60)
-    tg = default_tgrid(E3, 300)
-    data = MeanData(E3, bd, tg, np.zeros((bd.m, tg.n)))
-    with pytest.raises(ValueError):
-        invert_euclidean_even(data, np.array([[0.0, 0.0, 0.0]]))
-    bd2 = boundary_grid(E2, 16)
-    tg2 = default_tgrid(E2, 300)
-    data2 = MeanData(E2, bd2, tg2, np.zeros((bd2.m, tg2.n)))
-    with pytest.raises(ValueError):
-        invert_euclidean_odd(data2, np.array([[0.0, 0.0]]))
+    assert invert(data2, np.array([[0.1, 0.2]]))[0] == 0.0
+    assert invert(data2, np.array([[0.1, 0.2]]), method="modified")[0] == 0.0
 
 
 def test_inversion_linear_in_data():
@@ -152,8 +143,8 @@ def test_inversion_linear_in_data():
     d2 = forward_means(b2, bd, tg)
     dsum = MeanData(E3, bd, tg, d1.values + d2.values)
     x = np.array([[0.15, 0.05, 0.0], [-0.1, 0.0, 0.05]])
-    lhs = invert_euclidean_odd(dsum, x)
-    rhs = invert_euclidean_odd(d1, x) + invert_euclidean_odd(d2, x)
+    lhs = invert(dsum, x)
+    rhs = invert(d1, x) + invert(d2, x)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -358,16 +349,6 @@ def test_hyperbolic_prefactor_is_origin_neutral():
     assert abs(e[-1] - 1.0) < 1e-15
 
 
-def test_epd_invert_requires_tag():
-    bd = boundary_grid(E3, 60)
-    tg = default_tgrid(E3, 300)
-    data = MeanData(E3, bd, tg, np.zeros((bd.m, tg.n)))
-    from geomeans.inversion import epd_invert_euclidean
-
-    with pytest.raises(ValueError):
-        epd_invert_euclidean(data, np.array([[0.0, 0.0, 0.0]]))
-
-
 def test_epd_zero_order_matches_plain():
     ph = bump_at(E3, [0.2, 0.1, -0.15], 0.32)
     bd = boundary_grid(E3, 96)
@@ -388,3 +369,44 @@ def test_invert_ignores_fd_step():
     data = forward_means(ph, boundary_grid(E3, 96), default_tgrid(E3, 400))
     x = np.array([[0.2, 0.1, -0.15], [0.1, 0.0, 0.0]])
     assert np.array_equal(invert(data, x, fd_step=0.5), invert(data, x))
+
+
+@pytest.mark.parametrize("space,m,alpha", [
+    (E3, 200, None),
+    (SpaceSpec(EUCLIDEAN, 4, 1.0), 250, None),
+    (SpaceSpec(SPHERE, 2, 0.8), 32, None),
+    (SpaceSpec(SPHERE, 3, 0.8), 128, 1.0),
+])
+def test_radial_data_match_the_every_row_route(space, m, alpha):
+    # radial data run as one row through every layer. e changes one centre's
+    # row, so d + e and e take the every-row route, and by linearity
+    # invert(d + e) - invert(e) is the every-row inversion of d
+    bd = boundary_grid(space, m)
+    tg = default_tgrid(space, 128)
+    ph = Phantom(space, (Bump(spaces.origin(space), 0.3, 1.0),))
+    d = forward_means(ph, bd, tg) if alpha is None else epd_trace_sphere(ph, bd, tg, alpha)
+    assert np.all(d.values == d.values[0])
+    e = np.zeros_like(d.values)
+    e[3] = 0.5 * d.values[3] + bump_profile((tg.values - tg.values[60]) / (0.2 * (tg.b - tg.a)))
+    x = chart_box_grid(space, np.zeros(space.n), 0.25, 3, ball_radius=0.25)
+    radial = invert(d, x)
+    every_row = (invert(MeanData(space, bd, tg, d.values + e, alpha), x)
+                 - invert(MeanData(space, bd, tg, e, alpha), x))
+    assert np.linalg.norm(radial - every_row) <= 1e-12 * np.linalg.norm(radial)
+
+
+@pytest.mark.parametrize("space,alpha,method,match", [
+    (E3, 0.5, "modified", "trace data only supports the direct method"),
+    (SpaceSpec(SPHERE, 2, 0.8), None, "modified", "modified inversion is Euclidean-only"),
+    (SpaceSpec(HYPERBOLIC, 2, 0.8), 1.0, "direct", "hyperboloid trace inversion is not provided"),
+    (E3, None, "sideways", "unknown method 'sideways'"),
+    (E3, -1.5, "direct", r"alpha must be >= \(1-n\)/2"),
+    (SpaceSpec(SPHERE, 3, 0.8), 0.0, "direct", "cap traces are generated with alpha > 0"),
+])
+def test_invert_rejections(space, alpha, method, match):
+    bd = boundary_grid(space, 16)
+    tg = default_tgrid(space, 128)
+    data = MeanData(space, bd, tg, np.zeros((bd.m, tg.n)), alpha)
+    x = spaces.lift(space, np.full((1, space.n), 0.1))
+    with pytest.raises(ValueError, match=match):
+        invert(data, x, method=method)

@@ -154,10 +154,13 @@ def log_kernel_reference(samples, grid, s: float, kernel: str = "log|t-s|",
     nodes, weights, slivers = graded_panels_reference(grid.a, grid.b, pts, order=order)
     total = float(np.dot(weights, interp(samples, grid, nodes) * kern(nodes)))
     for c, eps in slivers:
-        # kernel moment over (c - eps, c + eps); log|t + c| is smooth there
+        # kernel moment over (c - eps, c + eps): log|t - c| integrates to
+        # 2 eps (log eps - 1); for log|t^2-s^2| add the integral of log|t + c|
+        # there, except at s = 0, where each of the two coincident slivers
+        # carries one of the two equal terms
         moment = 2.0 * eps * (np.log(eps) - 1.0)
-        if kernel == "log|t^2-s^2|":
-            moment = 2.0 * moment if c < 1e-8 else moment + 2.0 * eps * np.log(2.0 * c)
+        if kernel == "log|t^2-s^2|" and c != 0.0:
+            moment += log_kernel_closed_form(c - eps, c + eps, -c, "log|t-s|")
         total += float(interp(samples, grid, [c])[0]) * moment
     return total
 
@@ -284,10 +287,9 @@ def test_log_kernel_table_matches_closed_form(a, kernel):
     assert np.max(np.abs(table - ref) / np.abs(ref)) <= 1e-14
 
 
-@pytest.mark.xfail(strict=True, reason="the c < 1e-8 sliver moment of log|t^2-s^2| is "
-                   "wrong there; see the FOUND line on _log_sliver_moments in CHANGES.md")
 @pytest.mark.parametrize("a,s", [
     (-1.0, 0.0),    # grid through 0: the slivers at |s| and -|s| coincide
+    (-1.0, 0.4),    # grid through 0: a sliver around the negative point -|s|
     (1e-12, 5e-9),  # positive grid, eps < |s| < 1e-8: the moment of log|t+|s|| is not eps's
 ])
 def test_log_kernel_sliver_moment_near_zero(a, s):
