@@ -7,8 +7,6 @@ from .spaces import (
     SpaceSpec,
     BoundaryGrid,
     boundary_grid,
-    section_quadrature,
-    minkowski_form,
     h_parameter,
 )
 from .phantoms import Bump, Phantom
@@ -32,8 +30,6 @@ __all__ = [
     "SpaceSpec",
     "BoundaryGrid",
     "boundary_grid",
-    "section_quadrature",
-    "minkowski_form",
     "h_parameter",
     "Bump",
     "Phantom",

@@ -189,27 +189,30 @@ def _potential_identities(seed: int) -> tuple[float, float]:
 
 def _log_identities(seed: int) -> tuple[float]:
     """The back-projected log-kernel table of the means plus the boundary
-    constant is the log potential, in all three spaces (n = 2)."""
+    constant is the log potential, in all three spaces (n = 2). R^n tables
+    t means against log|t^2-s^2| with the constant log R; the cap and the
+    hyperboloid table the means against log|t-s| with log(sin_k(R)/2)."""
     cases = [
-        (SpaceSpec(EUCLIDEAN, 2, 1.0), "log|t^2-s^2|", lambda s: np.log(s.radius),
+        (SpaceSpec(EUCLIDEAN, 2, 1.0),
          [np.array([0.15, -0.10]), np.array([0.05, 0.02]), np.array([0.25, 0.05])]),
-        (SpaceSpec(SPHERE, 2, 0.8), "log|t-s|", lambda s: np.log(np.sin(s.radius) / 2),
-         [np.array([0.15, -0.10]), np.array([0.05, 0.02])]),
-        (SpaceSpec(HYPERBOLIC, 2, 0.8), "log|t-s|", lambda s: np.log(np.sinh(s.radius) / 2),
-         [np.array([0.15, -0.10]), np.array([0.05, 0.02])]),
+        (SpaceSpec(SPHERE, 2, 0.8), [np.array([0.15, -0.10]), np.array([0.05, 0.02])]),
+        (SpaceSpec(HYPERBOLIC, 2, 0.8), [np.array([0.15, -0.10]), np.array([0.05, 0.02])]),
     ]
     worst = 0.0
-    for spec, kern, cf_log, points in cases:
+    for spec, points in cases:
+        flat = spec.kind == EUCLIDEAN
         ph = _bump_at(spec, [0.15, -0.10], 0.22)
         bd = boundary_grid(spec, 128)
         tg = default_tgrid(spec)
         data = forward_means(ph, bd, tg)
-        prof = data.values * (tg.values if spec.kind == EUCLIDEAN else 1.0)
+        prof = data.values * (tg.values if flat else 1.0)
         lo, hi = spec.tgrid_range
         slack = 1e-6 * (hi - lo)
         tbl_grid = TGrid.linspace(lo + slack, hi - slack, 700)
-        tbl = log_kernel_table(prof, tg, tbl_grid.values, kernel=kern)
-        cf = -cf_log(spec) / (2.0 * np.pi) * phantom_integral(ph)
+        tbl = log_kernel_table(prof, tg, tbl_grid.values,
+                               kernel="log|t^2-s^2|" if flat else "log|t-s|")
+        cf_log = np.log(spec.chart_radius if flat else spec.chart_radius / 2)
+        cf = -cf_log / (2.0 * np.pi) * phantom_integral(ph)
         for xp in points:
             x = spaces.lift(spec, xp)
             rhs = float(backproject(bd, tbl_grid, tbl, x[None, :], fill="error")[0]) + cf
@@ -236,15 +239,11 @@ def _h_bound_worst(spec: SpaceSpec, rng, pairs: int) -> float:
         if sel.size == 0:
             continue
         got += sel.shape[0]
-        if spec.kind == EUCLIDEAN:
-            x, y = sel[:, 0, :], sel[:, 1, :]
-        else:
-            # cube radius taken as geodesic distance in polar normal coordinates
-            r = np.linalg.norm(sel, axis=2)
-            scale = np.sin(r) if spec.kind == SPHERE else np.sinh(r)
-            chart = sel * np.divide(scale, r, out=np.ones_like(r), where=r > 0)[..., None]
-            lifted = spaces.lift(spec, chart)
-            x, y = lifted[:, 0, :], lifted[:, 1, :]
+        # cube radius taken as geodesic distance in polar normal coordinates
+        r = np.linalg.norm(sel, axis=2)
+        chart = sel * np.divide(spec.sin_k(r), r, out=np.ones_like(r), where=r > 0)[..., None]
+        lifted = spaces.lift(spec, chart)
+        x, y = lifted[:, 0, :], lifted[:, 1, :]
         ok = np.linalg.norm(spaces.chart(spec, x) - spaces.chart(spec, y), axis=1) > 1e-9
         h = spaces.h_parameter(spec, x[ok], y[ok])
         if h.size:

@@ -144,6 +144,10 @@ def parse_config(raw: dict) -> dict:
     profile = raw.get("forward_profile", "exact")
     if profile not in ("exact", "sections"):
         raise ConfigError("config.forward_profile must be 'exact' or 'sections'")
+    if profile == "sections" and alpha is not None:
+        # the trace generators take their means from the exact profile
+        raise ConfigError("config.forward_profile 'sections' does not apply to traces "
+                          "(config.alpha set)")
     return {
         "space": space,
         "phantom": phantom,

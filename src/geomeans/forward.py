@@ -32,6 +32,9 @@ __all__ = [
 
 _T_CHUNK = 96
 
+# Gauss-Legendre nodes of the exact profile on each part's support window
+_EXACT_ORDER = 64
+
 
 @dataclass
 class MeanData:
@@ -80,7 +83,7 @@ def forward_field_profile(field, space: SpaceSpec, center: np.ndarray, tgrid: TG
     for lo in range(0, t.size, _T_CHUNK):
         hi = min(lo + _T_CHUNK, t.size)
         a, b = rule.scales(t[lo:hi])
-        nodes = (a[:, None, None] * rule.base[None, None, :]
+        nodes = (a[:, None, None] * rule.center[None, None, :]
                  + b[:, None, None] * rule.directions[None, :, :])
         vals = field(nodes.reshape(-1, nodes.shape[-1])).reshape(hi - lo, -1)
         out[lo:hi] = vals @ rule.weights
@@ -101,29 +104,24 @@ def _radial_part_profile(space: SpaceSpec, center: np.ndarray, part_center: np.n
     if space.kind == spaces.EUCLIDEAN:
         d = float(np.linalg.norm(center - part_center))
 
-        def dist(tt, u):
+        def dist(rows, u):
+            tt = t[rows, None]
             return np.sqrt(np.maximum(tt ** 2 + d ** 2 - 2.0 * tt * d * u, 0.0))
 
         u_star = (t ** 2 + d ** 2 - scale ** 2) / (2.0 * t * d)
-    elif space.kind == spaces.SPHERE:
-        a = float(np.dot(center, part_center))
-        B = np.sqrt(np.maximum((1.0 - t ** 2) * (1.0 - a ** 2), 0.0))
-
-        def dist(tt, u, a=a):
-            bb = np.sqrt(np.maximum((1.0 - tt ** 2) * (1.0 - a ** 2), 0.0))
-            return np.arccos(np.clip(tt * a + bb * u, -1.0, 1.0))
-
-        u_star = (np.cos(scale) - t * a) / np.maximum(B, 1e-300)
     else:
-        A = float(spaces.minkowski_form(center, part_center))
-        sin_d = np.sqrt(max(A ** 2 - 1.0, 0.0))
-        S = np.sqrt(np.maximum(t ** 2 - 1.0, 0.0)) * sin_d
+        # On the section (center, y) = t, (part_center, y) = t a + kappa B u,
+        # with a the pairing of the two centres and B the product of sin_k of
+        # the section's radius and of the centres' distance; the part's
+        # support ends where this pairing reaches cos_k(scale).
+        k = space.curvature
+        a = float(spaces.pairing(space, center, part_center))
+        B = np.sqrt(np.maximum(k * (1.0 - t ** 2), 0.0)) * np.sqrt(max(k * (1.0 - a ** 2), 0.0))
 
-        def dist(tt, u, A=A, sin_d=sin_d):
-            ss = np.sqrt(np.maximum(tt ** 2 - 1.0, 0.0)) * sin_d
-            return np.arccosh(np.clip(tt * A - ss * u, 1.0, None))
+        def dist(rows, u):
+            return space.arc_k(t[rows, None] * a + k * B[rows, None] * u)
 
-        u_star = (t * A - np.cosh(scale)) / np.maximum(S, 1e-300)
+        u_star = k * (space.cos_k(scale) - t * a) / np.maximum(B, 1e-300)
     phi_max = np.arccos(np.clip(u_star, -1.0, 1.0))
     # sections that miss the support (phi_max = 0) have mean exactly 0
     rows = np.flatnonzero(phi_max > 0)
@@ -132,7 +130,7 @@ def _radial_part_profile(space: SpaceSpec, center: np.ndarray, part_center: np.n
     x, w = gauss_legendre(order, 0.0, 1.0)
     phi = phi_max[:, None] * x[None, :]
     u = np.cos(phi)
-    vals = fn(dist(t[rows, None], u) / scale) * np.sin(phi) ** (n - 2)
+    vals = fn(dist(rows, u) / scale) * np.sin(phi) ** (n - 2)
     ratio = float(gamma(n / 2.0) / (np.sqrt(np.pi) * gamma((n - 1) / 2.0)))
     out[rows] = ratio * phi_max * (vals @ w)
     return out
@@ -148,14 +146,13 @@ def _exact_means_row(field: RadialField, center: np.ndarray, tgrid: TGrid,
 
 
 def forward_means(phantom, boundary: BoundaryGrid, tgrid: TGrid,
-                  order: int = 16, profile: str = "exact",
-                  exact_order: int = 64) -> MeanData:
+                  order: int = 16, profile: str = "exact") -> MeanData:
     """Normalized means of the phantom over all (center, t) sections.
 
     profile='exact' (phantoms and radial fields) integrates each radial
-    part with the azimuthal reduction, which is exactly resolved regardless
-    of how small the part is; profile='sections' uses the generic section
-    quadrature of the given order. Fields radial about the space origin
+    part with the azimuthal reduction on `_EXACT_ORDER` nodes, which is exactly
+    resolved regardless of how small the part is; profile='sections' uses
+    the generic section quadrature of the given order. Fields radial about the space origin
     give one profile broadcast to every center.
     """
     if isinstance(phantom, Phantom):
@@ -176,7 +173,7 @@ def forward_means(phantom, boundary: BoundaryGrid, tgrid: TGrid,
         raise ValueError("phantom and boundary grid live in different spaces")
     if profile == "exact":
         def row_for(center):
-            return _exact_means_row(field, center, tgrid, exact_order)
+            return _exact_means_row(field, center, tgrid, _EXACT_ORDER)
     elif profile == "sections":
         def row_for(center):
             return forward_field_profile(field, space, center, tgrid, order)

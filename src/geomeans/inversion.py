@@ -87,37 +87,31 @@ def constants(n: int, radius: float) -> InversionConstants:
 # ---------------------------------------------------------------------------
 
 def _observation_args(space: SpaceSpec, centers: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-(point, center) observation argument: |x-xi|, xi.x, or [xi, x]."""
+    """Per-(point, center) observation argument: |x - xi| in R^n, the pairing
+    (xi, x) on the cap and the hyperboloid."""
     if space.kind == spaces.EUCLIDEAN:
         return np.linalg.norm(x[:, None, :] - centers[None, :, :], axis=-1)
-    if space.kind == spaces.SPHERE:
-        return x @ centers.T
-    return x[:, -1:] * centers[None, :, -1] - x[:, :-1] @ centers[:, :-1].T
-
-
-def _edge_vanishes(F: np.ndarray) -> bool:
-    scale = np.max(np.abs(F)) or 1.0
-    edge = max(np.max(np.abs(F[..., :4])), np.max(np.abs(F[..., -4:])))
-    return edge <= 1e-10 * scale
+    args = x[:, :-1] @ centers[:, :-1].T
+    args *= space.curvature
+    args += x[:, -1:] * centers[None, :, -1]
+    return args
 
 
 def backproject(boundary: BoundaryGrid, grid: TGrid, F: np.ndarray, x: np.ndarray,
-                fill: float | str = "auto") -> np.ndarray:
+                fill: float | str) -> np.ndarray:
     """Weighted boundary average of per-center profiles at the observation args.
 
     F is (centers x grid), or a stack (k, centers, grid) of such tables,
-    and is sampled by cubic interpolation at |x - xi|, xi.x, or [xi, x] per
-    space. A table of one row stands for every centre (radial data). The result is (K,) for one table and (k, K) for a stack; the
-    tables of a stack share each point's arguments and cubic cells. With
-    fill='auto', arguments outside the grid are treated as zero when the
-    data vanish at the grid edge (support strictly inside) and raise
-    otherwise.
+    and is sampled by cubic interpolation at |x - xi| in R^n and at the
+    pairing (xi, x) on the cap and the hyperboloid. A table of one row
+    stands for every centre (radial data). The result is (K,) for one table
+    and (k, K) for a stack; the tables of a stack share each point's
+    arguments and cubic cells. Arguments outside the grid take the value
+    `fill`, or raise with fill='error'.
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
     tables = F if F.ndim == 3 else F[None]
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if fill == "auto":
-        fill = 0.0 if _edge_vanishes(F) else "error"
     out = np.empty((tables.shape[0], x.shape[0]))
     block = max(1, int(2_000_000 / max(boundary.m, 1)))
     for lo in range(0, x.shape[0], block):
@@ -191,39 +185,35 @@ def _euclidean_rows(space: SpaceSpec, grid: TGrid, values: np.ndarray, method: s
     return out_grid, rows, fill
 
 
-# Every boundary centre has the same height xi_{n+1} = cos R (cosh R), so
-# the argument a(x') = xi . lift(x') (resp. [xi, lift(x')]) has a chart
-# gradient with |grad a|^2 = A + B a and a chart Laplacian C that depend on
-# the point alone. The chart Laplacian of the back-projection of P is then
+# Every boundary centre has the same height xi_{n+1} = cos_k R, so the
+# argument a(x') = (xi, lift(x')) has a chart gradient with
+# |grad a|^2 = A + B a and a chart Laplacian C that depend on the point
+# alone. The chart Laplacian of the back-projection of P is then
 # A BP[P''] + B BP[t P''] + C BP[P'].
 
 def _chart_coefficients(space: SpaceSpec, xp: np.ndarray):
-    """(A, B, C) at chart points xp (K, n): |grad a|^2 = A + B a, Lap a = C."""
-    n = space.n
+    """(A, B, C) at chart points xp (K, n): |grad a|^2 = A + B a, Lap a = C.
+
+    With c = cos_k R, s = sin_k R, rho = |x'| and z = sqrt(1 - kappa rho^2):
+    A = s^2 + c^2 (2 kappa + rho^2/z^2), B = -2 kappa c/z and
+    C = -c (kappa n/z + rho^2/z^3).
+    """
+    n, k = space.n, space.curvature
     rho2 = (xp ** 2).sum(axis=-1)
-    if space.kind == spaces.SPHERE:
-        c, s, z = np.cos(space.radius), np.sin(space.radius), np.sqrt(1.0 - rho2)
-        return (s ** 2 + c ** 2 * (2.0 + rho2 / z ** 2), -2.0 * c / z,
-                -c * (n / z + rho2 / z ** 3))
-    c, s, z = np.cosh(space.radius), np.sinh(space.radius), np.sqrt(1.0 + rho2)
-    return (s ** 2 + c ** 2 * (rho2 / z ** 2 - 2.0), 2.0 * c / z,
-            c * (n / z - rho2 / z ** 3))
+    c, s, z = space.cos_k(space.radius), space.chart_radius, np.sqrt(1.0 - k * rho2)
+    return (s ** 2 + c ** 2 * (2.0 * k + rho2 / z ** 2), -2.0 * k * c / z,
+            -c * (k * n / z + rho2 / z ** 3))
 
 
 def _curved_rows(space: SpaceSpec, grid: TGrid, values: np.ndarray):
     """Grid, stack (P'', t P'', P') and fill of the cap/hyperboloid
     back-projection (layers 3 and 4).
 
-    F = means (1-t^2)^{n/2-1} on the cap, means (t^2-1)^{n/2-1} on the
-    hyperboloid. Odd n: P = F^{(n-3)}. Even n (including 2): P is the
-    log|t-s| table of F^{(n-2)} on the full t-range.
+    F = means (kappa (1-t^2))^{n/2-1}. Odd n: P = F^{(n-3)}. Even n
+    (including 2): P is the log|t-s| table of F^{(n-2)} on the full t-range.
     """
     n, t = space.n, grid.values
-    if space.kind == spaces.SPHERE:
-        weight = (1.0 - t ** 2) ** (n / 2.0 - 1.0)
-    else:
-        weight = (t ** 2 - 1.0) ** (n / 2.0 - 1.0)
-    F = values * weight
+    F = values * (space.curvature * (1.0 - t ** 2)) ** (n / 2.0 - 1.0)
     if n % 2 == 1:
         out_grid, rows, fill = grid, diff_matrix(F, grid, n - 3), 0.0
     else:
@@ -242,11 +232,11 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
 
     R^n: f = d_{n,1} (odd n) resp. d_{n,2} (even n) times the Laplacian of
     the boundary integral of the filtered profiles. Cap and hyperboloid:
-    f = d_n x_{n+1}/sin(theta) resp. /sinh(R) times the chart Laplacian of
-    the boundary integral of P(xi, arg(xi, x)), scaled by -1 (odd n) resp.
-    1/pi (even n); points must lie strictly inside. Trace data (`data.alpha`
-    set) first have their fractional weighting undone, and then take the
-    direct formula. Radial data, whose rows are all equal, run as one row
+    f = d_n x_{n+1}/sin_k(R) times the chart Laplacian of the boundary
+    integral of P(xi, (xi, x)), scaled by -1 (odd n) resp. 1/pi (even n);
+    points must lie strictly inside, kappa (x_{n+1} - cos_k R) > 0. Trace
+    data (`data.alpha` set) first have their fractional weighting undone,
+    and then take the direct formula. Radial data, whose rows are all equal, run as one row
     through every layer, which back-projects to the same numbers.
 
     `fd_step` is accepted and ignored: every outer Laplacian is computed in
@@ -270,12 +260,8 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if space.kind != spaces.EUCLIDEAN:
         spaces.validate_point(space, x)
-        xp = spaces.chart(space, x)
-        if space.kind == spaces.SPHERE:
-            if np.any(x[:, -1] <= np.cos(space.radius) + 1e-12):
-                raise ValueError("evaluation points must lie strictly inside the cap")
-        elif np.any((xp ** 2).sum(axis=1) >= space.chart_radius ** 2):
-            raise ValueError("evaluation points must lie strictly inside the ball")
+        if np.any(space.curvature * (x[:, -1] - space.cos_k(space.radius)) <= 1e-12):
+            raise ValueError("evaluation points must lie strictly inside the cap or ball")
 
     values = data.values
     if np.all(values == values[0]):
@@ -292,7 +278,7 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     if space.kind == spaces.EUCLIDEAN:
         return (c.d_n1 if n % 2 == 1 else c.d_n2) * space.boundary_area * f0
     p2, tp2, p1 = f0
-    A, B, C = _chart_coefficients(space, xp)
+    A, B, C = _chart_coefficients(space, spaces.chart(space, x))
     scale = -1.0 if n % 2 == 1 else 1.0 / np.pi
     lap = scale * space.boundary_area * (A * p2 + B * tp2 + C * p1)
     return c.d_curved * x[:, -1] / space.chart_radius * lap
@@ -304,34 +290,18 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
 
 def _radial_mean_factory(phantom: Phantom, x: np.ndarray, ang_order: int):
     """Angular mean of the phantom around x in chart coordinates, with the
-    per-space area weight folded in."""
+    area weight 1/sqrt(1 - kappa |y'|^2) of the lift folded in."""
     space = phantom.space
-    n = space.n
-    omega, w = spaces.unit_sphere_rule(n - 1, ang_order)
-    if space.kind == spaces.EUCLIDEAN:
-        def mean(rho: np.ndarray) -> np.ndarray:
-            pts = x[None, None, :] + rho[:, None, None] * omega[None, :, :]
-            return phantom(pts) @ w
-        return mean
-    if space.kind == spaces.SPHERE:
-        bound = 1.0
-
-        def weight(y2):
-            return 1.0 / np.sqrt(1.0 - y2)
-    else:
-        bound = np.inf
-
-        def weight(y2):
-            return 1.0 / np.sqrt(1.0 + y2)
+    omega, w = spaces.unit_sphere_rule(space.n - 1, ang_order)
 
     def mean(rho: np.ndarray) -> np.ndarray:
         yp = x[None, None, :] + rho[:, None, None] * omega[None, :, :]
         y2 = (yp ** 2).sum(-1)
-        ok = y2 < bound
+        ok = space.curvature * y2 < 1.0
         vals = np.zeros_like(y2)
         if np.any(ok):
             lifted = spaces.lift(space, yp[ok])
-            vals[ok] = phantom(lifted) * weight(y2[ok])
+            vals[ok] = phantom(lifted) * (1.0 / np.sqrt(1.0 - space.curvature * y2[ok]))
         return vals @ w
 
     return mean
@@ -389,31 +359,28 @@ def phantom_integral(phantom: Phantom, radial_order: int = 64) -> float:
     """Total mass int f dy in the per-space volume measure.
 
     Bumps are radial about their centers, so geodesic polar coordinates
-    give the exact 1-D form sigma_{n-1} int_0^r w(rho/r) s(rho)^{n-1} drho
-    with s = id, sin, or sinh.
+    give the exact 1-D form sigma_{n-1} int_0^r w(rho/r) sin_k(rho)^{n-1} drho.
     """
     from .phantoms import bump_profile
 
     space = phantom.space
     n = space.n
     sigma = constants(n, space.radius).sigma
-    if space.kind == spaces.EUCLIDEAN:
-        s = lambda r: r
-    elif space.kind == spaces.SPHERE:
-        s = np.sin
-    else:
-        s = np.sinh
     total = 0.0
     for b in phantom.bumps:
         nodes, w = gauss_legendre(radial_order, 0.0, b.geodesic_radius)
         total += b.amplitude * float(
-            np.dot(w, bump_profile(nodes / b.geodesic_radius) * s(nodes) ** (n - 1)))
+            np.dot(w, bump_profile(nodes / b.geodesic_radius) * space.sin_k(nodes) ** (n - 1)))
     return sigma * total
 
 
 # ---------------------------------------------------------------------------
 # reporting
 # ---------------------------------------------------------------------------
+
+# share of the chart radius kept free between evaluation points and the boundary
+_INTERIOR_MARGIN = 0.02
+
 
 @dataclass
 class ReconstructionReport:
@@ -446,12 +413,12 @@ def make_report(points: np.ndarray, f_true: np.ndarray, f_rec: np.ndarray,
 
 
 def chart_box_grid(space: SpaceSpec, center: np.ndarray, half_width: float,
-                   points_per_axis: int, interior_margin: float = 0.02,
-                   ball_radius: float | None = None) -> np.ndarray:
+                   points_per_axis: int, ball_radius: float | None = None) -> np.ndarray:
     """Ambient evaluation points on a chart-coordinate box grid.
 
-    Points whose chart radius leaves the admissible interior (less a
-    relative margin, which keeps points off the boundary sphere) are dropped;
+    Points whose chart radius leaves the admissible interior (less the
+    relative margin `_INTERIOR_MARGIN`, which keeps points off the boundary
+    sphere) are dropped;
     with `ball_radius` the grid is additionally clipped to a chart ball
     around `center`, which keeps box corners away from the boundary where
     the back-projection integrand needs far more centers to resolve.
@@ -460,7 +427,7 @@ def chart_box_grid(space: SpaceSpec, center: np.ndarray, half_width: float,
     axes = [np.linspace(c - half_width, c + half_width, points_per_axis) for c in center]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    keep = (pts ** 2).sum(axis=1) < ((1.0 - interior_margin) * space.chart_radius) ** 2
+    keep = (pts ** 2).sum(axis=1) < ((1.0 - _INTERIOR_MARGIN) * space.chart_radius) ** 2
     if ball_radius is not None:
         keep &= ((pts - center) ** 2).sum(axis=1) <= ball_radius ** 2
     return spaces.lift(space, pts[keep])

@@ -2,9 +2,14 @@
 
 Euclidean balls B = {|x| < R} in R^n, spherical caps around the north pole
 of S^n in R^{n+1}, and geodesic balls around e_{n+1} in the hyperboloid
-model of H^n. Provides boundary-center grids, quadrature over geodesic
-spheres (the "planar sections" x.y = t resp. [x, y] = t), the Minkowski
-bilinear form, and the h-parameter entering the kernel bounds.
+model of H^n. The cap and the hyperboloid are one model with curvature sign
+kappa = +1 resp. -1 (0 in R^n): the surface x_{n+1}^2 + kappa |x'|^2 = 1
+(upper sheet on H^n), the pairing x_{n+1} y_{n+1} + kappa x'.y' (x.y on
+S^n, the Minkowski form [x, y] on H^n) equal to cos_k of the geodesic
+distance, and sin_k, cos_k = sin, cos resp. sinh, cosh. Provides
+boundary-center grids, quadrature over geodesic spheres (the "planar
+sections" |x - y| = t resp. (x, y) = t), and the h-parameter entering the
+kernel bounds.
 """
 
 from __future__ import annotations
@@ -28,18 +33,17 @@ __all__ = [
     "chart",
     "validate_point",
     "geodesic_distance",
-    "minkowski_form",
+    "pairing",
     "unit_sphere_rule",
     "boundary_grid",
     "section_rule",
-    "section_quadrature",
     "h_parameter",
 ]
 
 EUCLIDEAN = "euclidean"
 SPHERE = "sphere"
 HYPERBOLIC = "hyperbolic"
-_KINDS = (EUCLIDEAN, SPHERE, HYPERBOLIC)
+_CURVATURE = {EUCLIDEAN: 0, SPHERE: 1, HYPERBOLIC: -1}
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,8 @@ class SpaceSpec:
     """Which model space, its dimension n >= 2, and the ball/cap radius.
 
     For Euclidean and hyperbolic spaces `radius` is the geodesic ball radius
-    R > 0; for the sphere it is the cap angle theta in (0, pi/2].
+    R > 0; for the sphere it is the cap angle theta in (0, pi/2]. `kind`
+    fixes the curvature sign `curvature`.
     """
 
     kind: str
@@ -55,7 +60,7 @@ class SpaceSpec:
     radius: float
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _CURVATURE:
             raise ValueError(f"unknown space kind {self.kind!r}")
         if self.n < 2:
             raise ValueError("dimension must be >= 2")
@@ -69,13 +74,30 @@ class SpaceSpec:
         return self.n if self.kind == EUCLIDEAN else self.n + 1
 
     @property
+    def curvature(self) -> int:
+        """Curvature sign kappa: 0 in R^n, +1 on the sphere, -1 on the hyperboloid."""
+        return _CURVATURE[self.kind]
+
+    def sin_k(self, r):
+        """r, sin r or sinh r: the chart radius of a geodesic sphere of radius r."""
+        if self.curvature == 0:
+            return r
+        return np.sin(r) if self.curvature > 0 else np.sinh(r)
+
+    def cos_k(self, r):
+        """cos r or cosh r (curved spaces): the height of a geodesic sphere of radius r."""
+        return np.cos(r) if self.curvature > 0 else np.cosh(r)
+
+    def arc_k(self, c):
+        """Inverse of cos_k: arccos of c clipped to [-1, 1], arccosh of c clipped to [1, inf)."""
+        if self.curvature > 0:
+            return np.arccos(np.clip(c, -1.0, 1.0))
+        return np.arccosh(np.clip(c, 1.0, None))
+
+    @property
     def chart_radius(self) -> float:
         """Chart radius of the boundary sphere: R, sin(theta) or sinh(R)."""
-        if self.kind == EUCLIDEAN:
-            return self.radius
-        if self.kind == SPHERE:
-            return np.sin(self.radius)
-        return np.sinh(self.radius)
+        return self.sin_k(self.radius)
 
     @property
     def boundary_area(self) -> float:
@@ -108,13 +130,9 @@ def lift(space: SpaceSpec, xprime: np.ndarray) -> np.ndarray:
     if space.kind == EUCLIDEAN:
         return xprime
     r2 = (xprime ** 2).sum(axis=-1, keepdims=True)
-    if space.kind == SPHERE:
-        if np.any(r2 > 1.0):
-            raise ValueError("chart point outside the unit disk")
-        last = np.sqrt(1.0 - r2)
-    else:
-        last = np.sqrt(1.0 + r2)
-    return np.concatenate([xprime, last], axis=-1)
+    if space.curvature > 0 and np.any(r2 > 1.0):
+        raise ValueError("chart point outside the unit disk")
+    return np.concatenate([xprime, np.sqrt(1.0 - space.curvature * r2)], axis=-1)
 
 
 def chart(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
@@ -126,34 +144,31 @@ def chart(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
 
 
 def validate_point(space: SpaceSpec, x: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """x as a float array, checked to lie on the space: x_{n+1}^2 + kappa |x'|^2 = 1,
+    and x_{n+1} > 0 on the hyperboloid (its upper sheet)."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != space.ambient_dim:
         raise ValueError(f"point has dimension {x.shape[-1]}, expected {space.ambient_dim}")
-    if space.kind == SPHERE:
-        err = np.abs((x ** 2).sum(axis=-1) - 1.0)
-        if np.any(err > tol * 10):
-            raise ValueError("point not on the unit sphere")
-    elif space.kind == HYPERBOLIC:
-        err = np.abs(x[..., -1] ** 2 - (x[..., :-1] ** 2).sum(axis=-1) - 1.0)
-        if np.any(err > tol * 10):
-            raise ValueError("point not on the hyperboloid")
+    if space.kind == EUCLIDEAN:
+        return x
+    if np.any(np.abs(pairing(space, x, x) - 1.0) > tol * 10):
+        raise ValueError(f"point not on the {space.kind} space")
+    if space.curvature < 0 and np.any(x[..., -1] <= 0.0):
+        raise ValueError("point on the lower sheet of the hyperboloid")
     return x
 
 
-def minkowski_form(x: np.ndarray, y: np.ndarray, validate: bool = True) -> np.ndarray:
-    """[x, y] = x_{n+1} y_{n+1} - x'.y'; equals cosh of the geodesic distance.
+def pairing(space: SpaceSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_{n+1} y_{n+1} + kappa x'.y' of ambient points (..., n+1) of a curved space.
 
-    Both arguments must lie on the hyperboloid (checked unless validate is
-    disabled for points already known to satisfy the constraint).
+    This is x.y on the sphere and the Minkowski form [x, y] on the
+    hyperboloid; for points on the space it is cos_k of their geodesic
+    distance.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if validate:
-        for z in (x, y):
-            gap = np.abs(z[..., -1] ** 2 - (z[..., :-1] ** 2).sum(axis=-1) - 1.0)
-            if np.any(gap > 1e-9):
-                raise ValueError("point not on the hyperboloid")
-    return x[..., -1] * y[..., -1] - (x[..., :-1] * y[..., :-1]).sum(axis=-1)
+    # x'.y' first, then the last term: on the sphere this is x.y summed in order
+    return space.curvature * (x[..., :-1] * y[..., :-1]).sum(axis=-1) + x[..., -1] * y[..., -1]
 
 
 def geodesic_distance(space: SpaceSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -161,10 +176,7 @@ def geodesic_distance(space: SpaceSpec, x: np.ndarray, y: np.ndarray) -> np.ndar
     y = np.asarray(y, dtype=float)
     if space.kind == EUCLIDEAN:
         return np.linalg.norm(x - y, axis=-1)
-    if space.kind == SPHERE:
-        c = np.clip((x * y).sum(axis=-1), -1.0, 1.0)
-        return np.arccos(c)
-    return np.arccosh(np.clip(minkowski_form(x, y, validate=False), 1.0, None))
+    return space.arc_k(pairing(space, x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +251,8 @@ def boundary_grid(space: SpaceSpec, m: int) -> BoundaryGrid:
         omega, w = unit_sphere_rule(d, p)
     centers = space.chart_radius * omega
     if space.kind != EUCLIDEAN:
-        height = np.cos(space.radius) if space.kind == SPHERE else np.cosh(space.radius)
-        centers = np.concatenate([centers, np.full((omega.shape[0], 1), height)], axis=1)
+        height = np.full((omega.shape[0], 1), space.cos_k(space.radius))
+        centers = np.concatenate([centers, height], axis=1)
     return BoundaryGrid(space, centers, w / w.sum())
 
 
@@ -248,44 +260,24 @@ def boundary_grid(space: SpaceSpec, m: int) -> BoundaryGrid:
 # geodesic-sphere sections and their quadrature
 # ---------------------------------------------------------------------------
 
-def _completion_frame(axis: np.ndarray) -> np.ndarray:
-    """Orthonormal completion of a unit vector, deterministic Gram-Schmidt.
+def _pole_to(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
+    """The rotation (cap) or boost (hyperboloid) in span{x', e_{n+1}} taking
+    e_{n+1} to the point x.
 
-    Returns a (dim-1, dim) matrix of vectors orthogonal to `axis`; the
-    standard basis vector most parallel to the axis is skipped.
+    With x = (s u, c), |u| = 1, it acts as [[c, s], [-kappa s, c]] on
+    (u, e_{n+1}) and as the identity on the rest, so it preserves the
+    pairing. A pole x' = 0 takes u = e_1, which makes the sphere's -e_{n+1}
+    the half turn in span{e_1, e_{n+1}}.
     """
-    dim = axis.shape[0]
-    skip = int(np.argmax(np.abs(axis)))
-    basis = [axis]
-    for j in range(dim):
-        if j == skip:
-            continue
-        v = np.zeros(dim)
-        v[j] = 1.0
-        for b in basis:
-            v = v - np.dot(v, b) * b
-        nv = np.linalg.norm(v)
-        if nv < 1e-13:
-            raise ValueError("degenerate frame")
-        basis.append(v / nv)
-    return np.stack(basis[1:], axis=0)
-
-
-def _lorentz_boost_to(x: np.ndarray) -> np.ndarray:
-    """Matrix of the Lorentz boost taking e_{n+1} to the hyperboloid point x."""
     dim = x.shape[0]
-    xp = x[:-1]
+    xp, c = x[:-1], x[-1]
     s = np.linalg.norm(xp)
+    u = xp / s if s > 0 else np.eye(dim - 1)[0]
     out = np.eye(dim)
-    if s < 1e-15:
-        return out
-    u = xp / s
-    xn = x[-1]
-    # acts as [[cosh, sinh], [sinh, cosh]] on span{u, e_{n+1}}
-    out[:-1, :-1] += (xn - 1.0) * np.outer(u, u)
+    out[:-1, :-1] += (c - 1.0) * np.outer(u, u)
     out[:-1, -1] = s * u
-    out[-1, :-1] = s * u
-    out[-1, -1] = xn
+    out[-1, :-1] = -space.curvature * s * u
+    out[-1, -1] = c
     return out
 
 
@@ -294,7 +286,7 @@ class SectionRule:
     """Nodes of a geodesic-sphere quadrature in separated form.
 
     For a fixed center, the section nodes at parameter t are
-    base_scale(t) * base + dir_scale(t) * directions[i], which lets forward
+    base_scale(t) * center + dir_scale(t) * directions[i], which lets forward
     transforms assemble all (t, node) combinations without recomputing
     frames. Weights are normalized so a constant integrand has mean 1.
     """
@@ -303,66 +295,43 @@ class SectionRule:
     center: np.ndarray
     directions: np.ndarray
     weights: np.ndarray
-    base: np.ndarray
 
     def scales(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(1, t) in R^n; (t, sqrt(kappa (1 - t^2))) on the cap and the hyperboloid."""
         t = np.asarray(t, dtype=float)
         if self.space.kind == EUCLIDEAN:
             return np.ones_like(t), t
-        if self.space.kind == SPHERE:
-            return t, np.sqrt(1.0 - t ** 2)
-        return t, np.sqrt(t ** 2 - 1.0)
+        return t, np.sqrt(self.space.curvature * (1.0 - t ** 2))
 
     def nodes(self, t: float) -> np.ndarray:
+        """Nodes of the section at t: |y - center| = t in R^n, (center, y) = t
+        on the cap and the hyperboloid. t must exceed the lower end of
+        `tgrid_range` and, in R^n and on the cap, stay below its upper end;
+        on the hyperboloid every t > 1 gives a section."""
+        space = self.space
+        lo, hi = space.tgrid_range
+        if not (lo < t and (t < hi or space.curvature < 0)):
+            raise ValueError(f"section parameter outside the admissible range for {space.kind}")
         a, b = self.scales(np.asarray(t))
-        return a * self.base[None, :] + b * self.directions
-
-
-def _check_t(space: SpaceSpec, t: np.ndarray) -> None:
-    lo, hi = space.tgrid_range
-    t = np.asarray(t, dtype=float)
-    if space.kind == HYPERBOLIC:
-        ok = np.all(t > lo)
-    else:
-        ok = np.all((t > lo) & (t < hi))
-    if not ok:
-        raise ValueError(f"section parameter outside the admissible range for {space.kind}")
+        return a * self.center[None, :] + b * self.directions
 
 
 def section_rule(space: SpaceSpec, center: np.ndarray, order: int) -> SectionRule:
-    """Reusable section quadrature around one center."""
+    """Reusable section quadrature around one center: the unit-sphere rule
+    of S^{n-1}, reversed in R^n, and carried from the pole to the center by
+    `_pole_to` on the cap and the hyperboloid."""
     center = validate_point(space, np.asarray(center, dtype=float))
     omega, w = unit_sphere_rule(space.n - 1, order)
     if space.kind == EUCLIDEAN:
-        return SectionRule(space, center, -omega, w, center)
-    if space.kind == SPHERE:
-        frame = _completion_frame(center)
-        dirs = omega @ frame
-        return SectionRule(space, center, dirs, w, center)
-    boost = _lorentz_boost_to(center)
-    flat = np.concatenate([omega, np.zeros((omega.shape[0], 1))], axis=1)
-    dirs = flat @ boost.T
-    base = boost[:, -1]
-    return SectionRule(space, center, dirs, w, base)
-
-
-def section_quadrature(space: SpaceSpec, center: np.ndarray, t: float,
-                       order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights whose weighted sum is the normalized section mean.
-
-    Euclidean: the sphere |y - center| = t. Sphere: {y : center.y = t}.
-    Hyperbolic: {y : [center, y] = t}. Constant functions average to 1.
-    """
-    _check_t(space, np.asarray([t]))
-    rule = section_rule(space, center, order)
-    return rule.nodes(float(t)), rule.weights
+        return SectionRule(space, center, -omega, w)
+    return SectionRule(space, center, omega @ _pole_to(space, center)[:, :-1].T, w)
 
 
 def h_parameter(space: SpaceSpec, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     """The kernel offset h for pairs of interior points x, y (..., dim).
 
     Euclidean: (|x|^2 - |y|^2) / (2R|x - y|). Curved spaces:
-    (x_{n+1} - y_{n+1}) / |x' - y'| times cot(theta) resp. coth(R).
+    (x_{n+1} - y_{n+1}) / |x' - y'| times cos_k(R) / sin_k(R).
     Interior pairs with a support margin satisfy |h| < 1. One pair gives a
     float, stacked pairs an array of their values.
     """
@@ -378,5 +347,5 @@ def h_parameter(space: SpaceSpec, x: np.ndarray, y: np.ndarray) -> float | np.nd
         if np.any(sep < 1e-14):
             raise ValueError("coincident chart projections have no h parameter")
         ratio = (x[..., -1] - y[..., -1]) / sep
-        h = ratio / (np.tan(space.radius) if space.kind == SPHERE else np.tanh(space.radius))
+        h = ratio / (space.sin_k(space.radius) / space.cos_k(space.radius))
     return float(h) if np.ndim(h) == 0 else h

@@ -134,6 +134,14 @@ def test_config_errors_exit_cleanly(tmp_path, capsys):
         "error: missing field config.grids.recon_grid.half_width\n")
 
 
+def test_sections_profile_rejected_for_traces():
+    # the trace generators build their means with the exact profile
+    assert parse_config(cfg_with(forward_profile="sections"))["forward_profile"] == "sections"
+    assert parse_config(cfg_with(alpha=1.0))["alpha"] == 1.0
+    with pytest.raises(ConfigError, match="config.forward_profile"):
+        parse_config(cfg_with(forward_profile="sections", alpha=1.0))
+
+
 def test_phantom_margin_enforced():
     bad = cfg_with()
     bad["phantom"][0]["center"] = [0.75, 0.0]

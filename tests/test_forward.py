@@ -76,19 +76,14 @@ def _radial_part_profile_all_rows(space, center, part_center, scale, fn, tgrid, 
         d = float(np.linalg.norm(center - part_center))
         dist = lambda tt, u: np.sqrt(np.maximum(tt ** 2 + d ** 2 - 2.0 * tt * d * u, 0.0))
         u_star = (t ** 2 + d ** 2 - scale ** 2) / (2.0 * t * d)
-    elif space.kind == SPHERE:
-        a = float(np.dot(center, part_center))
-        dist = lambda tt, u: np.arccos(np.clip(
-            tt * a + np.sqrt(np.maximum((1.0 - tt ** 2) * (1.0 - a ** 2), 0.0)) * u, -1.0, 1.0))
-        B = np.sqrt(np.maximum((1.0 - t ** 2) * (1.0 - a ** 2), 0.0))
-        u_star = (np.cos(scale) - t * a) / np.maximum(B, 1e-300)
     else:
-        A = float(spaces.minkowski_form(center, part_center))
-        sin_d = np.sqrt(max(A ** 2 - 1.0, 0.0))
-        dist = lambda tt, u: np.arccosh(np.clip(
-            tt * A - np.sqrt(np.maximum(tt ** 2 - 1.0, 0.0)) * sin_d * u, 1.0, None))
-        S = np.sqrt(np.maximum(t ** 2 - 1.0, 0.0)) * sin_d
-        u_star = (t * A - np.cosh(scale)) / np.maximum(S, 1e-300)
+        k = space.curvature
+        a = float(spaces.pairing(space, center, part_center))
+        sin_a = np.sqrt(max(k * (1.0 - a ** 2), 0.0))
+        dist = lambda tt, u: space.arc_k(
+            tt * a + k * (np.sqrt(np.maximum(k * (1.0 - tt ** 2), 0.0)) * sin_a) * u)
+        B = np.sqrt(np.maximum(k * (1.0 - t ** 2), 0.0)) * sin_a
+        u_star = k * (space.cos_k(scale) - t * a) / np.maximum(B, 1e-300)
     phi_max = np.arccos(np.clip(u_star, -1.0, 1.0))
     x, w = gauss_legendre(order, 0.0, 1.0)
     phi = phi_max[:, None] * x[None, :]

@@ -79,20 +79,20 @@ def test_backproject_single_center():
     assert abs(out[0] - np.sin(r)) < 1e-9
 
 
-def test_backproject_auto_fill_policy():
+def test_backproject_fill_policy():
     bd = boundary_grid(E2, 8)
     tg = default_tgrid(E2, 128)
     supported = np.zeros((bd.m, tg.n))
     supported[:, 40:60] = 1.0
-    # interior support: arguments outside the grid count as zero
+    # fill=0.0: arguments outside the grid count as zero
     far = np.array([[0.999, 0.0]])
-    out = backproject(bd, tg, supported, far)
+    out = backproject(bd, tg, supported, far, fill=0.0)
     assert np.isfinite(out[0])
-    # support touching the edge: out-of-grid arguments must raise
+    # fill='error': out-of-grid arguments must raise
     touching = np.ones((bd.m, tg.n))
     closer = np.array([[0.9997, 0.0]])
     with pytest.raises(ValueError):
-        backproject(bd, tg, touching, closer)
+        backproject(bd, tg, touching, closer, fill="error")
 
 
 @pytest.mark.parametrize("space", [E2, SpaceSpec(SPHERE, 3, 0.8)])
@@ -410,3 +410,13 @@ def test_invert_rejections(space, alpha, method, match):
     x = spaces.lift(space, np.full((1, space.n), 0.1))
     with pytest.raises(ValueError, match=match):
         invert(data, x, method=method)
+
+
+def test_invert_rejects_lower_sheet_points():
+    space = SpaceSpec(HYPERBOLIC, 3, 0.8)
+    bd = boundary_grid(space, 16)
+    data = MeanData(space, bd, default_tgrid(space, 128), np.zeros((bd.m, 128)))
+    x = spaces.lift(space, np.array([[0.1, 0.0, 0.0]]))
+    assert invert(data, x)[0] == 0.0
+    with pytest.raises(ValueError, match="lower sheet"):
+        invert(data, x * np.array([1.0, 1.0, 1.0, -1.0]))

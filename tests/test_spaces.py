@@ -10,8 +10,7 @@ from geomeans.spaces import (
     boundary_grid,
     geodesic_distance,
     h_parameter,
-    minkowski_form,
-    section_quadrature,
+    pairing,
     section_rule,
     unit_sphere_rule,
 )
@@ -91,37 +90,36 @@ def test_sphere_rule_polynomial_moments():
 ])
 def test_section_mean_of_one(space, ts):
     centers = boundary_grid(space, 16).centers
+    rule = section_rule(space, centers[3], 12)
     for t in ts:
-        pts, w = section_quadrature(space, centers[3], t, 12)
+        pts, w = rule.nodes(t), rule.weights
         assert abs(w.sum() - 1.0) < 1e-10
         assert np.all(w > 0)
         assert abs(np.dot(w, np.ones(len(w))) - 1.0) < 1e-10
         # nodes satisfy the section equation
         if space.kind == EUCLIDEAN:
             err = np.abs(np.linalg.norm(pts - centers[3], axis=1) - t)
-        elif space.kind == SPHERE:
-            err = np.abs(pts @ centers[3] - t)
         else:
-            err = np.abs(minkowski_form(pts, centers[3]) - t)
+            err = np.abs(pairing(space, pts, centers[3]) - t)
         assert np.max(err) < 1e-10
 
 
 def test_section_odd_integrand_cancels():
     xi = boundary_grid(E3, 16).centers[2]
-    pts, w = section_quadrature(E3, xi, 0.7, 16)
-    assert abs(np.dot(w, pts[:, 0]) - xi[0]) < 1e-12
+    rule = section_rule(E3, xi, 16)
+    assert abs(np.dot(rule.weights, rule.nodes(0.7)[:, 0]) - xi[0]) < 1e-12
 
 
 def test_section_t_range_errors():
     xi = boundary_grid(E3, 16).centers[0]
     with pytest.raises(ValueError):
-        section_quadrature(E3, xi, 2.5, 8)
+        section_rule(E3, xi, 8).nodes(2.5)
     xi = boundary_grid(S2, 16).centers[0]
     with pytest.raises(ValueError):
-        section_quadrature(S2, xi, 1.5, 8)
+        section_rule(S2, xi, 8).nodes(1.5)
     xi = boundary_grid(H2, 16).centers[0]
     with pytest.raises(ValueError):
-        section_quadrature(H2, xi, 0.9, 8)
+        section_rule(H2, xi, 8).nodes(0.9)
 
 
 def test_section_frame_deterministic():
@@ -131,16 +129,41 @@ def test_section_frame_deterministic():
     assert np.array_equal(a.directions, b.directions)
 
 
+@pytest.mark.parametrize("space", [S2, S3, H2, H3])
+def test_pole_frame_preserves_the_form(space):
+    # _pole_to is a rotation or boost (determinant 1) that preserves
+    # x_{n+1} y_{n+1} + kappa x'.y' and takes e_{n+1} to x, also at the
+    # poles x' = 0 (the sphere's -e_{n+1} included)
+    rng = np.random.default_rng(17)
+    e = spaces.origin(space)
+    poles = [e] + ([-e] if space.kind == SPHERE else [])
+    for x in [*poles, *spaces.lift(space, rng.uniform(-0.5, 0.5, size=(4, space.n)))]:
+        M = spaces._pole_to(space, x)
+        assert np.allclose(M @ e, x, rtol=0.0, atol=1e-15)
+        assert abs(np.linalg.det(M) - 1.0) < 1e-13
+        a, b = rng.standard_normal((2, 5, space.n + 1))
+        assert np.allclose(pairing(space, a @ M.T, b @ M.T), pairing(space, a, b),
+                           rtol=0.0, atol=1e-13)
+    assert np.array_equal(spaces._pole_to(space, e), np.eye(space.n + 1))
+
+
+def test_lower_sheet_rejected():
+    x = spaces.lift(H3, np.array([0.1, 0.0, 0.0]))
+    spaces.validate_point(H3, x)
+    with pytest.raises(ValueError, match="lower sheet"):
+        spaces.validate_point(H3, x * np.array([1.0, 1.0, 1.0, -1.0]))
+
+
 def test_minkowski_identity_point():
     e = spaces.origin(H3)
-    assert abs(minkowski_form(e, e) - 1.0) < 1e-15
+    assert abs(pairing(H3, e, e) - 1.0) < 1e-15
 
 
 def test_minkowski_known_distance():
     r = 0.37
     x = np.array([np.sinh(r), 0.0, np.cosh(r)])
     e = spaces.origin(H2)
-    assert abs(minkowski_form(x, e) - np.cosh(r)) < 1e-14
+    assert abs(pairing(H2, x, e) - np.cosh(r)) < 1e-14
 
 
 def test_minkowski_vs_geodesic_integrator():
@@ -151,7 +174,7 @@ def test_minkowski_vs_geodesic_integrator():
         xp, yp = rng.uniform(-0.5, 0.5, size=(2, 2))
         x = spaces.lift(H2, xp)
         y = spaces.lift(H2, yp)
-        c = minkowski_form(x, y)
+        c = pairing(H2, x, y)
         w = y - c * x
         v = w / np.sqrt(max(c * c - 1.0, 1e-300))
 
