@@ -86,14 +86,41 @@ def constants(n: int, radius: float) -> InversionConstants:
 # back-projection
 # ---------------------------------------------------------------------------
 
-def _observation_args(space: SpaceSpec, centers: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-(point, center) observation argument: |x - xi| in R^n, the pairing
-    (xi, x) on the cap and the hyperboloid."""
+# (point, centre) cells per back-projection block: the block's arguments,
+# cubic weights and gathered values, a few arrays of 256 KiB, stay in cache
+_BLOCK_CELLS = 32_768
+
+
+def _observation_args(space: SpaceSpec, centers: np.ndarray):
+    """The map from points x (K, dim) to their (K, m) observation arguments:
+    |x - xi| in R^n, the pairing (xi, x) on the cap and the hyperboloid.
+
+    Both come from one product x xi^T; the distance is
+    sqrt(max(|x|^2 + |xi|^2 - 2 x.xi, 0)), which loses no accuracy where
+    |x - xi| >= R - |x| stays well away from 0.
+    """
     if space.kind == spaces.EUCLIDEAN:
-        return np.linalg.norm(x[:, None, :] - centers[None, :, :], axis=-1)
-    args = x[:, :-1] @ centers[:, :-1].T
-    args *= space.curvature
-    args += x[:, -1:] * centers[None, :, -1]
+        centers_t = np.ascontiguousarray(centers.T)
+        centers_sq = (centers ** 2).sum(axis=1)
+
+        def args(x: np.ndarray) -> np.ndarray:
+            d2 = x @ centers_t
+            d2 *= -2.0
+            d2 += (x ** 2).sum(axis=1)[:, None]
+            d2 += centers_sq
+            np.maximum(d2, 0.0, out=d2)
+            return np.sqrt(d2, out=d2)
+
+        return args
+    chart_t = np.ascontiguousarray(centers[:, :-1].T)
+    height = centers[:, -1]
+
+    def args(x: np.ndarray) -> np.ndarray:
+        a = x[:, :-1] @ chart_t
+        a *= space.curvature
+        a += x[:, -1:] * height
+        return a
+
     return args
 
 
@@ -106,20 +133,21 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, F: np.ndarray, x: np.ndarra
     pairing (xi, x) on the cap and the hyperboloid. A table of one row
     stands for every centre (radial data). The result is (K,) for one table
     and (k, K) for a stack; the tables of a stack share each point's
-    arguments and cubic cells. Arguments outside the grid take the value
-    `fill`, or raise with fill='error'.
+    arguments and cubic stencil. Arguments outside the grid count as zero
+    with fill=0.0, and raise with fill='error'. The points run in blocks of
+    about `_BLOCK_CELLS` (point, centre) pairs.
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
     tables = F if F.ndim == 3 else F[None]
     x = np.atleast_2d(np.asarray(x, dtype=float))
     out = np.empty((tables.shape[0], x.shape[0]))
-    block = max(1, int(2_000_000 / max(boundary.m, 1)))
+    args = _observation_args(boundary.space, boundary.centers)
+    block = max(1, _BLOCK_CELLS // max(boundary.m, 1))
     for lo in range(0, x.shape[0], block):
         hi = min(lo + block, x.shape[0])
-        args = _observation_args(boundary.space, boundary.centers, x[lo:hi])
-        stencil = CubicStencil.build(grid, args.T, fill=fill)
-        for j, table in enumerate(tables):
-            out[j, lo:hi] = boundary.weights @ stencil(table)
+        stencil = CubicStencil.build(grid, args(x[lo:hi]), fill=fill)
+        for j, values in enumerate(stencil(tables)):
+            out[j, lo:hi] = values @ boundary.weights
     return out if F.ndim == 3 else out[0]
 
 
@@ -233,8 +261,9 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     R^n: f = d_{n,1} (odd n) resp. d_{n,2} (even n) times the Laplacian of
     the boundary integral of the filtered profiles. Cap and hyperboloid:
     f = d_n x_{n+1}/sin_k(R) times the chart Laplacian of the boundary
-    integral of P(xi, (xi, x)), scaled by -1 (odd n) resp. 1/pi (even n);
-    points must lie strictly inside, kappa (x_{n+1} - cos_k R) > 0. Trace
+    integral of P(xi, (xi, x)), scaled by -1 (odd n) resp. 1/pi (even n).
+    Points must lie strictly inside: |x| < R in R^n, kappa (x_{n+1} - cos_k R)
+    > 0 on the cap and the hyperboloid. Trace
     data (`data.alpha` set) first have their fractional weighting undone,
     and then take the direct formula. Radial data, whose rows are all equal, run as one row
     through every layer, which back-projects to the same numbers.
@@ -257,11 +286,15 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
             raise ValueError(f"alpha must be >= (1-n)/2 = {(1 - n) / 2}")
         if space.kind == spaces.SPHERE and alpha <= 0:
             raise ValueError("cap traces are generated with alpha > 0")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if space.kind != spaces.EUCLIDEAN:
-        spaces.validate_point(space, x)
-        if np.any(space.curvature * (x[:, -1] - space.cos_k(space.radius)) <= 1e-12):
-            raise ValueError("evaluation points must lie strictly inside the cap or ball")
+    x = spaces.validate_point(space, np.atleast_2d(np.asarray(x, dtype=float)))
+    if space.kind == spaces.EUCLIDEAN:
+        outside = np.linalg.norm(x, axis=1) >= space.radius
+    else:
+        outside = space.curvature * (x[:, -1] - space.cos_k(space.radius)) <= 1e-12
+    if np.any(outside):
+        region = "cap" if space.kind == spaces.SPHERE else "ball"
+        raise ValueError(f"evaluation points must lie strictly inside the {region} of radius "
+                         f"{space.radius:g}; {x[outside][0].tolist()} does not")
 
     values = data.values
     if np.all(values == values[0]):

@@ -135,46 +135,63 @@ def quintic_interp(values: np.ndarray, grid: TGrid, x: np.ndarray, fill: float =
 
 @dataclass(frozen=True)
 class CubicStencil:
-    """Cells and weights of row-aligned cubic interpolation at queries (M, K).
+    """First stencil nodes and weights of column-aligned cubic interpolation
+    at queries (K, M).
 
-    Built once per query set, it interpolates any number of (M, N) tables
-    on the same grid at those queries, or one (1, N) row that stands for
-    all M rows; queries outside the grid take `fill`.
+    Built once per query set, it interpolates (M, N) tables on the same grid
+    at those queries, column j at row j, or one (1, N) row that stands for
+    every column. A table is read through one flat index, the first node
+    `start + j N` of column j, and the four stencil values are the table's
+    flattened entries at that index plus 0, 1, 2 and 3. With fill=0.0 the
+    weights are zero at queries outside the grid; fill='error' raises there.
     """
 
-    idx: np.ndarray
+    start: np.ndarray
     weights: tuple[np.ndarray, ...]
-    inside: np.ndarray
-    fill: float | str
+    size: int
 
     @staticmethod
     def build(grid: TGrid, x: np.ndarray, fill: float | str = 0.0) -> "CubicStencil":
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
-            raise ValueError("need row-aligned queries (M, K)")
+            raise ValueError("need column-aligned queries (K, M)")
+        if fill not in (0.0, "error"):
+            raise ValueError("fill must be 0.0 or 'error'")
         inside = (x >= grid.a) & (x <= grid.b)
-        if isinstance(fill, str):
-            if fill != "error":
-                raise ValueError("fill must be a float or 'error'")
-            if not np.all(inside):
-                raise ValueError("interpolation point outside grid range")
-        idx, s = _cubic_cells(grid, np.where(inside, x, grid.a))
-        return CubicStencil(idx, _cubic_weights(s), inside, fill)
+        everywhere = np.all(inside)
+        if fill == "error" and not everywhere:
+            raise ValueError("interpolation point outside grid range")
+        cell, s = _cubic_cells(grid, x if everywhere else np.where(inside, x, grid.a))
+        weights = _cubic_weights(s)
+        if not everywhere:
+            for w in weights:
+                w *= inside
+        cell -= 1
+        return CubicStencil(cell, weights, grid.n)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        """Interpolate the rows of values (M, N): row i at the queries of row i.
-
-        One row (1, N) is interpolated at the queries of every row.
+        """Interpolate values (M, N), or one row (1, N), or a stack (k, M, N)
+        or (k, 1, N) of such tables: (K, M) resp. (k, K, M).
         """
         values = np.asarray(values, dtype=float)
-        if values.ndim != 2 or values.shape[0] not in (1, self.idx.shape[0]):
-            raise ValueError("need values (M, N) aligned with the query rows, or one row")
-        out = np.zeros(self.idx.shape)
-        for k, off in enumerate((-1, 0, 1, 2)):
-            out += self.weights[k] * np.take_along_axis(values, self.idx + off, axis=1)
-        if not isinstance(self.fill, str):
-            out = np.where(self.inside, out, self.fill)
-        return out
+        K, M = self.start.shape
+        if values.ndim not in (2, 3) or values.shape[-2:] not in ((M, self.size), (1, self.size)):
+            raise ValueError("need values (M, N) aligned with the query columns, or one row")
+        tables = np.ascontiguousarray(values.reshape(-1, *values.shape[-2:]))
+        base = self.start if tables.shape[1] == 1 else self.start + np.arange(M) * self.size
+        out = np.empty((tables.shape[0], K, M))
+        term = np.empty((K, M))
+        # the cells keep every index in range; mode="clip" only spares the
+        # buffered copy that mode="raise" makes of `out`
+        for table, acc in zip(tables, out):
+            flat = table.ravel()
+            np.take(flat, base, out=acc, mode="clip")
+            acc *= self.weights[0]
+            for k in (1, 2, 3):
+                np.take(flat[k:], base, out=term, mode="clip")
+                term *= self.weights[k]
+                acc += term
+        return out if values.ndim == 3 else out[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gamma
 
 from geomeans import spaces
 from geomeans.forward import MeanData, default_tgrid, epd_trace_sphere, forward_means
 from geomeans.inversion import (
+    _BLOCK_CELLS,
     _chart_coefficients,
     backproject,
     chart_box_grid,
@@ -14,7 +16,15 @@ from geomeans.inversion import (
     phantom_integral,
     riesz_potential,
 )
-from geomeans.numerics import TGrid, d_operator_matrix, diff_matrix, laplacian_fd, log_kernel_table
+from geomeans.numerics import (
+    TGrid,
+    _cubic_cells,
+    _cubic_weights,
+    d_operator_matrix,
+    diff_matrix,
+    laplacian_fd,
+    log_kernel_table,
+)
 from geomeans.phantoms import Bump, Phantom, bump_profile
 from geomeans.spaces import EUCLIDEAN, HYPERBOLIC, SPHERE, SpaceSpec, boundary_grid
 
@@ -115,6 +125,91 @@ def test_backproject_stack_equals_single_calls(space):
                           backproject(bd, tg, tiled[0], x, fill=0.0))
     assert np.array_equal(backproject(bd, tg, one, x, fill=0.0),
                           backproject(bd, tg, tiled, x, fill=0.0))
+
+
+def _backproject_reference(boundary, grid, F, x, fill):
+    """The back-projection by the route without blocks or a flat index: the
+    broadcast distance resp. pairing on (centres, points), every point in one
+    block, the four stencil values read with take_along_axis and the fill
+    applied with np.where."""
+    F = np.atleast_2d(np.asarray(F, dtype=float))
+    tables = F if F.ndim == 3 else F[None]
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    space, centers = boundary.space, boundary.centers
+    if space.kind == EUCLIDEAN:
+        args = np.linalg.norm(centers[:, None, :] - x[None, :, :], axis=-1)
+    else:
+        args = spaces.pairing(space, centers[:, None, :], x[None, :, :])
+    inside = (args >= grid.a) & (args <= grid.b)
+    if fill == "error" and not np.all(inside):
+        raise ValueError("interpolation point outside grid range")
+    idx, s = _cubic_cells(grid, np.where(inside, args, grid.a))
+    out = []
+    for table in tables:
+        vals = np.zeros(idx.shape)
+        for w, off in zip(_cubic_weights(s), (-1, 0, 1, 2)):
+            vals += w * np.take_along_axis(table, idx + off, axis=1)
+        out.append(boundary.weights @ np.where(inside, vals, 0.0))
+    return np.array(out) if F.ndim == 3 else out[0]
+
+
+def _interior_points(space, count, scale, rng):
+    """count random points of the ball of chart radius scale * R, on the space."""
+    xp = rng.standard_normal((count, space.n))
+    xp *= scale * space.chart_radius * rng.uniform(0.0, 1.0, (count, 1)) ** (1.0 / space.n) \
+        / np.linalg.norm(xp, axis=1, keepdims=True)
+    return spaces.lift(space, xp)
+
+
+BLOCK_POINTS_800 = _BLOCK_CELLS // 800
+
+
+@pytest.mark.parametrize("space,m,rows,k,count", [
+    (E2, 64, "m", None, 200),
+    (E2, 64, 1, None, 200),
+    (E3, 800, "m", None, 2 * BLOCK_POINTS_800 + 3),
+    (E3, 800, 1, None, 2 * BLOCK_POINTS_800 + 3),
+    (E3, 800, "m", None, 1),
+    (SpaceSpec(EUCLIDEAN, 4, 1.0), 500, "m", None, 150),
+    (SpaceSpec(EUCLIDEAN, 4, 1.0), 500, 1, None, 150),
+    (SpaceSpec(SPHERE, 2, 0.8), 64, "m", 3, 200),
+    (SpaceSpec(SPHERE, 3, 0.8), 800, "m", 3, 2 * BLOCK_POINTS_800 + 3),
+    (SpaceSpec(HYPERBOLIC, 2, 0.8), 64, "m", 3, 200),
+    (SpaceSpec(HYPERBOLIC, 3, 0.8), 800, 1, 3, 2 * BLOCK_POINTS_800 + 3),
+    (SpaceSpec(HYPERBOLIC, 3, 0.8), 800, "m", 3, 1),
+])
+@pytest.mark.parametrize("coverage", ["full", "partial"])
+def test_backproject_matches_reference(space, m, rows, k, count, coverage):
+    # the blocked, flat-index gather against the one-block route. A partial
+    # grid leaves some arguments off the grid, which fill=0.0 zeroes. Table
+    # entries are positive, so no point's average cancels to a few ulps
+    rng = np.random.default_rng(11)
+    bd = boundary_grid(space, m)
+    grid = default_tgrid(space, 128)
+    fill = "error"
+    if coverage == "partial":
+        lo, hi = space.tgrid_range
+        grid, fill = TGrid.linspace(lo + 0.2 * (hi - lo), lo + 0.7 * (hi - lo), 128), 0.0
+    shape = (bd.m if rows == "m" else 1, grid.n)
+    tables = rng.uniform(0.5, 1.5, shape if k is None else (k,) + shape)
+    x = _interior_points(space, count, 0.9, rng)
+    got = backproject(bd, grid, tables, x, fill=fill)
+    ref = _backproject_reference(bd, grid, tables, x, fill)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_backproject_block_of_one_point():
+    # more centres than a block has cells: each block holds one point
+    m = _BLOCK_CELLS + 7
+    rng = np.random.default_rng(12)
+    bd = boundary_grid(E2, m)
+    grid = TGrid(np.linspace(0.0, 2.0, 16))
+    x = _interior_points(E2, 5, 0.9, rng)
+    for tables in (rng.uniform(0.5, 1.5, (m, grid.n)), rng.uniform(0.5, 1.5, (1, grid.n))):
+        got = backproject(bd, grid, tables, x, fill="error")
+        ref = _backproject_reference(bd, grid, tables, x, "error")
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +437,18 @@ def test_curved_interior_guard():
         invert(data, rim)
 
 
+@pytest.mark.parametrize("space,point", [(E2, [1.5, 0.0]), (E3, [1.5, 0.0, 0.0]),
+                                         (E3, [0.0, 1.0, 0.0])])
+def test_euclidean_interior_guard(space, point):
+    # points on or outside the boundary sphere are named, not reconstructed
+    bd = boundary_grid(space, 200)
+    tg = default_tgrid(space, 300)
+    data = forward_means(bump_at(space, [0.2, 0.1, 0.0][:space.n], 0.3), bd, tg)
+    x = np.array([[0.1] * space.n, point])
+    with pytest.raises(ValueError, match=r"strictly inside the ball of radius 1; \[" + str(point[0])):
+        invert(data, x)
+
+
 def test_hyperbolic_prefactor_is_origin_neutral():
     # at the origin of the hyperboloid the prefactor reduces to d_n/sinh R
     spec = SpaceSpec(HYPERBOLIC, 2, 0.8)
@@ -420,3 +527,70 @@ def test_invert_rejects_lower_sheet_points():
     assert invert(data, x)[0] == 0.0
     with pytest.raises(ValueError, match="lower sheet"):
         invert(data, x * np.array([1.0, 1.0, 1.0, -1.0]))
+
+
+# ---------------------------------------------------------------------------
+# symmetries of the boundary grid
+# ---------------------------------------------------------------------------
+
+def _azimuth_symmetries(space, m):
+    """The rotation by one azimuth step and the reflection of the azimuth,
+    as matrices on ambient points. The azimuth is the angle in the plane of
+    the last two chart coordinates, with m steps for n = 2 and 2p steps for
+    the product rule of order p = floor((m/2)^(1/(n-1))) in n >= 3."""
+    n, dim = space.n, space.ambient_dim
+    steps = m if n == 2 else 2 * int(np.floor((m / 2.0) ** (1.0 / (n - 1)) + 1e-9))
+    c, s = np.cos(2.0 * np.pi / steps), np.sin(2.0 * np.pi / steps)
+    rotation, reflection = np.eye(dim), np.eye(dim)
+    rotation[n - 2:n, n - 2:n] = [[c, -s], [s, c]]
+    reflection[n - 1, n - 1] = -1.0
+    return {"rotation": rotation, "reflection": reflection}
+
+
+def _centre_permutation(boundary, g):
+    """q with g xi_j = xi_{q[j]}, found by matching the moved centres."""
+    moved = boundary.centers @ g.T
+    dist = np.linalg.norm(moved[:, None, :] - boundary.centers[None, :, :], axis=-1)
+    q = np.argmin(dist, axis=1)
+    assert np.max(dist[np.arange(boundary.m), q]) < 1e-12
+    assert np.array_equal(np.sort(q), np.arange(boundary.m))
+    return q
+
+
+@pytest.mark.parametrize("space,m,symmetry", [
+    (E2, 64, "rotation"),
+    (E3, 128, "rotation"),
+    (E3, 128, "reflection"),
+    (SpaceSpec(SPHERE, 3, 0.8), 128, "rotation"),
+    (SpaceSpec(SPHERE, 3, 0.8), 128, "reflection"),
+    (SpaceSpec(HYPERBOLIC, 3, 0.8), 128, "rotation"),
+    (SpaceSpec(HYPERBOLIC, 3, 0.8), 128, "reflection"),
+])
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_forward_and_invert_are_equivariant(space, m, symmetry, seed):
+    # g maps the boundary grid onto itself: the means of g.phantom are the
+    # permuted rows, and the permuted rows reconstruct at g.x what the rows
+    # reconstruct at x
+    rng = np.random.default_rng(seed)
+    bd = boundary_grid(space, m)
+    tg = default_tgrid(space, 128)
+    g = _azimuth_symmetries(space, m)[symmetry]
+    q = _centre_permutation(bd, g)
+    assert np.max(np.abs(bd.weights[q] - bd.weights)) <= 1e-15
+    chart_c = rng.standard_normal(space.n)
+    chart_c *= rng.uniform(0.0, 0.3) * space.chart_radius / np.linalg.norm(chart_c)
+    ph = bump_at(space, chart_c, 0.3)
+    moved = Phantom(space, tuple(Bump(g @ b.center, b.geodesic_radius, b.amplitude)
+                                 for b in ph.bumps))
+    data = forward_means(ph, bd, tg)
+    moved_rows = forward_means(moved, bd, tg).values
+    assert np.max(np.abs(moved_rows[q] - data.values)) <= 1e-12 * np.max(np.abs(data.values))
+    permuted = np.empty_like(data.values)
+    permuted[q] = data.values
+    x = _interior_points(space, 20, 0.8, rng)
+    rec = invert(data, x)
+    moved_rec = invert(MeanData(space, bd, tg, permuted), x @ g.T)
+    assert np.linalg.norm(moved_rec - rec) <= 1e-12 * np.linalg.norm(rec)
+    zero = MeanData(space, bd, tg, np.zeros_like(permuted))
+    assert np.all(invert(zero, x) == 0.0)

@@ -102,7 +102,7 @@ def test_darboux_radial_operator(grid):
 
 def interp(samples, grid, x):
     """Cubic interpolant of one row of samples at the points x, zero outside the grid."""
-    return CubicStencil.build(grid, np.asarray(x, dtype=float)[None, :])(samples[None, :])[0]
+    return CubicStencil.build(grid, np.asarray(x, dtype=float)[:, None])(samples[None, :])[:, 0]
 
 
 def graded_panels_reference(a, b, singular, order=16):
