@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from math import gamma
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma
 
 from . import spaces, special_verify as sv
 from .forward import default_tgrid, forward_means

@@ -10,20 +10,13 @@ from the numerics module.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from math import gamma
 
 import numpy as np
-from scipy.special import gamma, roots_jacobi
 
-from .numerics import TGrid, quintic_interp, d_operator_matrix, diff_matrix
+from .numerics import TGrid, d_operator_matrix, diff_matrix, gauss_jacobi, quintic_interp
 
 __all__ = ["ek_matrix", "ek_ac_matrix", "rl_matrix"]
-
-
-@lru_cache(maxsize=64)
-def _jacobi_rule(order: int, a: float, b: float):
-    x, w = roots_jacobi(order, a, b)
-    return x, w
 
 
 def _ek_rule(eta: float, alpha: float, order: int):
@@ -33,7 +26,7 @@ def _ek_rule(eta: float, alpha: float, order: int):
 
     where s = sqrt(1-c^2) = r/t is the radial fraction.
     """
-    x, w = _jacobi_rule(order, eta, 2.0 * alpha - 1.0)
+    x, w = gauss_jacobi(order, eta, 2.0 * alpha - 1.0)
     c = 0.5 * (1.0 + x)
     F = w * 2.0 ** (-2.0 * alpha - eta) * (1.0 + c) ** eta
     s = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
@@ -133,7 +126,7 @@ def rl_matrix(samples: np.ndarray, grid: TGrid, alpha: float, order: int = 192) 
         inner = samples if rem == 0 else rl_matrix(samples, grid, rem, order)
         return (-1.0) ** m * diff_matrix(inner, grid, m)
     t = grid.values
-    x, w = _jacobi_rule(order, 0.0, alpha - 1.0)
+    x, w = gauss_jacobi(order, 0.0, alpha - 1.0)
     v = 0.5 * (1.0 + x)
     F = w * 2.0 ** (-alpha)
     span = (grid.b - t)[:, None]

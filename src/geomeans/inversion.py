@@ -15,9 +15,9 @@ potentials used as independent cross-checks, and report helpers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gamma
 
 import numpy as np
-from scipy.special import gamma
 
 from . import spaces
 from .forward import MeanData

@@ -15,11 +15,11 @@ kernel bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gamma
 
 import numpy as np
-from scipy.special import gamma, roots_jacobi
 
-from .numerics import gauss_legendre
+from .numerics import gauss_jacobi, gauss_legendre
 
 __all__ = [
     "EUCLIDEAN",
@@ -205,7 +205,7 @@ def unit_sphere_rule(d: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     if k == 1:
         u, wu = gauss_legendre(order, -1.0, 1.0)
     else:
-        u, wu = roots_jacobi(order, (k - 1) / 2.0, (k - 1) / 2.0)
+        u, wu = gauss_jacobi(order, (k - 1) / 2.0, (k - 1) / 2.0)
     s = np.sqrt(1.0 - u ** 2)
     pts = np.concatenate(
         [u[:, None, None] * np.ones((1, sub_pts.shape[0], 1)),

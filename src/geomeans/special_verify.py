@@ -15,11 +15,10 @@ to check against its exact value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, gamma
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma, rgamma
 
 from .numerics import gauss_legendre, graded_panels
 
@@ -88,9 +87,10 @@ def hyp2f1_regularized(a: float, b: float, c: float, z: float, tol: float = 1e-1
             coeff *= (a + i) * (b + i) / (i + 1.0)
             if coeff == 0.0:
                 return 0.0
-        term = coeff * z ** k0 * rgamma(round(c) + k0)
+        # the first surviving term's 1/Gamma(c + k0), taken at round(c) + k0 = 1
+        term = coeff * z ** k0
     else:
-        term = rgamma(c)
+        term = 1.0 / gamma(c)
     total = 0.0
     small = 0
     for k in range(k0, max_terms + k0):

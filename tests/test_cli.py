@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -308,6 +311,35 @@ def test_roundtrip_command_deterministic(tmp_path):
     header, rows, footer = read_report(str(out1))
     assert header == ["x_1", "x_2", "f_true", "f_rec"]
     assert float(footer["rel_l2"]) < 0.03
+
+
+NO_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # any scipy import now raises
+from geomeans.cli import main
+codes = [main(["roundtrip", "--config", cfg, "--out", out])
+         for cfg, out in zip(sys.argv[1::2], sys.argv[2::2])]
+loaded = [name for name, mod in sys.modules.items() if name.startswith("scipy") and mod]
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_roundtrips_run_without_scipy(tmp_path):
+    # euclid4 builds the Gauss-Jacobi boundary rule, epd_sphere3 the
+    # Riemann-Liouville rule; numpy is the only runtime dependency
+    import geomeans
+
+    src = str(Path(geomeans.__file__).resolve().parents[1])
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    args = []
+    for name in ("euclid4", "epd_sphere3"):
+        args += [str(configs / f"{name}.json"), str(tmp_path / f"{name}.csv")]
+    run = subprocess.run([sys.executable, "-c", NO_SCIPY, *args], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result == {"codes": [0, 0], "loaded": []}
 
 
 def test_forward_invert_pipeline(tmp_path):

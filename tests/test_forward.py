@@ -129,6 +129,37 @@ def test_radial_part_skips_only_empty_rows(space):
     assert grazing > 0
 
 
+@pytest.mark.parametrize("space", [E3, S2, S3, H2, SpaceSpec(HYPERBOLIC, 3, 0.8)])
+def test_sections_skip_only_rows_that_miss_the_support(space):
+    # phantoms and radial fields skip the sections that miss every part's
+    # support; the same field as a plain callable takes every row. The
+    # hard-edged part's scales put its tangent sections 1e-12 inside or
+    # outside a grid node.
+    from geomeans.forward import _rows_meeting_support, forward_field_profile
+    from geomeans.phantoms import RadialField
+
+    from_t = {EUCLIDEAN: lambda v: v, SPHERE: np.arccos, HYPERBOLIC: np.arccosh}[space.kind]
+    center = boundary_grid(space, 12).centers[3]
+    toward = spaces.chart(space, center) / np.linalg.norm(spaces.chart(space, center))
+    near, far = spaces.lift(space, 0.3 * toward), spaces.lift(space, -0.2 * toward)
+    tg = default_tgrid(space, 128)
+    r = from_t(tg.values)
+    d = float(spaces.geodesic_distance(space, center, near))
+    inner = np.searchsorted(r, d - 0.2) if space.kind != SPHERE else np.searchsorted(-r, 0.2 - d)
+    hard_edge = lambda s: np.where(s < 1.0, 1.0 + s, 0.0)
+    fields = [Phantom(space, (Bump(near, 0.15, 1.0), Bump(far, 0.1, 0.5)))]
+    for eps in (-1e-12, 1e-12):
+        fields.append(RadialField(space, ((near, abs(d - r[inner]) + eps, hard_edge),
+                                          (far, 0.1, hard_edge))))
+    for field in fields:
+        got = forward_field_profile(field, space, center, tg, 12)
+        ref = forward_field_profile(lambda x: field(x), space, center, tg, 12)
+        skipped = np.setdiff1d(np.arange(tg.n), _rows_meeting_support(field, space, center, tg.values))
+        assert 0 < skipped.size < tg.n
+        assert np.all(got[skipped] == 0.0) and np.all(ref[skipped] == 0.0)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 def test_sections_self_convergence_broad_bump():
     # resolved sections change by < 1e-8 when the order doubles
     ph = bump_at(E3, [0.0, 0.0, 0.0], 0.6)

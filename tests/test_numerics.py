@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from geomeans.numerics import (
     d_operator_matrix,
     darboux_L_matrix,
     diff_matrix,
+    gauss_jacobi,
     gauss_legendre,
     graded_panel_rule,
     graded_panels,
@@ -30,6 +33,74 @@ def test_gauss_legendre_exactness_degree3():
 def test_gauss_legendre_exp():
     x, w = gauss_legendre(20, 0.0, 1.0)
     assert abs(np.dot(w, np.exp(x)) - (np.e - 1.0)) < 1e-14
+
+
+def chebyshev_u_rule(n):
+    th = np.arange(n, 0, -1) * np.pi / (n + 1)
+    return np.cos(th), np.pi / (n + 1) * np.sin(th) ** 2
+
+
+def chebyshev_t_rule(n):
+    th = (2 * np.arange(n, 0, -1) - 1) * np.pi / (2 * n)
+    return np.cos(th), np.full(n, np.pi / n)
+
+
+# Relative weight tolerances over orders 2..256. Against the closed forms
+# the rule stays within 1.5e-12, where scipy's roots_jacobi is off by up
+# to 1.9e-10 for Chebyshev U (its Chebyshev T rule is the closed form).
+# numpy's leggauss is itself off by 4.2e-11 at order 192 against a 40-digit
+# reference, and the rule and scipy differ from it by up to 1.6e-10 and
+# 2.8e-10; the moment test below holds the Legendre case to 3e-12.
+@pytest.mark.parametrize("a,b,reference,rtol", [
+    (0.5, 0.5, chebyshev_u_rule, 2e-12),
+    (-0.5, -0.5, chebyshev_t_rule, 2e-12),
+    (0.0, 0.0, np.polynomial.legendre.leggauss, 2e-10),
+])
+def test_gauss_jacobi_matches_closed_forms(a, b, reference, rtol):
+    for order in range(2, 257):
+        x, w = gauss_jacobi(order, a, b)
+        x_ref, w_ref = reference(order)
+        assert np.max(np.abs(x - x_ref)) <= 1e-15
+        assert np.max(np.abs(w / w_ref - 1.0)) <= rtol
+
+
+# (a, b) of every Gauss-Jacobi rule that the package and its tests build:
+# the n = 4, 5 boundary sphere rules ((k-1)/2, (k-1)/2), k = 2, 3; the
+# Erdelyi-Kober rules (eta, 2 alpha - 1) of the trace configs, criteria 6
+# and 13 and the fractional and forward tests; and the Riemann-Liouville
+# rules (0, alpha - 1) of the cap traces and tests, alpha = 1e-3 included.
+JACOBI_PAIRS = [
+    (0.5, 0.5), (1.0, 1.0),
+    (-0.5, 1.0), (0.5, 1.0), (0.5, 3.0), (0.5, 0.0), (0.5, 2.0), (1.0, 0.0),
+    (2.0, 0.0), (1.5, 1.0), (0.0, 1.0), (-0.5, 0.0), (0.5, -0.998),
+    (0.5, -0.4), (-0.5, 2.4), (0.5, 0.2), (0.5, -0.2),
+    (0.0, 0.0), (0.0, -0.5), (0.0, 0.5), (0.0, 1.3), (0.0, -0.999),
+]
+
+
+@pytest.mark.parametrize("a,b", JACOBI_PAIRS)
+def test_gauss_jacobi_integrates_beta_moments(a, b):
+    # sum w (1+x)^j = 2^(a+b+j+1) B(a+1, b+j+1) for every j <= 2 order - 1;
+    # the reference itself is good to about 1e-12 at j = 511
+    for order in (2, 3, 4, 5, 8, 13, 24, 64, 128, 192, 255, 256):
+        x, w = gauss_jacobi(order, a, b)
+        j = np.arange(2 * order)
+        ref = np.exp([(a + b + k + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
+                      + math.lgamma(b + k + 1.0) - math.lgamma(a + b + k + 2.0) for k in j])
+        got = w @ (1.0 + x[:, None]) ** j
+        assert np.max(np.abs(got / ref - 1.0)) <= 3e-12
+
+
+def test_gauss_jacobi_one_node_and_argument_checks():
+    # one node: the weight's mean (b - a) / (a + b + 2), carrying its integral
+    x, w = gauss_jacobi(1, 0.3, -0.2)
+    mu0 = 2.0 ** 1.1 * math.gamma(1.3) * math.gamma(0.8) / math.gamma(2.1)
+    assert abs(x[0] + 0.5 / 2.1) < 1e-16 and abs(w[0] - mu0) < 1e-15
+    assert gauss_jacobi(24, 0.5, 1.0)[0] is gauss_jacobi(24, 0.5, 1.0)[0]
+    assert not gauss_jacobi(24, 0.5, 1.0)[1].flags.writeable
+    for args in ((0, 0.0, 0.0), (4, -1.0, 0.0), (4, 0.0, -1.5)):
+        with pytest.raises(ValueError):
+            gauss_jacobi(*args)
 
 
 def test_tgrid_validation():
@@ -290,6 +361,11 @@ def test_log_kernel_table_matches_closed_form(a, kernel):
 @pytest.mark.parametrize("a,s", [
     (-1.0, 0.0),    # grid through 0: the slivers at |s| and -|s| coincide
     (-1.0, 0.4),    # grid through 0: a sliver around the negative point -|s|
+    # grid through 0, 0 < |s| < eps = 2e-10: the slivers at |s| and -|s| overlap
+    (-1.0, 1e-11),
+    (-1.0, 5e-11),
+    (-1.0, 1e-10),
+    (-1.0, 1.9e-10),
     (1e-12, 5e-9),  # positive grid, eps < |s| < 1e-8: the moment of log|t+|s|| is not eps's
 ])
 def test_log_kernel_sliver_moment_near_zero(a, s):
