@@ -35,13 +35,15 @@ _T_CHUNK = 96
 # Gauss-Legendre nodes of the exact profile on each part's support window
 _EXACT_ORDER = 64
 
-# sections x nodes per block of the exact profile: a support window runs in
-# the fewest blocks within this budget, of near-equal length. A whole window
-# in one block made temporaries of about 128 KiB, the C allocator's threshold
-# for fresh page mappings, and the 800-centre forward of configs/euclid3.json
-# took about 154 000 minor page faults (0.2 s); blocks of at most 60 KiB reuse
-# heap memory and take about 400, and 64 KiB blocks sometimes faulted again.
-# Smaller blocks add per-block overhead on the 128-centre n = 2 configs.
+# sections x nodes per block of the exact profile: the live sections of a
+# block of centres run in the fewest blocks within this budget, of near-equal
+# length, and a block of centres holds at most this many sections. A whole
+# support window in one block made temporaries of about 128 KiB, the C
+# allocator's threshold for fresh page mappings, and the 800-centre forward
+# of configs/euclid3.json took about 154 000 minor page faults (0.2 s);
+# blocks of at most 60 KiB reuse heap memory and take about 400, and 64 KiB
+# blocks sometimes faulted again. Smaller blocks add per-block overhead on
+# the 128-centre n = 2 configs.
 _EXACT_BLOCK_CELLS = 7680
 
 
@@ -129,63 +131,89 @@ def forward_field_profile(field, space: SpaceSpec, center: np.ndarray, tgrid: TG
     return out
 
 
-def _radial_part_profile(space: SpaceSpec, center: np.ndarray, part_center: np.ndarray,
-                         scale: float, fn, tgrid: TGrid, order: int) -> np.ndarray:
-    """Section means of one radial part, via exact azimuthal reduction.
-
-    On the section at parameter t the distance to the part center depends
-    only on the cosine u of one angle, with density proportional to
-    (1-u^2)^{(n-3)/2}; the remaining 1-D integral runs over the support
-    window of the part, so a Gauss rule on that window is exactly resolved.
-    """
-    n = space.n
-    t = tgrid.values
-    if space.kind == spaces.EUCLIDEAN:
-        d = float(np.linalg.norm(center - part_center))
-
-        def dist(rows, u):
-            tt = t[rows, None]
-            return np.sqrt(np.maximum(tt ** 2 + d ** 2 - 2.0 * tt * d * u, 0.0))
-
-        u_star = (t ** 2 + d ** 2 - scale ** 2) / (2.0 * t * d)
-    else:
-        # On the section (center, y) = t, (part_center, y) = t a + kappa B u,
-        # with a the pairing of the two centres and B the product of sin_k of
-        # the section's radius and of the centres' distance; the part's
-        # support ends where this pairing reaches cos_k(scale).
-        k = space.curvature
-        a = float(spaces.pairing(space, center, part_center))
-        B = np.sqrt(np.maximum(k * (1.0 - t ** 2), 0.0)) * np.sqrt(max(k * (1.0 - a ** 2), 0.0))
-
-        def dist(rows, u):
-            return space.arc_k(t[rows, None] * a + k * B[rows, None] * u)
-
-        u_star = k * (space.cos_k(scale) - t * a) / np.maximum(B, 1e-300)
-    phi_max = np.arccos(np.clip(u_star, -1.0, 1.0))
-    # sections that miss the support (phi_max = 0) have mean exactly 0
-    live = np.flatnonzero(phi_max > 0)
-    out = np.zeros(t.size)
-    x, w = gauss_legendre(order, 0.0, 1.0)
-    ratio = float(gamma(n / 2.0) / (np.sqrt(np.pi) * gamma((n - 1) / 2.0)))
-    blocks = -(-live.size * order // _EXACT_BLOCK_CELLS)
-    step = -(-live.size // blocks) if blocks else 1
-    for lo in range(0, live.size, step):
-        rows = live[lo:lo + step]
-        pm = phi_max[rows]
-        phi = pm[:, None] * x[None, :]
-        u = np.cos(phi)
-        vals = fn(dist(rows, u) / scale) * np.sin(phi) ** (n - 2)
-        out[rows] = ratio * pm * (vals @ w)
+def _half_power(v: np.ndarray, k: int) -> np.ndarray:
+    """v ** (k/2) for an integer k = -1 or k >= 1, from products and at most
+    one sqrt, which numpy runs far faster than a general power."""
+    if k < 0:
+        return 1.0 / np.sqrt(v)
+    out = np.sqrt(v) if k % 2 else None
+    for _ in range(k // 2):
+        out = v if out is None else out * v
     return out
 
 
-def _exact_means_row(field: RadialField, center: np.ndarray, tgrid: TGrid,
+def _radial_part_profile(space: SpaceSpec, centers: np.ndarray, part_center: np.ndarray,
+                         scale: float, fn, tgrid: TGrid, order: int,
+                         out: np.ndarray) -> np.ndarray:
+    """Section means of one radial part at the centres (m, dim), added into
+    the C-contiguous `out` (m, N) and returned in it, via the exact
+    half-angle reduction.
+
+    On the section of radius r about a centre at distance d from the part's
+    centre, let phi be the angle at the centre between a section point and
+    the part's centre, and sigma = sin(phi/2). The point's distance D from
+    the part's centre obeys sin_k(D/2)^2 = sin_k(rho/2)^2 + B sigma^2, with
+    rho = |r - d| and B = sin_k(r) sin_k(d) (D^2 = rho^2 + 4 r d sigma^2 in
+    R^n), and the section's normalised measure is
+    c_n 2^{n-1} sigma^{n-2} (1 - sigma^2)^{(n-3)/2} dsigma. The part's
+    support D < scale is the window sigma < sigma_max with
+    B sigma_max^2 = sin_k((scale + rho)/2) sin_k((scale - rho)/2), empty
+    unless rho < scale; a Gauss rule on the window resolves the part exactly.
+    Every centre must lie outside the support (d > scale): then
+    sigma_max^2 < 1/2 and the weight is analytic on the window.
+    """
+    n, k = space.n, space.curvature
+    t = tgrid.values
+    if k == 0:
+        r, sin_r = t, t
+        d = np.linalg.norm(centers - part_center, axis=-1)
+        sin_d = d
+        half_arc = np.sqrt
+    else:
+        a = spaces.pairing(space, centers, part_center)
+        r, d = space.arc_k(t), space.arc_k(a)
+        sin_r = np.sqrt(np.maximum(k * (1.0 - t ** 2), 0.0))
+        sin_d = np.sqrt(np.maximum(k * (1.0 - a ** 2), 0.0))
+        half_arc = (lambda q: np.arcsin(np.sqrt(q))) if k > 0 else (lambda q: np.arcsinh(np.sqrt(q)))
+    if np.any(d <= scale):
+        raise ValueError(f"the radial part at {part_center} with scale {scale} contains a "
+                         "boundary centre; the exact profile needs every centre outside "
+                         "every part's support")
+    x, w = gauss_legendre(order, 0.0, 1.0)
+    x2 = x * x
+    wx = w * x ** (n - 2)
+    const = 2.0 ** (n - 1) * gamma(n / 2.0) / (np.sqrt(np.pi) * gamma((n - 1) / 2.0))
+    flat = out.reshape(-1)
+    per_block = max(1, _EXACT_BLOCK_CELLS // t.size)
+    for c0 in range(0, centers.shape[0], per_block):
+        rho = np.abs(r[None, :] - d[c0:c0 + per_block, None]).ravel()
+        # sections that miss the support (rho >= scale) have mean exactly 0
+        live = np.flatnonzero(rho < scale)
+        i, j = np.divmod(live, t.size)
+        rho = rho[live]
+        h0 = space.sin_k(0.5 * rho) ** 2
+        A = space.sin_k(0.5 * (scale + rho)) * space.sin_k(0.5 * (scale - rho))
+        sm2 = A / (sin_d[c0 + i] * sin_r[j])
+        sums = np.empty(live.size)
+        blocks = -(-live.size * order // _EXACT_BLOCK_CELLS)
+        step = -(-live.size // blocks) if blocks else 1
+        for lo in range(0, live.size, step):
+            sl = slice(lo, lo + step)
+            vals = fn(half_arc(h0[sl, None] + A[sl, None] * x2) * (2.0 / scale))
+            if n != 3:
+                vals = vals * _half_power(1.0 - sm2[sl, None] * x2, n - 3)
+            sums[sl] = vals @ wx
+        flat[live + c0 * t.size] += const * _half_power(sm2, n - 1) * sums
+    return out
+
+
+def _exact_means_row(field: RadialField, centers: np.ndarray, tgrid: TGrid,
                      order: int) -> np.ndarray:
-    row = np.zeros(tgrid.n)
+    """Exact section means of a RadialField at the centres (m, dim): (m, N)."""
+    out = np.zeros((centers.shape[0], tgrid.n))
     for part_center, scale, fn in field.parts:
-        row += _radial_part_profile(field.space, center, part_center, scale, fn,
-                                    tgrid, order)
-    return row
+        _radial_part_profile(field.space, centers, part_center, scale, fn, tgrid, order, out)
+    return out
 
 
 def forward_means(phantom, boundary: BoundaryGrid, tgrid: TGrid,
@@ -193,10 +221,11 @@ def forward_means(phantom, boundary: BoundaryGrid, tgrid: TGrid,
     """Normalized means of the phantom over all (center, t) sections.
 
     profile='exact' (phantoms and radial fields) integrates each radial
-    part with the azimuthal reduction on `_EXACT_ORDER` nodes, which is exactly
-    resolved regardless of how small the part is; profile='sections' uses
-    the generic section quadrature of the given order. Fields radial about the space origin
-    give one profile broadcast to every center.
+    part with the half-angle reduction on `_EXACT_ORDER` nodes, which is
+    exactly resolved regardless of how small the part is, at all centres in
+    one call; profile='sections' uses the generic section quadrature of the
+    given order, centre by centre. Fields radial about the space origin give
+    one profile broadcast to every center.
     """
     if isinstance(phantom, Phantom):
         space = phantom.space
@@ -214,20 +243,17 @@ def forward_means(phantom, boundary: BoundaryGrid, tgrid: TGrid,
         raise TypeError("forward_means needs a Phantom or RadialField")
     if space != boundary.space:
         raise ValueError("phantom and boundary grid live in different spaces")
+    centers = boundary.centers[:1] if centered else boundary.centers
     if profile == "exact":
-        def row_for(center):
-            return _exact_means_row(field, center, tgrid, _EXACT_ORDER)
+        values = _exact_means_row(field, centers, tgrid, _EXACT_ORDER)
     elif profile == "sections":
-        def row_for(center):
-            return forward_field_profile(field, space, center, tgrid, order)
+        values = np.empty((centers.shape[0], tgrid.n))
+        for i, center in enumerate(centers):
+            values[i] = forward_field_profile(field, space, center, tgrid, order)
     else:
         raise ValueError("profile must be 'exact' or 'sections'")
     if centered:
-        values = np.tile(row_for(boundary.centers[0]), (boundary.m, 1))
-        return MeanData(space, boundary, tgrid, values)
-    values = np.empty((boundary.m, tgrid.n))
-    for i in range(boundary.m):
-        values[i] = row_for(boundary.centers[i])
+        values = np.tile(values, (boundary.m, 1))
     return MeanData(space, boundary, tgrid, values)
 
 

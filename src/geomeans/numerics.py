@@ -418,24 +418,39 @@ def _u_log_u(u: np.ndarray) -> np.ndarray:
         return np.where(u == 0.0, 0.0, u * np.log(np.abs(u)) - u)
 
 
-def _log_sliver_moments(c: np.ndarray, eps: float, kernel: str) -> np.ndarray:
-    """Integrals of the kernel over the slivers around the singular points c."""
+def _log_sliver_moments(c: np.ndarray, eps: float, kernel: str, a: float,
+                        b: float) -> np.ndarray:
+    """Integrals of the kernel over the slivers around the singular points c,
+    cut at the ends of the interval [a, b]."""
     base = 2.0 * eps * (np.log(eps) - 1.0)
+    lo, hi = c - eps, c + eps
     if kernel == "log|t-s|":
-        return np.full(c.shape, base)
-    # log|t^2-s^2| = log|t-c| + log|t+c| at c = +-|s|. On its own sliver
-    # (c-eps, c+eps) the first term gives base, the second exactly
-    # G(2c+eps) - G(2c-eps) with G(u) = u log|u| - u. For c >= 1e-8 the
-    # midpoint value 2 eps log(2c) differs from that by about eps (eps/2c)^2 / 3.
-    # For |s| < eps the slivers at |s| and -|s| overlap into the one excluded
-    # interval (-|s|-eps, |s|+eps), and each carries its own term over all of
-    # it: G(|s|+eps-c) - G(-|s|-eps-c), which is base at s = 0.
-    far = c >= 1e-8
-    exact = _u_log_u(2.0 * c + eps) - _u_log_u(2.0 * c - eps)
-    smooth = np.where(far, 2.0 * eps * np.log(2.0 * np.where(far, c, 1.0)), exact)
-    reach = np.abs(c) + eps
-    union = _u_log_u(reach - c) - _u_log_u(-reach - c)
-    return np.where(np.abs(c) < eps, union, base + smooth)
+        moments, partner = np.full(c.shape, base), np.zeros(c.shape, dtype=bool)
+    else:
+        # log|t^2-s^2| = log|t-c| + log|t+c| at c = +-|s|. On its own sliver
+        # (c-eps, c+eps) the first term gives base, the second exactly
+        # G(2c+eps) - G(2c-eps) with G(u) = u log|u| - u. For c >= 1e-8 the
+        # midpoint value 2 eps log(2c) differs from that by about eps (eps/2c)^2 / 3.
+        # For |s| < eps the slivers at |s| and -|s| overlap into the one excluded
+        # interval (-|s|-eps, |s|+eps), and each carries its own term over all of
+        # it: G(|s|+eps-c) - G(-|s|-eps-c), which is base at s = 0.
+        far = c >= 1e-8
+        exact = _u_log_u(2.0 * c + eps) - _u_log_u(2.0 * c - eps)
+        smooth = np.where(far, 2.0 * eps * np.log(2.0 * np.where(far, c, 1.0)), exact)
+        reach = np.abs(c) + eps
+        union = _u_log_u(reach - c) - _u_log_u(-reach - c)
+        partner = np.abs(c) >= eps
+        moments = np.where(partner, base + smooth, union)
+        lo, hi = np.where(partner, lo, -reach), np.where(partner, hi, reach)
+    # A sliver that reaches past a or b loses its panels there too, so it
+    # takes the integral over its part inside [a, b]: its own term, and the
+    # partner term where it carries one, exactly from G.
+    cut = (lo < a) | (hi > b)
+    if cut.any():
+        c, lo, hi = c[cut], np.maximum(lo[cut], a), np.minimum(hi[cut], b)
+        moments[cut] = (_u_log_u(hi - c) - _u_log_u(lo - c)
+                        + np.where(partner[cut], _u_log_u(hi + c) - _u_log_u(lo + c), 0.0))
+    return moments
 
 
 def _log_singular_points(s: np.ndarray, kernel: str) -> np.ndarray:
@@ -449,7 +464,7 @@ def _log_kernel_rows(grid: TGrid, s: np.ndarray, kernel: str, order: int) -> np.
     rule = graded_panel_rule(grid.a, grid.b, _log_singular_points(s, kernel), order)
     # each excluded sliver adds its kernel moment times the profile at its centre
     kv = np.concatenate([_log_kernel_values(rule.nodes, s[rule.owner], kernel) * rule.weights,
-                         _log_sliver_moments(rule.slivers, rule.eps, kernel)])
+                         _log_sliver_moments(rule.slivers, rule.eps, kernel, grid.a, grid.b)])
     bins, u = _cubic_cells(grid, np.concatenate([rule.nodes, rule.slivers]))
     bins += np.concatenate([rule.owner, rule.sliver_owner]) * grid.n
     del rule  # freed before the cubic weights are formed

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
-from geomeans import spaces
+from geomeans import forward, spaces
 from geomeans.forward import (
     default_tgrid,
     epd_trace_euclidean,
@@ -92,44 +92,208 @@ def _radial_part_profile_all_rows(space, center, part_center, scale, fn, tgrid, 
     return ratio * phi_max * (vals @ w), phi_max
 
 
-@pytest.mark.parametrize("space", [E3, S2, S3, H2, SpaceSpec(HYPERBOLIC, 3, 0.8)])
+# largest gap between the half-angle and the phi rule, relative to max, on
+# sections whose window is not grazing; measured 4.2e-14 (H^5), 2.9e-14
+# (H^3), at most 1.6e-14 in R^n and on the cap, mostly the phi rule's rounding
+PHI_RULE_GAP = 1e-13
+
+
+def _half_angle_all_rows(space, center, part_center, scale, fn, tgrid, order):
+    """Reference: the half-angle reduction evaluated on every t-row, with the
+    window sigma_max^2 = sin_k((scale+rho)/2) sin_k((scale-rho)/2) / B clipped
+    at 0 on the sections that miss the part's support; also returns
+    sigma_max^2."""
+    n = space.n
+    t = tgrid.values
+    if space.kind == EUCLIDEAN:
+        r, d = t, float(np.linalg.norm(center - part_center))
+        B = r * d
+        half_dist = lambda q: np.sqrt(q)
+    else:
+        k = space.curvature
+        a = float(spaces.pairing(space, center, part_center))
+        r, d = space.arc_k(t), float(space.arc_k(a))
+        B = np.sqrt(k * (1.0 - t ** 2)) * np.sqrt(k * (1.0 - a ** 2))
+        half_dist = (lambda q: np.arcsin(np.sqrt(q))) if k > 0 else (lambda q: np.arcsinh(np.sqrt(q)))
+    rho = np.abs(r - d)
+    A = np.maximum(space.sin_k((scale + rho) / 2.0) * space.sin_k((scale - rho) / 2.0), 0.0)
+    sm2 = A / B
+    x, w = gauss_legendre(order, 0.0, 1.0)
+    sigma = np.sqrt(sm2)[:, None] * x[None, :]
+    D = 2.0 * half_dist(space.sin_k(rho / 2.0)[:, None] ** 2 + B[:, None] * sigma ** 2)
+    vals = fn(D / scale) * sigma ** (n - 2) * (1.0 - sigma ** 2) ** ((n - 3) / 2.0)
+    c_n = float(gamma(n / 2.0) / (np.sqrt(np.pi) * gamma((n - 1) / 2.0)))
+    return c_n * 2.0 ** (n - 1) * np.sqrt(sm2) * (vals @ w), sm2
+
+
+def _part_toward(space, center, chart_radius):
+    """The point at `chart_radius` on the chart ray toward a boundary centre."""
+    toward = spaces.chart(space, center) / np.linalg.norm(spaces.chart(space, center))
+    return spaces.lift(space, chart_radius * toward)
+
+
+def _tangent_scales(space, center, part, t):
+    """Scales whose inner or outer tangent section sits on a grid node, 1e-12
+    inside or outside the support, plus one generic scale."""
+    to_t = {EUCLIDEAN: lambda r: r, SPHERE: np.cos, HYPERBOLIC: np.cosh}[space.kind]
+    from_t = {EUCLIDEAN: lambda v: v, SPHERE: np.arccos, HYPERBOLIC: np.arccosh}[space.kind]
+    d = float(spaces.geodesic_distance(space, center, part))
+    inner = np.searchsorted(t, to_t(d - 0.2))
+    outer = np.searchsorted(t, to_t(d + 0.2))
+    scales = [0.17]
+    for eps in (-1e-12, 1e-12):
+        scales.append(abs(d - from_t(t[inner])) + eps)
+        scales.append(abs(from_t(t[outer]) - d) + eps)
+    return scales
+
+
+# the bump vanishes to all orders at its edge; the hard-edged profile gives
+# grazing sections a nonzero mean
+def _hard_edge(s):
+    return np.where(s < 1.0, 1.0 + s, 0.0)
+
+
+SPACES = [E3, S2, S3, H2, SpaceSpec(HYPERBOLIC, 3, 0.8)]
+
+
+@pytest.mark.parametrize("space", SPACES)
 def test_radial_part_skips_only_empty_rows(space):
     # rows whose section misses the support are skipped; the others match
     # the every-row formula, also where the section only grazes the support
     from geomeans.forward import _radial_part_profile
     from geomeans.phantoms import bump_profile
 
-    to_t = {EUCLIDEAN: lambda r: r, SPHERE: np.cos, HYPERBOLIC: np.cosh}[space.kind]
     center = boundary_grid(space, 12).centers[3]
-    part = spaces.lift(space, 0.3 * spaces.chart(space, center) / np.linalg.norm(
-        spaces.chart(space, center)))
-    d = float(spaces.geodesic_distance(space, center, part))
+    part = _part_toward(space, center, 0.3)
     tg = default_tgrid(space, 128)
-    t = tg.values
-    # scales whose inner or outer tangent section sits on a grid node,
-    # just inside or just outside the support, plus one generic scale
-    inner = np.searchsorted(t, to_t(d - 0.2))
-    outer = np.searchsorted(t, to_t(d + 0.2))
-    from_t = {EUCLIDEAN: lambda v: v, SPHERE: np.arccos, HYPERBOLIC: np.arccosh}[space.kind]
-    scales = [0.17]
-    for eps in (-1e-12, 1e-12):
-        scales.append(abs(d - from_t(t[inner])) + eps)
-        scales.append(abs(from_t(t[outer]) - d) + eps)
-    # the bump vanishes to all orders at its edge; the hard-edged profile
-    # gives grazing sections a nonzero mean
-    hard_edge = lambda s: np.where(s < 1.0, 1.0 + s, 0.0)
     grazing = 0
-    for fn in (bump_profile, hard_edge):
-        for scale in scales:
-            got = _radial_part_profile(space, center, part, scale, fn, tg, 64)
-            ref, phi_max = _radial_part_profile_all_rows(space, center, part, scale, fn, tg, 64)
+    for fn in (bump_profile, _hard_edge):
+        for scale in _tangent_scales(space, center, part, tg.values):
+            got = _radial_part_profile(space, center[None], part, scale, fn, tg, 64,
+                                       np.zeros((1, tg.n)))[0]
+            ref, sm2 = _half_angle_all_rows(space, center, part, scale, fn, tg, 64)
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-            assert np.all(got[phi_max == 0.0] == 0.0)
+            assert np.all(got[sm2 == 0.0] == 0.0)
+            phi_max = 2.0 * np.arcsin(np.sqrt(sm2))
             grazing += int(np.count_nonzero((phi_max > 0) & (phi_max < 1e-4)))
     assert grazing > 0
 
 
-@pytest.mark.parametrize("space", [E3, S2, S3, H2, SpaceSpec(HYPERBOLIC, 3, 0.8)])
+@pytest.mark.parametrize("space", SPACES + [
+    SpaceSpec(EUCLIDEAN, 4, 1.0), SpaceSpec(EUCLIDEAN, 5, 1.0),
+    SpaceSpec(SPHERE, 4, 0.8), SpaceSpec(HYPERBOLIC, 5, 0.8)])
+def test_half_angle_rule_matches_phi_rule(space):
+    # the half-angle rule against the rule in the angle phi itself, on the
+    # sections whose window is not grazing (phi_max >= 1e-2); n = 4, 5 check
+    # the weight's powers of sigma and 1 - sigma^2
+    from geomeans.forward import _radial_part_profile
+    from geomeans.phantoms import bump_profile
+
+    center = boundary_grid(space, max(12, 2 ** space.n)).centers[3]
+    part = _part_toward(space, center, 0.3)
+    tg = default_tgrid(space, 128)
+    for fn in (bump_profile, _hard_edge):
+        for scale in _tangent_scales(space, center, part, tg.values):
+            got = _radial_part_profile(space, center[None], part, scale, fn, tg, 64,
+                                       np.zeros((1, tg.n)))[0]
+            ref, phi_max = _radial_part_profile_all_rows(space, center, part, scale, fn, tg, 64)
+            wide = phi_max >= 1e-2
+            assert np.max(np.abs(got - ref)[wide]) <= PHI_RULE_GAP * np.max(np.abs(ref))
+
+
+def _mp_section_mean(mp, space, center, part_center, scale, profile, t):
+    """One section mean of a radial part at 40 digits from the same float
+    inputs: c_n times the integral of profile(D/scale) sin^{n-2} phi over the
+    arc 0 < phi < phi_max inside the support, with D from the law of cosines."""
+    mp.mp.dps = 40
+    n, k = space.n, space.curvature
+    c = [mp.mpf(float(v)) for v in center]
+    p = [mp.mpf(float(v)) for v in part_center]
+    t, s = mp.mpf(float(t)), mp.mpf(float(scale))
+    if k == 0:
+        d = mp.sqrt(sum((ci - pi) ** 2 for ci, pi in zip(c, p)))
+        dist = lambda phi: mp.sqrt(t ** 2 + d ** 2 - 2 * t * d * mp.cos(phi))
+        cos_edge = (t ** 2 + d ** 2 - s ** 2) / (2 * t * d)
+    else:
+        a = k * sum(ci * pi for ci, pi in zip(c[:-1], p[:-1])) + c[-1] * p[-1]
+        B = mp.sqrt(k * (1 - t ** 2)) * mp.sqrt(k * (1 - a ** 2))
+        arc, cos_s = (mp.acos, mp.cos(s)) if k > 0 else (mp.acosh, mp.cosh(s))
+        dist = lambda phi: arc(t * a + k * B * mp.cos(phi))
+        cos_edge = k * (cos_s - t * a) / B
+    if cos_edge >= 1:
+        return 0.0
+    c_n = mp.gamma(mp.mpf(n) / 2) / (mp.sqrt(mp.pi) * mp.gamma(mp.mpf(n - 1) / 2))
+    integrand = lambda phi: profile(dist(phi) / s) * mp.sin(phi) ** (n - 2)
+    return float(c_n * mp.quad(integrand, [0, mp.acos(cos_edge)]))
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_half_angle_rule_against_40_digit_means(space):
+    # on grazing rows (0 < phi_max < 1e-4) the rounding of the inputs gives
+    # both rules errors of order eps / phi_max^2 relative; on mid-window rows
+    # the bump's 64-node quadrature error is about 1e-14 of max in either
+    # rule. The half-angle rule is no farther from the truth than the phi
+    # rule, up to that floor
+    mp = pytest.importorskip("mpmath")
+    from geomeans.forward import _radial_part_profile
+    from geomeans.phantoms import bump_profile
+
+    profiles = [(bump_profile, lambda u: mp.exp(1 - 1 / (1 - u * u)) if u < 1 else mp.mpf(0)),
+                (_hard_edge, lambda u: 1 + u)]
+    center = boundary_grid(space, 12).centers[3]
+    part = _part_toward(space, center, 0.3)
+    tg = default_tgrid(space, 128)
+    grazing = 0
+    for fn, profile in profiles:
+        err_sigma = err_phi = 0.0
+        for scale in _tangent_scales(space, center, part, tg.values):
+            got = _radial_part_profile(space, center[None], part, scale, fn, tg, 64,
+                                       np.zeros((1, tg.n)))[0]
+            phi_rule, phi_max = _radial_part_profile_all_rows(space, center, part, scale, fn, tg, 64)
+            live = np.flatnonzero(phi_max > 0)
+            rows = np.concatenate([np.flatnonzero((phi_max > 0) & (phi_max < 1e-4)),
+                                   live[[live.size // 3, live.size // 2]]])
+            grazing += rows.size - 2
+            truth = np.array([_mp_section_mean(mp, space, center, part, scale, profile, tg.values[j])
+                              for j in rows])
+            top = np.max(np.abs(phi_rule))
+            err_sigma = max(err_sigma, np.max(np.abs(got[rows] - truth)) / top)
+            err_phi = max(err_phi, np.max(np.abs(phi_rule[rows] - truth)) / top)
+        assert err_sigma <= max(err_phi, 2e-14)
+    assert grazing > 0
+
+
+@pytest.mark.parametrize("space", [E3, S3, H2])
+def test_exact_means_over_all_centres_match_per_centre_calls(space):
+    # all centres in one call, in blocks of centres and of sections, give the
+    # rows of one call per centre
+    from geomeans.forward import _EXACT_ORDER, _exact_means_row
+    from geomeans.phantoms import as_radial_field
+
+    bd = boundary_grid(space, 200)
+    toward = spaces.chart(space, bd.centers[7]) / np.linalg.norm(spaces.chart(space, bd.centers[7]))
+    ph = Phantom(space, (Bump(spaces.lift(space, 0.3 * toward), 0.2, 1.0),
+                         Bump(spaces.lift(space, -0.2 * toward), 0.15, -0.5)))
+    tg = default_tgrid(space, 128)
+    together = forward_means(ph, bd, tg).values
+    field = as_radial_field(ph)
+    apart = np.concatenate([_exact_means_row(field, c[None], tg, _EXACT_ORDER) for c in bd.centers])
+    assert bd.m * tg.n > 2 * forward._EXACT_BLOCK_CELLS
+    assert np.max(np.abs(together - apart)) <= 1e-15 * np.max(np.abs(together))
+
+
+def test_exact_means_reject_a_part_around_a_boundary_centre():
+    from geomeans.phantoms import RadialField, bump_profile
+
+    bd = boundary_grid(E3, 60)
+    tg = default_tgrid(E3, 64)
+    inside = RadialField(E3, ((np.zeros(3), 0.2, bump_profile),
+                              (0.9 * bd.centers[5], 0.3, bump_profile)))
+    with pytest.raises(ValueError, match="with scale 0.3 contains a boundary centre"):
+        forward_means(inside, bd, tg)
+
+
+@pytest.mark.parametrize("space", SPACES)
 def test_sections_skip_only_rows_that_miss_the_support(space):
     # phantoms and radial fields skip the sections that miss every part's
     # support; the same field as a plain callable takes every row. The

@@ -375,6 +375,19 @@ def test_log_kernel_sliver_moment_near_zero(a, s):
     assert abs(table - ref) <= 1e-14 * abs(ref)
 
 
+@pytest.mark.parametrize("kernel", ["log|t-s|", "log|t^2-s^2|"])
+@pytest.mark.parametrize("offset", [0.3, 0.9, -0.5])
+def test_log_kernel_sliver_cut_at_interval_end(kernel, offset):
+    # a target within eps = 9.5e-11 of an end of (0.05, 1): its sliver reaches
+    # past the end, and only the part inside the interval counts
+    g = TGrid.linspace(0.05, 1.0, 128)
+    eps = 1e-10 * (g.b - g.a)
+    s = (g.a if offset > 0 else g.b) + offset * eps
+    table = log_kernel_table(np.ones(g.n), g, [s], kernel=kernel)[0, 0]
+    ref = log_kernel_closed_form(g.a, g.b, s, kernel)
+    assert abs(table - ref) <= 1e-14 * abs(ref)
+
+
 KERNELS = st.sampled_from([("log|t-s|", -1.0), ("log|t^2-s^2|", 1e-6)])
 
 
