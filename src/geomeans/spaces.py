@@ -37,6 +37,8 @@ __all__ = [
     "unit_sphere_rule",
     "boundary_grid",
     "section_rule",
+    "section_scales",
+    "section_frame",
     "h_parameter",
 ]
 
@@ -286,22 +288,14 @@ class SectionRule:
     """Nodes of a geodesic-sphere quadrature in separated form.
 
     For a fixed center, the section nodes at parameter t are
-    base_scale(t) * center + dir_scale(t) * directions[i], which lets forward
-    transforms assemble all (t, node) combinations without recomputing
-    frames. Weights are normalized so a constant integrand has mean 1.
+    a(t) * center + b(t) * directions[i], with (a, b) from `section_scales`.
+    Weights are normalized so a constant integrand has mean 1.
     """
 
     space: SpaceSpec
     center: np.ndarray
     directions: np.ndarray
     weights: np.ndarray
-
-    def scales(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(1, t) in R^n; (t, sqrt(kappa (1 - t^2))) on the cap and the hyperboloid."""
-        t = np.asarray(t, dtype=float)
-        if self.space.kind == EUCLIDEAN:
-            return np.ones_like(t), t
-        return t, np.sqrt(self.space.curvature * (1.0 - t ** 2))
 
     def nodes(self, t: float) -> np.ndarray:
         """Nodes of the section at t: |y - center| = t in R^n, (center, y) = t
@@ -312,19 +306,36 @@ class SectionRule:
         lo, hi = space.tgrid_range
         if not (lo < t and (t < hi or space.curvature < 0)):
             raise ValueError(f"section parameter outside the admissible range for {space.kind}")
-        a, b = self.scales(np.asarray(t))
+        a, b = section_scales(space, t)
         return a * self.center[None, :] + b * self.directions
+
+
+def section_scales(space: SpaceSpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factors (a, b) of the section nodes a center + b direction at t:
+    (1, t) in R^n; (t, sqrt(kappa (1 - t^2))) on the cap and the hyperboloid."""
+    t = np.asarray(t, dtype=float)
+    if space.kind == EUCLIDEAN:
+        return np.ones_like(t), t
+    return t, np.sqrt(space.curvature * (1.0 - t ** 2))
+
+
+def section_frame(space: SpaceSpec, center: np.ndarray) -> np.ndarray:
+    """The (n, dim) matrix that carries the unit-sphere rule's points omega
+    of S^{n-1} to the section directions omega @ frame around `center`:
+    -I in R^n, and on the cap and the hyperboloid the first n rows of
+    `_pole_to`'s transpose, which carries the pole to the center."""
+    center = validate_point(space, np.asarray(center, dtype=float))
+    if space.kind == EUCLIDEAN:
+        return -np.eye(space.n)
+    return _pole_to(space, center)[:, :-1].T
 
 
 def section_rule(space: SpaceSpec, center: np.ndarray, order: int) -> SectionRule:
     """Reusable section quadrature around one center: the unit-sphere rule
-    of S^{n-1}, reversed in R^n, and carried from the pole to the center by
-    `_pole_to` on the cap and the hyperboloid."""
+    of S^{n-1} carried to the center by `section_frame`."""
     center = validate_point(space, np.asarray(center, dtype=float))
     omega, w = unit_sphere_rule(space.n - 1, order)
-    if space.kind == EUCLIDEAN:
-        return SectionRule(space, center, -omega, w)
-    return SectionRule(space, center, omega @ _pole_to(space, center)[:, :-1].T, w)
+    return SectionRule(space, center, omega @ section_frame(space, center), w)
 
 
 def h_parameter(space: SpaceSpec, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:

@@ -1,0 +1,59 @@
+"""Rounding floor of a reconstruction: how far one ulp in the means moves it.
+
+`rounding_floor` inverts the means twice, once as given and once with every
+value scaled by 1 + 2^-52 or 1 - 2^-52 under a seeded sign pattern, and
+returns max|f_1 - f_0| / max|f_0|. Means whose rows are all equal (radial
+data, which `invert` runs as one row) take one sign pattern for every row,
+so they stay radial. A comparison of two versions' reports that moves the
+means by about an ulp can then be read against this figure rather than
+against a hand-picked tolerance.
+
+    PYTHONPATH=src python tests/rounding_floor.py configs/euclid3.json ...
+
+prints each config's floor at its own grids, with the sign pattern of seed 0
+and with every value scaled the same way.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import numpy as np
+
+from geomeans import cli
+from geomeans.forward import MeanData
+from geomeans.inversion import invert
+
+ULP = 2.0 ** -52
+
+
+def rounding_floor(data: MeanData, points: np.ndarray, method: str = "direct",
+                   seed: int | None = 0) -> float:
+    """max|Delta f_rec| / max|f_rec| when the means move by one relative ulp.
+
+    `seed=None` scales every value by 1 + 2^-52; its rounding leaves a
+    smaller random part than a sign pattern does.
+    """
+    f0 = invert(data, points, method=method)
+    values = data.values
+    if seed is None:
+        signs = 1.0
+    else:
+        radial = np.all(values == values[0])
+        signs = np.random.default_rng(seed).choice(
+            [-1.0, 1.0], size=values.shape[1] if radial else values.shape)
+    moved = MeanData(data.space, data.boundary, data.tgrid, values * (1.0 + signs * ULP),
+                     alpha=data.alpha)
+    f1 = invert(moved, points, method=method)
+    return float(np.max(np.abs(f1 - f0)) / np.max(np.abs(f0)))
+
+
+def config_floor(cfg: dict, seed: int | None = 0) -> float:
+    """The rounding floor of a parsed config at its own grids."""
+    return rounding_floor(cli._forward_data(cfg), cli._recon_points(cfg), cfg["method"], seed)
+
+
+if __name__ == "__main__":
+    for path in sys.argv[1:]:
+        cfg = cli.load_config(path)
+        print(f"{path} {config_floor(cfg):.2e} (same sign {config_floor(cfg, None):.2e})")
