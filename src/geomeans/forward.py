@@ -59,9 +59,8 @@ _SECTION_BLOCK_NODES = 8192
 _PANEL_ORDER = 6
 _PANEL_WIDTH = 0.015
 
-# y -> D/2 for y = sin_k(D/2), and q -> D/2 for q = sin_k(D/2)^2, by curvature
+# y -> D/2 for y = sin_k(D/2), by curvature
 _ARC = {0: lambda y: y, 1: np.arcsin, -1: np.arcsinh}
-_HALF_ARC = {0: np.sqrt, 1: lambda q: np.arcsin(np.sqrt(q)), -1: lambda q: np.arcsinh(np.sqrt(q))}
 
 
 @dataclass
@@ -202,7 +201,7 @@ def _half_angle_sums(space: SpaceSpec, rho: np.ndarray, sin_r: np.ndarray,
     1 - sigma_max^2 x^2.
     """
     n = space.n
-    half_arc = _HALF_ARC[space.curvature]
+    arc = _ARC[space.curvature]
     x, w = gauss_legendre(_EXACT_ORDER, 0.0, 1.0)
     x2 = x * x
     wx = w * x ** (n - 2)
@@ -211,7 +210,7 @@ def _half_angle_sums(space: SpaceSpec, rho: np.ndarray, sin_r: np.ndarray,
     sm2 = A / (sin_d * sin_r)
     sums = np.empty(rho.size)
     for sl in _near_equal_slices(rho.size, _EXACT_ORDER):
-        vals = fn(half_arc(h0[sl, None] + A[sl, None] * x2) * (2.0 / scale))
+        vals = fn(arc(np.sqrt(h0[sl, None] + A[sl, None] * x2)) * (2.0 / scale))
         vals = vals * _half_power(1.0 - sm2[sl, None] * x2, n - 3)
         sums[sl] = vals @ wx
     return const * _half_power(sm2, n - 1) * sums
