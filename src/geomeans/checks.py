@@ -19,7 +19,7 @@ import numpy as np
 from . import spaces, special_verify as sv
 from .forward import default_tgrid, forward_means
 from .fractional import ek_ac_matrix, ek_matrix, rl_matrix
-from .inversion import backproject, log_potential, phantom_integral, riesz_potential
+from .inversion import _table_grid, backproject, log_potential, phantom_integral, riesz_potential
 from .numerics import TGrid, darboux_L_matrix, laplacian_fd, log_kernel_table
 from .phantoms import Bump, Phantom, bump_profile, laplacian_field
 from .spaces import EUCLIDEAN, HYPERBOLIC, SPHERE, SpaceSpec, boundary_grid
@@ -206,9 +206,7 @@ def _log_identities(seed: int) -> tuple[float]:
         tg = default_tgrid(spec)
         data = forward_means(ph, bd, tg)
         prof = data.values * (tg.values if flat else 1.0)
-        lo, hi = spec.tgrid_range
-        slack = 1e-6 * (hi - lo)
-        tbl_grid = TGrid.linspace(lo + slack, hi - slack, 700)
+        tbl_grid = _table_grid(spec, 700)
         tbl = log_kernel_table(prof, tg, tbl_grid.values,
                                kernel="log|t^2-s^2|" if flat else "log|t-s|")
         cf_log = np.log(spec.chart_radius if flat else spec.chart_radius / 2)

@@ -3,19 +3,21 @@
 A phantom is a sum of C-infinity bumps amplitude * w(dist/r) with
 w(s) = exp(1 - 1/(1 - s^2)) inside the unit interval and 0 outside, so
 evaluation is closed-form at any point and the support stays strictly
-inside the ball/cap with a margin.
+inside the ball/cap with a margin. A phantom is a RadialField whose parts
+are its bumps, so it is evaluated and forward-transformed as one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import spaces
 from .spaces import SpaceSpec
 
-__all__ = ["Bump", "Phantom", "bump_profile", "bump_profile_d1", "bump_profile_d2"]
+__all__ = ["Bump", "Phantom", "RadialField", "bump_profile", "bump_profile_d1", "bump_profile_d2"]
 
 MARGIN_FRACTION = 0.05
 
@@ -68,53 +70,6 @@ class Bump:
 
 
 @dataclass(frozen=True)
-class Phantom:
-    space: SpaceSpec
-    bumps: tuple[Bump, ...]
-
-    def __post_init__(self):
-        if not self.bumps:
-            raise ValueError("phantom needs at least one bump")
-        object.__setattr__(self, "bumps", tuple(self.bumps))
-        for b in self.bumps:
-            spaces.validate_point(self.space, b.center)
-        if self.support_margin() <= 0:
-            raise ValueError("phantom support touches or crosses the boundary")
-
-    def support_margin(self) -> float:
-        """min over bumps of radius - dist(center, origin) - bump radius."""
-        o = spaces.origin(self.space)
-        margins = [
-            self.space.radius - float(spaces.geodesic_distance(self.space, b.center, o)) - b.geodesic_radius
-            for b in self.bumps
-        ]
-        return min(margins)
-
-    def is_centered(self, tol: float = 1e-14) -> bool:
-        """True when every bump sits at the space origin (radial phantom)."""
-        o = spaces.origin(self.space)
-        return all(float(spaces.geodesic_distance(self.space, b.center, o)) < tol for b in self.bumps)
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at ambient points (…, dim)."""
-        points = np.asarray(points, dtype=float)
-        out = np.zeros(points.shape[:-1])
-        for b in self.bumps:
-            d = spaces.geodesic_distance(self.space, points, b.center)
-            out += b.amplitude * bump_profile(d / b.geodesic_radius)
-        return out
-
-
-def validate_margin(phantom: Phantom) -> None:
-    """Enforce the default support margin of 5% of the ball radius."""
-    if phantom.support_margin() < MARGIN_FRACTION * phantom.space.radius:
-        raise ValueError(
-            f"phantom margin {phantom.support_margin():.4g} below "
-            f"{MARGIN_FRACTION:.0%} of the radius"
-        )
-
-
-@dataclass(frozen=True)
 class RadialField:
     """Sum of radial parts g(dist(., center)/scale) with compact unit support.
 
@@ -128,6 +83,7 @@ class RadialField:
     parts: tuple[tuple[np.ndarray, float, object], ...]
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
+        """Evaluate at ambient points (…, dim)."""
         points = np.asarray(points, dtype=float)
         out = np.zeros(points.shape[:-1])
         for center, scale, fn in self.parts:
@@ -136,12 +92,43 @@ class RadialField:
         return out
 
 
-def as_radial_field(phantom: Phantom) -> RadialField:
-    parts = tuple(
-        (b.center, b.geodesic_radius, _scaled(bump_profile, b.amplitude))
-        for b in phantom.bumps
-    )
-    return RadialField(phantom.space, parts)
+@dataclass(frozen=True)
+class Phantom(RadialField):
+    """A radial field whose parts are its bumps: each bump is the part
+    (center, geodesic_radius, amplitude * bump_profile)."""
+
+    parts: tuple = field(init=False, repr=False, compare=False)
+    bumps: tuple[Bump, ...]
+
+    def __post_init__(self):
+        if not self.bumps:
+            raise ValueError("phantom needs at least one bump")
+        object.__setattr__(self, "bumps", tuple(self.bumps))
+        for b in self.bumps:
+            spaces.validate_point(self.space, b.center)
+        if self.support_margin() <= 0:
+            raise ValueError("phantom support touches or crosses the boundary")
+        object.__setattr__(self, "parts", tuple(
+            (b.center, b.geodesic_radius, partial(_scaled_bump, b.amplitude))
+            for b in self.bumps))
+
+    def support_margin(self) -> float:
+        """min over bumps of radius - dist(center, origin) - bump radius."""
+        o = spaces.origin(self.space)
+        margins = [
+            self.space.radius - float(spaces.geodesic_distance(self.space, b.center, o)) - b.geodesic_radius
+            for b in self.bumps
+        ]
+        return min(margins)
+
+
+def validate_margin(phantom: Phantom) -> None:
+    """Enforce the default support margin of 5% of the ball radius."""
+    if phantom.support_margin() < MARGIN_FRACTION * phantom.space.radius:
+        raise ValueError(
+            f"phantom margin {phantom.support_margin():.4g} below "
+            f"{MARGIN_FRACTION:.0%} of the radius"
+        )
 
 
 def laplacian_field(phantom: Phantom) -> RadialField:
@@ -169,8 +156,7 @@ def laplacian_field(phantom: Phantom) -> RadialField:
     return RadialField(phantom.space, parts)
 
 
-def _scaled(fn, amplitude: float):
-    def scaled(s: np.ndarray) -> np.ndarray:
-        return amplitude * fn(s)
-
-    return scaled
+def _scaled_bump(amplitude: float, s: np.ndarray) -> np.ndarray:
+    """amplitude * bump_profile(s); bound to an amplitude by `partial`, it
+    keeps a phantom's parts picklable."""
+    return amplitude * bump_profile(s)

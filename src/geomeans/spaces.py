@@ -7,9 +7,9 @@ kappa = +1 resp. -1 (0 in R^n): the surface x_{n+1}^2 + kappa |x'|^2 = 1
 (upper sheet on H^n), the pairing x_{n+1} y_{n+1} + kappa x'.y' (x.y on
 S^n, the Minkowski form [x, y] on H^n) equal to cos_k of the geodesic
 distance, and sin_k, cos_k = sin, cos resp. sinh, cosh. Provides
-boundary-center grids, quadrature over geodesic spheres (the "planar
-sections" |x - y| = t resp. (x, y) = t), and the h-parameter entering the
-kernel bounds.
+boundary-center grids, the unit-sphere rule and the scales and frames that
+carry it to geodesic spheres (the "planar sections" |x - y| = t resp.
+(x, y) = t), and the h-parameter entering the kernel bounds.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "HYPERBOLIC",
     "SpaceSpec",
     "BoundaryGrid",
-    "SectionRule",
     "origin",
     "lift",
     "chart",
@@ -36,7 +35,6 @@ __all__ = [
     "pairing",
     "unit_sphere_rule",
     "boundary_grid",
-    "section_rule",
     "section_scales",
     "section_frame",
     "h_parameter",
@@ -259,7 +257,7 @@ def boundary_grid(space: SpaceSpec, m: int) -> BoundaryGrid:
 
 
 # ---------------------------------------------------------------------------
-# geodesic-sphere sections and their quadrature
+# geodesic-sphere sections
 # ---------------------------------------------------------------------------
 
 def _pole_to(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
@@ -283,33 +281,6 @@ def _pole_to(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SectionRule:
-    """Nodes of a geodesic-sphere quadrature in separated form.
-
-    For a fixed center, the section nodes at parameter t are
-    a(t) * center + b(t) * directions[i], with (a, b) from `section_scales`.
-    Weights are normalized so a constant integrand has mean 1.
-    """
-
-    space: SpaceSpec
-    center: np.ndarray
-    directions: np.ndarray
-    weights: np.ndarray
-
-    def nodes(self, t: float) -> np.ndarray:
-        """Nodes of the section at t: |y - center| = t in R^n, (center, y) = t
-        on the cap and the hyperboloid. t must exceed the lower end of
-        `tgrid_range` and, in R^n and on the cap, stay below its upper end;
-        on the hyperboloid every t > 1 gives a section."""
-        space = self.space
-        lo, hi = space.tgrid_range
-        if not (lo < t and (t < hi or space.curvature < 0)):
-            raise ValueError(f"section parameter outside the admissible range for {space.kind}")
-        a, b = section_scales(space, t)
-        return a * self.center[None, :] + b * self.directions
-
-
 def section_scales(space: SpaceSpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The factors (a, b) of the section nodes a center + b direction at t:
     (1, t) in R^n; (t, sqrt(kappa (1 - t^2))) on the cap and the hyperboloid."""
@@ -328,14 +299,6 @@ def section_frame(space: SpaceSpec, center: np.ndarray) -> np.ndarray:
     if space.kind == EUCLIDEAN:
         return -np.eye(space.n)
     return _pole_to(space, center)[:, :-1].T
-
-
-def section_rule(space: SpaceSpec, center: np.ndarray, order: int) -> SectionRule:
-    """Reusable section quadrature around one center: the unit-sphere rule
-    of S^{n-1} carried to the center by `section_frame`."""
-    center = validate_point(space, np.asarray(center, dtype=float))
-    omega, w = unit_sphere_rule(space.n - 1, order)
-    return SectionRule(space, center, omega @ section_frame(space, center), w)
 
 
 def h_parameter(space: SpaceSpec, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:

@@ -33,7 +33,6 @@ __all__ = [
     "power_integral_log_form",
     "log_circle_integral",
     "chebyshev_pv",
-    "chebyshev_t",
     "chebyshev_u",
 ]
 
@@ -313,12 +312,6 @@ def log_circle_integral(h: float, order: int = 16) -> float:
         # log|cos psi - h| ~ log|psi - c| + log(sin c) near the zero crossing
         total += 2.0 * eps * (np.log(eps) - 1.0) + 2.0 * eps * np.log(np.sin(c))
     return 2.0 * total
-
-
-def chebyshev_t(k: int, x: np.ndarray) -> np.ndarray:
-    c = np.zeros(k + 1)
-    c[k] = 1.0
-    return np.polynomial.chebyshev.chebval(np.asarray(x, dtype=float), c)
 
 
 def chebyshev_u(k: int, x: float) -> float:

@@ -293,6 +293,19 @@ def test_means_short_t_grid(means_file):
         read_means(str(path))
 
 
+def test_means_t_grid_outside_the_section_range(means_file):
+    # a file consistent in itself, on a t-grid that ends past 2R
+    path, _ = means_file
+    lines = path.read_text().splitlines()
+    meta = json.loads(lines[1][2:])
+    t = np.linspace(float(meta["t0"]) + 0.2, float(meta["t1"]) + 0.2, meta["t_points"])
+    meta["t0"], meta["t1"] = repr(float(t[0])), repr(float(t[-1]))
+    rows = [f"{i},{float(tj)!r},0.5" for i in range(meta["boundary_m"]) for tj in t]
+    path.write_text("\n".join([lines[0], "# " + json.dumps(meta), lines[2]] + rows) + "\n")
+    with pytest.raises(ValueError, match=r"t1 = 2\.199.* leaves the euclidean section range"):
+        read_means(str(path))
+
+
 def test_means_magic_check(tmp_path):
     p = tmp_path / "bogus.csv"
     p.write_text("not a means file\n")

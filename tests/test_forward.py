@@ -4,13 +4,14 @@ from scipy.special import gamma
 
 from geomeans import forward, spaces
 from geomeans.forward import (
+    MeanData,
     default_tgrid,
     epd_trace_euclidean,
     epd_trace_sphere,
     forward_means,
 )
 from geomeans.inversion import phantom_integral
-from geomeans.numerics import gauss_legendre
+from geomeans.numerics import TGrid, gauss_legendre
 from geomeans.phantoms import Bump, Phantom, laplacian_field
 from geomeans.spaces import EUCLIDEAN, HYPERBOLIC, SPHERE, SpaceSpec, boundary_grid
 
@@ -35,6 +36,25 @@ def test_support_geometry():
     assert np.max(np.abs(data.values[:, outside])) == 0.0
     inside = np.abs(t - 1.0) < 0.2
     assert np.max(data.values[:, inside]) > 0.0
+
+
+@pytest.mark.parametrize("space,shift,message", [
+    (E3, 0.2, r"t1 = 2\.19.* leaves the euclidean section range \(0\.0, 2\.0\)"),
+    (E3, -0.05, r"t0 = -0\.04.* leaves the euclidean section range"),
+    (S3, 0.2, r"t1 = 1\.19.* leaves the sphere section range \(-1\.0, 1\.0\)"),
+    (SpaceSpec(HYPERBOLIC, 3, 0.8), -0.05,
+     r"t0 = 0\.95.* leaves the hyperbolic section range \(1\.0, 2\.577.*\]"),
+    (SpaceSpec(HYPERBOLIC, 3, 0.8), 1e-9, r"t1 = 2\.577.* leaves the hyperbolic section range"),
+])
+def test_mean_data_rejects_a_t_grid_outside_the_section_range(space, shift, message):
+    # the default grid is accepted, on the hyperboloid up to t1 = cosh 2R;
+    # the same grid shifted past either end of the range is rejected
+    bd = boundary_grid(space, 16)
+    tg = default_tgrid(space, 64)
+    assert space.kind != HYPERBOLIC or tg.b == space.tgrid_range[1]
+    MeanData(space, bd, tg, np.zeros((bd.m, tg.n)))
+    with pytest.raises(ValueError, match=message):
+        MeanData(space, bd, TGrid(tg.values + shift), np.zeros((bd.m, tg.n)))
 
 
 def test_linearity_two_bumps():
@@ -285,13 +305,41 @@ def test_half_angle_rule_against_40_digit_means(space):
     assert grazing > 0
 
 
+# gap between the half-angle rule on `_EXACT_ORDER` = 64 nodes and on 256
+# nodes, relative to max, on 16 centres x 128 t of a two-bump phantom and of
+# its Laplacian; measured bump 3.4e-15 (n = 2), 2.0e-14 (n = 4) and
+# Laplacian 1.18e-10 (n = 2), 7.7e-10 (n = 4), the same levels as on 128 resp.
+# 432 centres x 800 t
+EVEN_RULE_GAP = {2: (1e-14, 2.5e-10), 4: (5e-14, 1.5e-9)}
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_half_angle_rule_resolution_on_laplacian_profiles(n, monkeypatch):
+    # the 64-node rule resolves bump profiles to rounding but the sharper
+    # Laplacian profiles only to about 1e-10 of max; the lower bound keeps
+    # the level stated in `forward_means` honest
+    space = SpaceSpec(EUCLIDEAN, n, 1.0)
+    c1, c2 = np.zeros(n), np.zeros(n)
+    c1[:2], c2[:2] = [0.2, -0.1], [-0.25, 0.15]
+    ph = Phantom(space, (Bump(c1, 0.32, 1.0), Bump(c2, 0.2, 0.6)))
+    bd = boundary_grid(space, 16)
+    tg = default_tgrid(space, 128)
+    bump_gap, lap_gap = EVEN_RULE_GAP[n]
+    for field, lo, hi in ((ph, 0.0, bump_gap), (laplacian_field(ph), 1e-11, lap_gap)):
+        rule64 = forward_means(field, bd, tg).values
+        with monkeypatch.context() as patch:
+            patch.setattr(forward, "_EXACT_ORDER", 256)
+            rule256 = forward_means(field, bd, tg).values
+        gap = np.max(np.abs(rule64 - rule256)) / np.max(np.abs(rule256))
+        assert lo <= gap <= hi
+
+
 @pytest.mark.parametrize("space", [E3, S3, H2, SpaceSpec(HYPERBOLIC, 3, 0.8),
                                    SpaceSpec(EUCLIDEAN, 5, 1.0)])
 def test_exact_means_over_all_centres_match_per_centre_calls(space):
     # all centres in one call, in blocks of centres and of sections, give the
     # rows of one call per centre
     from geomeans.forward import _exact_means_row
-    from geomeans.phantoms import as_radial_field
 
     bd = boundary_grid(space, 200)
     toward = spaces.chart(space, bd.centers[7]) / np.linalg.norm(spaces.chart(space, bd.centers[7]))
@@ -299,10 +347,28 @@ def test_exact_means_over_all_centres_match_per_centre_calls(space):
                          Bump(spaces.lift(space, -0.2 * toward), 0.15, -0.5)))
     tg = default_tgrid(space, 128)
     together = forward_means(ph, bd, tg).values
-    field = as_radial_field(ph)
-    apart = np.concatenate([_exact_means_row(field, c[None], tg) for c in bd.centers])
+    apart = np.concatenate([_exact_means_row(ph, c[None], tg) for c in bd.centers])
     assert bd.m * tg.n > 2 * forward._EXACT_BLOCK_CELLS
     assert np.max(np.abs(together - apart)) <= 1e-15 * np.max(np.abs(together))
+
+
+@pytest.mark.parametrize("profile", ["exact", "sections"])
+@pytest.mark.parametrize("space", [E3, S2, SpaceSpec(HYPERBOLIC, 3, 0.8)])
+def test_phantom_means_equal_those_of_its_radial_field(space, profile):
+    # a phantom is the radial field of its bumps: both give the same rows
+    # bit for bit, off centre and on the centred shortcut
+    from geomeans.phantoms import RadialField
+
+    bd = boundary_grid(space, 12)
+    toward = spaces.chart(space, bd.centers[3]) / np.linalg.norm(spaces.chart(space, bd.centers[3]))
+    tg = default_tgrid(space, 128)
+    for ph in (Phantom(space, (Bump(spaces.lift(space, 0.3 * toward), 0.2, 1.0),
+                               Bump(spaces.lift(space, -0.2 * toward), 0.15, -0.5))),
+               bump_at(space, np.zeros(space.n), 0.3, 0.7)):
+        got = forward_means(ph, bd, tg, order=12, profile=profile).values
+        ref = forward_means(RadialField(space, ph.parts), bd, tg, order=12, profile=profile).values
+        assert np.count_nonzero(got) > 0
+        assert np.array_equal(got, ref)
 
 
 def test_exact_means_reject_a_part_around_a_boundary_centre():

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from geomeans.numerics import laplacian_fd
 from geomeans.phantoms import (
     Bump,
     Phantom,
-    as_radial_field,
+    RadialField,
     bump_profile,
     laplacian_field,
     validate_margin,
@@ -106,9 +108,17 @@ def test_laplacian_field_matches_pointwise():
 
 
 def test_radial_field_equals_phantom():
+    # a phantom is the radial field of its bumps, bit for bit
     ph = Phantom(E3, (Bump(np.array([0.2, 0.1, -0.1]), 0.35, 1.2),
                       Bump(np.array([-0.1, 0.0, 0.2]), 0.25, 0.7),))
-    rf = as_radial_field(ph)
+    assert isinstance(ph, RadialField)
+    assert len(ph.parts) == len(ph.bumps)
+    assert all(c is b.center and s == b.geodesic_radius for (c, s, _), b in zip(ph.parts, ph.bumps))
+    rf = RadialField(E3, ph.parts)
     rng = np.random.default_rng(3)
     pts = rng.uniform(-0.5, 0.5, size=(50, 3))
-    assert np.allclose(rf(pts), ph(pts), atol=1e-14)
+    assert np.array_equal(rf(pts), ph(pts))
+    expect = sum(b.amplitude * bump_profile(np.linalg.norm(pts - b.center, axis=-1)
+                                            / b.geodesic_radius) for b in ph.bumps)
+    assert np.array_equal(ph(pts), expect)
+    assert np.array_equal(pickle.loads(pickle.dumps(ph))(pts), expect)

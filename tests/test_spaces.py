@@ -11,7 +11,8 @@ from geomeans.spaces import (
     geodesic_distance,
     h_parameter,
     pairing,
-    section_rule,
+    section_frame,
+    section_scales,
     unit_sphere_rule,
 )
 
@@ -80,6 +81,12 @@ def test_sphere_rule_polynomial_moments():
         assert abs(np.dot(w, pts[:, 0] ** 2) - expect) < 1e-13
 
 
+def _section_directions(space, center, order):
+    # the unit-sphere rule carried to the sections around `center`
+    omega, w = unit_sphere_rule(space.n - 1, order)
+    return omega @ section_frame(space, center), w
+
+
 @pytest.mark.parametrize("space,ts", [
     (E3, (0.3, 1.2, 1.9)),
     (S3, (-0.7, 0.1, 0.9)),
@@ -90,12 +97,12 @@ def test_sphere_rule_polynomial_moments():
 ])
 def test_section_mean_of_one(space, ts):
     centers = boundary_grid(space, 16).centers
-    rule = section_rule(space, centers[3], 12)
+    directions, w = _section_directions(space, centers[3], 12)
+    assert abs(w.sum() - 1.0) < 1e-10
+    assert np.all(w > 0)
     for t in ts:
-        pts, w = rule.nodes(t), rule.weights
-        assert abs(w.sum() - 1.0) < 1e-10
-        assert np.all(w > 0)
-        assert abs(np.dot(w, np.ones(len(w))) - 1.0) < 1e-10
+        a, b = section_scales(space, t)
+        pts = a * centers[3] + b * directions
         # nodes satisfy the section equation
         if space.kind == EUCLIDEAN:
             err = np.abs(np.linalg.norm(pts - centers[3], axis=1) - t)
@@ -106,27 +113,14 @@ def test_section_mean_of_one(space, ts):
 
 def test_section_odd_integrand_cancels():
     xi = boundary_grid(E3, 16).centers[2]
-    rule = section_rule(E3, xi, 16)
-    assert abs(np.dot(rule.weights, rule.nodes(0.7)[:, 0]) - xi[0]) < 1e-12
-
-
-def test_section_t_range_errors():
-    xi = boundary_grid(E3, 16).centers[0]
-    with pytest.raises(ValueError):
-        section_rule(E3, xi, 8).nodes(2.5)
-    xi = boundary_grid(S2, 16).centers[0]
-    with pytest.raises(ValueError):
-        section_rule(S2, xi, 8).nodes(1.5)
-    xi = boundary_grid(H2, 16).centers[0]
-    with pytest.raises(ValueError):
-        section_rule(H2, xi, 8).nodes(0.9)
+    directions, w = _section_directions(E3, xi, 16)
+    a, b = section_scales(E3, 0.7)
+    assert abs(np.dot(w, (a * xi + b * directions)[:, 0]) - xi[0]) < 1e-12
 
 
 def test_section_frame_deterministic():
     xi = boundary_grid(S3, 16).centers[5]
-    a = section_rule(S3, xi, 8)
-    b = section_rule(S3, xi, 8)
-    assert np.array_equal(a.directions, b.directions)
+    assert np.array_equal(section_frame(S3, xi), section_frame(S3, xi))
 
 
 @pytest.mark.parametrize("space", [S2, S3, H2, H3])
