@@ -17,7 +17,14 @@ import warnings
 import numpy as np
 
 from . import checks, spaces
-from .forward import MeanData, default_tgrid, epd_trace_euclidean, epd_trace_sphere, forward_means
+from .forward import (
+    MeanData,
+    default_tgrid,
+    epd_trace_euclidean,
+    epd_trace_sphere,
+    forward_means,
+    validate_trace_order,
+)
 from .inversion import chart_box_grid, invert, make_report
 from .numerics import TGrid
 from .phantoms import Bump, Phantom, validate_margin
@@ -43,7 +50,19 @@ def _need(obj: dict, key: str, path: str):
 def _as_number(v, path: str) -> float:
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ConfigError(f"{path} must be a number")
-    return float(v)
+    try:
+        v = float(v)
+    except OverflowError:  # an integer beyond the float range
+        v = float("inf")
+    if not np.isfinite(v):
+        raise ConfigError(f"{path} must be finite, not {v!r}")
+    return v
+
+
+def _as_coords(v, n: int, path: str) -> np.ndarray:
+    if not isinstance(v, list) or len(v) != n:
+        raise ConfigError(f"{path} must have {n} chart coordinates")
+    return np.array([_as_number(c, f"{path}[{k}]") for k, c in enumerate(v)])
 
 
 def _as_int(v, path: str) -> int:
@@ -94,11 +113,8 @@ def parse_config(raw: dict) -> dict:
     for i, b in enumerate(_need(raw, "phantom", "config")):
         pth = f"config.phantom[{i}]"
         _fields(b, ("center", "geodesic_radius", "amplitude"), pth)
-        center = np.asarray(_need(b, "center", pth), dtype=float)
-        if center.shape != (n,):
-            raise ConfigError(f"{pth}.center must have {n} chart coordinates")
         bumps.append(Bump(
-            spaces.lift(space, center),
+            spaces.lift(space, _as_coords(_need(b, "center", pth), n, f"{pth}.center")),
             _as_number(_need(b, "geodesic_radius", pth), f"{pth}.geodesic_radius"),
             _as_number(_need(b, "amplitude", pth), f"{pth}.amplitude"),
         ))
@@ -122,9 +138,7 @@ def parse_config(raw: dict) -> dict:
         pth = "config.grids.recon_grid"
         rg = _fields(g["recon_grid"], ("center", "half_width", "points_per_axis", "ball_radius"),
                      pth)
-        center = np.asarray(_need(rg, "center", pth), dtype=float)
-        if center.shape != (n,):
-            raise ConfigError(f"{pth}.center must have {n} coordinates")
+        center = _as_coords(_need(rg, "center", pth), n, f"{pth}.center")
         ppa = _as_int(_need(rg, "points_per_axis", pth), f"{pth}.points_per_axis")
         if ppa < 1:
             raise ConfigError(f"{pth}.points_per_axis must be positive")
@@ -141,6 +155,10 @@ def parse_config(raw: dict) -> dict:
     alpha = raw.get("alpha")
     if alpha is not None:
         alpha = _as_number(alpha, "config.alpha")
+        try:
+            validate_trace_order(space, alpha, "config.alpha")
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
     profile = raw.get("forward_profile", "exact")
     if profile not in ("exact", "sections"):
         raise ConfigError("config.forward_profile must be 'exact' or 'sections'")
@@ -318,13 +336,9 @@ def _forward_data(cfg: dict) -> MeanData:
         return forward_means(cfg["phantom"], bd, tg,
                              order=cfg["grids"]["quadrature_order"],
                              profile=cfg["forward_profile"])
-    if space.kind == spaces.EUCLIDEAN:
-        return epd_trace_euclidean(cfg["phantom"], bd, tg, alpha,
-                                   order=cfg["grids"]["quadrature_order"])
-    if space.kind == spaces.SPHERE:
-        return epd_trace_sphere(cfg["phantom"], bd, tg, alpha,
-                                order=cfg["grids"]["quadrature_order"])
-    raise ConfigError("trace generation is not provided on the hyperboloid")
+    # parse_config admits traces in R^n and on the cap only
+    generate = epd_trace_euclidean if space.kind == spaces.EUCLIDEAN else epd_trace_sphere
+    return generate(cfg["phantom"], bd, tg, alpha, order=cfg["grids"]["quadrature_order"])
 
 
 def cmd_forward(cfg: dict, out_path: str) -> int:

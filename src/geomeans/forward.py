@@ -23,6 +23,7 @@ from .spaces import BoundaryGrid, SpaceSpec
 
 __all__ = [
     "MeanData",
+    "validate_trace_order",
     "default_tgrid",
     "forward_field_profile",
     "forward_means",
@@ -63,13 +64,30 @@ _PANEL_WIDTH = 0.015
 _ARC = {0: lambda y: y, 1: np.arcsin, -1: np.arcsinh}
 
 
+def validate_trace_order(space: SpaceSpec, alpha: float, name: str) -> None:
+    """Reject a trace order that no trace of this space has, naming the field.
+
+    The order is finite; alpha >= (1-n)/2 in R^n and alpha > 0 on the cap,
+    and the hyperboloid has no traces.
+    """
+    if not np.isfinite(alpha):
+        raise ValueError(f"{name} must be finite, not {alpha!r}")
+    if space.kind == spaces.HYPERBOLIC:
+        raise ValueError(f"{name} is set, but hyperboloid trace inversion is not provided")
+    if space.kind == spaces.EUCLIDEAN and alpha < (1.0 - space.n) / 2.0:
+        raise ValueError(f"{name} must be >= (1-n)/2 = {(1 - space.n) / 2}, not {alpha!r}")
+    if space.kind == spaces.SPHERE and not alpha > 0:
+        raise ValueError(f"cap traces are generated with {name} > 0, not {alpha!r}")
+
+
 @dataclass
 class MeanData:
     """Sampled means (or weighted-mean traces) on boundary centers x t-grid.
 
-    `alpha` is None for plain means and carries the trace order otherwise.
-    The t-grid lies inside the space's open `tgrid_range`; on the hyperboloid
-    it may end at cosh 2R, where `default_tgrid` ends.
+    `alpha` is None for plain means and carries the trace order otherwise,
+    which `validate_trace_order` checks. The t-grid lies inside the space's
+    open `tgrid_range`; on the hyperboloid it may end at cosh 2R, where
+    `default_tgrid` ends.
     """
 
     space: SpaceSpec
@@ -90,6 +108,8 @@ class MeanData:
                              f"section range ({lo!r}, {hi!r}{']' if closed else ')'}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("mean data contains non-finite values")
+        if self.alpha is not None:
+            validate_trace_order(self.space, self.alpha, "alpha")
 
 
 def default_tgrid(space: SpaceSpec, n_points: int | None = None) -> TGrid:
@@ -424,9 +444,8 @@ def epd_trace_euclidean(phantom: Phantom, boundary: BoundaryGrid, tgrid: TGrid,
     space = phantom.space
     if space.kind != spaces.EUCLIDEAN:
         raise ValueError("Euclidean trace generator needs a Euclidean space")
+    validate_trace_order(space, alpha, "alpha")
     n = space.n
-    if alpha < (1.0 - n) / 2.0:
-        raise ValueError(f"alpha must be >= (1-n)/2 = {(1 - n) / 2}")
     means = forward_means(phantom, boundary, tgrid, order)
     eta = n / 2.0 - 1.0
     if alpha == 0:
@@ -450,8 +469,7 @@ def epd_trace_sphere(phantom: Phantom, boundary: BoundaryGrid, tgrid: TGrid,
     space = phantom.space
     if space.kind != spaces.SPHERE:
         raise ValueError("spherical trace generator needs a sphere space")
-    if alpha <= 0:
-        raise ValueError("forward trace generation is restricted to alpha > 0")
+    validate_trace_order(space, alpha, "alpha")
     n = space.n
     means = forward_means(phantom, boundary, tgrid, order)
     t = tgrid.values

@@ -8,8 +8,7 @@ dimensions, tables them against the log kernel (layers 3 and 4), and
 back-projects once, with the outer Laplacian in closed form (layer 5). The
 Euclidean odd/even formulas are those of Finch, Haltmeier & Rakesh (SIAM J.
 Appl. Math. 68, 2007), with a Laplacian-free `modified` variant; the cap and
-hyperboloid formulas apply chart Laplacians. Also the Riesz and logarithmic
-potentials used as independent cross-checks, and report helpers.
+hyperboloid formulas apply chart Laplacians. Also report helpers.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .numerics import (
     d_operator_matrix,
     darboux_L_matrix,
     diff_matrix,
-    gauss_legendre,
     log_kernel_table,
 )
 
@@ -36,16 +34,12 @@ from .numerics import (
 # bound here because the benchmark's tracer wraps it at this binding site;
 # its counters read 0.
 from .numerics import laplacian_fd  # noqa: F401
-from .phantoms import Phantom
 from .spaces import BoundaryGrid, SpaceSpec
 
 __all__ = [
     "InversionConstants",
     "constants",
     "backproject",
-    "riesz_potential",
-    "log_potential",
-    "phantom_integral",
     "invert",
     "ReconstructionReport",
     "make_report",
@@ -263,10 +257,11 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     f = d_n x_{n+1}/sin_k(R) times the chart Laplacian of the boundary
     integral of P(xi, (xi, x)), scaled by -1 (odd n) resp. 1/pi (even n).
     Points must lie strictly inside: |x| < R in R^n, kappa (x_{n+1} - cos_k R)
-    > 0 on the cap and the hyperboloid. Trace
-    data (`data.alpha` set) first have their fractional weighting undone,
-    and then take the direct formula. Radial data, whose rows are all equal, run as one row
-    through every layer, which back-projects to the same numbers.
+    > 0 on the cap and the hyperboloid. Trace data (`data.alpha` set, its
+    order checked by `MeanData`) first have their fractional weighting
+    undone, and then take the direct formula. Radial data, whose rows are
+    all equal, run as one row through every layer, which back-projects to
+    the same numbers.
 
     `fd_step` is accepted and ignored: every outer Laplacian is computed in
     closed form inside the back-projection, with no finite-difference step.
@@ -279,13 +274,6 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
         raise ValueError("trace data only supports the direct method")
     if method == "modified" and space.kind != spaces.EUCLIDEAN:
         raise ValueError("modified inversion is Euclidean-only")
-    if alpha is not None:
-        if space.kind == spaces.HYPERBOLIC:
-            raise ValueError("hyperboloid trace inversion is not provided")
-        if space.kind == spaces.EUCLIDEAN and alpha < (1.0 - n) / 2.0:
-            raise ValueError(f"alpha must be >= (1-n)/2 = {(1 - n) / 2}")
-        if space.kind == spaces.SPHERE and alpha <= 0:
-            raise ValueError("cap traces are generated with alpha > 0")
     x = spaces.validate_point(space, np.atleast_2d(np.asarray(x, dtype=float)))
     if space.kind == spaces.EUCLIDEAN:
         outside = np.linalg.norm(x, axis=1) >= space.radius
@@ -315,96 +303,6 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     scale = -1.0 if n % 2 == 1 else 1.0 / np.pi
     lap = scale * space.boundary_area * (A * p2 + B * tp2 + C * p1)
     return c.d_curved * x[:, -1] / space.chart_radius * lap
-
-
-# ---------------------------------------------------------------------------
-# potentials (independent cross-checks)
-# ---------------------------------------------------------------------------
-
-def _radial_mean_factory(phantom: Phantom, x: np.ndarray, ang_order: int):
-    """Angular mean of the phantom around x in chart coordinates, with the
-    area weight 1/sqrt(1 - kappa |y'|^2) of the lift folded in."""
-    space = phantom.space
-    omega, w = spaces.unit_sphere_rule(space.n - 1, ang_order)
-
-    def mean(rho: np.ndarray) -> np.ndarray:
-        yp = x[None, None, :] + rho[:, None, None] * omega[None, :, :]
-        y2 = (yp ** 2).sum(-1)
-        ok = space.curvature * y2 < 1.0
-        vals = np.zeros_like(y2)
-        if np.any(ok):
-            lifted = spaces.lift(space, yp[ok])
-            vals[ok] = phantom(lifted) * (1.0 / np.sqrt(1.0 - space.curvature * y2[ok]))
-        return vals @ w
-
-    return mean
-
-
-def riesz_potential(phantom: Phantom, x: np.ndarray, radial_order: int = 24,
-                    ang_order: int = 24, panels: int = 16) -> float:
-    """Second-order Riesz potential Gamma(n/2-1)/(4 pi^{n/2}) int f |x-y|^{2-n} dy.
-
-    Polar coordinates around x absorb the kernel singularity exactly.
-    """
-    space = phantom.space
-    if space.kind != spaces.EUCLIDEAN or space.n < 3:
-        raise ValueError("Riesz potential needs Euclidean n >= 3")
-    x = np.asarray(x, dtype=float)
-    n = space.n
-    rho_max = max(np.linalg.norm(x - b.center) + b.geodesic_radius for b in phantom.bumps)
-    mean = _radial_mean_factory(phantom, x, ang_order)
-    sigma = constants(n, space.radius).sigma
-    total = 0.0
-    edges = np.linspace(0.0, rho_max, panels + 1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        nodes, w = gauss_legendre(radial_order, lo, hi)
-        total += float(np.dot(w, nodes * mean(nodes)))
-    return gamma(n / 2.0 - 1.0) / (4.0 * np.pi ** (n / 2.0)) * sigma * total
-
-
-def log_potential(phantom: Phantom, x: np.ndarray, radial_order: int = 24,
-                  ang_order: int = 256, panels: int = 16) -> float:
-    """Logarithmic potential (1/2 pi) int f(y) log|x' - y'| dy for n = 2.
-
-    Euclidean disks use the plane measure; the cap and hyperboloid versions
-    integrate in the chart with the surface resp. invariant area weight,
-    against the chart distance log|x' - y'|, around the chart point x'.
-    """
-    space = phantom.space
-    if space.n != 2:
-        raise ValueError("logarithmic potential is the n = 2 companion")
-    xp = spaces.chart(space, np.asarray(x, dtype=float))
-    rho_max = space.chart_radius + float(np.linalg.norm(xp))
-    mean = _radial_mean_factory(phantom, xp, ang_order)
-    # rho log(rho) is integrable; geometric panels resolve the kink at 0,
-    # uniform panels the bulk
-    inner = np.concatenate([[0.0], np.geomspace(rho_max * 1e-9, rho_max / 16.0, 8)])
-    edges = np.concatenate([inner, np.linspace(rho_max / 16.0, rho_max, panels + 1)[1:]])
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        nodes, w = gauss_legendre(radial_order, lo, hi)
-        vals = np.where(nodes > 0, nodes * np.log(np.maximum(nodes, 1e-300)), 0.0)
-        total += float(np.dot(w, vals * mean(nodes)))
-    return total
-
-
-def phantom_integral(phantom: Phantom, radial_order: int = 64) -> float:
-    """Total mass int f dy in the per-space volume measure.
-
-    Bumps are radial about their centers, so geodesic polar coordinates
-    give the exact 1-D form sigma_{n-1} int_0^r w(rho/r) sin_k(rho)^{n-1} drho.
-    """
-    from .phantoms import bump_profile
-
-    space = phantom.space
-    n = space.n
-    sigma = constants(n, space.radius).sigma
-    total = 0.0
-    for b in phantom.bumps:
-        nodes, w = gauss_legendre(radial_order, 0.0, b.geodesic_radius)
-        total += b.amplitude * float(
-            np.dot(w, bump_profile(nodes / b.geodesic_radius) * space.sin_k(nodes) ** (n - 1)))
-    return sigma * total
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ class Bump:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.geodesic_radius <= 0:
+        if not self.geodesic_radius > 0:
             raise ValueError("bump radius must be positive")
 
 

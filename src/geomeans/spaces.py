@@ -64,7 +64,7 @@ class SpaceSpec:
             raise ValueError(f"unknown space kind {self.kind!r}")
         if self.n < 2:
             raise ValueError("dimension must be >= 2")
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("radius must be positive")
         if self.kind == SPHERE and self.radius > np.pi / 2 + 1e-12:
             raise ValueError("cap angle must lie in (0, pi/2]")
@@ -175,7 +175,13 @@ def geodesic_distance(space: SpaceSpec, x: np.ndarray, y: np.ndarray) -> np.ndar
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if space.kind == EUCLIDEAN:
-        return np.linalg.norm(x - y, axis=-1)
+        # the squares summed column by column, in np.linalg.norm's order up
+        # to n = 7; numpy runs a reduction over a short last axis slowly
+        d = x - y
+        sq = d[..., 0] ** 2
+        for k in range(1, d.shape[-1]):
+            sq += d[..., k] ** 2
+        return np.sqrt(sq)
     return space.arc_k(pairing(space, x, y))
 
 

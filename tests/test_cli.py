@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from geomeans import checks
+from geomeans import checks, spaces
 from geomeans.cli import (
     MEANS_MAGIC,
     ConfigError,
@@ -63,6 +63,9 @@ def test_schema_errors_carry_field_paths():
     bad = cfg_with()
     bad["phantom"][0]["center"] = [0.25]
     with pytest.raises(ConfigError, match=r"config.phantom\[0\].center"):
+        parse_config(bad)
+    bad["phantom"][0]["center"] = [0.25, "0.1"]
+    with pytest.raises(ConfigError, match=r"^config.phantom\[0\].center\[1\] must be a number$"):
         parse_config(bad)
     bad = cfg_with(method="sideways")
     with pytest.raises(ConfigError, match="config.method"):
@@ -150,6 +153,60 @@ def test_phantom_margin_enforced():
     bad["phantom"][0]["center"] = [0.75, 0.0]
     with pytest.raises(ConfigError, match="config.phantom"):
         parse_config(bad)
+
+
+@pytest.mark.parametrize("where,value", [
+    (("space", "radius"), float("nan")),
+    (("space", "radius"), 10 ** 400),
+    (("phantom", 0, "center", 1), float("nan")),
+    (("phantom", 0, "geodesic_radius"), float("nan")),
+    (("phantom", 0, "amplitude"), float("inf")),
+    (("alpha",), float("nan")),
+    (("alpha",), float("inf")),
+    (("grids", "fd_step"), float("nan")),
+    (("grids", "recon_grid", "center", 0), -float("inf")),
+    (("grids", "recon_grid", "half_width"), float("inf")),
+    (("grids", "recon_grid", "ball_radius"), -float("inf")),
+])
+def test_non_finite_numbers_rejected(where, value):
+    bad = cfg_with()
+    obj = bad
+    for step in where[:-1]:
+        obj = obj[step]
+    obj[where[-1]] = value
+    path = "config" + "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in where)
+    # an integer beyond the float range reads as inf
+    shown = repr(value) if isinstance(value, float) else "inf"
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)} must be finite, not {shown}$"):
+        parse_config(bad)
+
+
+def test_non_finite_json_config_exits_cleanly(tmp_path, capsys):
+    # Python's json reads NaN and Infinity; a NaN bump radius used to run
+    # through and write a report of nan
+    text = json.dumps(cfg_with()).replace('"geodesic_radius": 0.3', '"geodesic_radius": NaN')
+    assert "NaN" in text
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "r.csv"
+    assert main(["roundtrip", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config.phantom[0].geodesic_radius must be finite, not nan\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,alpha,message", [
+    ("euclidean", -1.0, r"^config.alpha must be >= \(1-n\)/2 = -0.5, not -1.0$"),
+    ("sphere", 0.0, r"^cap traces are generated with config.alpha > 0, not 0.0$"),
+    ("hyperbolic", 1.0, "^config.alpha is set, but hyperboloid trace inversion is not provided$"),
+])
+def test_trace_order_checked_in_config(kind, alpha, message):
+    raw = cfg_with()
+    raw["space"] = {"kind": kind, "n": 2, "radius": 1.0 if kind == "euclidean" else 0.8}
+    parse_config(raw)
+    raw["alpha"] = alpha
+    with pytest.raises(ConfigError, match=message):
+        parse_config(raw)
 
 
 def test_means_csv_roundtrip_bitwise(tmp_path):
@@ -304,6 +361,49 @@ def test_means_t_grid_outside_the_section_range(means_file):
     path.write_text("\n".join([lines[0], "# " + json.dumps(meta), lines[2]] + rows) + "\n")
     with pytest.raises(ValueError, match=r"t1 = 2\.199.* leaves the euclidean section range"):
         read_means(str(path))
+
+
+def _set_means_alpha(path, alpha):
+    """Rewrite the metadata's trace order of a means file."""
+    lines = path.read_text().splitlines()
+    meta = json.loads(lines[1][2:])
+    meta["alpha"] = alpha
+    path.write_text("\n".join([lines[0], "# " + json.dumps(meta)] + lines[2:]) + "\n")
+
+
+@pytest.mark.parametrize("alpha,message", [
+    ("inf", "alpha must be finite, not inf"),
+    ("nan", "alpha must be finite, not nan"),
+    ("-1.0", r"alpha must be >= \(1-n\)/2 = -0.5, not -1.0"),
+])
+def test_means_trace_order_checked(means_file, alpha, message):
+    path, _ = means_file
+    _set_means_alpha(path, "0.5")
+    assert read_means(str(path)).alpha == 0.5
+    _set_means_alpha(path, alpha)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read_means(str(path))
+
+
+def test_means_hyperboloid_trace_rejected(tmp_path):
+    space = SpaceSpec("hyperbolic", 2, 0.8)
+    ph = Phantom(space, (Bump(spaces.lift(space, np.array([0.1, 0.0])), 0.2, 1.0),))
+    path = tmp_path / "means.csv"
+    write_means(forward_means(ph, boundary_grid(space, 8), default_tgrid(space, 64)), str(path))
+    _set_means_alpha(path, "1.0")
+    with pytest.raises(ValueError, match="^alpha is set, but hyperboloid trace inversion"):
+        read_means(str(path))
+
+
+def test_means_infinite_trace_order_exits_cleanly(tmp_path, means_file, capsys):
+    # an infinite order used to end `geomeans invert` in an OverflowError
+    path, _ = means_file
+    _set_means_alpha(path, "inf")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg_with()))
+    assert main(["invert", "--config", str(cfg_path), "--means", str(path),
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err == "error: alpha must be finite, not inf\n"
 
 
 def test_means_magic_check(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import gamma
 
 from geomeans import forward, spaces
+from geomeans.checks import phantom_integral
 from geomeans.forward import (
     MeanData,
     default_tgrid,
@@ -10,7 +11,6 @@ from geomeans.forward import (
     epd_trace_sphere,
     forward_means,
 )
-from geomeans.inversion import phantom_integral
 from geomeans.numerics import TGrid, gauss_legendre
 from geomeans.phantoms import Bump, Phantom, laplacian_field
 from geomeans.spaces import EUCLIDEAN, HYPERBOLIC, SPHERE, SpaceSpec, boundary_grid
@@ -55,6 +55,27 @@ def test_mean_data_rejects_a_t_grid_outside_the_section_range(space, shift, mess
     MeanData(space, bd, tg, np.zeros((bd.m, tg.n)))
     with pytest.raises(ValueError, match=message):
         MeanData(space, bd, TGrid(tg.values + shift), np.zeros((bd.m, tg.n)))
+
+
+@pytest.mark.parametrize("space,alpha,message", [
+    (E3, float("nan"), "alpha must be finite, not nan"),
+    (E3, float("inf"), "alpha must be finite, not inf"),
+    (E3, -1.5, r"alpha must be >= \(1-n\)/2 = -1.0, not -1.5"),
+    (S3, 0.0, r"cap traces are generated with alpha > 0, not 0.0"),
+    (SpaceSpec(HYPERBOLIC, 3, 0.8), 1.0,
+     "alpha is set, but hyperboloid trace inversion is not provided"),
+])
+def test_mean_data_checks_the_trace_order(space, alpha, message):
+    bd = boundary_grid(space, 16)
+    tg = default_tgrid(space, 64)
+    values = np.zeros((bd.m, tg.n))
+    assert MeanData(space, bd, tg, values).alpha is None
+    if space.kind != HYPERBOLIC:
+        # the lower end (1-n)/2 of the R^3 range, and an order inside the cap's
+        ok = -1.0 if space.kind == EUCLIDEAN else 0.5
+        assert MeanData(space, bd, tg, values, ok).alpha == ok
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MeanData(space, bd, tg, values, alpha)
 
 
 def test_linearity_two_bumps():
@@ -501,8 +522,10 @@ def test_epd_trace_euclidean_alpha_range():
     ph = bump_at(E3, [0.2, 0.1, -0.15], 0.3)
     bd = boundary_grid(E3, 8)
     tg = default_tgrid(E3, 300)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"alpha must be >= \(1-n\)/2"):
         epd_trace_euclidean(ph, bd, tg, -1.5)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        epd_trace_euclidean(ph, bd, tg, float("nan"))
 
 
 def test_epd_trace_euclidean_ball_integral_oracle():
@@ -577,8 +600,10 @@ def test_epd_trace_sphere_alpha_guard():
     ph = bump_at(S3, [0.12, -0.08, 0.10], 0.22)
     bd = boundary_grid(S3, 8)
     tg = default_tgrid(S3, 300)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cap traces are generated with alpha > 0"):
         epd_trace_sphere(ph, bd, tg, -0.5)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        epd_trace_sphere(ph, bd, tg, float("inf"))
 
 
 def test_epd_trace_sphere_direct_quadrature_oracle():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gamma
 
 from geomeans import spaces
+from geomeans.checks import phantom_integral, riesz_potential
 from geomeans.forward import MeanData, default_tgrid, epd_trace_sphere, forward_means
 from geomeans.inversion import (
     _BLOCK_CELLS,
@@ -13,8 +14,6 @@ from geomeans.inversion import (
     constants,
     invert,
     make_report,
-    phantom_integral,
-    riesz_potential,
 )
 from geomeans.numerics import (
     TGrid,
@@ -513,7 +512,14 @@ def test_radial_data_match_the_every_row_route(space, m, alpha):
 def test_invert_rejections(space, alpha, method, match):
     bd = boundary_grid(space, 16)
     tg = default_tgrid(space, 128)
-    data = MeanData(space, bd, tg, np.zeros((bd.m, tg.n)), alpha)
+    values = np.zeros((bd.m, tg.n))
+    if alpha is not None and method == "direct":
+        # a trace order that no trace of the space has fails where the data
+        # are built, so invert never sees it
+        with pytest.raises(ValueError, match=match):
+            MeanData(space, bd, tg, values, alpha)
+        return
+    data = MeanData(space, bd, tg, values, alpha)
     x = spaces.lift(space, np.full((1, space.n), 0.1))
     with pytest.raises(ValueError, match=match):
         invert(data, x, method=method)

@@ -54,6 +54,12 @@ def test_support_margin():
     assert abs(two.support_margin() - 0.2) < 1e-14
 
 
+@pytest.mark.parametrize("radius", [float("nan"), 0.0, -0.3])
+def test_bump_radius_must_be_positive(radius):
+    with pytest.raises(ValueError, match="bump radius must be positive"):
+        Bump(np.array([0.2, 0.0]), radius, 1.0)
+
+
 def test_margin_violation_rejected():
     with pytest.raises(ValueError):
         Phantom(E2, (Bump(np.array([0.8, 0.0]), 0.3, 1.0),))

@@ -31,8 +31,9 @@ def test_space_validation():
         SpaceSpec(SPHERE, 2, 2.0)  # cap angle beyond pi/2
     with pytest.raises(ValueError):
         SpaceSpec("flat", 2, 1.0)
-    with pytest.raises(ValueError):
-        SpaceSpec(EUCLIDEAN, 3, -1.0)
+    for radius in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            SpaceSpec(EUCLIDEAN, 3, radius)
 
 
 def test_boundary_square_example():
@@ -257,3 +258,15 @@ def test_geodesic_distance_consistency():
     x = spaces.lift(H2, xp)
     e = spaces.origin(H2)
     assert abs(geodesic_distance(H2, x, e) - np.arccosh(x[-1])) < 1e-14
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_euclidean_distance_equals_numpy_norm(n):
+    # summed column by column in the order np.linalg.norm sums up to n = 7,
+    # so the distances are its numbers bit for bit
+    space = SpaceSpec(EUCLIDEAN, n, 1.0)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((3, 50, n))
+    y = rng.standard_normal(n)
+    assert np.array_equal(geodesic_distance(space, x, y), np.linalg.norm(x - y, axis=-1))
+    assert geodesic_distance(space, x[0, 0], y) == np.linalg.norm(x[0, 0] - y, axis=-1)

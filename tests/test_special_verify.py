@@ -1,13 +1,13 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gamma
 
-from geomeans.special_verify import (
+from geomeans.checks import (
     chebyshev_pv,
     chebyshev_u,
     g_alpha_continued,
     g_alpha_direct,
-    gauss_2f1,
     gaussian_profile,
     hyp2f1_regularized,
     log_circle_integral,
@@ -16,38 +16,44 @@ from geomeans.special_verify import (
 )
 
 
+def _hyp2f1(a, b, c, z):
+    """2F1(a, b; c; z) from the regularized series, away from the poles in c."""
+    return hyp2f1_regularized(a, b, c, z) * gamma(c)
+
+
 def test_2f1_at_zero():
-    assert gauss_2f1(0.3, 1.7, 2.1, 0.0) == 1.0
+    assert _hyp2f1(0.3, 1.7, 2.1, 0.0) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_2f1_log_closed_form():
     # F(1,1;2;z) = -log(1-z)/z
-    assert abs(gauss_2f1(1.0, 1.0, 2.0, 0.5) - 2.0 * np.log(2.0)) < 1e-14
+    for z in (0.5, -0.7, 0.9):
+        got = _hyp2f1(1.0, 1.0, 2.0, z)
+        assert got == pytest.approx(-np.log(1.0 - z) / z, rel=1e-14)
+        assert got == pytest.approx(float(mpmath.hyp2f1(1, 1, 2, z)), rel=1e-14)
 
 
 def test_2f1_terminating():
-    assert gauss_2f1(2.0, 0.0, 1.3, 0.7) == 1.0
-    # a = -2 terminates the series before the c = -5 pole is reached
-    z = 0.5
-    expect = 1.0 + (-2.0 * 1.0) / (1.0 * -5.0) * z \
-        + ((-2.0 * -1.0) * (1.0 * 2.0)) / (2.0 * (-5.0 * -4.0)) * z ** 2
-    assert gauss_2f1(-2.0, 1.0, -5.0, z) == pytest.approx(expect, abs=1e-15)
-
-
-def test_2f1_pole_error():
-    with pytest.raises(ValueError):
-        gauss_2f1(0.5, 0.7, -2.0, 0.3)
+    assert _hyp2f1(2.0, 0.0, 1.3, 0.7) == pytest.approx(1.0, rel=1e-15)
+    # a = -2 ends the series after three terms
+    for c, z in ((1.3, 0.5), (-4.5, 0.8)):
+        assert _hyp2f1(-2.0, 1.0, c, z) == pytest.approx(
+            float(mpmath.hyp2f1(-2, 1, c, z)), rel=1e-14)
+    # at c = -5 the three nonzero terms (k <= 2) all sit where 1/Gamma(c + k)
+    # vanishes (k <= 5)
+    assert hyp2f1_regularized(-2.0, 1.0, -5.0, 0.5) == 0.0
 
 
 def test_2f1_regularized_nonpositive_c():
-    # F(a,b;c;z)/Gamma(c) at c = 0 equals a b z F(a+1,b+1;2;z)
+    # F(a,b;-j;z)/Gamma(-j) = (a)_{j+1} (b)_{j+1} / (j+1)! z^{j+1} F(a+j+1,b+j+1;j+2;z)
     a, b, z = 0.4, 1.3, 0.35
-    got = hyp2f1_regularized(a, b, 0.0, z)
-    expect = a * b * z * gauss_2f1(a + 1.0, b + 1.0, 2.0, z)
-    assert abs(got - expect) < 1e-13
-    # and agrees with the plain series away from poles
-    got = hyp2f1_regularized(a, b, 1.7, z)
-    assert abs(got - gauss_2f1(a, b, 1.7, z) / gamma(1.7)) < 1e-14
+    for j in (0, 2):
+        expect = float(mpmath.rf(a, j + 1) * mpmath.rf(b, j + 1) / mpmath.factorial(j + 1)
+                       * mpmath.mpf(z) ** (j + 1)
+                       * mpmath.hyp2f1(a + j + 1, b + j + 1, j + 2, z))
+        assert hyp2f1_regularized(a, b, -float(j), z) == pytest.approx(expect, rel=1e-13)
+    # and away from the poles it is the plain function over Gamma(c)
+    assert _hyp2f1(a, b, 1.7, z) == pytest.approx(float(mpmath.hyp2f1(a, b, 1.7, z)), rel=1e-14)
 
 
 def test_g_direct_constant_kernel():
