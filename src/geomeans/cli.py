@@ -377,25 +377,45 @@ def cmd_epd_roundtrip(cfg: dict, out_path: str) -> int:
     return cmd_roundtrip(cfg, out_path)
 
 
+def _slice_parts(slice_spec: str, n: int) -> list[tuple[str, int, float]]:
+    """(part, axis index, value) of each part of a slice 'x3=0.0,x4=0.1' over
+    n axes, checked part by part: the form, the axis number and no axis
+    twice."""
+    parts = []
+    for part in slice_spec.split(","):
+        axis_s, _, val_s = part.partition("=")
+        try:
+            axis, val = int(axis_s.removeprefix("x")), float(val_s)
+        except ValueError:
+            axis, val = 0, np.nan
+        if not (axis_s.startswith("x") and np.isfinite(val)):
+            raise ValueError(f"slice part {part!r} is not of the form x<axis>=<finite number>")
+        if not 1 <= axis <= n:
+            raise ValueError(f"slice part {part!r} names no axis of the report, which has x1..x{n}")
+        if any(axis - 1 == a for _, a, _ in parts):
+            raise ValueError(f"slice part {part!r} repeats axis x{axis}")
+        parts.append((part, axis - 1, val))
+    return parts
+
+
 def cmd_render(report_path: str, out_path: str, slice_spec: str | None) -> int:
     header, rows, _ = read_report(report_path)
+    if rows.size == 0:
+        raise ValueError(f"report {report_path} has no rows")
     ncols = len(header)
     n = ncols - 2
     coords = rows[:, :n]
     frec = rows[:, n + 1]
     keep_axes = list(range(n))
-    if slice_spec:
-        for part in slice_spec.split(","):
-            axis_s, val_s = part.split("=")
-            axis = int(axis_s.lstrip("x")) - 1
-            val = float(val_s)
-            vals = coords[:, axis]
-            tol = 0.5 * _min_spacing(vals)
-            mask = np.abs(vals - val) <= tol
-            rows = rows[mask]
-            coords = coords[mask]
-            frec = frec[mask]
-            keep_axes.remove(axis)
+    for part, axis, val in _slice_parts(slice_spec, n) if slice_spec else []:
+        vals = coords[:, axis]
+        tol = 0.5 * _min_spacing(vals)
+        mask = np.abs(vals - val) <= tol
+        if not np.any(mask):
+            raise ValueError(f"slice part {part!r} selects no point of the report")
+        coords = coords[mask]
+        frec = frec[mask]
+        keep_axes.remove(axis)
     if len(keep_axes) != 2:
         raise ValueError("slice must reduce the grid to exactly 2 axes")
     ax0, ax1 = keep_axes

@@ -145,11 +145,52 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, F: np.ndarray, x: np.ndarra
     return out if F.ndim == 3 else out[0]
 
 
-def _table_grid(space: SpaceSpec, n_points: int) -> TGrid:
-    """Target grid for log-kernel tables, spanning the full open t-range."""
+# Nodes a log-kernel table keeps on each side of the arguments it is read at.
+# Its differences along the target axis (L_n in R^n, d/dt twice on the cap and
+# the hyperboloid) are two 4th-order first differences, whose one-sided end
+# formulas reach 4 nodes in, and the cubic stencil reads from one node below
+# its cell to two above. Reads then need 5 nodes below the node at or below
+# the smallest argument, and 6 above the node at or above the largest one,
+# whose cell starts there when an argument falls on it; 6 on each side
+# covers both.
+_WINDOW_MARGIN = 6
+
+
+def _table_grid(space: SpaceSpec, n_points: int,
+                read: tuple[float, float] | None = None) -> TGrid:
+    """Target grid for log-kernel tables, spanning the full open t-range.
+
+    With read = (lo, hi), only the grid's nodes from the one at or below lo
+    to the one at or above hi, plus `_WINDOW_MARGIN` nodes on each side,
+    clipped to the grid.
+    """
     lo, hi = space.tgrid_range
     slack = 1e-6 * (hi - lo)
-    return TGrid.linspace(lo + slack, hi - slack, n_points)
+    grid = TGrid.linspace(lo + slack, hi - slack, n_points)
+    if read is None:
+        return grid
+    first = int(np.floor((read[0] - grid.a) / grid.h)) - _WINDOW_MARGIN
+    last = int(np.ceil((read[1] - grid.a) / grid.h)) + _WINDOW_MARGIN
+    return TGrid(grid.values[max(first, 0):min(last, grid.n - 1) + 1])
+
+
+def _read_range(space: SpaceSpec, x: np.ndarray) -> tuple[float, float]:
+    """Bounds of the observation arguments of the points x (K, dim) against
+    any boundary centres, from the points alone.
+
+    Every centre has |xi| = R in R^n, so |x - xi| lies in [R - |x|, R + |x|].
+    On the cap and the hyperboloid every centre has height cos_k R and chart
+    radius sin_k R, so (xi, x) lies in x_{n+1} cos_k R -+ sin_k R |x'|.
+    Every point's bounds hold the origin's single argument (R, resp.
+    cos_k R), which an empty set of points reads.
+    """
+    if space.kind == spaces.EUCLIDEAN:
+        r = float(np.max(np.linalg.norm(x, axis=1), initial=0.0))
+        return space.radius - r, space.radius + r
+    c = space.cos_k(space.radius)
+    spread = space.chart_radius * np.linalg.norm(x[:, :-1], axis=1)
+    return (float(np.min(x[:, -1] * c - spread, initial=c)),
+            float(np.max(x[:, -1] * c + spread, initial=c)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +223,16 @@ def _untrace(space: SpaceSpec, grid: TGrid, values: np.ndarray, alpha: float) ->
 # Euclidean back-projection is the back-projection of L_n applied to its
 # profiles.
 
-def _euclidean_rows(space: SpaceSpec, grid: TGrid, values: np.ndarray, method: str):
+def _euclidean_rows(space: SpaceSpec, grid: TGrid, values: np.ndarray, method: str,
+                    read: tuple[float, float]):
     """Grid, rows and fill of the Euclidean back-projection (layers 3 and 4).
 
     Odd n: P = D^{n-3}[t^{n-2} means]. Even n: P is the log|t^2-s^2| table
-    of t D^{n-2}[t^{n-2} means] on the full t-range; n = 2 reproduces the
-    disk formula. The direct method back-projects L_n P (along the table's
-    target axis in even n); the Laplacian-free modified method applies L_n
-    to the means first and back-projects P.
+    of t D^{n-2}[t^{n-2} means], built only on the window of the full target
+    grid that arguments in `read` reach (`_table_grid`); n = 2 reproduces
+    the disk formula. The direct method back-projects L_n P (along the
+    table's target axis in even n); the Laplacian-free modified method
+    applies L_n to the means first and back-projects P.
     """
     n, t = space.n, grid.values
     if method == "modified":
@@ -199,7 +242,7 @@ def _euclidean_rows(space: SpaceSpec, grid: TGrid, values: np.ndarray, method: s
     if n % 2 == 1:
         out_grid, rows, fill = grid, d_operator_matrix(t ** (n - 2) * values, grid, n - 3), 0.0
     else:
-        out_grid, fill = _table_grid(space, grid.n), "error"
+        out_grid, fill = _table_grid(space, grid.n, read), "error"
         rows = log_kernel_table(t * d_operator_matrix(t ** (n - 2) * values, grid, n - 2),
                                 grid, out_grid.values, kernel="log|t^2-s^2|")
     if method == "direct":
@@ -227,19 +270,21 @@ def _chart_coefficients(space: SpaceSpec, xp: np.ndarray):
             -c * (k * n / z + rho2 / z ** 3))
 
 
-def _curved_rows(space: SpaceSpec, grid: TGrid, values: np.ndarray):
+def _curved_rows(space: SpaceSpec, grid: TGrid, values: np.ndarray,
+                 read: tuple[float, float]):
     """Grid, stack (P'', t P'', P') and fill of the cap/hyperboloid
     back-projection (layers 3 and 4).
 
     F = means (kappa (1-t^2))^{n/2-1}. Odd n: P = F^{(n-3)}. Even n
-    (including 2): P is the log|t-s| table of F^{(n-2)} on the full t-range.
+    (including 2): P is the log|t-s| table of F^{(n-2)}, built only on the
+    window of the full target grid that arguments in `read` reach.
     """
     n, t = space.n, grid.values
     F = values * (space.curvature * (1.0 - t ** 2)) ** (n / 2.0 - 1.0)
     if n % 2 == 1:
         out_grid, rows, fill = grid, diff_matrix(F, grid, n - 3), 0.0
     else:
-        out_grid, fill = _table_grid(space, grid.n), "error"
+        out_grid, fill = _table_grid(space, grid.n, read), "error"
         rows = log_kernel_table(diff_matrix(F, grid, n - 2), grid, out_grid.values,
                                 kernel="log|t-s|")
     d1 = diff_matrix(rows, out_grid, 1)
@@ -261,7 +306,10 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     order checked by `MeanData`) first have their fractional weighting
     undone, and then take the direct formula. Radial data, whose rows are
     all equal, run as one row through every layer, which back-projects to
-    the same numbers.
+    the same numbers. In even n the log-kernel table and its differences are
+    built only on the targets between the points' smallest and largest
+    possible arguments (`_read_range`) plus a margin; an argument outside
+    that window still raises.
 
     `fd_step` is accepted and ignored: every outer Laplacian is computed in
     closed form inside the back-projection, with no finite-difference step.
@@ -289,10 +337,11 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
         values = values[:1]
     if alpha is not None:
         values = _untrace(space, data.tgrid, values, alpha)
+    read = _read_range(space, x)
     if space.kind == spaces.EUCLIDEAN:
-        grid, rows, fill = _euclidean_rows(space, data.tgrid, values, method)
+        grid, rows, fill = _euclidean_rows(space, data.tgrid, values, method, read)
     else:
-        grid, rows, fill = _curved_rows(space, data.tgrid, values)
+        grid, rows, fill = _curved_rows(space, data.tgrid, values, read)
     f0 = backproject(data.boundary, grid, rows, x, fill=fill)
 
     c = constants(n, space.radius)

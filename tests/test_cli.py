@@ -500,6 +500,54 @@ def test_render_slice(tmp_path):
     assert content[2] == "4 4"
 
 
+@pytest.fixture(scope="module")
+def euclid3_report(tmp_path_factory):
+    path = tmp_path_factory.mktemp("render") / "euclid3.csv"
+    cfg = cfg_with(space={"kind": "euclidean", "n": 3, "radius": 1.0},
+                   phantom=[{"center": [0.2, 0.1, 0.0], "geodesic_radius": 0.3,
+                             "amplitude": 1.0}])
+    cfg["grids"].update(boundary_points=128, t_points=128,
+                        recon_grid={"center": [0.2, 0.1, 0.0], "half_width": 0.3,
+                                    "points_per_axis": 5})
+    cfg_path = path.with_suffix(".json")
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["roundtrip", "--config", str(cfg_path), "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("x7=0.0", "slice part 'x7=0.0' names no axis of the report, which has x1..x3"),
+    ("x0=0.0", "slice part 'x0=0.0' names no axis of the report, which has x1..x3"),
+    ("x3=5.0", "slice part 'x3=5.0' selects no point of the report"),
+    ("x1=0.1,x1=0.2", "slice part 'x1=0.2' repeats axis x1"),
+    ("x3", "slice part 'x3' is not of the form x<axis>=<finite number>"),
+    ("y3=0.0", "slice part 'y3=0.0' is not of the form x<axis>=<finite number>"),
+    ("x3=nan", "slice part 'x3=nan' is not of the form x<axis>=<finite number>"),
+])
+def test_render_rejects_bad_slices(euclid3_report, tmp_path, capsys, spec, message):
+    out = tmp_path / "img.pgm"
+    capsys.readouterr()
+    assert main(["render", "--report", str(euclid3_report), "--out", str(out),
+                 "--slice", spec]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_render_slices_a_roundtrip_report(euclid3_report, tmp_path):
+    out = tmp_path / "img.pgm"
+    assert main(["render", "--report", str(euclid3_report), "--out", str(out),
+                 "--slice", "x3=0.0"]) == 0
+    assert out.read_text().splitlines()[2] == "5 5"
+
+
+def test_render_rejects_an_empty_report(tmp_path, capsys):
+    rep = tmp_path / "rep.csv"
+    rep.write_text("x_1,x_2,x_3,f_true,f_rec\n"
+                   '# {"rel_l2": "nan", "sup_err": "nan", "calibration": "nan", "method": "direct"}\n')
+    assert main(["render", "--report", str(rep), "--out", str(tmp_path / "img.pgm")]) == 2
+    assert capsys.readouterr().err == f"error: report {rep} has no rows\n"
+
+
 def test_pgm_minmax_comment(tmp_path):
     out = tmp_path / "img.pgm"
     write_pgm(np.array([[0.0, 1.0], [2.0, 3.0]]), str(out))

@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gamma
 
-from geomeans import spaces
+from geomeans import cli, inversion, spaces
 from geomeans.checks import phantom_integral, riesz_potential
 from geomeans.forward import MeanData, default_tgrid, epd_trace_sphere, forward_means
 from geomeans.inversion import (
     _BLOCK_CELLS,
+    _WINDOW_MARGIN,
     _chart_coefficients,
+    _observation_args,
+    _read_range,
     backproject,
     chart_box_grid,
     constants,
@@ -20,6 +23,7 @@ from geomeans.numerics import (
     _cubic_cells,
     _cubic_weights,
     d_operator_matrix,
+    darboux_L_matrix,
     diff_matrix,
     laplacian_fd,
     log_kernel_table,
@@ -533,6 +537,168 @@ def test_invert_rejects_lower_sheet_points():
     assert invert(data, x)[0] == 0.0
     with pytest.raises(ValueError, match="lower sheet"):
         invert(data, x * np.array([1.0, 1.0, 1.0, -1.0]))
+
+
+# ---------------------------------------------------------------------------
+# the log-table window
+# ---------------------------------------------------------------------------
+
+def _full_range_invert(data, x, method="direct"):
+    """Even-n inversion by the route without the window: the log table and
+    its differences along the target axis on the whole table grid, then the
+    back-projection and the constants."""
+    space, tg, bd = data.space, data.tgrid, data.boundary
+    n, t = space.n, tg.values
+    values = data.values[:1] if np.all(data.values == data.values[0]) else data.values
+    grid = _table_grid(space, tg.n)
+    c = constants(n, space.radius)
+    if space.kind == EUCLIDEAN:
+        if method == "modified":
+            values = darboux_L_matrix(values, tg, n)
+        q = t * d_operator_matrix(t ** (n - 2) * values, tg, n - 2)
+        rows = log_kernel_table(q, tg, grid.values, kernel="log|t^2-s^2|")
+        if method == "direct":
+            rows = darboux_L_matrix(rows, grid, n)
+        return c.d_n2 * space.boundary_area * backproject(bd, grid, rows, x, fill="error")
+    F = values * (space.curvature * (1.0 - t ** 2)) ** (n / 2.0 - 1.0)
+    rows = log_kernel_table(diff_matrix(F, tg, n - 2), tg, grid.values, kernel="log|t-s|")
+    d1 = diff_matrix(rows, grid, 1)
+    d2 = diff_matrix(d1, grid, 1)
+    p2, tp2, p1 = backproject(bd, grid, np.stack([d2, grid.values * d2, d1]), x, fill="error")
+    A, B, C = _chart_coefficients(space, spaces.chart(space, x))
+    lap = space.boundary_area / np.pi * (A * p2 + B * tp2 + C * p1)
+    return c.d_curved * x[:, -1] / space.chart_radius * lap
+
+
+def _geodesic_read_range(space, x):
+    """The arguments' bounds from the points' geodesic radii r: R -+ r in
+    R^n, cos_k(R +- r) on the cap and the hyperboloid."""
+    r = spaces.geodesic_distance(space, spaces.origin(space)[None, :], x)
+    near, far = space.radius - r, space.radius + r
+    if space.kind == EUCLIDEAN:
+        return float(np.min(near)), float(np.max(far))
+    ends = np.concatenate([space.cos_k(near), space.cos_k(far)])
+    return float(np.min(ends)), float(np.max(ends))
+
+
+E4 = SpaceSpec(EUCLIDEAN, 4, 1.0)
+S2 = SpaceSpec(SPHERE, 2, 0.8)
+H2 = SpaceSpec(HYPERBOLIC, 2, 0.8)
+
+
+@pytest.mark.parametrize("space,chart_c,m,method", [
+    (E2, [0.25, 0.1], 64, "direct"),
+    (E2, [0.25, 0.1], 64, "modified"),
+    (E4, [0.0, 0.0, 0.0, 0.0], 250, "direct"),
+    (E4, [0.2, -0.1, 0.1, 0.05], 250, "direct"),
+    (E4, [0.2, -0.1, 0.1, 0.05], 250, "modified"),
+    (S2, [0.15, -0.1], 64, "direct"),
+    (H2, [0.18, -0.12], 64, "direct"),
+])
+@pytest.mark.parametrize("scale", [0.5, 0.98])
+def test_windowed_tables_match_the_full_range(space, chart_c, m, method, scale):
+    # points out to half the chart radius, whose window is a part of the
+    # grid, or out to the interior limit of chart_box_grid, and one at the
+    # origin; a centred E4 bump runs as one row
+    rng = np.random.default_rng(5)
+    data = forward_means(bump_at(space, chart_c, 0.3), boundary_grid(space, m),
+                         default_tgrid(space, 256))
+    assert (np.all(data.values == data.values[0])) == (not np.any(chart_c))
+    x = np.concatenate([spaces.lift(space, np.zeros((1, space.n))),
+                        _interior_points(space, 60, scale, rng)])
+    got = invert(data, x, method=method)
+    ref = _full_range_invert(data, x, method)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name,kernel", [("euclid2", "log|t^2-s^2|"), ("sphere2", "log|t-s|"),
+                                         ("hyperbolic2", "log|t-s|")])
+def test_windowed_table_is_the_full_tables_columns(name, kernel):
+    # each target's operator row depends on that target alone, so the
+    # window's rows are the full table's bit for bit; the unit profiles read
+    # the operator exactly. Profiles in general meet the operator in a matrix
+    # product whose last bits follow the BLAS blocking of its output shape
+    cfg = cli.load_config(f"configs/{name}.json")
+    data, x = cli._forward_data(cfg), cli._recon_points(cfg)
+    tg = data.tgrid
+    full = _table_grid(data.space, tg.n)
+    window = inversion._table_grid(data.space, tg.n, _read_range(data.space, x))
+    first = int(np.searchsorted(full.values, window.a))
+    assert np.array_equal(window.values, full.values[first:first + window.n])
+    assert window.n < full.n
+    unit = np.eye(tg.n)
+    assert np.array_equal(log_kernel_table(unit, tg, window.values, kernel=kernel),
+                          log_kernel_table(unit, tg, full.values, kernel=kernel)[:, first:first + window.n])
+    got = log_kernel_table(data.values, tg, window.values, kernel=kernel)
+    ref = log_kernel_table(data.values, tg, full.values, kernel=kernel)[:, first:first + window.n]
+    assert np.max(np.abs(got - ref)) <= 4e-15 * np.max(np.abs(ref))
+
+
+def test_invert_builds_only_the_window(monkeypatch):
+    # the targets asked of log_kernel_table: the nodes of the cells that hold
+    # the points' argument bounds, and the margin on each side
+    cfg = cli.load_config("configs/sphere2.json")
+    data, x = cli._forward_data(cfg), cli._recon_points(cfg)
+    asked = []
+
+    def counting(profiles, grid, targets, *args, **kwargs):
+        asked.append(np.size(targets))
+        return log_kernel_table(profiles, grid, targets, *args, **kwargs)
+
+    monkeypatch.setattr(inversion, "log_kernel_table", counting)
+    invert(data, x)
+    full = _table_grid(data.space, data.tgrid.n)
+    lo, hi = _geodesic_read_range(data.space, x)
+    window = int(np.ceil((hi - full.a) / full.h)) - int(np.floor((lo - full.a) / full.h)) + 1
+    assert len(asked) == 1
+    assert asked[0] <= window + 2 * _WINDOW_MARGIN < full.n
+
+
+@pytest.mark.parametrize("kind", [EUCLIDEAN, SPHERE, HYPERBOLIC])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.0, 0.99))
+def test_read_range_bounds_every_argument(kind, n, seed, scale):
+    # up to 0.99 of the chart radius: nearer the boundary the Gram form of
+    # the Euclidean distance loses digits as |x - xi| -> 0
+    space = SpaceSpec(kind, n, 1.0 if kind == EUCLIDEAN else 0.8)
+    rng = np.random.default_rng(seed)
+    x = _interior_points(space, 30, scale, rng)
+    lo, hi = _read_range(space, x)
+    tol = 1e-12 * max(abs(lo), abs(hi))
+    args = _observation_args(space, boundary_grid(space, 64 if n == 2 else 200).centers)(x)
+    assert lo - tol <= np.min(args) and np.max(args) <= hi + tol
+
+
+def _admissible_edge(space, n_points):
+    """The geodesic radius at which the points' argument bounds first reach
+    an end of the full table grid."""
+    grid = _table_grid(space, n_points)
+    lo, hi = 0.0, space.radius
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        x = spaces.lift(space, np.array([[space.sin_k(mid)] + [0.0] * (space.n - 1)]))
+        a, b = _geodesic_read_range(space, x)
+        lo, hi = (mid, hi) if grid.a <= a and b <= grid.b else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("space,m", [(E2, 64), (E4, 250), (S2, 64), (H2, 64)])
+def test_points_at_the_admissible_edge_invert(space, m):
+    # within 1e-9 of that radius, towards a centre and between two, the
+    # window runs to the end of the grid and no argument leaves it
+    bd = boundary_grid(space, m)
+    tg = default_tgrid(space, 128)
+    data = forward_means(bump_at(space, np.full(space.n, 0.1), 0.3), bd, tg)
+    r = _admissible_edge(space, tg.n) * (1.0 - 1e-9)
+    toward = spaces.chart(space, bd.centers[:2])
+    toward = np.stack([toward[0], toward[0] + toward[1]])
+    xp = space.sin_k(r) * toward / np.linalg.norm(toward, axis=1, keepdims=True)
+    x = spaces.lift(space, xp)
+    assert np.all(np.isfinite(invert(data, x)))
+    full = _table_grid(space, tg.n)
+    window = inversion._table_grid(space, tg.n, _read_range(space, x))
+    assert window.a == full.a or window.b == full.b
 
 
 # ---------------------------------------------------------------------------
