@@ -65,9 +65,11 @@ def _as_coords(v, n: int, path: str) -> np.ndarray:
     return np.array([_as_number(c, f"{path}[{k}]") for k, c in enumerate(v)])
 
 
-def _as_int(v, path: str) -> int:
+def _as_int(v, path: str, least: int | None = None) -> int:
     if not isinstance(v, int) or isinstance(v, bool):
         raise ConfigError(f"{path} must be an integer")
+    if least is not None and v < least:
+        raise ConfigError(f"{path} must be >= {least}, not {v}")
     return v
 
 
@@ -126,11 +128,13 @@ def parse_config(raw: dict) -> dict:
     g = _fields(_need(raw, "grids", "config"),
                 ("boundary_points", "t_points", "quadrature_order", "fd_step", "recon_grid"),
                 "config.grids")
+    # the least boundary grid, t-grid and section rule that the layers build
     grids = {
         "boundary_points": _as_int(_need(g, "boundary_points", "config.grids"),
-                                   "config.grids.boundary_points"),
-        "t_points": _as_int(_need(g, "t_points", "config.grids"), "config.grids.t_points"),
-        "quadrature_order": _as_int(g.get("quadrature_order", 16), "config.grids.quadrature_order"),
+                                   "config.grids.boundary_points", 4),
+        "t_points": _as_int(_need(g, "t_points", "config.grids"), "config.grids.t_points", 64),
+        "quadrature_order": _as_int(g.get("quadrature_order", 16),
+                                    "config.grids.quadrature_order", 2),
         "fd_step": _as_positive(g.get("fd_step", 1e-2 * radius), "config.grids.fd_step"),
         "recon_grid": None,
     }
@@ -142,13 +146,14 @@ def parse_config(raw: dict) -> dict:
         ppa = _as_int(_need(rg, "points_per_axis", pth), f"{pth}.points_per_axis")
         if ppa < 1:
             raise ConfigError(f"{pth}.points_per_axis must be positive")
+        half = _as_positive(_need(rg, "half_width", pth), f"{pth}.half_width")
         ball = rg.get("ball_radius")
-        grids["recon_grid"] = {
-            "center": center,
-            "half_width": _as_positive(_need(rg, "half_width", pth), f"{pth}.half_width"),
-            "points_per_axis": ppa,
-            "ball_radius": None if ball is None else _as_positive(ball, f"{pth}.ball_radius"),
-        }
+        ball = None if ball is None else _as_positive(ball, f"{pth}.ball_radius")
+        if chart_box_grid(space, center, half, ppa, ball).shape[0] == 0:
+            raise ConfigError(f"{pth} selects no point: every node lies outside the "
+                              "admissible interior or the ball_radius")
+        grids["recon_grid"] = {"center": center, "half_width": half, "points_per_axis": ppa,
+                               "ball_radius": ball}
     method = raw.get("method", "direct")
     if method not in ("direct", "modified"):
         raise ConfigError("config.method must be 'direct' or 'modified'")

@@ -29,6 +29,7 @@ __all__ = [
     "forward_means",
     "epd_trace_euclidean",
     "epd_trace_sphere",
+    "trace_weighting",
 ]
 
 # Gauss-Legendre nodes of the half-angle rule (even n) on each section's
@@ -119,10 +120,11 @@ def default_tgrid(space: SpaceSpec, n_points: int | None = None) -> TGrid:
     (-1 + 1e-3, 1 - 1e-3); hyperbolic: 600 on (1 + 1e-3, cosh 2R).
     """
     lo, hi = space.tgrid_range
+    if n_points is None:
+        n_points = 800 if space.kind == spaces.EUCLIDEAN else 600
     if space.kind == spaces.HYPERBOLIC:
-        return TGrid.linspace(lo + 1e-3, hi, n_points or 600)
-    n = n_points or (800 if space.kind == spaces.EUCLIDEAN else 600)
-    return TGrid.linspace(lo + 1e-3, hi - 1e-3, n)
+        return TGrid.linspace(lo + 1e-3, hi, n_points)
+    return TGrid.linspace(lo + 1e-3, hi - 1e-3, n_points)
 
 
 def _rows_meeting_support(field, space: SpaceSpec, center: np.ndarray,
@@ -432,49 +434,54 @@ def forward_means(phantom, boundary: BoundaryGrid, tgrid: TGrid,
     return MeanData(space, boundary, tgrid, values)
 
 
+def trace_weighting(space: SpaceSpec, grid: TGrid, values: np.ndarray, eta: float,
+                    alpha: float) -> np.ndarray:
+    """T_{eta,alpha}, the time weighting of the traces (layer 2), on rows (M, N).
+
+    R^n: Gamma(alpha+eta+1)/Gamma(eta+1) times the Erdelyi-Kober integral
+    I_eta^alpha (its analytic continuation for alpha <= 0). Cap:
+    2^alpha Gamma(alpha+eta+1)/Gamma(eta+1) w^{-alpha-eta} I_-^alpha[w^eta .]
+    with w = 1 - t^2. At eta = n/2 - 1 it takes plain means to the trace of
+    order alpha; by the index law I_{eta+alpha}^{-alpha} I_eta^alpha = I,
+    T_{eta+alpha,-alpha} takes that trace back to the means.
+    """
+    scale = gamma(alpha + (eta + 1.0)) / gamma(eta + 1.0)
+    if space.kind == spaces.EUCLIDEAN:
+        u = (ek_matrix if alpha > 0 else ek_ac_matrix)(values, grid, eta, alpha)
+        u *= scale
+        return u
+    w = 1.0 - grid.values ** 2
+    G = rl_matrix(values * w ** eta, grid, alpha)
+    return 2.0 ** alpha * scale * w ** (-alpha - eta) * G
+
+
 def epd_trace_euclidean(phantom: Phantom, boundary: BoundaryGrid, tgrid: TGrid,
                         alpha: float, order: int = 16) -> MeanData:
-    """Weighted-mean trace of order alpha on the boundary cylinder.
+    """Weighted-mean trace of order alpha on the boundary cylinder: each
+    centre's means profile weighted by `trace_weighting` at eta = n/2 - 1.
 
-    The trace profile per center is Gamma(alpha + n/2)/Gamma(n/2) times the
-    Erdelyi-Kober integral (index eta = n/2 - 1, order alpha) of the plain
-    means profile; alpha = 0 reduces to the plain means and negative orders
-    use the analytic continuation (alpha >= (1-n)/2 for well-posedness).
+    alpha = 0 gives the plain means; negative orders take the analytic
+    continuation (alpha >= (1-n)/2 for well-posedness).
     """
     space = phantom.space
     if space.kind != spaces.EUCLIDEAN:
         raise ValueError("Euclidean trace generator needs a Euclidean space")
     validate_trace_order(space, alpha, "alpha")
-    n = space.n
     means = forward_means(phantom, boundary, tgrid, order)
-    eta = n / 2.0 - 1.0
-    if alpha == 0:
-        return MeanData(space, boundary, tgrid, means.values, alpha=0.0)
-    if alpha > 0:
-        u = ek_matrix(means.values, tgrid, eta, alpha)
-    else:
-        u = ek_ac_matrix(means.values, tgrid, eta, alpha)
-    u *= gamma(alpha + n / 2.0) / gamma(n / 2.0)
+    u = trace_weighting(space, tgrid, means.values, space.n / 2.0 - 1.0, alpha)
     return MeanData(space, boundary, tgrid, u, alpha=alpha)
 
 
 def epd_trace_sphere(phantom: Phantom, boundary: BoundaryGrid, tgrid: TGrid,
                      alpha: float, order: int = 16) -> MeanData:
-    """Weighted-mean trace on the cap boundary, directly integrable regime.
-
-    Per center: F(t) = means(t) (1-t^2)^{n/2-1}, G = I_-^alpha F, and the
-    stored trace is u(xi, t) = 2^alpha Gamma(alpha + n/2)/Gamma(n/2) *
-    (1-t^2)^{1-alpha-n/2} G(t).
+    """Weighted-mean trace on the cap boundary, directly integrable regime
+    (alpha > 0): each centre's means profile weighted by `trace_weighting`
+    at eta = n/2 - 1.
     """
     space = phantom.space
     if space.kind != spaces.SPHERE:
         raise ValueError("spherical trace generator needs a sphere space")
     validate_trace_order(space, alpha, "alpha")
-    n = space.n
     means = forward_means(phantom, boundary, tgrid, order)
-    t = tgrid.values
-    F = means.values * (1.0 - t ** 2) ** (n / 2.0 - 1.0)
-    G = rl_matrix(F, tgrid, alpha)
-    u = 2.0 ** alpha * gamma(alpha + n / 2.0) / gamma(n / 2.0) \
-        * (1.0 - t ** 2) ** (1.0 - alpha - n / 2.0) * G
+    u = trace_weighting(space, tgrid, means.values, space.n / 2.0 - 1.0, alpha)
     return MeanData(space, boundary, tgrid, u, alpha=alpha)

@@ -3,7 +3,8 @@
 `invert` is the one inversion path. It validates the request once, reduces
 radial data (every centre's row equal) to one row, undoes a trace's
 fractional time weighting (layer 2: Erdelyi-Kober in R^n, right-sided
-Riemann-Liouville on the cap), filters the rows in t and, in even
+Riemann-Liouville on the cap) by the index law with
+`forward.trace_weighting`, filters the rows in t and, in even
 dimensions, tables them against the log kernel (layers 3 and 4), and
 back-projects once, with the outer Laplacian in closed form (layer 5). The
 Euclidean odd/even formulas are those of Finch, Haltmeier & Rakesh (SIAM J.
@@ -19,8 +20,7 @@ from math import gamma
 import numpy as np
 
 from . import spaces
-from .forward import MeanData
-from .fractional import ek_ac_matrix, ek_matrix, rl_matrix
+from .forward import MeanData, trace_weighting
 from .numerics import (
     CubicStencil,
     TGrid,
@@ -30,9 +30,11 @@ from .numerics import (
     log_kernel_table,
 )
 
-# The inversions compute their Laplacians in closed form. laplacian_fd stays
-# bound here because the benchmark's tracer wraps it at this binding site;
-# its counters read 0.
+# Bound here only because the benchmark's tracer wraps them at this binding
+# site. The inversions compute their Laplacians in closed form, so the
+# laplacian_fd counters read 0; traces are undone by forward.trace_weighting,
+# whose calls the tracer counts at forward's bindings of the operators.
+from .fractional import ek_ac_matrix, ek_matrix, rl_matrix  # noqa: F401
 from .numerics import laplacian_fd  # noqa: F401
 from .spaces import BoundaryGrid, SpaceSpec
 
@@ -197,27 +199,6 @@ def _read_range(space: SpaceSpec, x: np.ndarray) -> tuple[float, float]:
 # the inversion pipeline
 # ---------------------------------------------------------------------------
 
-def _untrace(space: SpaceSpec, grid: TGrid, values: np.ndarray, alpha: float) -> np.ndarray:
-    """Plain means from weighted-trace rows of order alpha (layer 2).
-
-    R^n: means = Gamma(n/2)/Gamma(alpha + n/2) EK(eta + alpha, -alpha) trace
-    with eta = n/2 - 1. Cap: means = (1-t^2)^{1-n/2} I_-^{-alpha} G, with G
-    the trace times (1-t^2)^{alpha-1+n/2} Gamma(n/2)/(2^alpha Gamma(alpha+n/2)).
-    """
-    n, t = space.n, grid.values
-    if space.kind == spaces.EUCLIDEAN:
-        eta = n / 2.0 - 1.0
-        if alpha >= 0:
-            phi = ek_ac_matrix(values, grid, eta + alpha, -alpha)
-        else:
-            phi = ek_matrix(values, grid, eta + alpha, -alpha)
-        phi *= gamma(n / 2.0) / gamma(alpha + n / 2.0)
-        return phi
-    G = values * (1.0 - t ** 2) ** (alpha - 1.0 + n / 2.0) \
-        * gamma(n / 2.0) / (2.0 ** alpha * gamma(alpha + n / 2.0))
-    return rl_matrix(G, grid, -alpha) * (1.0 - t ** 2) ** (1.0 - n / 2.0)
-
-
 # The Laplacian of x -> P(|x - xi|) is (L_n P)(|x - xi|) with the radial
 # operator L_n = d^2/dt^2 + (n-1)/t d/dt, so the outer Laplacian of a
 # Euclidean back-projection is the back-projection of L_n applied to its
@@ -336,7 +317,8 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     if np.all(values == values[0]):
         values = values[:1]
     if alpha is not None:
-        values = _untrace(space, data.tgrid, values, alpha)
+        # the index law: T_{eta+alpha,-alpha} undoes T_{eta,alpha}, eta = n/2 - 1
+        values = trace_weighting(space, data.tgrid, values, n / 2.0 - 1.0 + alpha, -alpha)
     read = _read_range(space, x)
     if space.kind == spaces.EUCLIDEAN:
         grid, rows, fill = _euclidean_rows(space, data.tgrid, values, method, read)

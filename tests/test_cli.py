@@ -85,6 +85,40 @@ def test_grid_sizes_must_be_integers(field, value):
         parse_config(bad)
 
 
+@pytest.mark.parametrize("field,value,least", [
+    ("t_points", 0, 64),
+    ("t_points", 63, 64),
+    ("quadrature_order", 0, 2),
+    ("quadrature_order", -3, 2),
+    ("boundary_points", 3, 4),
+])
+def test_grid_sizes_below_the_least_are_rejected_by_name(field, value, least):
+    bad = cfg_with()
+    bad["grids"][field] = value
+    with pytest.raises(ConfigError, match=f"^config.grids.{field} must be >= {least}, not {value}$"):
+        parse_config(bad)
+
+
+def test_default_tgrid_takes_an_explicit_size_of_zero_at_its_word():
+    space = SpaceSpec(EUCLIDEAN, 2, 1.0)
+    assert default_tgrid(space).n == 800
+    with pytest.raises(ValueError, match="shorter than 64 nodes"):
+        default_tgrid(space, 0)
+
+
+@pytest.mark.parametrize("update", [
+    # the one node of each axis is the box corner, outside the ball
+    {"points_per_axis": 1},
+    # no node of the even grid lies within the ball around its centre
+    {"points_per_axis": 4, "ball_radius": 1e-3},
+])
+def test_recon_grid_without_points_is_rejected_by_name(update):
+    bad = cfg_with()
+    bad["grids"]["recon_grid"].update(update)
+    with pytest.raises(ConfigError, match="^config.grids.recon_grid selects no point"):
+        parse_config(bad)
+
+
 @pytest.mark.parametrize("field,value,message", [
     ("half_width", None, "missing field config.grids.recon_grid.half_width"),
     ("half_width", -0.4, "config.grids.recon_grid.half_width must be positive"),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import gamma
@@ -10,7 +12,9 @@ from geomeans.forward import (
     epd_trace_euclidean,
     epd_trace_sphere,
     forward_means,
+    trace_weighting,
 )
+from geomeans.fractional import ek_ac_matrix, ek_matrix, rl_matrix
 from geomeans.numerics import TGrid, gauss_legendre
 from geomeans.phantoms import Bump, Phantom, laplacian_field
 from geomeans.spaces import EUCLIDEAN, HYPERBOLIC, SPHERE, SpaceSpec, boundary_grid
@@ -635,3 +639,89 @@ def test_epd_trace_sphere_direct_quadrature_oracle():
         mass = phantom_integral(ph)
         expect = pref * (1.0 - tg.values[j] ** 2) ** (1.0 - alpha - n / 2.0) * mass / sigma
         assert abs(tr.values[i, j] - expect) < 1e-6
+
+
+# Reference routes for `trace_weighting`: the formulas by which the two trace
+# generators weighted the means and by which the inversion undid a trace of
+# order alpha, each with its own Gamma ratio, (1 - t^2) powers and EK sign
+# dispatch, at eta = n/2 - 1.
+
+def _trace_reference(space, grid, means, alpha):
+    n, t = space.n, grid.values
+    if space.kind == EUCLIDEAN:
+        if alpha == 0:
+            return means
+        eta = n / 2.0 - 1.0
+        u = (ek_matrix if alpha > 0 else ek_ac_matrix)(means, grid, eta, alpha)
+        u *= math.gamma(alpha + n / 2.0) / math.gamma(n / 2.0)
+        return u
+    G = rl_matrix(means * (1.0 - t ** 2) ** (n / 2.0 - 1.0), grid, alpha)
+    return 2.0 ** alpha * math.gamma(alpha + n / 2.0) / math.gamma(n / 2.0) \
+        * (1.0 - t ** 2) ** (1.0 - alpha - n / 2.0) * G
+
+
+def _untrace_reference(space, grid, values, alpha):
+    n, t = space.n, grid.values
+    if space.kind == EUCLIDEAN:
+        eta = n / 2.0 - 1.0
+        if alpha >= 0:
+            phi = ek_ac_matrix(values, grid, eta + alpha, -alpha)
+        else:
+            phi = ek_matrix(values, grid, eta + alpha, -alpha)
+        phi *= math.gamma(n / 2.0) / math.gamma(alpha + n / 2.0)
+        return phi
+    G = values * (1.0 - t ** 2) ** (alpha - 1.0 + n / 2.0) \
+        * math.gamma(n / 2.0) / (2.0 ** alpha * math.gamma(alpha + n / 2.0))
+    return rl_matrix(G, grid, -alpha) * (1.0 - t ** 2) ** (1.0 - n / 2.0)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.0, 0.5, 1.5])
+def test_trace_weighting_matches_the_euclidean_reference(alpha):
+    ph = bump_at(E3, [0.2, 0.1, -0.15], 0.32)
+    bd = boundary_grid(E3, 8)
+    tg = default_tgrid(E3, 300)
+    means = forward_means(ph, bd, tg).values
+    trace = _trace_reference(E3, tg, means, alpha)
+    assert np.array_equal(trace_weighting(E3, tg, means, 0.5, alpha), trace)
+    assert np.array_equal(trace_weighting(E3, tg, trace, 0.5 + alpha, -alpha),
+                          _untrace_reference(E3, tg, trace, alpha))
+    assert np.array_equal(epd_trace_euclidean(ph, bd, tg, alpha).values, trace)
+
+
+# On the cap the reference undid a trace with its constant applied before the
+# order -alpha RL continuation, and `trace_weighting` applies it after. The
+# continuation differentiates the rows, so the one-ulp move in the weighted
+# rows grows with the order: measured 3.3e-12 (alpha = 0.5), 5.6e-13 (1) and
+# 6.4e-9 (1.5) of max on this grid. Generating a trace applies the constant
+# after the RL integral on both routes and matches bit for bit.
+@pytest.mark.parametrize("alpha,tol", [(0.5, 1e-11), (1.0, 1e-11), (1.5, 2e-8)])
+def test_trace_weighting_matches_the_cap_reference(alpha, tol):
+    # configs/epd_sphere3.json's phantom and t-grid
+    ph = bump_at(S3, [0.12, -0.08, 0.10], 0.22)
+    bd = boundary_grid(S3, 8)
+    tg = default_tgrid(S3, 600)
+    means = forward_means(ph, bd, tg).values
+    trace = _trace_reference(S3, tg, means, alpha)
+    assert np.array_equal(trace_weighting(S3, tg, means, 0.5, alpha), trace)
+    assert np.array_equal(epd_trace_sphere(ph, bd, tg, alpha).values, trace)
+    ref = _untrace_reference(S3, tg, trace, alpha)
+    back = trace_weighting(S3, tg, trace, 0.5 + alpha, -alpha)
+    assert np.max(np.abs(back - ref)) <= tol * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("space,centre,alpha", [
+    (E3, 1.0, -1.0), (E3, 1.0, -0.5), (E3, 1.0, 0.5), (E3, 1.0, 1.5),
+    (SpaceSpec(EUCLIDEAN, 2, 1.0), 1.0, 1.5),
+    (S3, 0.0, 0.5), (S3, 0.0, 1.0), (S3, 0.0, 1.5),
+])
+def test_trace_weighting_index_law_round_trip(space, centre, alpha):
+    # T_{eta+alpha,-alpha} T_{eta,alpha} = I on a bump profile of width 0.5,
+    # up to the continuation's 4th-order differences on 1200 nodes: measured
+    # at most 8.6e-4 (cap, alpha = 1.5)
+    tg = default_tgrid(space, 1200)
+    s = (tg.values - centre) / 0.5
+    bump = np.where(np.abs(s) < 1, np.exp(1 - 1 / np.maximum(1 - s ** 2, 1e-300)), 0.0)[None]
+    eta = space.n / 2.0 - 1.0
+    back = trace_weighting(space, tg, trace_weighting(space, tg, bump, eta, alpha),
+                           eta + alpha, -alpha)
+    assert np.max(np.abs(back - bump)) <= 2e-3
