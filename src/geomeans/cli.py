@@ -9,7 +9,9 @@ round-trippable decimals so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import re
 import sys
 import time
 import warnings
@@ -218,7 +220,29 @@ def write_means(data: MeanData, path: str) -> None:
             fh.write("".join([f"{i},{tj},{v!r}\n" for tj, v in zip(t, row.tolist())]))
 
 
+# Lines a means file is read in: reading holds the (m, N) values, one
+# 4-byte count per cell and one chunk's lines and columns (about 1.7 MB),
+# never the whole file's rows
+_READ_ROWS = 8_192
+
+
+def _at_file_row(message: str, offset: int) -> str:
+    """A loadtxt error message with its (last) chunk row number moved by
+    offset to the file's data-row number."""
+    return re.sub(r"(.*) at row (\d+)", lambda g: f"{g[1]} at row {int(g[2]) + offset}",
+                  message, count=1, flags=re.DOTALL)
+
+
 def read_means(path: str) -> MeanData:
+    """Read a means file in chunks of `_READ_ROWS` lines, each parsed,
+    checked and placed into the (m, N) values on its own.
+
+    A fault is reported as a whole-file read would report it: the first
+    malformed row anywhere, then no data rows or not 3 columns, then the
+    first row with an index or t out of range, then the first t off the
+    grid, then the first (centre, t) cell without exactly one row. Row
+    numbers count the file's data rows from 0.
+    """
     with open(path) as fh:
         magic = fh.readline().rstrip("\n")
         if magic != MEANS_MAGIC:
@@ -235,41 +259,52 @@ def read_means(path: str) -> MeanData:
         m = int(meta["boundary_m"])
         npts = int(meta["t_points"])
         t0, t1 = float(meta["t0"]), float(meta["t1"])
-        grid = TGrid.linspace(t0, t1, npts)
-        # allocated before the parse buffers: allocated after them, it pins
-        # the heap above them once they are freed, and later stages peak
-        # about 9 MB higher on an 800 x 800 file
-        values = np.empty((m, npts))
         try:
-            with warnings.catch_warnings():
-                # an empty body is reported below
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                body = np.loadtxt(fh, delimiter=",", ndmin=2)
+            grid = TGrid.linspace(t0, t1, npts)
         except ValueError as e:
-            raise ValueError(f"malformed means row: {e}") from None
-    if body.size == 0:
+            raise ValueError(f"means file t_points {npts} from t0 {t0!r} to t1 {t1!r}: "
+                             f"{e}") from None
+        # allocated before the chunks' buffers: allocated after them, the
+        # values pin the heap above them once they are freed
+        values = np.empty((m, npts))
+        counts = np.zeros(m * npts, dtype=np.int32)
+        rows = 0  # data rows before the chunk
+        columns = None  # of the file's first data row
+        # messages of the first row out of range and of the first t off the grid
+        outside = off = None
+        with warnings.catch_warnings():
+            # an empty body is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            while True:
+                # a row of `columns` fields ahead of the chunk lets loadtxt
+                # see a change in the number of columns at the chunk's start
+                lead = [] if columns is None else [",".join(["0"] * columns) + "\n"]
+                try:
+                    chunk = list(itertools.islice(fh, _READ_ROWS))
+                    if not chunk:
+                        break
+                    body = np.loadtxt(lead + chunk, delimiter=",", ndmin=2)[len(lead):]
+                except ValueError as e:
+                    raise ValueError(
+                        f"malformed means row: {_at_file_row(str(e), rows - len(lead))}") from None
+                if body.shape[0] == 0:
+                    continue
+                if columns is None:
+                    columns = body.shape[1]
+                if columns == 3 and outside is None:
+                    outside, off = _place_rows(body, rows, grid, values, counts, off)
+                rows += body.shape[0]
+    if rows == 0:
         raise ValueError("means file has no data rows")
-    if body.shape[1] != 3:
+    if columns != 3:
         raise ValueError("means rows need 3 columns: center_idx,t,value")
-    i_f, t, v = body.T
-    j_f = np.rint((t - t0) / grid.h)
-    bad = ~((i_f == np.rint(i_f)) & (i_f >= 0) & (i_f < m) & (j_f >= 0) & (j_f < npts))
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise ValueError(f"means data row {k}: center_idx {i_f[k]!r} or t {t[k]!r} outside "
-                         f"the {m} centres x {npts} t-points of the metadata")
-    i, j = i_f.astype(np.int64), j_f.astype(np.int64)
-    off = np.abs(t - grid.values[j]) > 4.0 * np.finfo(float).eps * max(abs(t0), abs(t1))
-    if np.any(off):
-        k = int(np.argmax(off))
-        raise ValueError(f"means data row {k}: t {t[k]!r} is not on the metadata t-grid "
-                         f"(nearest node {grid.values[j[k]]!r})")
-    counts = np.bincount(i * npts + j, minlength=m * npts)
+    if outside is not None or off is not None:
+        raise ValueError(outside or off)
     if np.any(counts != 1):
         k = int(np.argmax(counts != 1))
         what = "has no row" if counts[k] == 0 else f"has {counts[k]} rows"
-        raise ValueError(f"means file {what} for center_idx {k // npts}, t {grid.values[k % npts]!r}")
-    values[i, j] = v
+        raise ValueError(f"means file {what} for center_idx {k // npts}, "
+                         f"t {float(grid.values[k % npts])!r}")
     # feeding the actual count back through the budgeting reproduces the grid
     boundary = boundary_grid(space, m)
     if boundary.m != m:
@@ -277,6 +312,38 @@ def read_means(path: str) -> MeanData:
     alpha = meta["alpha"]
     return MeanData(space, boundary, grid, values,
                     None if alpha is None else float(alpha))
+
+
+def _place_rows(body: np.ndarray, first: int, grid: TGrid, values: np.ndarray,
+                counts: np.ndarray, off: str | None) -> tuple[str | None, str | None]:
+    """Check a chunk of (center_idx, t, value) rows, the first of them data
+    row `first`, and place them into values, counting each cell.
+
+    Returns the message of the chunk's first row out of range, if any, and
+    else `off` or that of its first t off the grid. Once a fault is found no
+    row is placed: the file is rejected.
+    """
+    m, npts = values.shape
+    i_f, t, v = body.T
+    j_f = np.rint((t - grid.a) / grid.h)
+    bad = ~((i_f == np.rint(i_f)) & (i_f >= 0) & (i_f < m) & (j_f >= 0) & (j_f < npts))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        return (f"means data row {first + k}: center_idx {float(i_f[k])!r} or t "
+                f"{float(t[k])!r} outside the {m} centres x {npts} t-points of the metadata"), off
+    if off is not None:
+        return None, off
+    i, j = i_f.astype(np.int64), j_f.astype(np.int64)
+    wrong = np.abs(t - grid.values[j]) > 4.0 * np.finfo(float).eps * max(abs(grid.a),
+                                                                           abs(grid.b))
+    if np.any(wrong):
+        k = int(np.argmax(wrong))
+        return None, (f"means data row {first + k}: t {float(t[k])!r} is not on the metadata "
+                      f"t-grid (nearest node {float(grid.values[j[k]])!r})")
+    cells = i * npts + j
+    np.add.at(counts, cells, np.int32(1))  # a typed 1 keeps add.at fast
+    values.ravel()[cells] = v
+    return None, None
 
 
 def write_report(report, space: SpaceSpec, path: str) -> None:

@@ -47,7 +47,8 @@ def _quintic_operator(grid: TGrid, rows: np.ndarray, x: np.ndarray,
     rows, x, coef = rows[inside], x[inside], coef[inside]
     u = (x - grid.a) / grid.h
     idx = np.clip(np.floor(u).astype(np.int64), 2, grid.n - 4)
-    s = u - idx
+    # a node at b whose u rounds above n - 1 would fall past the unit grid
+    s = np.minimum(u - idx, 3.0)
     base = np.where(s < 1.0, 0, 2)
     w = quintic_interp(np.eye(8), TGrid(np.arange(8.0)), s + 2.0 + base)
     stencil = np.arange(6)[:, None]

@@ -24,6 +24,7 @@ from .forward import MeanData, trace_weighting
 from .numerics import (
     CubicStencil,
     TGrid,
+    _diff1,
     d_operator_matrix,
     darboux_L_matrix,
     diff_matrix,
@@ -268,9 +269,12 @@ def _curved_rows(space: SpaceSpec, grid: TGrid, values: np.ndarray,
         out_grid, fill = _table_grid(space, grid.n, read), "error"
         rows = log_kernel_table(diff_matrix(F, grid, n - 2), grid, out_grid.values,
                                 kernel="log|t-s|")
-    d1 = diff_matrix(rows, out_grid, 1)
-    d2 = diff_matrix(d1, out_grid, 1)
-    return out_grid, np.stack([d2, out_grid.values * d2, d1]), fill
+    # the stack is filled in place: P' into its last slot, P'' from it
+    stack = np.empty((3,) + rows.shape)
+    _diff1(rows, out_grid.h, out=stack[2])
+    _diff1(stack[2], out_grid.h, out=stack[0])
+    np.multiply(out_grid.values, stack[0], out=stack[1])
+    return out_grid, stack, fill
 
 
 def invert(data: MeanData, x: np.ndarray, method: str = "direct",

@@ -265,11 +265,20 @@ class CubicStencil:
 # finite-difference derivatives on uniform grids
 # ---------------------------------------------------------------------------
 
-def _diff1(samples: np.ndarray, h: float) -> np.ndarray:
-    """4th-order first derivative along the last axis (one-sided at the ends)."""
+def _diff1(samples: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """4th-order first derivative along the last axis (one-sided at the ends),
+    into `out` (which must not share memory with samples) if given.
+
+    The interior takes one temporary of its own size.
+    """
     f = samples
-    out = np.empty_like(f)
-    out[..., 2:-2] = (f[..., :-4] - 8.0 * f[..., 1:-3] + 8.0 * f[..., 3:-1] - f[..., 4:]) / (12.0 * h)
+    out = np.empty_like(f) if out is None else out
+    inner = out[..., 2:-2]
+    np.multiply(f[..., 1:-3], 8.0, out=inner)
+    np.subtract(f[..., :-4], inner, out=inner)
+    inner += 8.0 * f[..., 3:-1]
+    inner -= f[..., 4:]
+    inner /= 12.0 * h
     out[..., 0] = (-25.0 * f[..., 0] + 48.0 * f[..., 1] - 36.0 * f[..., 2]
                    + 16.0 * f[..., 3] - 3.0 * f[..., 4]) / (12.0 * h)
     out[..., 1] = (-3.0 * f[..., 0] - 10.0 * f[..., 1] + 18.0 * f[..., 2]
@@ -301,8 +310,11 @@ def d_operator_matrix(samples: np.ndarray, grid: TGrid, m: int) -> np.ndarray:
     if m > 0 and np.any(t <= 0):
         raise ValueError("D = (1/2t) d/dt needs a strictly positive grid")
     out = np.asarray(samples, dtype=float)
+    spare = None
     for _ in range(m):
-        out = _diff1(out, grid.h) / (2.0 * t)
+        # two buffers in turn, never the caller's samples
+        out, spare = _diff1(out, grid.h, out=spare), (None if out is samples else out)
+        out /= 2.0 * t
     return out
 
 
@@ -313,7 +325,9 @@ def darboux_L_matrix(samples: np.ndarray, grid: TGrid, n: int) -> np.ndarray:
         raise ValueError("the radial operator needs a strictly positive grid")
     d1 = _diff1(np.asarray(samples, dtype=float), grid.h)
     d2 = _diff1(d1, grid.h)
-    return d2 + (n - 1) / t * d1
+    d1 *= (n - 1) / t
+    d2 += d1
+    return d2
 
 
 # ---------------------------------------------------------------------------

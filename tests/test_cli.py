@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from geomeans import checks, spaces
+from geomeans import checks, cli, spaces
 from geomeans.cli import (
     MEANS_MAGIC,
     ConfigError,
@@ -294,6 +294,24 @@ def rewrite_rows(path, edit):
     path.write_text("\n".join(lines[:3] + [",".join(r) for r in rows]) + "\n")
 
 
+# chunk sizes the reader is run at: its own, and 7 lines, which puts chunk
+# boundaries inside even the smallest test files
+READ_ROWS = (cli._READ_ROWS, 7)
+
+
+def read_error(path):
+    """The message of read_means on path, the same at every chunk size."""
+    messages = []
+    for rows in READ_ROWS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_READ_ROWS", rows)
+            with pytest.raises(ValueError) as err:
+                read_means(str(path))
+        messages.append(str(err.value))
+    assert messages == messages[:1] * len(READ_ROWS)
+    return messages[0]
+
+
 def test_means_rows_in_any_order(means_file):
     path, data = means_file
     rewrite_rows(path, lambda rows: sorted(rows, key=lambda r: (float(r[1]), int(r[0]))))
@@ -311,10 +329,13 @@ def test_means_roundtrip_under_row_permutations(values, order):
         path = Path(tmp) / "means.csv"
         write_means(data, str(path))
         rewrite_rows(path, lambda rows: [rows[k] for k in order])
-        back = read_means(str(path))
-    assert np.array_equal(back.values, data.values)
-    assert np.array_equal(back.tgrid.values, data.tgrid.values)
-    assert np.array_equal(back.boundary.centers, data.boundary.centers)
+        for read_rows in READ_ROWS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "_READ_ROWS", read_rows)
+                back = read_means(str(path))
+            assert np.array_equal(back.values, data.values)
+            assert np.array_equal(back.tgrid.values, data.tgrid.values)
+            assert np.array_equal(back.boundary.centers, data.boundary.centers)
 
 
 def test_means_t_column_checked(means_file):
@@ -325,15 +346,14 @@ def test_means_t_column_checked(means_file):
         return rows
 
     rewrite_rows(path, shift)
-    with pytest.raises(ValueError, match="row 70: t .* not on the metadata t-grid"):
-        read_means(str(path))
+    assert re.search("^means data row 70: t .* not on the metadata t-grid", read_error(path))
 
 
 def test_means_t_column_out_of_range(means_file):
     path, _ = means_file
     rewrite_rows(path, lambda rows: [[r[0], "123.0", r[2]] for r in rows])
-    with pytest.raises(ValueError, match="row 0: .* outside the 8 centres x 64 t-points"):
-        read_means(str(path))
+    assert re.search("^means data row 0: .* outside the 8 centres x 64 t-points",
+                     read_error(path))
 
 
 @pytest.mark.parametrize("idx", ["8", "-1", "2.5"])
@@ -345,30 +365,112 @@ def test_means_center_index_out_of_range(means_file, idx):
         return rows
 
     rewrite_rows(path, corrupt)
-    with pytest.raises(ValueError, match="row 5: center_idx"):
-        read_means(str(path))
+    assert read_error(path).startswith(f"means data row 5: center_idx {float(idx)!r}")
 
 
 def test_means_missing_cell(means_file):
     path, _ = means_file
     rewrite_rows(path, lambda rows: rows[:100] + rows[101:])
-    with pytest.raises(ValueError, match="no row for center_idx 1, t "):
-        read_means(str(path))
+    assert read_error(path).startswith("means file has no row for center_idx 1, t ")
 
 
 def test_means_repeated_cell(means_file):
     path, _ = means_file
     # same row count as the metadata: one cell twice, another never
     rewrite_rows(path, lambda rows: rows[:100] + [rows[99]] + rows[101:])
-    with pytest.raises(ValueError, match="has 2 rows for center_idx 1, t "):
-        read_means(str(path))
+    assert read_error(path).startswith("means file has 2 rows for center_idx 1, t ")
 
 
 def test_means_empty_body(means_file):
     path, _ = means_file
     rewrite_rows(path, lambda rows: [])
-    with pytest.raises(ValueError, match="no data rows"):
-        read_means(str(path))
+    assert read_error(path) == "means file has no data rows"
+
+
+def whole_file_parse_error(path):
+    """The reader's message for a malformed row, as one parse of all the data
+    rows reports it."""
+    with open(path) as fh:
+        for _ in range(3):
+            fh.readline()
+        with pytest.raises(ValueError) as err:
+            np.loadtxt(fh, delimiter=",", ndmin=2)
+    return f"malformed means row: {err.value}"
+
+
+def _bad_value(rows, k):
+    rows[k][2] = "abc"
+
+
+def _two_fields(rows, k):
+    rows[k] = rows[k][:2]
+
+
+def _four_fields_from(rows, k):
+    for r in rows[k:]:
+        r.append("0.5")
+
+
+@pytest.mark.parametrize("edit", [_bad_value, _two_fields, _four_fields_from])
+@pytest.mark.parametrize("row", [1, 6, 7, 8191, 8192, 9000])
+def test_means_malformed_rows_are_numbered_in_the_file(tmp_path, edit, row):
+    # 10 240 data rows, more than one chunk at every chunk size, with comment
+    # and blank lines, which are not data rows, ahead of the bad one
+    space = SpaceSpec(EUCLIDEAN, 2, 1.0)
+    values = np.random.default_rng(3).standard_normal((160, 64))
+    path = tmp_path / "means.csv"
+    write_means(MeanData(space, boundary_grid(space, 160), default_tgrid(space, 64), values),
+                str(path))
+
+    def corrupt(rows):
+        edit(rows, row)
+        return rows[:3] + [["# a comment"], [""]] + rows[3:]
+
+    rewrite_rows(path, corrupt)
+    message = read_error(path)
+    assert message == whole_file_parse_error(path)
+    # loadtxt counts data rows from 0 in conversion errors, from 1 in column counts
+    assert f" at row {row + (edit is not _bad_value)}" in message
+
+
+@pytest.mark.parametrize("faults,reported", [
+    # an index out of range anywhere comes before a t off the grid
+    ({3: (None, "+1e-9"), 300: ("9", None)}, "^means data row 300: center_idx 9.0"),
+    ({3: (None, "+1e-9"), 300: (None, "+1e-9")}, "^means data row 3: t .* not on the"),
+    # a malformed row anywhere comes before both
+    ({3: ("9", None), 300: ("x", None)}, "^malformed means row: .*'x'.* at row 300"),
+])
+def test_means_fault_precedence_is_the_whole_files(means_file, faults, reported):
+    path, _ = means_file
+
+    def corrupt(rows):
+        for k, (idx, shift) in faults.items():
+            rows[k][0] = idx or rows[k][0]
+            rows[k][1] = repr(float(rows[k][1]) + float(shift)) if shift else rows[k][1]
+        return rows
+
+    rewrite_rows(path, corrupt)
+    assert re.search(reported, read_error(path))
+
+
+def test_means_read_memory_is_bounded(tmp_path):
+    # 409 600 rows: the reader holds the values, a 4-byte count per cell and
+    # one chunk; a whole-file parse peaks at 9.3 times the values
+    import tracemalloc
+
+    space = SpaceSpec(EUCLIDEAN, 2, 1.0)
+    values = np.random.default_rng(4).standard_normal((640, 640))
+    path = tmp_path / "means.csv"
+    write_means(MeanData(space, boundary_grid(space, 640), default_tgrid(space, 640), values),
+                str(path))
+    tracemalloc.start()
+    try:
+        back = read_means(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.values, values)
+    assert peak < 3.0 * values.nbytes
 
 
 def test_means_short_t_grid(means_file):
@@ -380,7 +482,7 @@ def test_means_short_t_grid(means_file):
     t = np.linspace(float(meta["t0"]), float(meta["t1"]), 10)
     rows = [f"{i},{float(tj)!r},0.5" for i in range(meta["boundary_m"]) for tj in t]
     path.write_text("\n".join([lines[0], "# " + json.dumps(meta), lines[2]] + rows) + "\n")
-    with pytest.raises(ValueError, match="shorter than 64 nodes"):
+    with pytest.raises(ValueError, match="t_points 10 .*shorter than 64 nodes"):
         read_means(str(path))
 
 

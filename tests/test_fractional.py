@@ -222,3 +222,10 @@ def test_operator_nodes_at_the_grid_ends():
     direct = np.stack([quintic_interp(rows, g, x[k:k + 1], fill=0.0)[:, 0] for k in range(x.size)], axis=-1)
     assert np.array_equal((rows @ A.T)[:, :x.size] == 0.0, direct == 0.0)
     assert close((rows @ A.T)[:, :x.size], direct)
+    # grids whose (b - a)/h rounds above n - 1, so that the node at b lies a
+    # rounding error past the last cell: it still takes the last sample
+    for g in (TGrid.linspace(0.1, 1.0, 128), TGrid.linspace(0.6967, 0.99999, 64)):
+        assert (g.b - g.a) / g.h > g.n - 1
+        A = _quintic_operator(g, np.zeros(1, dtype=np.int64), np.array([g.b]), np.ones(1))
+        rows = np.stack([np.cos(g.values), 1.0 + g.values ** 2])
+        assert np.array_equal((rows @ A.T)[:, 0], rows[:, -1])

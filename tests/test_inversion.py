@@ -766,3 +766,47 @@ def test_forward_and_invert_are_equivariant(space, m, symmetry, seed):
     assert np.linalg.norm(moved_rec - rec) <= 1e-12 * np.linalg.norm(rec)
     zero = MeanData(space, bd, tg, np.zeros_like(permuted))
     assert np.all(invert(zero, x) == 0.0)
+
+
+@pytest.mark.parametrize("space", [SpaceSpec(SPHERE, 3, 0.8), SpaceSpec(HYPERBOLIC, 3, 0.8), S2])
+def test_curved_stack_is_the_stacked_derivatives(monkeypatch, space):
+    # _curved_rows fills the (P'', t P'', P') stack in place; it must hold
+    # the bits of np.stack over the separate derivatives of the same rows P
+    rng = np.random.default_rng(9)
+    tg = default_tgrid(space, 128)
+    values = rng.standard_normal((5, tg.n))
+    made = []
+
+    def keeping(fn):
+        def wrapped(*args, **kwargs):
+            made.append(fn(*args, **kwargs))
+            return made[-1]
+        return wrapped
+
+    monkeypatch.setattr(inversion, "diff_matrix", keeping(diff_matrix))
+    monkeypatch.setattr(inversion, "log_kernel_table", keeping(log_kernel_table))
+    x = spaces.lift(space, np.zeros((1, space.n)))
+    grid, stack, _ = inversion._curved_rows(space, tg, values, _read_range(space, x))
+    d1 = diff_matrix(made[-1], grid, 1)
+    d2 = diff_matrix(d1, grid, 1)
+    assert np.array_equal(stack, np.stack([d2, grid.values * d2, d1]))
+
+
+def test_invert_memory_on_a_cap(tmp_path):
+    # an (800, 600) cap case: the filters hold the rows, the (3, m, N) stack
+    # and one derivative's interior; with whole-array temporaries and
+    # np.stack the peak was 7 times the means
+    import tracemalloc
+
+    space = SpaceSpec(SPHERE, 3, 0.8)
+    tg = default_tgrid(space, 600)
+    bd = boundary_grid(space, 800)
+    data = MeanData(space, bd, tg, np.random.default_rng(10).standard_normal((bd.m, tg.n)))
+    x = chart_box_grid(space, np.zeros(3), 0.3, 5, ball_radius=0.3)
+    tracemalloc.start()
+    try:
+        invert(data, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * data.values.nbytes

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from geomeans.numerics import (
     CubicStencil,
     TGrid,
+    _diff1,
     d_operator_matrix,
     darboux_L_matrix,
     diff_matrix,
@@ -169,6 +170,70 @@ def test_darboux_radial_operator(grid):
     # t^{2-n} solves the radial equation for n = 3
     out = darboux_L_matrix(1.0 / t, grid, 3)
     assert np.max(np.abs(out[4:-4])) < 5e-5
+
+
+# The filters as whole-array expressions, the form they had before they
+# wrote into preallocated arrays; the in-place forms must give the same bits.
+
+def _diff1_reference(f, h):
+    out = np.empty_like(f)
+    out[..., 2:-2] = (f[..., :-4] - 8.0 * f[..., 1:-3] + 8.0 * f[..., 3:-1] - f[..., 4:]) / (12.0 * h)
+    out[..., 0] = (-25.0 * f[..., 0] + 48.0 * f[..., 1] - 36.0 * f[..., 2]
+                   + 16.0 * f[..., 3] - 3.0 * f[..., 4]) / (12.0 * h)
+    out[..., 1] = (-3.0 * f[..., 0] - 10.0 * f[..., 1] + 18.0 * f[..., 2]
+                   - 6.0 * f[..., 3] + f[..., 4]) / (12.0 * h)
+    out[..., -2] = (3.0 * f[..., -1] + 10.0 * f[..., -2] - 18.0 * f[..., -3]
+                    + 6.0 * f[..., -4] - f[..., -5]) / (12.0 * h)
+    out[..., -1] = (25.0 * f[..., -1] - 48.0 * f[..., -2] + 36.0 * f[..., -3]
+                    - 16.0 * f[..., -4] + 3.0 * f[..., -5]) / (12.0 * h)
+    return out
+
+
+def _d_operator_reference(samples, grid, m):
+    out = samples
+    for _ in range(m):
+        out = _diff1_reference(out, grid.h) / (2.0 * grid.values)
+    return out
+
+
+def _darboux_reference(samples, grid, n):
+    d1 = _diff1_reference(samples, grid.h)
+    d2 = _diff1_reference(d1, grid.h)
+    return d2 + (n - 1) / grid.values * d1
+
+
+@pytest.mark.parametrize("shape", [(8,), (256,), (3, 8), (5, 256), (2, 3, 256)])
+def test_diff1_in_place_matches_the_expression_form(shape):
+    # magnitudes over 16 decades, so that any change in the order of the
+    # operations shows in the last bits
+    rng = np.random.default_rng(11)
+    f = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+    h = 0.0123
+    ref = _diff1_reference(f, h)
+    kept = f.copy()
+    assert np.array_equal(_diff1(f, h), ref)
+    stack = np.full((2,) + shape, np.nan)
+    slot = stack[1]
+    assert _diff1(f, h, out=slot) is slot
+    assert np.array_equal(slot, ref) and np.all(np.isnan(stack[0]))
+    assert np.array_equal(f, kept)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_d_operator_matches_the_expression_form(grid, m):
+    samples = np.random.default_rng(12).standard_normal((4, grid.n))
+    kept = samples.copy()
+    assert np.array_equal(d_operator_matrix(samples, grid, m),
+                          _d_operator_reference(samples, grid, m))
+    assert np.array_equal(samples, kept)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_darboux_matches_the_expression_form(grid, n):
+    samples = np.random.default_rng(13).standard_normal((4, grid.n))
+    kept = samples.copy()
+    assert np.array_equal(darboux_L_matrix(samples, grid, n), _darboux_reference(samples, grid, n))
+    assert np.array_equal(samples, kept)
 
 
 def interp(samples, grid, x):
