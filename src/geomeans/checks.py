@@ -1,7 +1,7 @@
-"""Acceptance criteria 1-9 and 14: the analytic identities the inversion
-formulas rest on, stated once, beside the evaluators they check.
+"""The 15 acceptance criteria, stated once, beside the evaluators they check.
 
-The power-kernel moment family
+Criteria 1-9 and 14 are the analytic identities the inversion formulas
+rest on. The power-kernel moment family
 
     g_alpha(h) = (1/Gamma(a/2)) int_{-1}^1 |t-h|^{a-1} (1-t^2)^{(n-3)/2} dt
 
@@ -12,17 +12,24 @@ Chebyshev principal-value integrals, and the Riesz and logarithmic
 potentials whose Laplacians return the phantom. Each evaluator is precise
 enough to check against its exact value.
 
+Criteria 10-13 and 15 are round trips in R^n, on the cap and on the
+hyperboloid. Each reads the shipped configs in `configs/` as the CLI reads
+them and states its changes to them.
+
 Each entry of `CHECKS` computes its figures on fixed grids, points, orders
-and seeds, and compares every figure with one bound by one comparator.
-`geomeans verify` prints the entries of a suite; the acceptance suite runs
-each entry as one test and also holds it to the entry's time limit.
+and seeds, and compares each figure with its own bound by its own
+comparator. `geomeans verify` prints the entries of a suite; the
+acceptance suite runs each entry as one test and also holds it to the
+entry's time limit.
 """
 
 from __future__ import annotations
 
+import json
 import operator
 from dataclasses import dataclass
 from math import factorial, gamma
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -30,7 +37,7 @@ import numpy as np
 from . import spaces
 from .forward import default_tgrid, forward_means
 from .fractional import ek_ac_matrix, ek_matrix, rl_matrix
-from .inversion import _table_grid, backproject, constants
+from .inversion import ReconstructionReport, _table_grid, backproject, constants
 from .numerics import (
     TGrid,
     darboux_L_matrix,
@@ -66,9 +73,12 @@ __all__ = [
 # seed of the sampled pairs of criterion 14
 SEED = 20240817
 
-SUITES = ("lemmas", "fractional", "identities")
+SUITES = ("lemmas", "fractional", "identities", "roundtrips")
 
-_COMPARATORS = {"<": operator.lt, "<=": operator.le}
+# the shipped configs the round-trip criteria read
+CONFIGS = Path(__file__).resolve().parents[2] / "configs"
+
+_COMPARATORS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
 
 
 @dataclass(frozen=True)
@@ -93,22 +103,25 @@ class Figure:
 class Check:
     """One acceptance criterion.
 
-    `compute(seed)` returns one value per label; only criterion 14 draws
-    from the seed. Every value is compared with `bound` by `op`.
+    `compute(seed)` returns one value per entry of `bounds`, a (label,
+    comparator, bound) triple; only criterion 14 draws from the seed.
     """
 
     number: int
     name: str
     suite: str
-    labels: tuple[str, ...]
+    bounds: tuple[tuple[str, str, float], ...]
     compute: Callable[[int], tuple[float, ...]]
-    op: str
-    bound: float
     time_limit: float
 
     def figures(self, seed: int = SEED) -> list[Figure]:
-        return [Figure(label, float(v), self.op, self.bound)
-                for label, v in zip(self.labels, self.compute(seed), strict=True)]
+        return [Figure(label, float(v), op, bound)
+                for (label, op, bound), v in zip(self.bounds, self.compute(seed), strict=True)]
+
+
+def _held(op: str, bound: float, *labels: str) -> tuple[tuple[str, str, float], ...]:
+    """Figures all held to one bound by one comparator."""
+    return tuple((label, op, bound) for label in labels)
 
 
 # ---------------------------------------------------------------------------
@@ -620,29 +633,130 @@ def _h_bound_worst(spec: SpaceSpec, rng, pairs: int) -> float:
     return worst
 
 
+# ---------------------------------------------------------------------------
+# round trips
+# ---------------------------------------------------------------------------
+
+def _roundtrip(name: str, changes: dict | None = None) -> ReconstructionReport:
+    """The report of configs/<name>.json with `changes` made, run as
+    `geomeans roundtrip` runs it.
+
+    A key of `changes` is a dotted path into the JSON document, list indices
+    as numbers: {"phantom.0.center": [...]} moves the first bump.
+    """
+    from . import cli  # here, not at the top: cli imports this module
+
+    raw = json.loads((CONFIGS / f"{name}.json").read_text())
+    for path, value in (changes or {}).items():
+        *steps, last = [int(step) if step.isdigit() else step for step in path.split(".")]
+        node = raw
+        for step in steps:
+            node = node[step]
+        node[last] = value
+    cfg = cli.parse_config(raw)
+    return cli._reconstruct(cfg, cli._forward_data(cfg))
+
+
+def _euclidean_roundtrips(seed: int) -> tuple[float, ...]:
+    return tuple(_roundtrip(name).rel_l2 for name in ("euclid2", "euclid3", "euclid4", "euclid5"))
+
+
+def _offcentre_n4_roundtrip(seed: int) -> tuple[float]:
+    """euclid4 with its bump off the centre: every centre has its own row,
+    so the general n = 4 path runs (one log-table row per centre), which
+    the centred configs skip."""
+    return (_roundtrip("euclid4", {"phantom.0.center": [0.2, -0.1, 0.1, 0.05]}).rel_l2,)
+
+
+def _modified_formulas(seed: int) -> tuple[float, float]:
+    """The direct and the Laplacian-free formula agree on the same data."""
+    rels = []
+    for name in ("euclid2", "euclid3"):
+        direct, modified = (_roundtrip(name, {"grids.recon_grid.points_per_axis": 9,
+                                              "method": method}).f_rec
+                            for method in ("direct", "modified"))
+        rels.append(float(np.linalg.norm(direct - modified) / np.linalg.norm(direct)))
+    return tuple(rels)
+
+
+def _curved_roundtrips(seed: int) -> tuple[float, ...]:
+    """rel_l2 and calibration gap of each cap and hyperboloid config."""
+    figures = []
+    for name in ("sphere2", "sphere3", "hyperbolic2", "hyperbolic3"):
+        rep = _roundtrip(name)
+        figures += [rep.rel_l2, abs(rep.calibration - 1.0)]
+    return tuple(figures)
+
+
+def _trace_roundtrips(seed: int) -> tuple[float, ...]:
+    """Traces of orders +1 and +2 besides the config's -1 in R^3, and the
+    cap's trace config."""
+    return (_roundtrip("epd_euclid3_wave", {"alpha": 1.0}).rel_l2,
+            _roundtrip("epd_euclid3_wave", {"alpha": 2.0}).rel_l2,
+            _roundtrip("epd_euclid3_wave").rel_l2,
+            _roundtrip("epd_sphere3").rel_l2)
+
+
+def _convergence_monotonicity(seed: int) -> tuple[float]:
+    """Error ratio of section quadrature of order 8 on 400 t-nodes to order
+    16 on 800, on 96 centres and 9 points per axis."""
+    coarse, fine = (_roundtrip("euclid2", {"grids.boundary_points": 96,
+                                           "grids.recon_grid.points_per_axis": 9,
+                                           "forward_profile": "sections",
+                                           "grids.quadrature_order": order,
+                                           "grids.t_points": n_t}).rel_l2
+                    for order, n_t in ((8, 400), (16, 800)))
+    return (coarse / fine,)
+
+
 CHECKS = (
-    Check(1, "continuation_limit", "lemmas", ("1. continuation limit (rel)",),
-          _continuation_limit, "<=", 1e-6, 5.0),
-    Check(2, "direct_vs_continued", "lemmas", ("2. direct vs continued (abs)",),
-          _direct_vs_continued, "<", 1e-8, 5.0),
-    Check(3, "log_circle", "lemmas", ("3. circle log moment (abs)",),
-          _log_circle, "<=", 1e-8, 1.0),
-    Check(4, "chebyshev_pv", "lemmas", ("4. chebyshev principal values (abs)",),
-          _chebyshev_pv, "<", 1e-6, 2.0),
+    Check(1, "continuation_limit", "lemmas", _held("<=", 1e-6, "1. continuation limit (rel)"),
+          _continuation_limit, 5.0),
+    Check(2, "direct_vs_continued", "lemmas", _held("<", 1e-8, "2. direct vs continued (abs)"),
+          _direct_vs_continued, 5.0),
+    Check(3, "log_circle", "lemmas", _held("<=", 1e-8, "3. circle log moment (abs)"),
+          _log_circle, 1.0),
+    Check(4, "chebyshev_pv", "lemmas", _held("<", 1e-6, "4. chebyshev principal values (abs)"),
+          _chebyshev_pv, 2.0),
     Check(5, "regularized_power_integrals", "lemmas",
-          ("5a. gaussian power integrals (abs)", "5b. log-form agreement (abs)"),
-          _power_integrals, "<=", 1e-6, 2.0),
+          _held("<=", 1e-6, "5a. gaussian power integrals (abs)", "5b. log-form agreement (abs)"),
+          _power_integrals, 2.0),
     Check(6, "fractional_roundtrips", "fractional",
-          ("6a. weighted-integral round trips (sup)", "6b. right-sided round trips (sup)"),
-          _fractional_roundtrips, "<=", 1e-4, 10.0),
-    Check(7, "darboux_property", "identities", ("7. wave structure of the means (rel)",),
-          _darboux_property, "<=", 1e-3, 30.0),
+          _held("<=", 1e-4, "6a. weighted-integral round trips (sup)",
+                "6b. right-sided round trips (sup)"),
+          _fractional_roundtrips, 10.0),
+    Check(7, "darboux_property", "identities",
+          _held("<=", 1e-3, "7. wave structure of the means (rel)"), _darboux_property, 30.0),
     Check(8, "potential_identities", "identities",
-          ("8a. second-order potential inverse (rel)", "8b. log potential inverse (rel)"),
-          _potential_identities, "<=", 1e-2, 60.0),
-    Check(9, "log_identities_three_spaces", "identities", ("9. boundary log identities (abs)",),
-          _log_identities, "<=", 1e-3, 60.0),
+          _held("<=", 1e-2, "8a. second-order potential inverse (rel)",
+                "8b. log potential inverse (rel)"),
+          _potential_identities, 60.0),
+    Check(9, "log_identities_three_spaces", "identities",
+          _held("<=", 1e-3, "9. boundary log identities (abs)"), _log_identities, 60.0),
+    Check(10, "euclidean_roundtrips", "roundtrips",
+          _held("<=", 0.03, *(f"10. euclidean n={n} round trip (relL2)" for n in (2, 3)))
+          + _held("<=", 0.05, *(f"10. euclidean n={n} round trip (relL2)" for n in (4, 5))),
+          _euclidean_roundtrips, 300.0),
+    Check(10, "offcentre_n4_roundtrip", "roundtrips",
+          _held("<=", 0.03, "10. off-centre euclidean n=4 round trip (relL2)"),
+          _offcentre_n4_roundtrip, 300.0),
+    Check(11, "modified_formulas", "roundtrips",
+          _held("<=", 0.02, *(f"11. direct vs modified n={n} (relL2)" for n in (2, 3))),
+          _modified_formulas, 300.0),
+    Check(12, "curved_roundtrips", "roundtrips",
+          tuple(bound for space in ("sphere n=2", "sphere n=3", "hyperbolic n=2", "hyperbolic n=3")
+                for bound in ((f"12. {space} round trip (relL2)", "<=", 0.05),
+                              (f"12. {space} calibration gap", "<=", 0.03))),
+          _curved_roundtrips, 300.0),
+    Check(13, "trace_roundtrips", "roundtrips",
+          _held("<=", 0.05, *(f"13. trace round trip n=3 a={a} (relL2)"
+                              for a in ("+1", "+2", "-1")),
+                "13. cap trace round trip a=+1 (relL2)"),
+          _trace_roundtrips, 300.0),
     Check(14, "h_bound", "identities",
-          tuple(f"14. |h|<1 margin {kind} (1-max|h|>0)" for kind in (EUCLIDEAN, SPHERE, HYPERBOLIC)),
-          _h_bound, "<", 0.0, 1.0),
+          _held("<", 0.0, *(f"14. |h|<1 margin {kind} (1-max|h|>0)"
+                            for kind in (EUCLIDEAN, SPHERE, HYPERBOLIC))),
+          _h_bound, 1.0),
+    Check(15, "convergence_monotonicity", "roundtrips",
+          _held(">=", 1.5, "15. refinement error ratio"), _convergence_monotonicity, 300.0),
 )

@@ -15,6 +15,7 @@ import re
 import sys
 import time
 import warnings
+from typing import Callable
 
 import numpy as np
 
@@ -27,10 +28,10 @@ from .forward import (
     forward_means,
     validate_trace_order,
 )
-from .inversion import chart_box_grid, invert, make_report
+from .inversion import ReconstructionReport, chart_box_grid, invert, make_report
 from .numerics import TGrid
 from .phantoms import Bump, Phantom, validate_margin
-from .spaces import SpaceSpec, boundary_grid
+from .spaces import BoundaryGrid, SpaceSpec, boundary_grid
 
 MEANS_MAGIC = "# geomeans-means v1"
 
@@ -101,27 +102,39 @@ def load_config(path: str) -> dict:
     return parse_config(raw)
 
 
+def _as_space(sp, path: str, as_radius: Callable[[object, str], float]) -> SpaceSpec:
+    """The space object at path, its radius read by as_radius."""
+    _fields(sp, ("kind", "n", "radius"), path)
+    kind = _need(sp, "kind", path)
+    if not isinstance(kind, str):
+        raise ConfigError(f"{path}.kind must be a string")
+    n = _as_int(_need(sp, "n", path), f"{path}.n")
+    radius = as_radius(_need(sp, "radius", path), f"{path}.radius")
+    try:
+        return SpaceSpec(kind, n, radius)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
 def parse_config(raw: dict) -> dict:
     _fields(raw, ("space", "phantom", "grids", "method", "alpha", "forward_profile", "seed"),
             "config")
-    sp = _fields(_need(raw, "space", "config"), ("kind", "n", "radius"), "config.space")
-    kind = _need(sp, "kind", "config.space")
-    n = _need(sp, "n", "config.space")
-    radius = _as_number(_need(sp, "radius", "config.space"), "config.space.radius")
-    _as_int(n, "config.space.n")
-    try:
-        space = SpaceSpec(kind, n, radius)
-    except ValueError as e:
-        raise ConfigError(f"config.space: {e}") from None
+    space = _as_space(_need(raw, "space", "config"), "config.space", _as_number)
+    n = space.n
     bumps = []
-    for i, b in enumerate(_need(raw, "phantom", "config")):
+    listed = _need(raw, "phantom", "config")
+    if not isinstance(listed, list):
+        raise ConfigError("config.phantom must be a list of bumps")
+    for i, b in enumerate(listed):
         pth = f"config.phantom[{i}]"
         _fields(b, ("center", "geodesic_radius", "amplitude"), pth)
-        bumps.append(Bump(
-            spaces.lift(space, _as_coords(_need(b, "center", pth), n, f"{pth}.center")),
-            _as_number(_need(b, "geodesic_radius", pth), f"{pth}.geodesic_radius"),
-            _as_number(_need(b, "amplitude", pth), f"{pth}.amplitude"),
-        ))
+        center = spaces.lift(space, _as_coords(_need(b, "center", pth), n, f"{pth}.center"))
+        radius = _as_number(_need(b, "geodesic_radius", pth), f"{pth}.geodesic_radius")
+        amplitude = _as_number(_need(b, "amplitude", pth), f"{pth}.amplitude")
+        try:
+            bumps.append(Bump(center, radius, amplitude))
+        except ValueError as e:
+            raise ConfigError(f"{pth}: {e}") from None
     try:
         phantom = Phantom(space, tuple(bumps))
         validate_margin(phantom)
@@ -228,9 +241,59 @@ _READ_ROWS = 8_192
 
 def _at_file_row(message: str, offset: int) -> str:
     """A loadtxt error message with its (last) chunk row number moved by
-    offset to the file's data-row number."""
+    offset to the file's data-row number, counted from 0.
+
+    loadtxt counts rows from 0 in a conversion error but from 1 in a change
+    of column count.
+    """
+    if "number of columns changed" in message:
+        offset -= 1
     return re.sub(r"(.*) at row (\d+)", lambda g: f"{g[1]} at row {int(g[2]) + offset}",
                   message, count=1, flags=re.DOTALL)
+
+
+def _as_float_text(v, path: str) -> float:
+    """A float that `write_means` writes as its repr string."""
+    if isinstance(v, str):
+        try:
+            return float(v)
+        except ValueError:
+            pass
+    raise ConfigError(f"{path} must be a float written as a string, not {v!r}")
+
+
+def _means_metadata(line: str) -> tuple[SpaceSpec, BoundaryGrid, TGrid, float | None]:
+    """The space, boundary grid, t-grid and trace order of a means file's
+    metadata line, each field checked and named as `means metadata.<field>`."""
+    if not line.startswith("# "):
+        raise ValueError("missing metadata line")
+    try:
+        meta = json.loads(line[2:])
+    except json.JSONDecodeError as e:
+        raise ValueError(f"means metadata is not valid JSON: {e}") from None
+    path = "means metadata"
+    _fields(meta, ("space", "boundary_m", "t0", "t1", "t_points", "alpha"), path)
+    space = _as_space(_need(meta, "space", path), f"{path}.space", _as_float_text)
+    m = _as_int(_need(meta, "boundary_m", path), f"{path}.boundary_m", 4)
+    t0 = _as_float_text(_need(meta, "t0", path), f"{path}.t0")
+    t1 = _as_float_text(_need(meta, "t1", path), f"{path}.t1")
+    npts = _as_int(_need(meta, "t_points", path), f"{path}.t_points")
+    alpha = _need(meta, "alpha", path)
+    alpha = None if alpha is None else _as_float_text(alpha, f"{path}.alpha")
+    try:
+        grid = TGrid.linspace(t0, t1, npts)
+    except ValueError as e:
+        raise ValueError(f"means file t_points {npts} from t0 {t0!r} to t1 {t1!r}: "
+                         f"{e}") from None
+    # the writer's count is a grid size: fed back as the budget, it gives the grid
+    try:
+        boundary = boundary_grid(space, m)
+    except ValueError as e:
+        raise ConfigError(f"{path}.boundary_m: {e}") from None
+    if boundary.m != m:
+        raise ConfigError(f"{path}.boundary_m {m} is no boundary grid size of the space: "
+                          f"a budget of {m} gives {boundary.m} centres")
+    return space, boundary, grid, alpha
 
 
 def read_means(path: str) -> MeanData:
@@ -247,23 +310,11 @@ def read_means(path: str) -> MeanData:
         magic = fh.readline().rstrip("\n")
         if magic != MEANS_MAGIC:
             raise ValueError(f"not a means file (expected {MEANS_MAGIC!r})")
-        meta_line = fh.readline().rstrip("\n")
-        if not meta_line.startswith("# "):
-            raise ValueError("missing metadata line")
-        meta = json.loads(meta_line[2:])
+        space, boundary, grid, alpha = _means_metadata(fh.readline().rstrip("\n"))
         header = fh.readline().rstrip("\n")
         if header != "center_idx,t,value":
             raise ValueError("unexpected column header")
-        sp = meta["space"]
-        space = SpaceSpec(sp["kind"], int(sp["n"]), float(sp["radius"]))
-        m = int(meta["boundary_m"])
-        npts = int(meta["t_points"])
-        t0, t1 = float(meta["t0"]), float(meta["t1"])
-        try:
-            grid = TGrid.linspace(t0, t1, npts)
-        except ValueError as e:
-            raise ValueError(f"means file t_points {npts} from t0 {t0!r} to t1 {t1!r}: "
-                             f"{e}") from None
+        m, npts = boundary.m, grid.n
         # allocated before the chunks' buffers: allocated after them, the
         # values pin the heap above them once they are freed
         values = np.empty((m, npts))
@@ -305,13 +356,7 @@ def read_means(path: str) -> MeanData:
         what = "has no row" if counts[k] == 0 else f"has {counts[k]} rows"
         raise ValueError(f"means file {what} for center_idx {k // npts}, "
                          f"t {float(grid.values[k % npts])!r}")
-    # feeding the actual count back through the budgeting reproduces the grid
-    boundary = boundary_grid(space, m)
-    if boundary.m != m:
-        raise ValueError("boundary grid size mismatch on read-back")
-    alpha = meta["alpha"]
-    return MeanData(space, boundary, grid, values,
-                    None if alpha is None else float(alpha))
+    return MeanData(space, boundary, grid, values, alpha)
 
 
 def _place_rows(body: np.ndarray, first: int, grid: TGrid, values: np.ndarray,
@@ -419,15 +464,21 @@ def cmd_forward(cfg: dict, out_path: str) -> int:
     return 0
 
 
-def _invert_to_report(cfg: dict, data: MeanData, out_path: str) -> int:
+def _reconstruct(cfg: dict, data: MeanData) -> ReconstructionReport:
+    """The report of inverting data at the config's points, with the
+    seconds of the inversion."""
     pts = _recon_points(cfg)
     start = time.perf_counter()
     rec = invert(data, pts, method=cfg["method"])
     elapsed = time.perf_counter() - start
-    rep = make_report(pts, cfg["phantom"](pts), rec, cfg["method"], elapsed)
+    return make_report(pts, cfg["phantom"](pts), rec, cfg["method"], elapsed)
+
+
+def _invert_to_report(cfg: dict, data: MeanData, out_path: str) -> int:
+    rep = _reconstruct(cfg, data)
     write_report(rep, cfg["space"], out_path)
     print(f"rel_l2={rep.rel_l2:.6f} sup_err={rep.sup_err:.6f} "
-          f"calibration={rep.calibration:.6f} ({elapsed:.1f}s)")
+          f"calibration={rep.calibration:.6f} ({rep.seconds:.1f}s)")
     print(f"wrote report to {out_path}")
     return 0
 

@@ -215,6 +215,27 @@ def test_non_finite_numbers_rejected(where, value):
         parse_config(bad)
 
 
+@pytest.mark.parametrize("where,value,message", [
+    (("phantom",), 5, "config.phantom must be a list of bumps"),
+    (("phantom",), {"center": [0.25, 0.1], "geodesic_radius": 0.3, "amplitude": 1.0},
+     "config.phantom must be a list of bumps"),
+    (("space", "kind"), ["euclidean"], "config.space.kind must be a string"),
+    (("phantom", 0, "geodesic_radius"), -0.3, "config.phantom[0]: bump radius must be positive"),
+])
+def test_config_structure_faults_are_named(tmp_path, capsys, where, value, message):
+    bad = cfg_with()
+    obj = bad
+    for step in where[:-1]:
+        obj = obj[step]
+    obj[where[-1]] = value
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(bad)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(bad))
+    assert main(["roundtrip", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_non_finite_json_config_exits_cleanly(tmp_path, capsys):
     # Python's json reads NaN and Infinity; a NaN bump radius used to run
     # through and write a report of nan
@@ -389,13 +410,17 @@ def test_means_empty_body(means_file):
 
 def whole_file_parse_error(path):
     """The reader's message for a malformed row, as one parse of all the data
-    rows reports it."""
+    rows reports it, with the row counted from 0: loadtxt counts from 0 in a
+    conversion error, from 1 in a change of column count."""
     with open(path) as fh:
         for _ in range(3):
             fh.readline()
         with pytest.raises(ValueError) as err:
             np.loadtxt(fh, delimiter=",", ndmin=2)
-    return f"malformed means row: {err.value}"
+    message = str(err.value)
+    if "number of columns changed" in message:
+        message = re.sub(r"at row (\d+)", lambda g: f"at row {int(g[1]) - 1}", message)
+    return f"malformed means row: {message}"
 
 
 def _bad_value(rows, k):
@@ -429,8 +454,7 @@ def test_means_malformed_rows_are_numbered_in_the_file(tmp_path, edit, row):
     rewrite_rows(path, corrupt)
     message = read_error(path)
     assert message == whole_file_parse_error(path)
-    # loadtxt counts data rows from 0 in conversion errors, from 1 in column counts
-    assert f" at row {row + (edit is not _bad_value)}" in message
+    assert f" at row {row}" in message
 
 
 @pytest.mark.parametrize("faults,reported", [
@@ -499,12 +523,67 @@ def test_means_t_grid_outside_the_section_range(means_file):
         read_means(str(path))
 
 
-def _set_means_alpha(path, alpha):
-    """Rewrite the metadata's trace order of a means file."""
+DROP = object()
+
+
+def _edit_means_metadata(path, changes):
+    """Rewrite fields of the metadata of a means file; a field changed to
+    DROP is removed."""
     lines = path.read_text().splitlines()
     meta = json.loads(lines[1][2:])
-    meta["alpha"] = alpha
+    meta.update(changes)
+    meta = {key: value for key, value in meta.items() if value is not DROP}
     path.write_text("\n".join([lines[0], "# " + json.dumps(meta)] + lines[2:]) + "\n")
+
+
+def _set_means_alpha(path, alpha):
+    """Rewrite the metadata's trace order of a means file."""
+    _edit_means_metadata(path, {"alpha": alpha})
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"space": DROP}, "missing field means metadata.space"),
+    ({"t_points": DROP}, "missing field means metadata.t_points"),
+    ({"colour": "red"}, "unknown field means metadata.colour"),
+    ({"t_points": 64.5}, "means metadata.t_points must be an integer"),
+    ({"boundary_m": -1}, "means metadata.boundary_m must be >= 4, not -1"),
+    ({"alpha": "x"}, "means metadata.alpha must be a float written as a string, not 'x'"),
+    ({"t0": 0.001}, "means metadata.t0 must be a float written as a string, not 0.001"),
+    ({"space": {"kind": ["euclidean"], "n": 2, "radius": "1.0"}},
+     "means metadata.space.kind must be a string"),
+    ({"space": {"kind": "euclidean", "n": 2.0, "radius": "1.0"}},
+     "means metadata.space.n must be an integer"),
+    ({"space": {"kind": "euclidean", "n": 2, "radius": "wide"}},
+     "means metadata.space.radius must be a float written as a string, not 'wide'"),
+    ({"space": {"kind": "sphere", "n": 3, "radius": "0.8"}, "boundary_m": 10},
+     "means metadata.boundary_m 10 is no boundary grid size of the space: "
+     "a budget of 10 gives 8 centres"),
+])
+def test_means_metadata_faults_are_named(means_file, changes, message):
+    path, _ = means_file
+    _edit_means_metadata(path, changes)
+    assert read_error(path) == message
+
+
+@pytest.mark.parametrize("line,message", [
+    ("# [1, 2]", "^means metadata must be an object$"),
+    ("# {space", "^means metadata is not valid JSON: "),
+])
+def test_means_metadata_must_be_a_json_object(means_file, line, message):
+    path, _ = means_file
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], line] + lines[2:]) + "\n")
+    assert re.search(message, read_error(path))
+
+
+def test_means_metadata_faults_exit_cleanly(tmp_path, means_file, capsys):
+    path, _ = means_file
+    _edit_means_metadata(path, {"space": DROP})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg_with()))
+    assert main(["invert", "--config", str(cfg_path), "--means", str(path),
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err == "error: missing field means metadata.space\n"
 
 
 @pytest.mark.parametrize("alpha,message", [
@@ -702,14 +781,32 @@ def test_verify_fails_on_a_strict_bound(monkeypatch, capsys):
     # criterion 2 holds its figure strictly below the bound: a figure equal
     # to the bound fails in the printed status and in the exit code
     check = next(c for c in checks.CHECKS if c.number == 2)
-    assert check.op == "<"
-    on_bound = dataclasses.replace(check, compute=lambda seed: (check.bound,))
+    (_, op, bound), = check.bounds
+    assert op == "<"
+    on_bound = dataclasses.replace(check, compute=lambda seed: (bound,))
     monkeypatch.setattr(checks, "CHECKS", (on_bound,))
     assert main(["verify", "--suite", "lemmas"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("[acceptance] 2. direct vs continued (abs)")
     assert out[0].endswith("1.000e-08 < 1.0e-08  FAIL")
     assert out[1] == "1 check(s) FAILED"
+
+
+def test_verify_roundtrips_reads_every_shipped_config(monkeypatch, capsys):
+    # every file in configs/ is read by a round-trip entry, so that the
+    # shipped configs and the criteria cannot drift apart
+    read = set()
+    roundtrip = checks._roundtrip
+
+    def recording(name, changes=None):
+        read.add(name)
+        return roundtrip(name, changes)
+
+    monkeypatch.setattr(checks, "_roundtrip", recording)
+    assert main(["verify", "--suite", "roundtrips"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 21 and out[-1] == "all checks passed"
+    assert read == {path.stem for path in checks.CONFIGS.glob("*.json")}
 
 
 def test_bad_config_returns_error_code(tmp_path):
