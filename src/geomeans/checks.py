@@ -644,7 +644,10 @@ def _roundtrip(name: str, changes: dict | None = None) -> ReconstructionReport:
     A key of `changes` is a dotted path into the JSON document, list indices
     as numbers: {"phantom.0.center": [...]} moves the first bump.
     """
-    from . import cli  # here, not at the top: cli imports this module
+    # here, not at the top: `python -m geomeans.cli` runs cli as __main__ and
+    # imports this module, so a top-level import would load cli a second time
+    # in every such process
+    from . import cli
 
     raw = json.loads((CONFIGS / f"{name}.json").read_text())
     for path, value in (changes or {}).items():

@@ -33,29 +33,47 @@ def _ek_rule(eta: float, alpha: float, order: int):
     return s, F
 
 
-def _quintic_operator(grid: TGrid, rows: np.ndarray, x: np.ndarray,
-                      coef: np.ndarray) -> np.ndarray:
-    """N x N matrix A with (samples @ A.T)[:, j] = sum over nodes k with
-    rows[k] == j of coef[k] * quintic_interp(samples, grid, x[k], fill=0.0).
+# Quadrature nodes per block of target rows in `_quintic_operator`: the
+# block's (8, nodes) interpolation temporaries stay cache-sized (about 0.5 MB)
+# whatever N and the order.
+_OPERATOR_NODES = 8192
 
+
+def _quintic_operator(grid: TGrid, x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """N x N matrix A with (samples @ A.T)[:, j] = sum over q of
+    coef[j, q] * quintic_interp(samples, grid, x[j, q], fill=0.0).
+
+    x holds the quadrature nodes of target row j in row j, shape (R, Q) with
+    R <= N; coef broadcasts against x, and the rows of A past R are zero.
     Each node's six stencil weights come from quintic_interp applied to the
     rows of an 8 x 8 identity on a unit grid, at the node's local coordinate s:
     the stencil starts at base 0 when s < 1 (interior cells and the left-edge
     clip, s in [-2, 1)) and at base 2 at the right-edge clip (s in [1, 3]).
+
+    A is built in blocks of whole rows, about _OPERATOR_NODES nodes each. A
+    row's nodes keep their order and bincount adds in input order, so the
+    blocks change no bit of A.
     """
-    inside = (x >= grid.a) & (x <= grid.b)
-    rows, x, coef = rows[inside], x[inside], coef[inside]
-    u = (x - grid.a) / grid.h
-    idx = np.clip(np.floor(u).astype(np.int64), 2, grid.n - 4)
-    # a node at b whose u rounds above n - 1 would fall past the unit grid
-    s = np.minimum(u - idx, 3.0)
-    base = np.where(s < 1.0, 0, 2)
-    w = quintic_interp(np.eye(8), TGrid(np.arange(8.0)), s + 2.0 + base)
-    stencil = np.arange(6)[:, None]
-    w = np.take_along_axis(w, base + stencil, axis=0)
-    flat = rows * grid.n + idx - 2 + stencil
-    A = np.bincount(flat.ravel(), (w * coef).ravel(), minlength=grid.n * grid.n)
-    return A.reshape(grid.n, grid.n)
+    n = grid.n
+    coef = np.broadcast_to(coef, x.shape)
+    unit, eye, stencil = TGrid(np.arange(8.0)), np.eye(8), np.arange(6)[:, None]
+    A = np.zeros((n, n))
+    step = max(1, _OPERATOR_NODES // x.shape[1])
+    for j0 in range(0, x.shape[0], step):
+        j1 = min(j0 + step, x.shape[0])
+        inside = (x[j0:j1] >= grid.a) & (x[j0:j1] <= grid.b)
+        rows, xb, cb = np.nonzero(inside)[0], x[j0:j1][inside], coef[j0:j1][inside]
+        u = (xb - grid.a) / grid.h
+        idx = np.clip(np.floor(u).astype(np.int64), 2, n - 4)
+        # a node at b whose u rounds above n - 1 would fall past the unit grid
+        s = np.minimum(u - idx, 3.0)
+        base = np.where(s < 1.0, 0, 2)
+        w = quintic_interp(eye, unit, s + 2.0 + base)
+        w = np.take_along_axis(w, base + stencil, axis=0)
+        flat = rows * n + idx - 2 + stencil
+        A[j0:j1] = np.bincount(flat.ravel(), (w * cb).ravel(),
+                               minlength=(j1 - j0) * n).reshape(j1 - j0, n)
+    return A
 
 
 def ek_matrix(samples: np.ndarray, grid: TGrid, eta: float, alpha: float,
@@ -66,8 +84,9 @@ def ek_matrix(samples: np.ndarray, grid: TGrid, eta: float, alpha: float,
                        int_0^t (t^2 - r^2)^{a-1} r^{2 eta + 1} phi(r) dr,
     evaluated at every grid node; rows are treated as independent profiles
     extended by zero outside the grid. The rule is built once as an N x N
-    operator (quintic interpolation at the nodes t * s_q) and applied to all
-    rows with one matrix product.
+    operator (quintic interpolation at the nodes t * s_q, a block of target
+    rows at a time, so the build holds about 2 N x N arrays whatever the
+    order) and applied to all rows with one matrix product.
     """
     if alpha <= 0:
         raise ValueError("use the analytic-continuation path for alpha <= 0")
@@ -76,9 +95,7 @@ def ek_matrix(samples: np.ndarray, grid: TGrid, eta: float, alpha: float,
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     t = grid.values
     s, F = _ek_rule(eta, alpha, order)
-    rows = np.repeat(np.arange(t.size), s.size)
-    coef = np.tile(2.0 / gamma(alpha) * F, t.size)
-    A = _quintic_operator(grid, rows, (t[:, None] * s[None, :]).ravel(), coef)
+    A = _quintic_operator(grid, t[:, None] * s[None, :], 2.0 / gamma(alpha) * F)
     return samples @ A.T
 
 
@@ -117,6 +134,10 @@ def rl_matrix(samples: np.ndarray, grid: TGrid, alpha: float, order: int = 192) 
     alpha > 0: (I_-^a u)(t) = (1/Gamma(a)) int_t^b (tau - t)^{a-1} u(tau) dtau
     with b the grid end (profiles vanish beyond it). alpha <= 0 with
     m = ceil(-alpha): (-d/dt)^m applied to the order m + alpha integral.
+    The positive-order rule is one N x N operator, quintic interpolation at
+    the nodes tau = t + (b - t) v_q built a block of target rows at a time
+    (about 3 N x N arrays at the peak with the nodes and weights), applied
+    to all rows with one matrix product.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if alpha == 0:
@@ -133,6 +154,5 @@ def rl_matrix(samples: np.ndarray, grid: TGrid, alpha: float, order: int = 192) 
     span = (grid.b - t)[:, None]
     tau = t[:, None] + span * v[None, :]
     coef = (span ** alpha / gamma(alpha)) * F[None, :]
-    rows = np.repeat(np.arange(t.size), v.size)
-    A = _quintic_operator(grid, rows, tau.ravel(), coef.ravel())
+    A = _quintic_operator(grid, tau, coef)
     return samples @ A.T

@@ -228,7 +228,9 @@ def _euclidean_rows(space: SpaceSpec, grid: TGrid, values: np.ndarray, method: s
         rows = log_kernel_table(t * d_operator_matrix(t ** (n - 2) * values, grid, n - 2),
                                 grid, out_grid.values, kernel="log|t^2-s^2|")
     if method == "direct":
-        rows = darboux_L_matrix(rows, out_grid, n)
+        # rows is the t-weighted temporary or the log table, never the
+        # caller's means, so the filter may write over it
+        rows = darboux_L_matrix(rows, out_grid, n, _overwrite=True)
     return out_grid, rows, fill
 
 

@@ -773,8 +773,29 @@ def test_pgm_minmax_comment(tmp_path):
     assert lines[5].split() == ["170", "255"]
 
 
-def test_verify_subcommand_fractional():
+def test_verify_subcommand_fractional(capsys):
     assert main(["verify", "--suite", "fractional"]) == 0
+    labels = [label for check in checks.CHECKS if check.suite == "fractional"
+              for label, _, _ in check.bounds]
+    *lines, last = capsys.readouterr().out.splitlines()
+    assert labels and len(lines) == len(labels)
+    for line, label in zip(lines, labels):
+        assert line.startswith(f"[acceptance] {label} ") and line.endswith("  PASS")
+    assert last == "all checks passed"
+
+
+def test_importing_cli_leaves_the_checks_unloaded():
+    # only verify reads the acceptance registry; a process that imports cli
+    # to run a config does not load it
+    import geomeans
+
+    src = str(Path(geomeans.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", "import sys, geomeans.cli; print(sorted(sys.modules))"],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert "'geomeans.cli'" in run.stdout
+    assert "'geomeans.checks'" not in run.stdout
 
 
 def test_verify_fails_on_a_strict_bound(monkeypatch, capsys):

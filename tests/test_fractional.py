@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import gamma, roots_jacobi
 
+from geomeans import fractional
 from geomeans.fractional import _quintic_operator, ek_ac_matrix, ek_matrix, rl_matrix
 from geomeans.numerics import TGrid, d_operator_matrix, diff_matrix, quintic_interp
 from geomeans.phantoms import bump_profile
@@ -217,7 +220,7 @@ def test_operator_nodes_at_the_grid_ends():
     # 0 the node below it lands on the unit stencil's end unless it is masked
     g = TGrid.linspace(1e-3, 2.0, 96)
     x = np.array([np.nextafter(g.a, -1.0), g.a, g.b, np.nextafter(g.b, 3.0), 1.0])
-    A = _quintic_operator(g, np.arange(x.size), x, np.ones(x.size))
+    A = _quintic_operator(g, x[:, None], np.ones((x.size, 1)))
     rows = np.stack([np.cos(g.values), 1.0 + g.values ** 2])
     direct = np.stack([quintic_interp(rows, g, x[k:k + 1], fill=0.0)[:, 0] for k in range(x.size)], axis=-1)
     assert np.array_equal((rows @ A.T)[:, :x.size] == 0.0, direct == 0.0)
@@ -226,6 +229,82 @@ def test_operator_nodes_at_the_grid_ends():
     # rounding error past the last cell: it still takes the last sample
     for g in (TGrid.linspace(0.1, 1.0, 128), TGrid.linspace(0.6967, 0.99999, 64)):
         assert (g.b - g.a) / g.h > g.n - 1
-        A = _quintic_operator(g, np.zeros(1, dtype=np.int64), np.array([g.b]), np.ones(1))
+        A = _quintic_operator(g, np.array([[g.b]]), np.ones((1, 1)))
         rows = np.stack([np.cos(g.values), 1.0 + g.values ** 2])
         assert np.array_equal((rows @ A.T)[:, 0], rows[:, -1])
+
+
+# The operator built at all quadrature nodes at once, as before the blocked
+# build: the reference route for `_quintic_operator`.
+
+def whole_array_operator(grid, rows, x, coef):
+    inside = (x >= grid.a) & (x <= grid.b)
+    rows, x, coef = rows[inside], x[inside], coef[inside]
+    u = (x - grid.a) / grid.h
+    idx = np.clip(np.floor(u).astype(np.int64), 2, grid.n - 4)
+    s = np.minimum(u - idx, 3.0)
+    base = np.where(s < 1.0, 0, 2)
+    w = quintic_interp(np.eye(8), TGrid(np.arange(8.0)), s + 2.0 + base)
+    stencil = np.arange(6)[:, None]
+    w = np.take_along_axis(w, base + stencil, axis=0)
+    flat = rows * grid.n + idx - 2 + stencil
+    A = np.bincount(flat.ravel(), (w * coef).ravel(), minlength=grid.n * grid.n)
+    return A.reshape(grid.n, grid.n)
+
+
+def reference_operator(grid, x, coef):
+    rows = np.repeat(np.arange(x.shape[0]), x.shape[1])
+    return whole_array_operator(grid, rows, x.ravel(), np.broadcast_to(coef, x.shape).ravel())
+
+
+OPERATORS = {
+    "ek": lambda rows, g, order: ek_matrix(rows, g, 0.5, 0.7, order),
+    "ek_continuation": lambda rows, g, order: ek_ac_matrix(rows, g, 0.5, -1.4, order),
+    "rl": lambda rows, g, order: rl_matrix(rows, g, 1.3, order),
+    "rl_negative": lambda rows, g, order: rl_matrix(rows, g, -0.6, order),
+}
+
+
+# 797 rows are a whole number of blocks at none of the orders (42, 512 and
+# 32 rows a block); the 128-node grid puts the RL node at b a rounding error
+# past its last cell (with a zero weight there; the clamp that keeps it on
+# the last sample is pinned by test_operator_nodes_at_the_grid_ends); 7
+# nodes a block make every row a block of its own
+@pytest.mark.parametrize("grid,order,nodes", [
+    ((1e-3, 2.0, 797), 16, None),
+    ((1e-3, 2.0, 797), 192, None),
+    ((1e-3, 2.0, 797), 256, None),
+    ((0.1, 1.0, 128), 192, None),
+    ((0.05, 2.0, 96), 16, 7),
+], ids=["797-16", "797-192", "797-256", "clamp-192", "one-row-blocks"])
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_blocked_operator_equals_whole_array_build(monkeypatch, name, grid, order, nodes):
+    g = TGrid.linspace(*grid)
+    if nodes is not None:
+        monkeypatch.setattr(fractional, "_OPERATOR_NODES", nodes)
+        assert fractional._OPERATOR_NODES < order
+    if grid[2] == 128:
+        assert (g.b - g.a) / g.h > g.n - 1
+    t = g.values
+    rows = np.stack([np.exp(-3.0 * (t - 1.0) ** 2), np.cos(2.0 * t), t ** 2])
+    blocked = OPERATORS[name](rows, g, order)
+    monkeypatch.setattr(fractional, "_quintic_operator", reference_operator)
+    assert np.array_equal(blocked, OPERATORS[name](rows, g, order))
+
+
+def traced_peak(build):
+    build()  # the Gauss-Jacobi rules are cached after the first call
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_operator_builds_stay_near_the_matrix_size():
+    # the whole-array build peaked at 9.65 (EK) and 13.2 (RL) N x N matrices
+    g = TGrid.linspace(1e-3, 2.0, 800)
+    assert traced_peak(lambda: ek_matrix(np.sin(g.values), g, 0.5, 1.0, 192)) < 3 * 8 * 800 ** 2
+    g = TGrid.linspace(-0.99, 0.99, 600)
+    assert traced_peak(lambda: rl_matrix(np.sin(g.values), g, 1.0, 192)) < 4 * 8 * 600 ** 2

@@ -611,6 +611,19 @@ def test_windowed_tables_match_the_full_range(space, chart_c, m, method, scale):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("name", ["euclid2", "euclid3"])
+@pytest.mark.parametrize("method", ["direct", "modified"])
+def test_invert_leaves_the_means_untouched(name, method):
+    # the direct method's Darboux filter writes over the rows it is given,
+    # which are its own temporaries there; the modified method filters the
+    # means themselves, so it must not
+    cfg = cli.load_config(f"configs/{name}.json")
+    data, x = cli._forward_data(cfg), cli._recon_points(cfg)
+    kept = data.values.copy()
+    invert(data, x, method=method)
+    assert np.array_equal(data.values, kept)
+
+
 @pytest.mark.parametrize("name,kernel", [("euclid2", "log|t^2-s^2|"), ("sphere2", "log|t-s|"),
                                          ("hyperbolic2", "log|t-s|")])
 def test_windowed_table_is_the_full_tables_columns(name, kernel):

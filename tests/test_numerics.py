@@ -236,6 +236,15 @@ def test_darboux_matches_the_expression_form(grid, n):
     assert np.array_equal(samples, kept)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_darboux_over_its_input_matches_the_expression_form(grid, n):
+    samples = np.random.default_rng(13).standard_normal((4, grid.n))
+    ref = _darboux_reference(samples, grid, n)
+    out = darboux_L_matrix(samples, grid, n, _overwrite=True)
+    assert out is samples
+    assert np.array_equal(out, ref)
+
+
 def interp(samples, grid, x):
     """Cubic interpolant of one row of samples at the points x, zero outside the grid."""
     return CubicStencil.build(grid, np.asarray(x, dtype=float)[:, None])(samples[None, :])[:, 0]
