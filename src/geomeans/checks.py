@@ -644,9 +644,9 @@ def _roundtrip(name: str, changes: dict | None = None) -> ReconstructionReport:
     A key of `changes` is a dotted path into the JSON document, list indices
     as numbers: {"phantom.0.center": [...]} moves the first bump.
     """
-    # here, not at the top: `python -m geomeans.cli` runs cli as __main__ and
-    # imports this module, so a top-level import would load cli a second time
-    # in every such process
+    # here, not at the top: `python -m geomeans.cli verify` runs cli as
+    # __main__ and imports this module, so a top-level import would load cli
+    # a second time even for the suites that run no round trip
     from . import cli
 
     raw = json.loads((CONFIGS / f"{name}.json").read_text())

@@ -150,7 +150,8 @@ def parse_config(raw: dict) -> dict:
         "t_points": _as_int(_need(g, "t_points", "config.grids"), "config.grids.t_points", 64),
         "quadrature_order": _as_int(g.get("quadrature_order", 16),
                                     "config.grids.quadrature_order", 2),
-        "fd_step": _as_positive(g.get("fd_step", 1e-2 * radius), "config.grids.fd_step"),
+        "fd_step": _as_positive(g.get("fd_step", 1e-2 * space.radius),
+                               "config.grids.fd_step"),
         "recon_grid": None,
     }
     if g.get("recon_grid") is not None:
@@ -580,8 +581,6 @@ def cmd_verify(suite: str, seed: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
-    from . import checks
-
     parser = argparse.ArgumentParser(
         prog="geomeans",
         description="Spherical mean transforms and their inversion in constant curvature spaces",
@@ -606,8 +605,10 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="run identity/lemma verification checks")
-    p.add_argument("--suite", default="all", choices=[*checks.SUITES, "all"])
-    p.add_argument("--seed", type=int, default=checks.SEED,
+    # verify checks the suite name and fills in the seed, so that the other
+    # subcommands never load the checks
+    p.add_argument("--suite", default="all", help="a suite of the checks, or all")
+    p.add_argument("--seed", type=int, default=None,
                    help="seed for the sampling-based property checks")
 
     p = sub.add_parser("render", help="render a report slice as a PGM image")

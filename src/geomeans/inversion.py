@@ -5,8 +5,9 @@ radial data (every centre's row equal) to one row, undoes a trace's
 fractional time weighting (layer 2: Erdelyi-Kober in R^n, right-sided
 Riemann-Liouville on the cap) by the index law with
 `forward.trace_weighting`, filters the rows in t and, in even
-dimensions, tables them against the log kernel (layers 3 and 4), and
-back-projects once, with the outer Laplacian in closed form (layer 5). The
+dimensions, tables them against the log kernel (layers 3 and 4, one row
+builder for all three spaces), and back-projects once, with the outer
+Laplacian in closed form (layer 5), the one step that differs by space. The
 Euclidean odd/even formulas are those of Finch, Haltmeier & Rakesh (SIAM J.
 Appl. Math. 68, 2007), with a Laplacian-free `modified` variant; the cap and
 hyperboloid formulas apply chart Laplacians. Also report helpers.
@@ -200,38 +201,41 @@ def _read_range(space: SpaceSpec, x: np.ndarray) -> tuple[float, float]:
 # the inversion pipeline
 # ---------------------------------------------------------------------------
 
-# The Laplacian of x -> P(|x - xi|) is (L_n P)(|x - xi|) with the radial
-# operator L_n = d^2/dt^2 + (n-1)/t d/dt, so the outer Laplacian of a
-# Euclidean back-projection is the back-projection of L_n applied to its
-# profiles.
+def _section_weight(space: SpaceSpec, t: np.ndarray) -> np.ndarray:
+    """sin_k(r)^{n-2} at the grid's arguments t: t^{n-2} in R^n,
+    (kappa (1-t^2))^{n/2-1} on the cap and the hyperboloid."""
+    n = space.n
+    if space.kind == spaces.EUCLIDEAN:
+        return t ** (n - 2)
+    return (space.curvature * (1.0 - t ** 2)) ** (n / 2.0 - 1.0)
 
-def _euclidean_rows(space: SpaceSpec, grid: TGrid, values: np.ndarray, method: str,
-                    read: tuple[float, float]):
-    """Grid, rows and fill of the Euclidean back-projection (layers 3 and 4).
 
-    Odd n: P = D^{n-3}[t^{n-2} means]. Even n: P is the log|t^2-s^2| table
-    of t D^{n-2}[t^{n-2} means], built only on the window of the full target
-    grid that arguments in `read` reach (`_table_grid`); n = 2 reproduces
-    the disk formula. The direct method back-projects L_n P (along the
-    table's target axis in even n); the Laplacian-free modified method
-    applies L_n to the means first and back-projects P.
+def _rows(space: SpaceSpec, grid: TGrid, values: np.ndarray, read: tuple[float, float]):
+    """Grid, rows P and fill of the back-projection (layers 3 and 4), in R^n,
+    on the cap and on the hyperboloid.
+
+    F = sin_k(r)^{n-2} means. The filter is d/da in the pairing variable up
+    to a constant: D = (1/2t) d/dt in R^n, d/dt on the curved grids. Odd n:
+    P = filter^{n-3} F on the data grid, and arguments off it read 0. Even
+    n: P is the log-kernel table (log|t^2-s^2| in R^n, log|t-s| on the
+    curved grids) of filter^{n-2} F, times t in R^n, built only on the
+    window of the full target grid that arguments in `read` reach
+    (`_table_grid`); an argument off it raises. n = 2 reproduces the disk
+    formula.
     """
-    n, t = space.n, grid.values
-    if method == "modified":
-        values = darboux_L_matrix(values, grid, n)
-    # t^{n-2} means stays a temporary: held through the log table, it would
-    # raise the peak memory by one more (m, N) array
+    n, euclidean = space.n, space.kind == spaces.EUCLIDEAN
+    filt = d_operator_matrix if euclidean else diff_matrix
+    # F stays a temporary: held through the log table, it would raise the
+    # peak memory by one more (m, N) array
+    rows = filt(_section_weight(space, grid.values) * values, grid, n - 3 if n % 2 else n - 2)
     if n % 2 == 1:
-        out_grid, rows, fill = grid, d_operator_matrix(t ** (n - 2) * values, grid, n - 3), 0.0
-    else:
-        out_grid, fill = _table_grid(space, grid.n, read), "error"
-        rows = log_kernel_table(t * d_operator_matrix(t ** (n - 2) * values, grid, n - 2),
-                                grid, out_grid.values, kernel="log|t^2-s^2|")
-    if method == "direct":
-        # rows is the t-weighted temporary or the log table, never the
-        # caller's means, so the filter may write over it
-        rows = darboux_L_matrix(rows, out_grid, n, _overwrite=True)
-    return out_grid, rows, fill
+        return grid, rows, 0.0
+    if euclidean:
+        # rows is F or the filter's own array, never the caller's means
+        rows *= grid.values
+    out_grid = _table_grid(space, grid.n, read)
+    kernel = "log|t^2-s^2|" if euclidean else "log|t-s|"
+    return out_grid, log_kernel_table(rows, grid, out_grid.values, kernel=kernel), "error"
 
 
 # Every boundary centre has the same height xi_{n+1} = cos_k R, so the
@@ -252,31 +256,6 @@ def _chart_coefficients(space: SpaceSpec, xp: np.ndarray):
     c, s, z = space.cos_k(space.radius), space.chart_radius, np.sqrt(1.0 - k * rho2)
     return (s ** 2 + c ** 2 * (2.0 * k + rho2 / z ** 2), -2.0 * k * c / z,
             -c * (k * n / z + rho2 / z ** 3))
-
-
-def _curved_rows(space: SpaceSpec, grid: TGrid, values: np.ndarray,
-                 read: tuple[float, float]):
-    """Grid, stack (P'', t P'', P') and fill of the cap/hyperboloid
-    back-projection (layers 3 and 4).
-
-    F = means (kappa (1-t^2))^{n/2-1}. Odd n: P = F^{(n-3)}. Even n
-    (including 2): P is the log|t-s| table of F^{(n-2)}, built only on the
-    window of the full target grid that arguments in `read` reach.
-    """
-    n, t = space.n, grid.values
-    F = values * (space.curvature * (1.0 - t ** 2)) ** (n / 2.0 - 1.0)
-    if n % 2 == 1:
-        out_grid, rows, fill = grid, diff_matrix(F, grid, n - 3), 0.0
-    else:
-        out_grid, fill = _table_grid(space, grid.n, read), "error"
-        rows = log_kernel_table(diff_matrix(F, grid, n - 2), grid, out_grid.values,
-                                kernel="log|t-s|")
-    # the stack is filled in place: P' into its last slot, P'' from it
-    stack = np.empty((3,) + rows.shape)
-    _diff1(rows, out_grid.h, out=stack[2])
-    _diff1(stack[2], out_grid.h, out=stack[0])
-    np.multiply(out_grid.values, stack[0], out=stack[1])
-    return out_grid, stack, fill
 
 
 def invert(data: MeanData, x: np.ndarray, method: str = "direct",
@@ -325,11 +304,25 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     if alpha is not None:
         # the index law: T_{eta+alpha,-alpha} undoes T_{eta,alpha}, eta = n/2 - 1
         values = trace_weighting(space, data.tgrid, values, n / 2.0 - 1.0 + alpha, -alpha)
-    read = _read_range(space, x)
+    if method == "modified":
+        values = darboux_L_matrix(values, data.tgrid, n)
+    grid, rows, fill = _rows(space, data.tgrid, values, _read_range(space, x))
     if space.kind == spaces.EUCLIDEAN:
-        grid, rows, fill = _euclidean_rows(space, data.tgrid, values, method, read)
+        if method == "direct":
+            # The Laplacian of x -> P(|x - xi|) is (L_n P)(|x - xi|), with
+            # L_n = d^2/dt^2 + (n-1)/t d/dt: the direct formula back-projects
+            # L_n P (along the target axis of the even table), the modified
+            # one has applied L_n to the means. rows is never the caller's
+            # means, so L_n may write over it.
+            rows = darboux_L_matrix(rows, grid, n, _overwrite=True)
     else:
-        grid, rows, fill = _curved_rows(space, data.tgrid, values, read)
+        # the stack (P'', t P'', P') is filled in place: P' into its last
+        # slot, P'' from it; rebinding rows frees P before the back-projection
+        stack = np.empty((3,) + rows.shape)
+        _diff1(rows, grid.h, out=stack[2])
+        _diff1(stack[2], grid.h, out=stack[0])
+        np.multiply(grid.values, stack[0], out=stack[1])
+        rows = stack
     f0 = backproject(data.boundary, grid, rows, x, fill=fill)
 
     c = constants(n, space.radius)

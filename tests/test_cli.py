@@ -76,6 +76,14 @@ def test_schema_errors_carry_field_paths():
         parse_config(bad)
 
 
+def test_fd_step_defaults_to_a_hundredth_of_the_space_radius():
+    # the bump loop binds its own radii (0.22 here); the default reads the
+    # space's (0.8)
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs/sphere2.json").read_text())
+    del raw["grids"]["fd_step"]
+    assert parse_config(raw)["grids"]["fd_step"] == 1e-2 * 0.8
+
+
 @pytest.mark.parametrize("field", ["boundary_points", "t_points"])
 @pytest.mark.parametrize("value", [128.9, 128.0, "128", True])
 def test_grid_sizes_must_be_integers(field, value):
@@ -796,6 +804,36 @@ def test_importing_cli_leaves_the_checks_unloaded():
     assert run.returncode == 0, run.stderr
     assert "'geomeans.cli'" in run.stdout
     assert "'geomeans.checks'" not in run.stdout
+
+
+ROUNDTRIP_MODULES = """
+import json, sys
+from geomeans.cli import main
+code = main(["roundtrip", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"code": code, "checks": "geomeans.checks" in sys.modules}))
+"""
+
+
+def test_roundtrip_leaves_the_checks_unloaded(tmp_path):
+    # main no longer reads the suites or the seed for its parser, so a round
+    # trip through main does not load the acceptance registry
+    import geomeans
+
+    src = str(Path(geomeans.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_with(grids={"boundary_points": 32, "t_points": 128})))
+    run = subprocess.run([sys.executable, "-c", ROUNDTRIP_MODULES, str(cfg),
+                          str(tmp_path / "report.csv")], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.strip().splitlines()[-1]) == {"code": 0, "checks": False}
+
+
+def test_verify_rejects_an_unknown_suite_by_name(capsys):
+    assert main(["verify", "--suite", "nosuch"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown suite 'nosuch'; pick ")
+    assert all(name in err for name in (*checks.SUITES, "all"))
 
 
 def test_verify_fails_on_a_strict_bound(monkeypatch, capsys):
