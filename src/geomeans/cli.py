@@ -22,6 +22,7 @@ import numpy as np
 from . import spaces
 from .forward import (
     MeanData,
+    _held_rows,
     default_tgrid,
     epd_trace_euclidean,
     epd_trace_sphere,
@@ -229,9 +230,16 @@ def write_means(data: MeanData, path: str) -> None:
     t = [repr(v) for v in data.tgrid.values.tolist()]
     with open(path, "w") as fh:
         fh.write(f"{MEANS_MAGIC}\n# {json.dumps(meta, sort_keys=True)}\ncenter_idx,t,value\n")
-        # one centre's rows at a time, so the text of the whole file is never held
-        for i, row in enumerate(data.values):
-            fh.write("".join([f"{i},{tj},{v!r}\n" for tj, v in zip(t, row.tolist())]))
+        # one centre's rows at a time, so the text of the whole file is never
+        # held; each row held in memory has its ",t,value" texts formatted
+        # once, joined with each centre's index: the one row of radial means
+        # broadcast to every centre serves them all
+        held = _held_rows(data.values)
+        for i in range(data.boundary.m):
+            if i < len(held):
+                texts = [f",{tj},{v!r}\n" for tj, v in zip(t, held[i].tolist())]
+            idx = str(i)
+            fh.write(idx + idx.join(texts))
 
 
 # Lines a means file is read in: reading holds the (m, N) values, one

@@ -107,10 +107,16 @@ class MeanData:
         if not (lo < t0 and (t1 <= hi if closed else t1 < hi)):
             raise ValueError(f"t-grid from t0 = {t0!r} to t1 = {t1!r} leaves the {self.space.kind} "
                              f"section range ({lo!r}, {hi!r}{']' if closed else ')'}")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(_held_rows(self.values))):
             raise ValueError("mean data contains non-finite values")
         if self.alpha is not None:
             validate_trace_order(self.space, self.alpha, "alpha")
+
+
+def _held_rows(values: np.ndarray) -> np.ndarray:
+    """The rows of (m, N) values held in memory: the one row of a zero row
+    stride (radial means broadcast to every centre), otherwise all of them."""
+    return values[:1] if values.strides[0] == 0 else values
 
 
 def default_tgrid(space: SpaceSpec, n_points: int | None = None) -> TGrid:
@@ -412,7 +418,9 @@ def forward_means(phantom, boundary: BoundaryGrid, tgrid: TGrid,
     to about 1.2e-10 of max (n = 2) and 8e-10 (n = 4).
     profile='sections' uses the generic section quadrature of the given
     order over the live sections of all centres. Fields radial about the
-    space origin give one profile broadcast to every center.
+    space origin give one profile broadcast to every center: a read-only
+    (m, N) view of one row, whose row stride is 0, so a caller copies it
+    before writing in place.
     """
     if not isinstance(phantom, RadialField):
         raise TypeError("forward_means needs a Phantom or RadialField")
@@ -430,7 +438,7 @@ def forward_means(phantom, boundary: BoundaryGrid, tgrid: TGrid,
     else:
         raise ValueError("profile must be 'exact' or 'sections'")
     if centered:
-        values = np.tile(values, (boundary.m, 1))
+        values = np.broadcast_to(values, (boundary.m, tgrid.n))
     return MeanData(space, boundary, tgrid, values)
 
 

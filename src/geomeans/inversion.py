@@ -21,7 +21,7 @@ from math import gamma
 import numpy as np
 
 from . import spaces
-from .forward import MeanData, trace_weighting
+from .forward import MeanData, _held_rows, trace_weighting
 from .numerics import (
     CubicStencil,
     TGrid,
@@ -238,6 +238,14 @@ def _rows(space: SpaceSpec, grid: TGrid, values: np.ndarray, read: tuple[float, 
     return out_grid, log_kernel_table(rows, grid, out_grid.values, kernel=kernel), "error"
 
 
+def _distinct_rows(values: np.ndarray) -> np.ndarray:
+    """Means (m, N) as one row when every row is equal (radial data), else
+    as given. A zero row stride is radial at once; dense rows, such as means
+    read from a file, are compared."""
+    rows = _held_rows(values)
+    return rows[:1] if np.all(rows == rows[0]) else rows
+
+
 # Every boundary centre has the same height xi_{n+1} = cos_k R, so the
 # argument a(x') = (xi, lift(x')) has a chart gradient with
 # |grad a|^2 = A + B a and a chart Laplacian C that depend on the point
@@ -298,9 +306,7 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
         raise ValueError(f"evaluation points must lie strictly inside the {region} of radius "
                          f"{space.radius:g}; {x[outside][0].tolist()} does not")
 
-    values = data.values
-    if np.all(values == values[0]):
-        values = values[:1]
+    values = _distinct_rows(data.values)
     if alpha is not None:
         # the index law: T_{eta+alpha,-alpha} undoes T_{eta,alpha}, eta = n/2 - 1
         values = trace_weighting(space, data.tgrid, values, n / 2.0 - 1.0 + alpha, -alpha)

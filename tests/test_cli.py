@@ -305,6 +305,45 @@ def test_means_file_bytes(tmp_path):
     assert path.read_bytes() == expect.encode()
 
 
+def line_by_line_write_means(data, path):
+    """Every line formatted on its own, one centre at a time: the reference
+    route for write_means."""
+    space = data.space
+    meta = {
+        "space": {"kind": space.kind, "n": space.n, "radius": repr(space.radius)},
+        "boundary_m": data.boundary.m,
+        "t0": repr(data.tgrid.a),
+        "t1": repr(data.tgrid.b),
+        "t_points": data.tgrid.n,
+        "alpha": None if data.alpha is None else repr(data.alpha),
+    }
+    t = [repr(v) for v in data.tgrid.values.tolist()]
+    with open(path, "w") as fh:
+        fh.write(f"{MEANS_MAGIC}\n# {json.dumps(meta, sort_keys=True)}\ncenter_idx,t,value\n")
+        for i, row in enumerate(data.values):
+            fh.write("".join([f"{i},{tj},{v!r}\n" for tj, v in zip(t, row.tolist())]))
+
+
+@pytest.mark.parametrize("case", ["random", "off-centre", "centred"])
+def test_means_file_is_the_line_by_line_writers(tmp_path, case):
+    # write_means formats a row's ",t,value" texts once and joins them with
+    # the centre index, and the one row of broadcast means once for all
+    space = SpaceSpec(EUCLIDEAN, 3, 1.0)
+    bd = boundary_grid(space, 32)
+    tg = default_tgrid(space, 64)
+    if case == "random":
+        values = np.random.default_rng(6).standard_normal((bd.m, tg.n)) * 10.0 ** np.arange(-32, 32)
+        data = MeanData(space, bd, tg, values, alpha=-0.5)
+    else:
+        centre = np.zeros(3) if case == "centred" else np.array([0.2, -0.1, 0.1])
+        data = forward_means(Phantom(space, (Bump(centre, 0.3, 0.7),)), bd, tg)
+    assert (data.values.strides[0] == 0) == (case == "centred")
+    got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+    write_means(data, str(got))
+    line_by_line_write_means(data, str(ref))
+    assert got.read_bytes() == ref.read_bytes()
+
+
 @pytest.fixture
 def means_file(tmp_path):
     """A valid means file and the data written to it."""

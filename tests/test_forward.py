@@ -82,6 +82,41 @@ def test_mean_data_checks_the_trace_order(space, alpha, message):
         MeanData(space, bd, tg, values, alpha)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mean_data_checks_the_one_row_of_broadcast_means(bad):
+    # a zero row stride holds one row for every centre: that row is checked
+    bd = boundary_grid(E3, 16)
+    tg = default_tgrid(E3, 64)
+    row = np.zeros(tg.n)
+    MeanData(E3, bd, tg, np.broadcast_to(row, (bd.m, tg.n)))
+    row[40] = bad
+    for values in (np.broadcast_to(row, (bd.m, tg.n)), np.tile(row, (bd.m, 1))):
+        with pytest.raises(ValueError, match="^mean data contains non-finite values$"):
+            MeanData(E3, bd, tg, values)
+
+
+@pytest.mark.parametrize("profile", ["exact", "sections"])
+@pytest.mark.parametrize("space", [E3, S3, SpaceSpec(HYPERBOLIC, 3, 0.8)])
+def test_centred_means_are_one_read_only_row(space, profile):
+    # a phantom centred at the origin has the same means at every centre:
+    # one row broadcast to all of them (row stride 0, no copy), read-only and
+    # indexed as the tiled rows were. The exact profile is the every-centre
+    # route's to rounding; the order-12 sections rule errs by up to 0.12 of
+    # max, by an amount that depends on how each centre's nodes meet the bump
+    bd = boundary_grid(space, 64)
+    tg = default_tgrid(space, 128)
+    ph = bump_at(space, np.zeros(space.n), 0.3, 0.7)
+    values = forward_means(ph, bd, tg, order=12, profile=profile).values
+    assert values.shape == (bd.m, tg.n) and values.strides[0] == 0
+    assert not values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        values[1, 2] = 0.0
+    assert np.array_equal(values, np.tile(values[0], (bd.m, 1)))
+    if profile == "exact":
+        every = forward._exact_means_row(ph, bd.centers, tg)
+        assert np.max(np.abs(every - values)) <= 1e-13 * np.max(np.abs(values))
+
+
 def test_linearity_two_bumps():
     b1 = Bump(np.array([0.2, 0.1, 0.0]), 0.25, 1.0)
     b2 = Bump(np.array([-0.2, 0.0, 0.1]), 0.2, 0.6)
