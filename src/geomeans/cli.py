@@ -419,6 +419,9 @@ def write_report(report, space: SpaceSpec, path: str) -> None:
 
 
 def read_report(path: str):
+    """A report's header, data rows and footer. A row without one cell per
+    header column, or a cell that is no finite float, fails naming its data
+    row, counted from 0, and column."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
         rows = []
@@ -428,8 +431,21 @@ def read_report(path: str):
             if line.startswith("# "):
                 footer = json.loads(line[2:])
                 break
-            if line:
-                rows.append([float(v) for v in line.split(",")])
+            if not line:
+                continue
+            cells, where = line.split(","), f"report {path} data row {len(rows)}"
+            if len(cells) != len(header):
+                raise ValueError(f"{where} has {len(cells)} cells for the {len(header)} "
+                                 f"columns {','.join(header)}")
+            values = []
+            for name, cell in zip(header, cells):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    values.append(np.nan)
+                if not np.isfinite(values[-1]):
+                    raise ValueError(f"{where}, column {name}: {cell!r} is not a finite number")
+            rows.append(values)
     return header, np.asarray(rows), footer
 
 

@@ -1,9 +1,11 @@
 """Shared numerical kernels.
 
-1-D Gauss-Legendre and Gauss-Jacobi quadrature, finite-difference
-derivatives on uniform grids, the radial operators D = (1/2t) d/dt and
-L = d^2/dt^2 + (n-1)/t d/dt, graded-panel quadrature for integrable singular
-kernels (log and algebraic), and finite-difference Laplacians of callable
+1-D Gauss-Legendre and Gauss-Jacobi quadrature, cubic and quintic
+interpolation on uniform grids, finite-difference derivatives there, the
+radial operators D = (1/2t) d/dt and L = d^2/dt^2 + (n-1)/t d/dt,
+graded-panel quadrature for integrable singular kernels (log and
+algebraic), log-kernel tables of cubic interpolants by product
+integration cell by cell, and finite-difference Laplacians of callable
 fields.
 """
 
@@ -340,185 +342,154 @@ def darboux_L_matrix(samples: np.ndarray, grid: TGrid, n: int,
 # graded-panel quadrature for integrable singular kernels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PanelRule:
-    """Graded-panel rules of K targets on one interval, flattened target-major.
-
-    `owner[i]` is the target of node i; a target's nodes come panel by
-    panel in increasing order. Its slivers (excluded intervals of half-width
-    `eps` around its interior singular points) follow the same layout in
-    `sliver_owner` and `slivers`, in the order of its singular points.
-    """
-
-    owner: np.ndarray
-    nodes: np.ndarray
-    weights: np.ndarray
-    sliver_owner: np.ndarray
-    slivers: np.ndarray
-    eps: float
-
-
-# Panels are graded toward each singular point s by breakpoints s +/- eps 2^k,
-# eps = _SLIVER_FRAC of the interval, for every eps 2^k within the interval
-# (2^33 * 1e-10 = 0.86); _UNIFORM_SPLITS uniform splits keep the largest
-# panels at a tenth of it.
-_SLIVER_FRAC = 1e-10
-_GRADING = 2.0 ** np.arange(34)
-_UNIFORM_SPLITS = 10
-
-
-def graded_panel_rule(a: float, b: float, singular: np.ndarray, order: int = 16) -> PanelRule:
-    """Gauss-Legendre panels on [a, b] for each row of singular points (K, S).
-
-    Each target's panels are graded geometrically toward its singular points;
-    points farther than the interval length outside [a, b] add no
-    breakpoints. Breakpoints closer than 1e-15 of the interval are merged,
-    and the panel around each interior singular point is left out as a
-    sliver of half-width eps, which the caller accounts for analytically.
+def graded_panels(a: float, b: float, singular: tuple[float, ...] | list[float],
+                  order: int = 16):
+    """Gauss-Legendre panels on [a, b], graded by breakpoints s +/- eps 2^k
+    (eps = 1e-10 of the interval) toward each singular point s within one
+    interval length of it, and split in ten; breakpoints within 1e-15 of the
+    interval merge. Interior singular points are excluded by slivers of
+    half-width eps, which the caller accounts for analytically. Returns
+    (nodes, weights, slivers) with slivers a list of (point, half_width).
     """
     if not a < b:
         raise ValueError("interval must satisfy a < b")
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
-    singular = np.asarray(singular, dtype=float)
     span = b - a
-    eps = _SLIVER_FRAC * span
-    steps = eps * _GRADING
-    live = (singular > a - span) & (singular < b + span)
-    graded = np.concatenate([singular[..., None] - steps, singular[..., None] + steps], axis=-1)
-    graded = np.where(live[..., None] & (graded > a) & (graded < b), graded, np.inf)
-    fixed = [a, b] + [a + span * j / _UNIFORM_SPLITS for j in range(1, _UNIFORM_SPLITS)]
-    pts = np.concatenate([graded.reshape(len(singular), -1),
-                          np.broadcast_to(fixed, (len(singular), len(fixed)))], axis=1)
-    pts.sort(axis=1)
-    # exact repeats fall with the near-duplicates, leaving each point's
-    # first copy; the dropped points move behind the kept ones
-    keep = np.ones(pts.shape, dtype=bool)
-    with np.errstate(invalid="ignore"):  # inf - inf between padding entries
-        keep[:, 1:] = np.diff(pts, axis=1) > 1e-15 * span
-    pts = np.where(keep, pts, np.inf)
-    pts.sort(axis=1)
-    lo, hi = pts[:, :-1], pts[:, 1:]
-    mid = 0.5 * (lo + hi)
-    inside = (singular > a) & (singular < b)
-    in_sliver = inside[:, None, :] & (np.abs(mid[..., None] - singular[:, None, :]) < eps)
-    owner, panel = np.nonzero(np.isfinite(hi) & ~in_sliver.any(axis=-1))
-    lo, hi = lo[owner, panel], hi[owner, panel]
+    eps = 1e-10 * span
+    bps = {a, b} | {a + span * j / 10 for j in range(1, 10)}
+    slivers = []
+    for s in singular:
+        if s <= a - span or s >= b + span:
+            continue
+        d = eps
+        while d <= span:
+            bps.update(t for t in (s - d, s + d) if a < t < b)
+            d *= 2.0
+        if a < s < b:
+            slivers.append((float(s), eps))
+    pts = np.array(sorted(bps))
+    pts = pts[np.concatenate([[True], np.diff(pts) > 1e-15 * span])]
+    mid, half = 0.5 * (pts[:-1] + pts[1:]), 0.5 * (pts[1:] - pts[:-1])
+    keep = [not any(abs(m - s) < e for s, e in slivers) for m in mid]
     x, w = _leggauss(order)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    sliver_owner, point = np.nonzero(inside)
-    return PanelRule(np.repeat(owner, order), (mid[:, None] + half[:, None] * x).ravel(),
-                     (half[:, None] * w).ravel(), sliver_owner, singular[sliver_owner, point], eps)
+    return (mid[keep, None] + half[keep, None] * x).ravel(), (half[keep, None] * w).ravel(), slivers
 
 
-def graded_panels(a: float, b: float, singular: tuple[float, ...] | list[float],
-                  order: int = 16):
-    """Gauss-Legendre panels on [a, b], geometrically graded toward singularities.
+# ---------------------------------------------------------------------------
+# log-kernel tables of cubic interpolants
+# ---------------------------------------------------------------------------
 
-    The one-target case of `graded_panel_rule`. Interior singular points are
-    excluded by slivers of half-width 1e-10 of the interval; the caller
-    accounts for the slivers analytically. Returns (nodes, weights, slivers)
-    with slivers a list of (point, half_width).
-    """
-    rule = graded_panel_rule(a, b, np.reshape(singular, (1, -1)), order)
-    return rule.nodes, rule.weights, [(float(c), rule.eps) for c in rule.slivers]
-
-
-def _log_kernel_values(t: np.ndarray, s: np.ndarray, kernel: str) -> np.ndarray:
-    if kernel == "log|t-s|":
-        return np.log(np.abs(t - s))
-    if kernel == "log|t^2-s^2|":
-        return np.log(np.abs(t * t - s * s))
-    raise ValueError(f"unknown kernel {kernel!r}")
-
-
-def _u_log_u(u: np.ndarray) -> np.ndarray:
-    """u log|u| - u, the antiderivative of log|u|, continued by 0 at u = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(u == 0.0, 0.0, u * np.log(np.abs(u)) - u)
+@lru_cache(maxsize=1)
+def _cell_rules():
+    """The cubic weights [cell, node, power] in v = (t - t_j)/h on the first,
+    an interior and the last cell: the Lagrange polynomials of the offsets
+    {-1, 0, 1, 2} at v - 1, v and v + 1 (the end cells' stencils sit one
+    node inward), exact from their integer roots. Then the 6 Gauss-Legendre
+    nodes v of a far cell and their weights times the cubic ones (3, 6, 4):
+    Gauss 4 misses closed forms by 3e-11 there, Gauss 6 meets them to 1e-14.
+    Built on first use, so that importing the module loads no numpy.polynomial."""
+    offsets = np.arange(-1.0, 3.0)
+    polys = np.array([[np.polynomial.polynomial.polyfromroots(offsets[offsets != o] - shift)
+                       / np.prod(o - offsets[offsets != o]) for o in offsets]
+                      for shift in (-1.0, 0.0, 1.0)])
+    x, w = _leggauss(6)
+    v = 0.5 * (x + 1.0)
+    cubic = np.vander(v, 4, increasing=True) @ polys.transpose(0, 2, 1)
+    return polys, v, 0.5 * w[:, None] * cubic
 
 
-def _log_sliver_moments(c: np.ndarray, eps: float, kernel: str, a: float,
-                        b: float) -> np.ndarray:
-    """Integrals of the kernel over the slivers around the singular points c,
-    cut at the ends of the interval [a, b]."""
-    base = 2.0 * eps * (np.log(eps) - 1.0)
-    lo, hi = c - eps, c + eps
-    if kernel == "log|t-s|":
-        moments, partner = np.full(c.shape, base), np.zeros(c.shape, dtype=bool)
-    else:
-        # log|t^2-s^2| = log|t-c| + log|t+c| at c = +-|s|. On its own sliver
-        # (c-eps, c+eps) the first term gives base, the second exactly
-        # G(2c+eps) - G(2c-eps) with G(u) = u log|u| - u. For c >= 1e-8 the
-        # midpoint value 2 eps log(2c) differs from that by about eps (eps/2c)^2 / 3.
-        # For |s| < eps the slivers at |s| and -|s| overlap into the one excluded
-        # interval (-|s|-eps, |s|+eps), and each carries its own term over all of
-        # it: G(|s|+eps-c) - G(-|s|-eps-c), which is base at s = 0.
-        far = c >= 1e-8
-        exact = _u_log_u(2.0 * c + eps) - _u_log_u(2.0 * c - eps)
-        smooth = np.where(far, 2.0 * eps * np.log(2.0 * np.where(far, c, 1.0)), exact)
-        reach = np.abs(c) + eps
-        union = _u_log_u(reach - c) - _u_log_u(-reach - c)
-        partner = np.abs(c) >= eps
-        moments = np.where(partner, base + smooth, union)
-        lo, hi = np.where(partner, lo, -reach), np.where(partner, hi, reach)
-    # A sliver that reaches past a or b loses its panels there too, so it
-    # takes the integral over its part inside [a, b]: its own term, and the
-    # partner term where it carries one, exactly from G.
-    cut = (lo < a) | (hi > b)
-    if cut.any():
-        c, lo, hi = c[cut], np.maximum(lo[cut], a), np.minimum(hi[cut], b)
-        moments[cut] = (_u_log_u(hi - c) - _u_log_u(lo - c)
-                        + np.where(partner[cut], _u_log_u(hi + c) - _u_log_u(lo + c), 0.0))
-    return moments
-
-
-def _log_singular_points(s: np.ndarray, kernel: str) -> np.ndarray:
-    if kernel == "log|t-s|":
-        return s[:, None]
-    return np.stack([np.abs(s), -np.abs(s)], axis=1)
-
-
-def _log_kernel_rows(grid: TGrid, s: np.ndarray, kernel: str, order: int) -> np.ndarray:
-    """Rows (K, N) of the log-kernel operator for the targets s (K,)."""
-    rule = graded_panel_rule(grid.a, grid.b, _log_singular_points(s, kernel), order)
-    # each excluded sliver adds its kernel moment times the profile at its centre
-    kv = np.concatenate([_log_kernel_values(rule.nodes, s[rule.owner], kernel) * rule.weights,
-                         _log_sliver_moments(rule.slivers, rule.eps, kernel, grid.a, grid.b)])
-    bins, u = _cubic_cells(grid, np.concatenate([rule.nodes, rule.slivers]))
-    bins += np.concatenate([rule.owner, rule.sliver_owner]) * grid.n
-    del rule  # freed before the cubic weights are formed
-    rows = sum(np.bincount(bins + off, w * kv, minlength=s.size * grid.n)
-               for off, w in zip((-1, 0, 1, 2), _cubic_weights(u)))
-    return rows.reshape(s.size, grid.n)
-
-
-# targets per block of the log-kernel operator build. A block's transient
-# node arrays take about 0.1 MiB per target at order 20. On
-# configs/euclid2.json the traced allocation peak of the table is 5.67 MiB
-# with blocks of 1, 5.83 MiB with 8 and 6.78 MiB with 16, against 5.68 MiB
-# target by target; blocks of 16 save little time over 8.
+# cells within _NEAR_REACH cells of a singular point take exact moments
+_NEAR_REACH = 2
+# binom(p, i) and the power p - i of the moments' binomial expansion
+_BINOM = np.array([[math.comb(p, i) for i in range(4)] for p in range(4)], dtype=float)
+_BINOM_POWER = np.maximum(np.subtract.outer(range(4), range(4)), 0)
+# targets per block: a block's kernel values take 6 (N - 1) doubles a target
 _TARGET_BLOCK = 8
 
 
+def _far_cells(grid: TGrid, sigma: np.ndarray, home: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre integrals (K, N - 1, 4) of each cell's cubic weights
+    against the terms log|t - sigma| (sigma (K, S)) of the cells farther
+    than _NEAR_REACH from the cells `home` of sigma."""
+    _, v, weights = _cell_rules()
+    t = grid.values[:-1, None] + grid.h * v
+    # the far terms' distances multiply into one logarithm; a near term gives 1
+    dist = np.ones(sigma.shape[:1] + t.shape)
+    for s, c in zip(sigma.T, home.T):
+        far = np.abs(np.arange(grid.n - 1) - c[:, None]) > _NEAR_REACH
+        dist *= np.where(far[..., None], np.abs(t - s[:, None, None]), 1.0)
+    kv = np.log(dist, out=dist)
+    cells = kv @ weights[1]
+    cells[:, 0] = kv[:, 0] @ weights[0]
+    cells[:, -1] = kv[:, -1] @ weights[2]
+    return grid.h * cells
+
+
+def _near_cells(grid: TGrid, sigma: np.ndarray, home: np.ndarray):
+    """The cells j (K, S, C) within _NEAR_REACH cells of the singular points
+    sigma (K, S), and the exact integrals (K, S, C, 4) of their cubic weights
+    against log|t - sigma| (0 off the grid). With v = x + c, x = (t - sigma)/h,
+
+        int_0^1 v^p log|t - sigma| dv = sum_i binom(p, i) c^(p-i) [G_i(hi) - G_i(lo)],
+        G_i(x) = x^(i+1)/(i+1) (log|h x| - 1/(i+1)),
+
+    lo = -c = (t_j - sigma)/h, hi = (t_{j+1} - sigma)/h off the grid's nodes,
+    so that a target at a grid end keeps its tiny offset. |c| <= 3: no cancellation.
+    """
+    h, last = grid.h, grid.n - 2
+    near = home[..., None] + np.arange(-_NEAR_REACH, _NEAR_REACH + 1)
+    on = (near >= 0) & (near <= last)
+    j = np.clip(near, 0, last)  # cells off the grid take a stand-in offset
+    lo = np.where(on, (grid.values[j] - sigma[..., None]) / h, -0.5)
+    hi = np.where(on, (grid.values[j + 1] - sigma[..., None]) / h, 0.5)
+    i = np.arange(4.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        G = [np.where(e[..., None] == 0.0, 0.0, e[..., None] ** (i + 1) / (i + 1)
+                      * (np.log(np.abs(h * e))[..., None] - 1.0 / (i + 1)))
+             for e in (lo, hi)]
+    moments = (_BINOM * (-lo[..., None, None]) ** _BINOM_POWER) @ (G[1] - G[0])[..., None]
+    polys = _cell_rules()[0][np.minimum(j, 1) + (j == last)]
+    return j, h * on[..., None] * (polys @ moments)[..., 0]
+
+
 def log_kernel_table(profiles: np.ndarray, grid: TGrid, targets: np.ndarray,
-                     kernel: str = "log|t-s|", order: int = 20) -> np.ndarray:
+                     kernel: str = "log|t-s|") -> np.ndarray:
     """Log-kernel integrals of cubic-interpolated profiles (M, N) at targets (K,) -> (M, K).
 
-    Entry (i, j) is the integral of profile i times kernel(t; targets[j]) over
-    the grid range. The integrable log singularity is handled by
-    geometrically graded panels plus an analytic moment for each excluded
-    sliver. Row j of a K x N operator holds target j's rule folded into the
-    cubic interpolation weights; the rows are built for blocks of targets at
-    a time, and one matrix product applies the operator to every profile.
+    Entry (i, j) integrates profile i times kernel(t; targets[j]) over the
+    grid range cell by cell, on each of which the interpolant is one cubic
+    (product integration: Atkinson, The Numerical Solution of Integral
+    Equations of the Second Kind, 1997, ch. 4). The kernel is the sum of
+    log|t - sigma| over s, and -s too for log|t^2-s^2|; each term takes exact
+    moments near sigma, Gauss-Legendre nodes elsewhere. The operator rows
+    of a block of targets fold their cells into the cubic stencils, and one
+    matrix product applies them to every profile.
     """
     profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
     targets = np.asarray(targets, dtype=float).ravel()
-    A = np.empty((targets.size, grid.n))
+    if kernel == "log|t-s|":
+        sigma = targets[:, None]
+    elif kernel == "log|t^2-s^2|":
+        sigma = np.stack([np.abs(targets), -np.abs(targets)], axis=1)
+    else:
+        raise ValueError(f"unknown kernel {kernel!r}")
+    home = np.clip(np.floor((sigma - grid.a) / grid.h), -_NEAR_REACH - 1,
+                   grid.n + _NEAR_REACH - 1).astype(np.int64)  # the cells of sigma
+    near, near_cells = _near_cells(grid, sigma, home)
+    out = np.empty((profiles.shape[0], targets.size))
     for start in range(0, targets.size, _TARGET_BLOCK):
-        s = targets[start:start + _TARGET_BLOCK]
-        A[start:start + s.size] = _log_kernel_rows(grid, s, kernel, order)
-    return profiles @ A.T
+        block = slice(start, start + _TARGET_BLOCK)
+        cells = _far_cells(grid, sigma[block], home[block])
+        np.add.at(cells, (np.arange(cells.shape[0])[:, None, None], near[block]), near_cells[block])
+        # cell j's stencil starts at node j - 1, the end cells' one node inward
+        rows = np.zeros((cells.shape[0], grid.n))
+        rows[:, :4] = cells[:, 0]
+        rows[:, -4:] += cells[:, -1]
+        for k in range(4):
+            rows[:, k:k + grid.n - 3] += cells[:, 1:-1, k]
+        out[:, block] = profiles @ rows.T
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -298,13 +298,23 @@ def section_scales(space: SpaceSpec, t: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def section_frame(space: SpaceSpec, center: np.ndarray) -> np.ndarray:
     """The (n, dim) matrix that carries the unit-sphere rule's points omega
-    of S^{n-1} to the section directions omega @ frame around `center`:
-    -I in R^n, and on the cap and the hyperboloid the first n rows of
-    `_pole_to`'s transpose, which carries the pole to the center."""
+    of S^{n-1} to the section directions omega @ frame around `center`.
+
+    It turns the rule with the center. An orthogonal map of R^n takes the
+    rule's pole e_1 to the inward direction -u, u = center'/|center'|: the
+    Householder reflection along e_1 + u, or for u_1 < 0, where that would
+    cancel, minus the one along e_1 - u. On the cap and the hyperboloid the
+    first n rows of `_pole_to`'s transpose then carry the pole's tangent
+    space to the center's.
+    """
     center = validate_point(space, np.asarray(center, dtype=float))
-    if space.kind == EUCLIDEAN:
-        return -np.eye(space.n)
-    return _pole_to(space, center)[:, :-1].T
+    xp = chart(space, center)
+    s = np.linalg.norm(xp)
+    u = xp / s if s > 0 else np.eye(space.n)[0]  # the origin, or a pole, as in `_pole_to`
+    sign = 1.0 if u[0] >= 0 else -1.0
+    w = np.eye(space.n)[0] + sign * u
+    turn = sign * (np.eye(space.n) - 2.0 * np.outer(w, w) / (w @ w))
+    return turn if space.kind == EUCLIDEAN else turn @ _pole_to(space, center)[:, :-1].T
 
 
 def h_parameter(space: SpaceSpec, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:

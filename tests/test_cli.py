@@ -810,6 +810,23 @@ def test_render_rejects_an_empty_report(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: report {rep} has no rows\n"
 
 
+@pytest.mark.parametrize("row,message", [
+    ("0.5,0.25,1.0", "data row 1 has 3 cells for the 4 columns x_1,x_2,f_true,f_rec"),
+    ("0.5,abc,0.0,1.0", "data row 1, column x_2: 'abc' is not a finite number"),
+    ("0.5,0.25,0.0,nan", "data row 1, column f_rec: 'nan' is not a finite number"),
+])
+def test_render_names_a_malformed_report_row(tmp_path, capsys, row, message):
+    # a short row, a cell that is no float and a NaN reconstruction each
+    # fail naming the data row, counted from 0, and the column
+    rep = tmp_path / "rep.csv"
+    rep.write_text("x_1,x_2,f_true,f_rec\n0.0,0.0,1.0,1.0\n" + row + "\n0.5,0.5,0.0,0.0\n"
+                   '# {"rel_l2": "0.0", "sup_err": "0.0", "calibration": "1.0", "method": "direct"}\n')
+    out = tmp_path / "img.pgm"
+    assert main(["render", "--report", str(rep), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: report {rep} {message}\n"
+    assert not out.exists()
+
+
 def test_pgm_minmax_comment(tmp_path):
     out = tmp_path / "img.pgm"
     write_pgm(np.array([[0.0, 1.0], [2.0, 3.0]]), str(out))

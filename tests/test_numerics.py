@@ -13,7 +13,6 @@ from geomeans.numerics import (
     diff_matrix,
     gauss_jacobi,
     gauss_legendre,
-    graded_panel_rule,
     graded_panels,
     laplacian_fd,
     log_kernel_table,
@@ -250,68 +249,35 @@ def interp(samples, grid, x):
     return CubicStencil.build(grid, np.asarray(x, dtype=float)[:, None])(samples[None, :])[:, 0]
 
 
-def graded_panels_reference(a, b, singular, order=16):
-    """One target's graded panels, built point by point in Python: the route
-    without the batched array build."""
-    ratio, smallest, max_panel_frac = 2.0, 1e-10, 0.1
-    span = b - a
-    eps = smallest * span
-    bps = {a, b}
-    slivers = []
-    for s in singular:
-        if s <= a - span or s >= b + span:
-            continue
-        d = eps
-        while d <= span:
-            for t in (s - d, s + d):
-                if a < t < b:
-                    bps.add(t)
-            d *= ratio
-        if a < s < b:
-            slivers.append((float(s), eps))
-    k = int(np.ceil(1.0 / max_panel_frac))
-    for j in range(1, k):
-        bps.add(a + span * j / k)
-    pts = np.array(sorted(bps))
-    keep = np.concatenate([[True], np.diff(pts) > 1e-15 * span])
-    pts = pts[keep]
-    nodes, weights = [], []
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (lo + hi)
-        if any(abs(mid - s) < w for s, w in slivers):
-            continue
-        x, w = gauss_legendre(order, lo, hi)
-        nodes.append(x)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights), slivers
-
-
-def log_kernel_reference(samples, grid, s: float, kernel: str = "log|t-s|",
-                         order: int = 20) -> float:
-    """One target's log-kernel integral by interpolating the profile at every
-    panel node: the route without the operator matrix."""
+def log_kernel_reference(samples, grid, s: float, kernel: str = "log|t-s|") -> float:
+    """One target's log-kernel integral by interpolating the profile at the
+    nodes of order-20 graded panels on every grid cell, plus a moment for
+    each excluded sliver: the route without the operator matrix and without
+    the cell moments."""
     if kernel == "log|t-s|":
         pts = [s]
         kern = lambda t: np.log(np.abs(t - s))
     else:
         pts = [abs(s), -abs(s)]
         kern = lambda t: np.log(np.abs(t * t - s * s))
-    nodes, weights, slivers = graded_panels_reference(grid.a, grid.b, pts, order=order)
-    total = float(np.dot(weights, interp(samples, grid, nodes) * kern(nodes)))
-    for c, eps in slivers:
-        # kernel moment over (c - eps, c + eps): log|t - c| integrates to
-        # 2 eps (log eps - 1); for log|t^2-s^2| add the integral of log|t + c|
-        # there, except at s = 0, where each of the two coincident slivers
-        # carries one of the two equal terms
-        moment = 2.0 * eps * (np.log(eps) - 1.0)
-        if kernel == "log|t^2-s^2|" and c != 0.0:
-            moment += log_kernel_closed_form(c - eps, c + eps, -c, "log|t-s|")
-        total += float(interp(samples, grid, [c])[0]) * moment
+    total = 0.0
+    for lo, hi in zip(grid.values[:-1], grid.values[1:]):
+        nodes, weights, slivers = graded_panels(lo, hi, pts, order=20)
+        total += float(np.dot(weights, interp(samples, grid, nodes) * kern(nodes)))
+        for c, eps in slivers:
+            # kernel moment over (c - eps, c + eps): log|t - c| integrates to
+            # 2 eps (log eps - 1); for log|t^2-s^2| add the integral of
+            # log|t + c| there, except at s = 0, where each of the two
+            # coincident slivers carries one of the two equal terms
+            moment = 2.0 * eps * (np.log(eps) - 1.0)
+            if kernel == "log|t^2-s^2|" and c != 0.0:
+                moment += log_kernel_closed_form(c - eps, c + eps, -c, "log|t-s|")
+            total += float(interp(samples, grid, [c])[0]) * moment
     return total
 
 
-def log_kernel_one(samples, grid, s: float, kernel: str = "log|t-s|", order: int = 20) -> float:
-    return float(log_kernel_table(samples, grid, [s], kernel, order)[0, 0])
+def log_kernel_one(samples, grid, s: float, kernel: str = "log|t-s|") -> float:
+    return float(log_kernel_table(samples, grid, [s], kernel)[0, 0])
 
 
 def test_log_kernel_point_singularity():
@@ -333,18 +299,9 @@ def test_log_kernel_profile_away_from_singularity():
     t = g.values
     p = bump_profile((t - 1.5) / 0.3)
     x, w = gauss_legendre(400, 1.2, 1.8)
-    # oracle integrates the same interpolant, isolating the panel scheme
+    # oracle integrates the same interpolant, isolating the cell rule
     expected = np.dot(w, interp(p, g, x) * np.log(np.abs(x - 0.3)))
     assert abs(log_kernel_one(p, g, 0.3) - expected) < 1e-8
-
-
-def test_log_kernel_panel_doubling():
-    g = TGrid(np.linspace(0.0, 2.0, 600))
-    t = g.values
-    p = np.exp(-((t - 1.0) ** 2) * 8.0)
-    a = log_kernel_one(p, g, 0.8, order=12)
-    b = log_kernel_one(p, g, 0.8, order=24)
-    assert abs(a - b) < 1e-8
 
 
 def test_log_kernel_table_matches_scalar():
@@ -362,7 +319,8 @@ def test_log_kernel_table_matches_scalar():
 @pytest.mark.parametrize("kernel,lo", [("log|t-s|", -1.0), ("log|t^2-s^2|", 1e-6)])
 def test_log_kernel_operator_matches_per_node_route(kernel, lo):
     # targets at both grid ends, on and between nodes, and (log|t-s|) outside
-    # the grid; every target's panels reach both cubic stencil clips
+    # the grid; the end targets' exact cell moments meet the end cells'
+    # shifted stencils
     g = TGrid.linspace(lo, 1.0, 96)
     t = g.values
     rows = np.stack([np.exp(-4.0 * (t - 0.3) ** 2), np.sin(3.0 * t) + 0.5, np.ones_like(t)])
@@ -374,73 +332,72 @@ def test_log_kernel_operator_matches_per_node_route(kernel, lo):
     assert np.max(np.abs(table - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _union_length(intervals):
+    """Total length of a union of intervals (lo, hi)."""
+    total, reach = 0.0, -np.inf
+    for lo, hi in sorted(intervals):
+        total += max(0.0, hi - max(lo, reach))
+        reach = max(reach, hi)
+    return total
+
+
 def test_graded_panels_cover_interval():
-    nodes, weights, slivers = graded_panels(0.0, 1.0, [0.4])
-    assert abs(weights.sum() - (1.0 - 2 * slivers[0][1])) < 1e-12
-    assert np.all((nodes > 0.0) & (nodes < 1.0))
+    # on [0, 1], eps = 1e-10: 0.5 - eps 2^30 meets the uniform split 0.5
+    # exactly, and two ulps above it lands within 1e-15 of 0.5 and is merged;
+    # points outside the interval, the log|t^2-s^2| pairs (|s|, -|s|) with
+    # s = 0, two points on another interval and none at all
+    exact = 0.5 - 1e-10 * 2.0 ** 30
+    cases = [(0.0, 1.0, [s]) for s in (0.0, 1.0, -0.5, 2.5, exact,
+                                       np.nextafter(np.nextafter(exact, 1.0), 1.0), 0.4, -1.0, 2.0)]
+    cases += [(-1.0, 1.0, [abs(s), -abs(s)]) for s in (0.0, 0.3, -0.7, 1.0, -1.0, 1.5, 3.2)]
+    cases += [(0.2, 1.7, [0.9, 0.5]), (0.2, 1.7, [1.69, 5.0]), (0.2, 1.7, [-9.0, 9.0]),
+              (0.0, 2.0, [])]
+    for a, b, singular in cases:
+        nodes, weights, slivers = graded_panels(a, b, singular, order=8)
+        eps = 1e-10 * (b - a)
+        assert [c for c, _ in slivers] == [s for s in singular if a < s < b]
+        assert all(half == eps for _, half in slivers)
+        assert np.all((nodes > a) & (nodes < b)) and np.all(weights > 0.0)
+        assert all(np.all(np.abs(nodes - c) > eps) for c, _ in slivers)
+        # the weights cover the interval but the union of the slivers
+        cut = _union_length([(max(c - eps, a), min(c + eps, b)) for c, _ in slivers])
+        assert abs(weights.sum() + cut - (b - a)) <= 1e-15 * (b - a), (a, b, singular)
 
 
-def assert_rule_matches_reference(a, b, singular, order=16):
-    """Every target's nodes, weights and slivers from the batched build equal
-    those of the point-by-point build."""
-    rule = graded_panel_rule(a, b, singular, order)
-    for j, row in enumerate(singular):
-        nodes, weights, slivers = graded_panels_reference(a, b, list(row), order)
-        assert np.array_equal(rule.nodes[rule.owner == j], nodes)
-        assert np.array_equal(rule.weights[rule.owner == j], weights)
-        assert [(float(c), rule.eps) for c in rule.slivers[rule.sliver_owner == j]] == slivers
-    # a target's nodes are contiguous, in panel order
-    assert np.all(np.diff(rule.owner) >= 0) and np.all(np.diff(rule.sliver_owner) >= 0)
-
-
-def test_graded_panel_rule_matches_reference():
-    # on [0, 1], eps = 1e-10: `exact` + eps 2^30 meets the uniform split 0.5
-    # exactly, and two ulps above `exact` it lands within 1e-15 of it
-    d = 1e-10 * 2.0 ** 30
-    exact = 0.5 - d
-    near = np.nextafter(np.nextafter(exact, 1.0), 1.0)
-    assert exact + d == 0.5 and 0 < (near + d) - 0.5 < 1e-15
-    targets = [0.0, 1.0, -0.5, 2.5, exact, near, 0.4, -1.0, 2.0]
-    assert_rule_matches_reference(0.0, 1.0, np.array(targets)[:, None], order=6)
-    # the log|t^2-s^2| pairs (|s|, -|s|), s = 0 included
-    s = np.array([0.0, 0.3, -0.7, 1.0, -1.0, 1.5, 3.2])
-    assert_rule_matches_reference(-1.0, 1.0, np.stack([np.abs(s), -np.abs(s)], axis=1))
-    # two points per target on another interval; a target with no singular point at all
-    assert_rule_matches_reference(0.2, 1.7, np.array([[0.9, 0.5], [1.69, 5.0], [-9.0, 9.0]]),
-                                  order=8)
-    assert_rule_matches_reference(0.0, 2.0, np.empty((2, 0)))
-
-
-def log_kernel_closed_form(a, b, s, kernel):
-    """Integral of the kernel over [a, b], from the antiderivative of log|u|."""
-    F = lambda u: u * np.log(abs(u)) - u if u != 0 else 0.0
-    if kernel == "log|t-s|":
-        return F(b - s) - F(a - s)
-    c = abs(s)  # log|t^2-s^2| = log|t-c| + log|t+c|
-    return F(b - c) - F(a - c) + F(b + c) - F(a + c)
+def log_kernel_closed_form(a, b, s, kernel, coef=(1.0,)):
+    """Integral over [a, b] of the polynomial sum_p coef[p] t^p times the
+    kernel, from the antiderivatives x^(i+1)/(i+1) (log|x| - 1/(i+1)) of
+    x^i log|x| and t^p = sum_i binom(p, i) c^(p-i) (t - c)^i."""
+    F = lambda u, i: u ** (i + 1) / (i + 1) * (np.log(abs(u)) - 1.0 / (i + 1)) if u != 0 else 0.0
+    # log|t^2-s^2| = log|t-c| + log|t+c| at c = |s|
+    points = [s] if kernel == "log|t-s|" else [abs(s), -abs(s)]
+    return sum(cp * math.comb(p, i) * c ** (p - i) * (F(b - c, i) - F(a - c, i))
+               for c in points for p, cp in enumerate(coef) for i in range(p + 1))
 
 
 @pytest.mark.parametrize("kernel", ["log|t-s|", "log|t^2-s^2|"])
 @pytest.mark.parametrize("a", [0.05, 1e-12])
 def test_log_kernel_table_matches_closed_form(a, kernel):
-    # a constant profile: cubic interpolation is exact, so only the panels
-    # and the sliver moments are tested; targets inside, outside and at 0
+    # a constant and a cubic profile: cubic interpolation is exact, so only
+    # the cell rule is tested; targets inside, outside and at 0
     g = TGrid.linspace(a, 1.0, 128)
     targets = [0.4, 0.73, 0.02, 0.0]
-    table = log_kernel_table(np.ones(g.n), g, targets, kernel=kernel)[0]
-    ref = np.array([log_kernel_closed_form(a, 1.0, s, kernel) for s in targets])
-    assert np.max(np.abs(table - ref) / np.abs(ref)) <= 1e-14
+    for coef in [(1.0,), (2.0, 1.0, -1.0, 0.5)]:
+        profile = np.polynomial.polynomial.polyval(g.values, coef)
+        table = log_kernel_table(profile, g, targets, kernel=kernel)[0]
+        ref = np.array([log_kernel_closed_form(a, 1.0, s, kernel, coef) for s in targets])
+        assert np.max(np.abs(table - ref) / np.abs(ref)) <= 1e-14
 
 
 @pytest.mark.parametrize("a,s", [
-    (-1.0, 0.0),    # grid through 0: the slivers at |s| and -|s| coincide
-    (-1.0, 0.4),    # grid through 0: a sliver around the negative point -|s|
-    # grid through 0, 0 < |s| < eps = 2e-10: the slivers at |s| and -|s| overlap
+    (-1.0, 0.0),    # grid through 0: the singular points |s| and -|s| coincide
+    (-1.0, 0.4),    # grid through 0: exact moments around the negative point -|s|
+    # grid through 0, 0 < |s| < 2e-10: |s| and -|s| share their near cells
     (-1.0, 1e-11),
     (-1.0, 5e-11),
     (-1.0, 1e-10),
     (-1.0, 1.9e-10),
-    (1e-12, 5e-9),  # positive grid, eps < |s| < 1e-8: the moment of log|t+|s|| is not eps's
+    (1e-12, 5e-9),  # positive grid, -|s| just below its first node
 ])
 def test_log_kernel_sliver_moment_near_zero(a, s):
     g = TGrid.linspace(a, 1.0, 128)
@@ -452,8 +409,8 @@ def test_log_kernel_sliver_moment_near_zero(a, s):
 @pytest.mark.parametrize("kernel", ["log|t-s|", "log|t^2-s^2|"])
 @pytest.mark.parametrize("offset", [0.3, 0.9, -0.5])
 def test_log_kernel_sliver_cut_at_interval_end(kernel, offset):
-    # a target within eps = 9.5e-11 of an end of (0.05, 1): its sliver reaches
-    # past the end, and only the part inside the interval counts
+    # a target within 9.5e-11 of an end of (0.05, 1): the exact moment of
+    # the end cell keeps its tiny offset from the grid's end node
     g = TGrid.linspace(0.05, 1.0, 128)
     eps = 1e-10 * (g.b - g.a)
     s = (g.a if offset > 0 else g.b) + offset * eps

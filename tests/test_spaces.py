@@ -124,6 +124,25 @@ def test_section_frame_deterministic():
     assert np.array_equal(section_frame(S3, xi), section_frame(S3, xi))
 
 
+@pytest.mark.parametrize("space", [E2, E3, S2, S3, H2, H3])
+def test_section_frame_turns_the_pole_inward(space):
+    # the rule's pole e_1 goes to the direction toward the origin, the other
+    # axes across it, and the frame keeps the rule's metric: x.y in R^n,
+    # the pairing (kappa at the pole's tangents) on the cap and the
+    # hyperboloid. At the origin or a pole, u = e_1 as in _pole_to
+    for center in [*boundary_grid(space, 16).centers, spaces.origin(space)]:
+        frame = section_frame(space, center)
+        xp = spaces.chart(space, center)
+        u = xp / np.linalg.norm(xp) if np.any(xp) else np.eye(space.n)[0]
+        across = spaces.chart(space, frame)
+        inward = across[0] / np.linalg.norm(across[0])
+        assert np.allclose(inward, -u, rtol=0.0, atol=1e-14)
+        assert np.allclose(across[1:] @ u, 0.0, rtol=0.0, atol=1e-14)
+        gram = (frame @ frame.T if space.kind == EUCLIDEAN
+                else pairing(space, frame[:, None], frame[None]) / space.curvature)
+        assert np.allclose(gram, np.eye(space.n), rtol=0.0, atol=1e-14)
+
+
 @pytest.mark.parametrize("space", [S2, S3, H2, H3])
 def test_pole_frame_preserves_the_form(space):
     # _pole_to is a rotation or boost (determinant 1) that preserves
