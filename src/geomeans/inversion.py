@@ -16,14 +16,13 @@ hyperboloid formulas apply chart Laplacians. Also report helpers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gamma
+from math import floor, gamma
 
 import numpy as np
 
 from . import spaces
 from .forward import MeanData, _held_rows, trace_weighting
 from .numerics import (
-    CubicStencil,
     TGrid,
     _diff1,
     d_operator_matrix,
@@ -84,69 +83,163 @@ def constants(n: int, radius: float) -> InversionConstants:
 # back-projection
 # ---------------------------------------------------------------------------
 
-# (point, centre) cells per back-projection block: the block's arguments,
-# cubic weights and gathered values, a few arrays of 256 KiB, stay in cache
+# (point, centre) cells per back-projection block. A block holds every
+# point and b = max(1, _BLOCK_CELLS // max(K, N)) centres, for K points and
+# N grid nodes: its arguments, cells, gathers and values, a few (K, b)
+# arrays of up to 256 KiB, and a table's three (b, N) difference planes
+# stay in cache
 _BLOCK_CELLS = 32_768
 
 
-def _observation_args(space: SpaceSpec, centers: np.ndarray):
-    """The map from points x (K, dim) to their (K, m) observation arguments:
-    |x - xi| in R^n, the pairing (xi, x) on the cap and the hyperboloid.
+def _observation_args(space: SpaceSpec, x: np.ndarray):
+    """The map from a block of boundary centres (b, dim) to the observation
+    arguments (K, b) of the points x (K, dim): |x - xi| in R^n, the pairing
+    (xi, x) on the cap and the hyperboloid.
 
-    Both come from one product x xi^T; the distance is
-    sqrt(max(|x|^2 + |xi|^2 - 2 x.xi, 0)), which loses no accuracy where
-    |x - xi| >= R - |x| stays well away from 0.
+    Both come from one product x xi^T, and whatever depends on the points
+    alone is taken once; the distance is sqrt(max(|x|^2 + |xi|^2 - 2 x.xi, 0)),
+    which loses no accuracy where |x - xi| >= R - |x| stays well away from 0.
     """
     if space.kind == spaces.EUCLIDEAN:
-        centers_t = np.ascontiguousarray(centers.T)
-        centers_sq = (centers ** 2).sum(axis=1)
+        x_sq = (x ** 2).sum(axis=1)[:, None]
 
-        def args(x: np.ndarray) -> np.ndarray:
-            d2 = x @ centers_t
+        def args(centers: np.ndarray) -> np.ndarray:
+            d2 = x @ centers.T
             d2 *= -2.0
-            d2 += (x ** 2).sum(axis=1)[:, None]
-            d2 += centers_sq
+            d2 += x_sq
+            d2 += (centers ** 2).sum(axis=1)
             np.maximum(d2, 0.0, out=d2)
             return np.sqrt(d2, out=d2)
 
         return args
-    chart_t = np.ascontiguousarray(centers[:, :-1].T)
-    height = centers[:, -1]
+    chart, height = np.ascontiguousarray(x[:, :-1]), x[:, -1:]
 
-    def args(x: np.ndarray) -> np.ndarray:
-        a = x[:, :-1] @ chart_t
+    def args(centers: np.ndarray) -> np.ndarray:
+        a = chart @ centers[:, :-1].T
         a *= space.curvature
-        a += x[:, -1:] * height
+        a += height * centers[:, -1]
         return a
 
     return args
 
 
+def _differences(rows: np.ndarray, first: int, width: int, out: np.ndarray) -> np.ndarray:
+    """The forward differences Dg, D^2g and D^3g of rows (b, N) into out
+    (3, b, N), in the columns first, ..., first + width - 1 that width cells
+    from node `first` on read: column j of the planes and of the rows holds
+    the Newton coefficients of the cubic through the nodes j, ..., j + 3.
+    The other columns are left as they were."""
+    window = rows[:, first:first + width + 3]
+    d1, d2, d3 = (plane[:, first:first + width + 3 - k] for k, plane in enumerate(out, 1))
+    np.subtract(window[:, 1:], window[:, :-1], out=d1)
+    np.subtract(d1[:, 1:], d1[:, :-1], out=d2)
+    np.subtract(d2[:, 1:], d2[:, :-1], out=d3)
+    return out
+
+
 def backproject(boundary: BoundaryGrid, grid: TGrid, F: np.ndarray, x: np.ndarray,
-                fill: float | str) -> np.ndarray:
+                fill: float | str, times_t: bool = False) -> np.ndarray:
     """Weighted boundary average of per-center profiles at the observation args.
 
     F is (centers x grid), or a stack (k, centers, grid) of such tables,
     and is sampled by cubic interpolation at |x - xi| in R^n and at the
     pairing (xi, x) on the cap and the hyperboloid. A table of one row
     stands for every centre (radial data). The result is (K,) for one table
-    and (k, K) for a stack; the tables of a stack share each point's
-    arguments and cubic stencil. Arguments outside the grid count as zero
-    with fill=0.0, and raise with fill='error'. The points run in blocks of
-    about `_BLOCK_CELLS` (point, centre) pairs.
+    and (k, K) for a stack. Arguments outside the grid count as zero with
+    fill=0.0, and raise with fill='error'. With times_t the result gains
+    one more row at the end, (2, K) for one table: the back-projection of
+    t times the first table, from the values gathered for it. The cubic
+    through the nodes' t_i g_i is t p(t) less p's leading coefficient times
+    the nodes' polynomial, so it reads a p(a) - h (D^3g/6) (s+1) s (s-1) (s-2)
+    at a = t_j + s h.
+
+    The centres run in blocks, each against every point (`_BLOCK_CELLS`).
+    A block's table rows become Newton forward differences on the columns
+    its cells reach, and each cell reads its cubic in nested form,
+    g + (s+1) (Dg + s/2 (D^2g + (s-1)/3 D^3g)), from four gathers at one flat
+    index: the stencil's first node plus the row's offset, or the node
+    alone in a one-row table, which is differenced once. Each block's
+    values add into the result by one product against its boundary
+    weights.
     """
+    if fill not in (0.0, "error"):
+        raise ValueError("fill must be 0.0 or 'error'")
     F = np.atleast_2d(np.asarray(F, dtype=float))
-    tables = F if F.ndim == 3 else F[None]
+    tables = np.ascontiguousarray(F if F.ndim == 3 else F[None])
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    out = np.empty((tables.shape[0], x.shape[0]))
-    args = _observation_args(boundary.space, boundary.centers)
-    block = max(1, _BLOCK_CELLS // max(boundary.m, 1))
-    for lo in range(0, x.shape[0], block):
-        hi = min(lo + block, x.shape[0])
-        stencil = CubicStencil.build(grid, args(x[lo:hi]), fill=fill)
-        for j, values in enumerate(stencil(tables)):
-            out[j, lo:hi] = values @ boundary.weights
-    return out if F.ndim == 3 else out[0]
+    (K, m, N), radial = (x.shape[0], boundary.m, grid.n), tables.shape[1] == 1
+    if tables.shape[1:] not in ((m, N), (1, N)):
+        raise ValueError("need tables (centres, N) on the grid, or one row")
+    out = np.zeros((tables.shape[0] + times_t, K))
+    result = out if F.ndim == 3 or times_t else out[0]
+    if K == 0:
+        return result
+    args = _observation_args(boundary.space, x)
+    block = max(1, _BLOCK_CELLS // max(K, N))
+    if radial:
+        diffs = [_differences(table, 0, N - 3, np.empty((3, 1, N))) for table in tables]
+    else:
+        spare = np.empty((3, min(block, m), N))
+    values = np.empty((out.shape[0], K, min(block, m)))
+    a0, h = grid.a, grid.h
+
+    def first_node(arg: float) -> int:
+        # the stencil's first node at one argument, as for the cells below
+        return min(max(floor((arg - a0) / h), 1), N - 3) - 1
+
+    for lo in range(0, m, block):
+        hi = min(lo + block, m)
+        a = args(boundary.centers[lo:hi])
+        low, high = a.min(), a.max()
+        everywhere = low >= a0 and high <= grid.b
+        if not everywhere:
+            if fill == "error":
+                raise ValueError("interpolation point outside grid range")
+            inside = (a >= a0) & (a <= grid.b)
+            # the arguments off the grid read the first cell
+            a = np.where(inside, a, a0)
+            low, high = a0, a.max()
+        # cell j covers [t_j, t_j+1), the end cells reach one cell further
+        # out, and s = (a - t_j)/h; the cubic's nodes are j-1, ..., j+2
+        s = a - a0
+        s /= h
+        node = np.floor(s)
+        np.clip(node, 1.0, N - 3.0, out=node)
+        s -= node
+        node -= 1.0
+        if not radial:
+            first = first_node(low)
+            width = first_node(high) - first + 1
+            node += np.arange(0.0, (hi - lo) * N, N)
+        cell = node.astype(np.intp)
+        third, term = np.empty_like(s), np.empty_like(s)
+        f1, f2, f3 = s + 1.0, s * 0.5, (s - 1.0) / 3.0  # the nested form's factors
+        vals = values[:, :, :hi - lo]
+        for j, (table, acc) in enumerate(zip(tables, vals)):
+            rows = table if radial else table[lo:hi]
+            d = diffs[j] if radial else _differences(rows, first, width, spare[:, :hi - lo])
+            # the cells keep every index in range; mode="clip" only spares
+            # the buffered copy that mode="raise" makes of `out`
+            np.take(d[2].ravel(), cell, out=third, mode="clip")
+            np.multiply(third, f3, out=acc)
+            for plane, factor in ((d[1], f2), (d[0], f1), (rows, None)):
+                acc += np.take(plane.ravel(), cell, out=term, mode="clip")
+                if factor is not None:
+                    acc *= factor
+            if times_t and j == 0:
+                # h (D^3g/6) (s+1) s (s-1) (s-2) = h D^3g f1 f2 f3 (s-2)
+                third *= f1
+                third *= f2
+                third *= f3
+                np.subtract(s, 2.0, out=term)
+                third *= term
+                third *= h
+                np.multiply(a, acc, out=vals[-1])
+                vals[-1] -= third
+        if not everywhere:
+            vals *= inside
+        out += vals @ boundary.weights[lo:hi]
+    return result
 
 
 # Nodes a log-kernel table keeps on each side of the arguments it is read at.
@@ -322,19 +415,20 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
             # means, so L_n may write over it.
             rows = darboux_L_matrix(rows, grid, n, _overwrite=True)
     else:
-        # the stack (P'', t P'', P') is filled in place: P' into its last
-        # slot, P'' from it; rebinding rows frees P before the back-projection
-        stack = np.empty((3,) + rows.shape)
-        _diff1(rows, grid.h, out=stack[2])
-        _diff1(stack[2], grid.h, out=stack[0])
-        np.multiply(grid.values, stack[0], out=stack[1])
+        # the stack (P'', P') is filled in place: P' into its last slot, P''
+        # from it; rebinding rows frees P before the back-projection, which
+        # adds BP[t P''] from the values it gathers for P''
+        stack = np.empty((2,) + rows.shape)
+        _diff1(rows, grid.h, out=stack[1])
+        _diff1(stack[1], grid.h, out=stack[0])
         rows = stack
-    f0 = backproject(data.boundary, grid, rows, x, fill=fill)
+    f0 = backproject(data.boundary, grid, rows, x, fill=fill,
+                     times_t=space.kind != spaces.EUCLIDEAN)
 
     c = constants(n, space.radius)
     if space.kind == spaces.EUCLIDEAN:
         return (c.d_n1 if n % 2 == 1 else c.d_n2) * space.boundary_area * f0
-    p2, tp2, p1 = f0
+    p2, p1, tp2 = f0
     A, B, C = _chart_coefficients(space, spaces.chart(space, x))
     scale = -1.0 if n % 2 == 1 else 1.0 / np.pi
     lap = scale * space.boundary_area * (A * p2 + B * tp2 + C * p1)

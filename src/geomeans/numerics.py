@@ -1,7 +1,7 @@
 """Shared numerical kernels.
 
-1-D Gauss-Legendre and Gauss-Jacobi quadrature, cubic and quintic
-interpolation on uniform grids, finite-difference derivatives there, the
+1-D Gauss-Legendre and Gauss-Jacobi quadrature, quintic interpolation
+on uniform grids, finite-difference derivatives there, the
 radial operators D = (1/2t) d/dt and L = d^2/dt^2 + (n-1)/t d/dt,
 graded-panel quadrature for integrable singular kernels (log and
 algebraic), log-kernel tables of cubic interpolants by product
@@ -22,7 +22,6 @@ __all__ = [
     "gauss_legendre",
     "gauss_jacobi",
     "quintic_interp",
-    "CubicStencil",
     "diff_matrix",
     "d_operator_matrix",
     "darboux_L_matrix",
@@ -153,27 +152,8 @@ class TGrid:
 
 
 # ---------------------------------------------------------------------------
-# cubic interpolation on uniform grids
+# quintic interpolation on uniform grids
 # ---------------------------------------------------------------------------
-
-def _cubic_cells(grid: TGrid, x: np.ndarray):
-    """Cell indices and local coordinates for 4-point cubic interpolation."""
-    h = grid.h
-    u = (x - grid.a) / h
-    idx = np.floor(u).astype(np.int64)
-    idx = np.clip(idx, 1, grid.n - 3)
-    s = u - idx
-    return idx, s
-
-
-def _cubic_weights(s: np.ndarray):
-    # Lagrange weights on stencil offsets {-1, 0, 1, 2}
-    w_m1 = -s * (s - 1.0) * (s - 2.0) / 6.0
-    w_0 = (s * s - 1.0) * (s - 2.0) / 2.0
-    w_1 = -s * (s + 1.0) * (s - 2.0) / 2.0
-    w_2 = s * (s * s - 1.0) / 6.0
-    return w_m1, w_0, w_1, w_2
-
 
 _QUINTIC_OFFSETS = (-2, -1, 0, 1, 2, 3)
 _QUINTIC_DENOMS = (-120.0, 24.0, -12.0, 12.0, -24.0, 120.0)
@@ -200,67 +180,6 @@ def quintic_interp(values: np.ndarray, grid: TGrid, x: np.ndarray, fill: float =
                 num = num * (s - other)
         out += (num / den) * values[..., idx + off]
     return np.where(inside, out, fill)
-
-
-@dataclass(frozen=True)
-class CubicStencil:
-    """First stencil nodes and weights of column-aligned cubic interpolation
-    at queries (K, M).
-
-    Built once per query set, it interpolates (M, N) tables on the same grid
-    at those queries, column j at row j, or one (1, N) row that stands for
-    every column. A table is read through one flat index, the first node
-    `start + j N` of column j, and the four stencil values are the table's
-    flattened entries at that index plus 0, 1, 2 and 3. With fill=0.0 the
-    weights are zero at queries outside the grid; fill='error' raises there.
-    """
-
-    start: np.ndarray
-    weights: tuple[np.ndarray, ...]
-    size: int
-
-    @staticmethod
-    def build(grid: TGrid, x: np.ndarray, fill: float | str = 0.0) -> "CubicStencil":
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2:
-            raise ValueError("need column-aligned queries (K, M)")
-        if fill not in (0.0, "error"):
-            raise ValueError("fill must be 0.0 or 'error'")
-        inside = (x >= grid.a) & (x <= grid.b)
-        everywhere = np.all(inside)
-        if fill == "error" and not everywhere:
-            raise ValueError("interpolation point outside grid range")
-        cell, s = _cubic_cells(grid, x if everywhere else np.where(inside, x, grid.a))
-        weights = _cubic_weights(s)
-        if not everywhere:
-            for w in weights:
-                w *= inside
-        cell -= 1
-        return CubicStencil(cell, weights, grid.n)
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        """Interpolate values (M, N), or one row (1, N), or a stack (k, M, N)
-        or (k, 1, N) of such tables: (K, M) resp. (k, K, M).
-        """
-        values = np.asarray(values, dtype=float)
-        K, M = self.start.shape
-        if values.ndim not in (2, 3) or values.shape[-2:] not in ((M, self.size), (1, self.size)):
-            raise ValueError("need values (M, N) aligned with the query columns, or one row")
-        tables = np.ascontiguousarray(values.reshape(-1, *values.shape[-2:]))
-        base = self.start if tables.shape[1] == 1 else self.start + np.arange(M) * self.size
-        out = np.empty((tables.shape[0], K, M))
-        term = np.empty((K, M))
-        # the cells keep every index in range; mode="clip" only spares the
-        # buffered copy that mode="raise" makes of `out`
-        for table, acc in zip(tables, out):
-            flat = table.ravel()
-            np.take(flat, base, out=acc, mode="clip")
-            acc *= self.weights[0]
-            for k in (1, 2, 3):
-                np.take(flat[k:], base, out=term, mode="clip")
-                term *= self.weights[k]
-                acc += term
-        return out if values.ndim == 3 else out[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,11 @@ rather than against a hand-picked tolerance.
 
 prints each config's floor at its own grids, with the sign pattern of seed 0
 and with every value scaled the same way.
+
+    PYTHONPATH=src python tests/rounding_floor.py --compare OLD.csv NEW.csv CONFIG
+
+prints how far the f_rec column of report NEW is from that of report OLD,
+max|f_rec,NEW - f_rec,OLD| / max|f_rec,OLD|, next to CONFIG's floor.
 """
 
 from __future__ import annotations
@@ -51,7 +56,27 @@ def config_floor(cfg: dict, seed: int | None = 0) -> float:
     return rounding_floor(cli._forward_data(cfg), cli._recon_points(cfg), cfg["method"], seed)
 
 
-if __name__ == "__main__":
-    for path in sys.argv[1:]:
+def report_change(old_path: str, new_path: str) -> float:
+    """max|f_rec,new - f_rec,old| / max|f_rec,old| of two reports on the same points."""
+    old_header, old, _ = cli.read_report(old_path)
+    new_header, new, _ = cli.read_report(new_path)
+    if old_header != new_header or not np.array_equal(old[:, :-2], new[:, :-2]):
+        raise ValueError(f"reports {old_path} and {new_path} are not on the same points")
+    return float(np.max(np.abs(new[:, -1] - old[:, -1])) / np.max(np.abs(old[:, -1])))
+
+
+def main(argv: list[str]) -> None:
+    if argv[:1] == ["--compare"]:
+        if len(argv) != 4:
+            raise SystemExit("usage: rounding_floor.py --compare OLD.csv NEW.csv CONFIG")
+        old, new, path = argv[1:]
+        print(f"{new} against {old} {report_change(old, new):.2e} "
+              f"(floor of {path} {config_floor(cli.load_config(path)):.2e})")
+        return
+    for path in argv:
         cfg = cli.load_config(path)
         print(f"{path} {config_floor(cfg):.2e} (same sign {config_floor(cfg, None):.2e})")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

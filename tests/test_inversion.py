@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from cubic_reference import cubic_cells, cubic_weights
 from hypothesis import given, settings, strategies as st
 from scipy.special import gamma
 
@@ -20,8 +21,6 @@ from geomeans.inversion import (
 )
 from geomeans.numerics import (
     TGrid,
-    _cubic_cells,
-    _cubic_weights,
     d_operator_matrix,
     darboux_L_matrix,
     diff_matrix,
@@ -146,11 +145,11 @@ def _backproject_reference(boundary, grid, F, x, fill):
     inside = (args >= grid.a) & (args <= grid.b)
     if fill == "error" and not np.all(inside):
         raise ValueError("interpolation point outside grid range")
-    idx, s = _cubic_cells(grid, np.where(inside, args, grid.a))
+    idx, s = cubic_cells(grid, np.where(inside, args, grid.a))
     out = []
     for table in tables:
         vals = np.zeros(idx.shape)
-        for w, off in zip(_cubic_weights(s), (-1, 0, 1, 2)):
+        for w, off in zip(cubic_weights(s), (-1, 0, 1, 2)):
             vals += w * np.take_along_axis(table, idx + off, axis=1)
         out.append(boundary.weights @ np.where(inside, vals, 0.0))
     return np.array(out) if F.ndim == 3 else out[0]
@@ -164,26 +163,27 @@ def _interior_points(space, count, scale, rng):
     return spaces.lift(space, xp)
 
 
-BLOCK_POINTS_800 = _BLOCK_CELLS // 800
-
-
+# 128 grid nodes: blocks of _BLOCK_CELLS // max(count, 128) centres, the
+# last one partial at 800 centres
 @pytest.mark.parametrize("space,m,rows,k,count", [
     (E2, 64, "m", None, 200),
     (E2, 64, 1, None, 200),
-    (E3, 800, "m", None, 2 * BLOCK_POINTS_800 + 3),
-    (E3, 800, 1, None, 2 * BLOCK_POINTS_800 + 3),
+    (E3, 800, "m", None, 83),
+    (E3, 800, 1, None, 83),
     (E3, 800, "m", None, 1),
     (SpaceSpec(EUCLIDEAN, 4, 1.0), 500, "m", None, 150),
     (SpaceSpec(EUCLIDEAN, 4, 1.0), 500, 1, None, 150),
     (SpaceSpec(SPHERE, 2, 0.8), 64, "m", 3, 200),
-    (SpaceSpec(SPHERE, 3, 0.8), 800, "m", 3, 2 * BLOCK_POINTS_800 + 3),
+    (SpaceSpec(SPHERE, 3, 0.8), 800, "m", 3, 83),
     (SpaceSpec(HYPERBOLIC, 2, 0.8), 64, "m", 3, 200),
-    (SpaceSpec(HYPERBOLIC, 3, 0.8), 800, 1, 3, 2 * BLOCK_POINTS_800 + 3),
+    (SpaceSpec(HYPERBOLIC, 3, 0.8), 800, 1, 3, 83),
     (SpaceSpec(HYPERBOLIC, 3, 0.8), 800, "m", 3, 1),
+    (E3, 800, "m", None, 300),
+    (SpaceSpec(SPHERE, 3, 0.8), 800, "m", 2, 300),
 ])
 @pytest.mark.parametrize("coverage", ["full", "partial"])
 def test_backproject_matches_reference(space, m, rows, k, count, coverage):
-    # the blocked, flat-index gather against the one-block route. A partial
+    # the blocked Newton form against the one-block Lagrange route. A partial
     # grid leaves some arguments off the grid, which fill=0.0 zeroes. Table
     # entries are positive, so no point's average cancels to a few ulps
     rng = np.random.default_rng(11)
@@ -202,17 +202,61 @@ def test_backproject_matches_reference(space, m, rows, k, count, coverage):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_backproject_block_of_one_point():
-    # more centres than a block has cells: each block holds one point
-    m = _BLOCK_CELLS + 7
+def test_backproject_block_of_one_centre():
+    # more points than a block has cells: each block holds one centre
+    K = _BLOCK_CELLS + 7
     rng = np.random.default_rng(12)
-    bd = boundary_grid(E2, m)
+    bd = boundary_grid(E2, 5)
     grid = TGrid(np.linspace(0.0, 2.0, 16))
-    x = _interior_points(E2, 5, 0.9, rng)
-    for tables in (rng.uniform(0.5, 1.5, (m, grid.n)), rng.uniform(0.5, 1.5, (1, grid.n))):
+    x = _interior_points(E2, K, 0.9, rng)
+    for tables in (rng.uniform(0.5, 1.5, (bd.m, grid.n)), rng.uniform(0.5, 1.5, (1, grid.n))):
         got = backproject(bd, grid, tables, x, fill="error")
         ref = _backproject_reference(bd, grid, tables, x, "error")
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("rows", ["m", 1])
+def test_backproject_times_t_is_the_t_table(rows):
+    # BP[t g] from the values gathered for g, against the explicit table
+    # t g: arguments in both end cells (s in [-1, 0) and (1, 2]), on the
+    # grid's ends, and off the grid on either side, which fill=0.0 zeroes
+    rng = np.random.default_rng(14)
+    grid = TGrid(np.linspace(0.3, 1.5, 40))
+    h = grid.h
+    wanted = np.concatenate([grid.a + h * rng.uniform(0.0, 1.0, 6),
+                             grid.b - h * rng.uniform(0.0, 1.0, 6),
+                             [grid.a, grid.b, grid.a - 0.1 * h, grid.b + 0.1 * h, 0.1, 1.9],
+                             rng.uniform(grid.a, grid.b, 40)])
+    # one point per argument at that distance from the first centre
+    bd = boundary_grid(E2, 12)
+    toward = -bd.centers[0] / np.linalg.norm(bd.centers[0])
+    x = bd.centers[0] + wanted[:, None] * toward
+    tables = rng.uniform(0.5, 1.5, (bd.m if rows == "m" else 1, grid.n))
+    got = backproject(bd, grid, tables, x, fill=0.0, times_t=True)
+    assert got.shape == (2, x.shape[0])
+    assert np.array_equal(got[0], backproject(bd, grid, tables, x, fill=0.0))
+    ref = _backproject_reference(bd, grid, grid.values * tables, x, 0.0)
+    assert np.max(np.abs(got[1] - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # a stack keeps its tables' rows and adds t times the first one last
+    stacked = backproject(bd, grid, np.stack([tables, 2.0 * tables]), x, fill=0.0, times_t=True)
+    assert np.array_equal(stacked[[0, 2]], got)
+    with pytest.raises(ValueError, match="outside"):
+        backproject(bd, grid, tables, x, fill="error", times_t=True)
+
+
+def test_backproject_reads_cubics_exactly():
+    # the nested Newton form reproduces a cubic profile g at every argument,
+    # end cells included, and the t row reproduces t g for a quadratic g
+    grid = TGrid(np.linspace(0.3, 1.5, 40))
+    bd = boundary_grid(E2, 12)
+    x = _interior_points(E2, 300, 0.5, np.random.default_rng(15))
+    args = np.linalg.norm(x[:, None, :] - bd.centers[None, :, :], axis=-1)
+    for g in (lambda t: 2.0 - t + 0.5 * t ** 2 - 1.5 * t ** 3, lambda t: 2.0 - t + 0.5 * t ** 2):
+        got = backproject(bd, grid, g(grid.values)[None, :], x, fill="error", times_t=True)
+        exact = (g(args) * bd.weights).sum(axis=1)
+        assert np.max(np.abs(got[0] - exact)) <= 1e-13 * np.max(np.abs(exact))
+    t_exact = (args * g(args) * bd.weights).sum(axis=1)
+    assert np.max(np.abs(got[1] - t_exact)) <= 1e-13 * np.max(np.abs(t_exact))
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +763,7 @@ def test_read_range_bounds_every_argument(kind, n, seed, scale):
     x = _interior_points(space, 30, scale, rng)
     lo, hi = _read_range(space, x)
     tol = 1e-12 * max(abs(lo), abs(hi))
-    args = _observation_args(space, boundary_grid(space, 64 if n == 2 else 200).centers)(x)
+    args = _observation_args(space, x)(boundary_grid(space, 64 if n == 2 else 200).centers)
     assert lo - tol <= np.min(args) and np.max(args) <= hi + tol
 
 
@@ -821,11 +865,10 @@ def test_forward_and_invert_are_equivariant(space, m, symmetry, seed):
     assert np.all(invert(zero, x) == 0.0)
 
 
-@pytest.mark.parametrize("space", [SpaceSpec(SPHERE, 3, 0.8), SpaceSpec(HYPERBOLIC, 3, 0.8), S2])
-def test_curved_stack_is_the_stacked_derivatives(monkeypatch, space):
-    # invert fills the (P'', t P'', P') stack in place; the stack it
-    # back-projects must hold the bits of np.stack over the separate
-    # derivatives of the same rows P
+def _curved_invert_keeping(monkeypatch, space):
+    """invert on random curved rows at the origin and two more points, with
+    its last rows P (the filter's or the log table's) and its
+    back-projection's arguments kept."""
     rng = np.random.default_rng(9)
     tg = default_tgrid(space, 128)
     bd = boundary_grid(space, 16)
@@ -834,24 +877,56 @@ def test_curved_stack_is_the_stacked_derivatives(monkeypatch, space):
 
     def keeping(fn, into):
         def wrapped(*args, **kwargs):
-            into.append((args, fn(*args, **kwargs)))
-            return into[-1][1]
+            into.append((args, kwargs, fn(*args, **kwargs)))
+            return into[-1][2]
         return wrapped
 
     monkeypatch.setattr(inversion, "diff_matrix", keeping(diff_matrix, made))
     monkeypatch.setattr(inversion, "log_kernel_table", keeping(log_kernel_table, made))
     monkeypatch.setattr(inversion, "backproject", keeping(backproject, projected))
-    invert(MeanData(space, bd, tg, values), spaces.lift(space, np.zeros((1, space.n))))
-    (_, grid, stack, _), _ = projected[-1]
-    d1 = diff_matrix(made[-1][1], grid, 1)
+    chart = np.array([[0.0] * space.n, [0.1] * space.n, [-0.2] + [0.05] * (space.n - 1)])
+    x = spaces.lift(space, chart)
+    f = invert(MeanData(space, bd, tg, values), x)
+    assert len(projected) == 1
+    return f, made[-1][2], projected[-1]
+
+
+CURVED = [SpaceSpec(SPHERE, 3, 0.8), SpaceSpec(HYPERBOLIC, 3, 0.8), S2]
+
+
+@pytest.mark.parametrize("space", CURVED)
+def test_curved_stack_is_the_stacked_derivatives(monkeypatch, space):
+    # invert fills the (P'', P') stack in place; the stack it back-projects
+    # must hold the bits of np.stack over the separate derivatives of the
+    # same rows P
+    _, rows, ((_, grid, stack, _), kwargs, _) = _curved_invert_keeping(monkeypatch, space)
+    d1 = diff_matrix(rows, grid, 1)
     d2 = diff_matrix(d1, grid, 1)
-    assert np.array_equal(stack, np.stack([d2, grid.values * d2, d1]))
+    assert np.array_equal(stack, np.stack([d2, d1]))
+    assert kwargs["times_t"]
+
+
+@pytest.mark.parametrize("space", CURVED)
+def test_curved_finish_matches_the_three_table_stack(monkeypatch, space):
+    # BP[t P''] from the values gathered for P'' against the back-projection
+    # of the explicit table t P'', finished in closed form
+    f, rows, ((bd, grid, _, x), kwargs, _) = _curved_invert_keeping(monkeypatch, space)
+    d1 = diff_matrix(rows, grid, 1)
+    d2 = diff_matrix(d1, grid, 1)
+    p2, tp2, p1 = backproject(bd, grid, np.stack([d2, grid.values * d2, d1]), x,
+                              fill=kwargs["fill"])
+    A, B, C = _chart_coefficients(space, spaces.chart(space, x))
+    scale = -1.0 if space.n % 2 == 1 else 1.0 / np.pi
+    lap = scale * space.boundary_area * (A * p2 + B * tp2 + C * p1)
+    ref = constants(space.n, space.radius).d_curved * x[:, -1] / space.chart_radius * lap
+    assert np.max(np.abs(f - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_invert_memory_on_a_cap(tmp_path):
-    # an (800, 600) cap case: the filters hold the rows, the (3, m, N) stack
+    # an (800, 600) cap case: the filters hold the rows, the (2, m, N) stack
     # and one derivative's interior; with whole-array temporaries and
-    # np.stack the peak was 7 times the means
+    # np.stack the peak was 7 times the means, with the (3, m, N) stack of
+    # (P'', t P'', P') 5
     import tracemalloc
 
     space = SpaceSpec(SPHERE, 3, 0.8)
@@ -865,4 +940,4 @@ def test_invert_memory_on_a_cap(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5.5 * data.values.nbytes
+    assert peak < 4.5 * data.values.nbytes

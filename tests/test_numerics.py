@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from cubic_reference import cubic_interp
 from hypothesis import given, settings, strategies as st
 
 from geomeans.numerics import (
-    CubicStencil,
     TGrid,
     _diff1,
     d_operator_matrix,
@@ -244,11 +244,6 @@ def test_darboux_over_its_input_matches_the_expression_form(grid, n):
     assert np.array_equal(out, ref)
 
 
-def interp(samples, grid, x):
-    """Cubic interpolant of one row of samples at the points x, zero outside the grid."""
-    return CubicStencil.build(grid, np.asarray(x, dtype=float)[:, None])(samples[None, :])[:, 0]
-
-
 def log_kernel_reference(samples, grid, s: float, kernel: str = "log|t-s|") -> float:
     """One target's log-kernel integral by interpolating the profile at the
     nodes of order-20 graded panels on every grid cell, plus a moment for
@@ -263,7 +258,7 @@ def log_kernel_reference(samples, grid, s: float, kernel: str = "log|t-s|") -> f
     total = 0.0
     for lo, hi in zip(grid.values[:-1], grid.values[1:]):
         nodes, weights, slivers = graded_panels(lo, hi, pts, order=20)
-        total += float(np.dot(weights, interp(samples, grid, nodes) * kern(nodes)))
+        total += float(np.dot(weights, cubic_interp(samples, grid, nodes) * kern(nodes)))
         for c, eps in slivers:
             # kernel moment over (c - eps, c + eps): log|t - c| integrates to
             # 2 eps (log eps - 1); for log|t^2-s^2| add the integral of
@@ -272,7 +267,7 @@ def log_kernel_reference(samples, grid, s: float, kernel: str = "log|t-s|") -> f
             moment = 2.0 * eps * (np.log(eps) - 1.0)
             if kernel == "log|t^2-s^2|" and c != 0.0:
                 moment += log_kernel_closed_form(c - eps, c + eps, -c, "log|t-s|")
-            total += float(interp(samples, grid, [c])[0]) * moment
+            total += float(cubic_interp(samples, grid, [c])[0]) * moment
     return total
 
 
@@ -300,7 +295,7 @@ def test_log_kernel_profile_away_from_singularity():
     p = bump_profile((t - 1.5) / 0.3)
     x, w = gauss_legendre(400, 1.2, 1.8)
     # oracle integrates the same interpolant, isolating the cell rule
-    expected = np.dot(w, interp(p, g, x) * np.log(np.abs(x - 0.3)))
+    expected = np.dot(w, cubic_interp(p, g, x) * np.log(np.abs(x - 0.3)))
     assert abs(log_kernel_one(p, g, 0.3) - expected) < 1e-8
 
 
@@ -474,17 +469,16 @@ def test_cubic_interp_polynomial_exact():
     g = TGrid(np.linspace(0.0, 1.0, 101))
     vals = g.values ** 3 - 2.0 * g.values
     x = np.linspace(0.05, 0.95, 37)
-    out = interp(vals, g, x)
+    out = cubic_interp(vals, g, x)
     assert np.max(np.abs(out - (x ** 3 - 2.0 * x))) < 1e-13
 
 
 def test_cubic_interp_fill_modes():
     g = TGrid(np.linspace(0.0, 1.0, 101))
     vals = np.ones(101)
-    x = np.array([[1.5]])
-    assert CubicStencil.build(g, x, fill=0.0)(vals[None, :])[0, 0] == 0.0
+    assert cubic_interp(vals, g, [1.5])[0] == 0.0
     with pytest.raises(ValueError):
-        CubicStencil.build(g, x, fill="error")
+        cubic_interp(vals, g, [1.5], fill="error")
 
 
 def test_quintic_interp_degree5_exact():
