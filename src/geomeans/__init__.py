@@ -16,7 +16,6 @@ from .inversion import (
     ReconstructionReport,
     backproject,
     chart_box_grid,
-    constants,
     invert,
     make_report,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "ReconstructionReport",
     "backproject",
     "chart_box_grid",
-    "constants",
     "invert",
     "make_report",
     "__version__",

@@ -37,7 +37,7 @@ import numpy as np
 from . import spaces
 from .forward import default_tgrid, forward_means
 from .fractional import ek_ac_matrix, ek_matrix, rl_matrix
-from .inversion import ReconstructionReport, _table_grid, backproject, constants
+from .inversion import ReconstructionReport, _table_grid, backproject
 from .numerics import (
     TGrid,
     darboux_L_matrix,
@@ -415,7 +415,7 @@ def riesz_potential(phantom: Phantom, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     n = space.n
     rho_max = max(np.linalg.norm(x - b.center) + b.geodesic_radius for b in phantom.bumps)
-    sigma = constants(n, space.radius).sigma
+    sigma = 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
     total = _polar_integral(phantom, x, lambda rho: rho, np.linspace(0.0, rho_max, 17), 24)
     return gamma(n / 2.0 - 1.0) / (4.0 * np.pi ** (n / 2.0)) * sigma * total
 
@@ -450,7 +450,7 @@ def phantom_integral(phantom: Phantom) -> float:
     """
     space = phantom.space
     n = space.n
-    sigma = constants(n, space.radius).sigma
+    sigma = 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
     total = 0.0
     for b in phantom.bumps:
         nodes, w = gauss_legendre(64, 0.0, b.geodesic_radius)

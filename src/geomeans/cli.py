@@ -22,7 +22,6 @@ import numpy as np
 from . import spaces
 from .forward import (
     MeanData,
-    _held_rows,
     default_tgrid,
     epd_trace_euclidean,
     epd_trace_sphere,
@@ -231,13 +230,13 @@ def write_means(data: MeanData, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(f"{MEANS_MAGIC}\n# {json.dumps(meta, sort_keys=True)}\ncenter_idx,t,value\n")
         # one centre's rows at a time, so the text of the whole file is never
-        # held; each row held in memory has its ",t,value" texts formatted
-        # once, joined with each centre's index: the one row of radial means
-        # broadcast to every centre serves them all
-        held = _held_rows(data.values)
+        # held; each distinct row has its ",t,value" texts formatted once,
+        # joined with each centre's index: the one row of radial means
+        # serves every centre
+        rows = data.rows
         for i in range(data.boundary.m):
-            if i < len(held):
-                texts = [f",{tj},{v!r}\n" for tj, v in zip(t, held[i].tolist())]
+            if i < len(rows):
+                texts = [f",{tj},{v!r}\n" for tj, v in zip(t, rows[i].tolist())]
             idx = str(i)
             fh.write(idx + idx.join(texts))
 
@@ -654,7 +653,7 @@ def main(argv=None) -> int:
             return cmd_verify(args.suite, args.seed)
         if args.command == "render":
             return cmd_render(args.report, args.out, args.slice)
-    except (ConfigError, ValueError) as e:
+    except (ConfigError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

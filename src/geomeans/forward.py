@@ -10,7 +10,7 @@ integrals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, gamma
 
 import numpy as np
@@ -88,7 +88,10 @@ class MeanData:
     `alpha` is None for plain means and carries the trace order otherwise,
     which `validate_trace_order` checks. The t-grid lies inside the space's
     open `tgrid_range`; on the hyperboloid it may end at cosh 2R, where
-    `default_tgrid` ends.
+    `default_tgrid` ends. `rows` holds the distinct rows: a (1, N) view of
+    the first row when every centre's row is equal (radial data), which a
+    zero row stride gives at once and dense values give by comparison, and
+    the values themselves otherwise.
     """
 
     space: SpaceSpec
@@ -96,6 +99,7 @@ class MeanData:
     tgrid: TGrid
     values: np.ndarray
     alpha: float | None = None
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -107,16 +111,14 @@ class MeanData:
         if not (lo < t0 and (t1 <= hi if closed else t1 < hi)):
             raise ValueError(f"t-grid from t0 = {t0!r} to t1 = {t1!r} leaves the {self.space.kind} "
                              f"section range ({lo!r}, {hi!r}{']' if closed else ')'}")
-        if not np.all(np.isfinite(_held_rows(self.values))):
+        # the last row against the first settles off-centre data in O(N)
+        v = self.values
+        radial = v.strides[0] == 0 or (np.array_equal(v[-1], v[0]) and np.all(v == v[0]))
+        self.rows = v[:1] if radial else v
+        if not np.all(np.isfinite(self.rows)):
             raise ValueError("mean data contains non-finite values")
         if self.alpha is not None:
             validate_trace_order(self.space, self.alpha, "alpha")
-
-
-def _held_rows(values: np.ndarray) -> np.ndarray:
-    """The rows of (m, N) values held in memory: the one row of a zero row
-    stride (radial means broadcast to every centre), otherwise all of them."""
-    return values[:1] if values.strides[0] == 0 else values
 
 
 def default_tgrid(space: SpaceSpec, n_points: int | None = None) -> TGrid:

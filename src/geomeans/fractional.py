@@ -3,9 +3,12 @@
 Positive orders are weighted integrals with an algebraic endpoint factor;
 the factor is absorbed exactly by a Gauss-Jacobi rule after substituting
 out the singularity, so smooth profiles integrate with spectral accuracy.
-Nonpositive orders are realized by analytic continuation: integrate up to
-a positive fractional order, then apply integer-order derivative formulas
-from the numerics module.
+Nonpositive orders are realized by analytic continuation with
+m = ceil(-alpha), in two orders. `rl_matrix` integrates to the positive
+fractional order m + alpha, then applies (-d/dt)^m. `ek_ac_matrix` applies
+the derivative factor first, I_eta^alpha = I_eta^{m+alpha} o
+I_{eta+m+alpha}^{-m}: the integer-order derivative formula, then the
+fractional integral. Both derivative formulas come from the numerics module.
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
 """Reconstruction from boundary means in R^n, on the cap and on the hyperboloid.
 
-`invert` is the one inversion path. It validates the request once, reduces
-radial data (every centre's row equal) to one row, undoes a trace's
-fractional time weighting (layer 2: Erdelyi-Kober in R^n, right-sided
-Riemann-Liouville on the cap) by the index law with
-`forward.trace_weighting`, filters the rows in t and, in even
-dimensions, tables them against the log kernel (layers 3 and 4, one row
-builder for all three spaces), and back-projects once, with the outer
-Laplacian in closed form (layer 5), the one step that differs by space. The
+`invert` is the one inversion path. It validates the request once and
+runs the distinct rows of the means (`MeanData.rows`, one row for radial
+data): it undoes a trace's fractional time weighting (layer 2:
+Erdelyi-Kober in R^n, right-sided Riemann-Liouville on the cap) by the
+index law with `forward.trace_weighting`, filters the rows in t and, in
+even dimensions, tables them against the log kernel (layers 3 and 4, one
+row builder for all three spaces), and back-projects once, with the outer
+Laplacian in closed form (layer 5), the one step that differs by space.
+The result is one constant (`_prefactor`) times that Laplacian. The
 Euclidean odd/even formulas are those of Finch, Haltmeier & Rakesh (SIAM J.
 Appl. Math. 68, 2007), with a Laplacian-free `modified` variant; the cap and
 hyperboloid formulas apply chart Laplacians. Also report helpers.
@@ -21,7 +22,7 @@ from math import floor, gamma
 import numpy as np
 
 from . import spaces
-from .forward import MeanData, _held_rows, trace_weighting
+from .forward import MeanData, trace_weighting
 from .numerics import (
     TGrid,
     _diff1,
@@ -40,43 +41,12 @@ from .numerics import laplacian_fd  # noqa: F401
 from .spaces import BoundaryGrid, SpaceSpec
 
 __all__ = [
-    "InversionConstants",
-    "constants",
     "backproject",
     "invert",
     "ReconstructionReport",
     "make_report",
     "chart_box_grid",
 ]
-
-
-# ---------------------------------------------------------------------------
-# constants
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InversionConstants:
-    n: int
-    radius: float
-    sigma: float
-    d_n1: float | None
-    d_n2: float | None
-    d_curved: float
-
-
-def constants(n: int, radius: float) -> InversionConstants:
-    """Numeric values of the inversion prefactors for dimension n."""
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    sigma = 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
-    d_n1 = d_n2 = None
-    if n % 2 == 1:
-        d_n1 = (-1.0) ** ((n - 1) // 2) * np.pi ** (1 - n / 2.0) / (4.0 * radius * gamma(n / 2.0))
-    else:
-        d_n2 = (-1.0) ** (n // 2 - 1) * np.pi ** (-n / 2.0) / (2.0 * radius * gamma(n / 2.0))
-    d_curved = (-1.0) ** ((n // 2) - 1) / (2.0 ** (n - 1) * np.pi ** (n / 2.0 - 1.0) * gamma(n / 2.0))
-    return InversionConstants(n=n, radius=radius, sigma=sigma, d_n1=d_n1, d_n2=d_n2,
-                              d_curved=d_curved)
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +301,15 @@ def _rows(space: SpaceSpec, grid: TGrid, values: np.ndarray, read: tuple[float, 
     return out_grid, log_kernel_table(rows, grid, out_grid.values, kernel=kernel), "error"
 
 
-def _distinct_rows(values: np.ndarray) -> np.ndarray:
-    """Means (m, N) as one row when every row is equal (radial data), else
-    as given. A zero row stride is radial at once; dense rows, such as means
-    read from a file, are compared."""
-    rows = _held_rows(values)
-    return rows[:1] if np.all(rows == rows[0]) else rows
+def _prefactor(space: SpaceSpec) -> float:
+    """The constant of the inversion formula: d_{n,1} (odd n) resp. d_{n,2}
+    (even n) in R^n, d_n on the cap and the hyperboloid."""
+    n, g = space.n, gamma(space.n / 2.0)
+    if space.kind != spaces.EUCLIDEAN:
+        return (-1.0) ** (n // 2 - 1) / (2.0 ** (n - 1) * np.pi ** (n / 2.0 - 1.0) * g)
+    if n % 2 == 1:
+        return (-1.0) ** ((n - 1) // 2) * np.pi ** (1 - n / 2.0) / (4.0 * space.radius * g)
+    return (-1.0) ** (n // 2 - 1) * np.pi ** (-n / 2.0) / (2.0 * space.radius * g)
 
 
 # Every boundary centre has the same height xi_{n+1} = cos_k R, so the
@@ -371,12 +344,13 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     Points must lie strictly inside: |x| < R in R^n, kappa (x_{n+1} - cos_k R)
     > 0 on the cap and the hyperboloid. Trace data (`data.alpha` set, its
     order checked by `MeanData`) first have their fractional weighting
-    undone, and then take the direct formula. Radial data, whose rows are
-    all equal, run as one row through every layer, which back-projects to
-    the same numbers. In even n the log-kernel table and its differences are
-    built only on the targets between the points' smallest and largest
-    possible arguments (`_read_range`) plus a margin; an argument outside
-    that window still raises.
+    undone, and then take the direct formula. Only the distinct rows
+    `data.rows` run through the layers: radial data, whose rows are all
+    equal, run as one row, which back-projects to the same numbers. In even
+    n the log-kernel table and its differences are built only on the
+    targets between the points' smallest and largest possible arguments
+    (`_read_range`) plus a margin; an argument outside that window still
+    raises.
 
     `fd_step` is accepted and ignored: every outer Laplacian is computed in
     closed form inside the back-projection, with no finite-difference step.
@@ -399,7 +373,7 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
         raise ValueError(f"evaluation points must lie strictly inside the {region} of radius "
                          f"{space.radius:g}; {x[outside][0].tolist()} does not")
 
-    values = _distinct_rows(data.values)
+    values = data.rows
     if alpha is not None:
         # the index law: T_{eta+alpha,-alpha} undoes T_{eta,alpha}, eta = n/2 - 1
         values = trace_weighting(space, data.tgrid, values, n / 2.0 - 1.0 + alpha, -alpha)
@@ -425,14 +399,14 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     f0 = backproject(data.boundary, grid, rows, x, fill=fill,
                      times_t=space.kind != spaces.EUCLIDEAN)
 
-    c = constants(n, space.radius)
+    d = _prefactor(space)
     if space.kind == spaces.EUCLIDEAN:
-        return (c.d_n1 if n % 2 == 1 else c.d_n2) * space.boundary_area * f0
+        return d * space.boundary_area * f0
     p2, p1, tp2 = f0
     A, B, C = _chart_coefficients(space, spaces.chart(space, x))
     scale = -1.0 if n % 2 == 1 else 1.0 / np.pi
     lap = scale * space.boundary_area * (A * p2 + B * tp2 + C * p1)
-    return c.d_curved * x[:, -1] / space.chart_radius * lap
+    return d * x[:, -1] / space.chart_radius * lap
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 `rounding_floor` inverts the means twice, once as given and once with every
 value scaled by 1 + 2^-52 or 1 - 2^-52 under a seeded sign pattern, and
 returns max|f_1 - f_0| / max|f_0|. Radial means (all rows equal, which
-`invert` detects and runs as one row) take one sign pattern for every row:
+`MeanData.rows` holds as one row) take one sign pattern for every row:
 the one row is scaled and broadcast back to every centre, so they stay
 radial and one row in memory. A comparison of two versions' reports that
 moves the means by about an ulp can then be read against this figure
@@ -28,7 +28,7 @@ import numpy as np
 
 from geomeans import cli
 from geomeans.forward import MeanData
-from geomeans.inversion import _distinct_rows, invert
+from geomeans.inversion import invert
 
 ULP = 2.0 ** -52
 
@@ -41,11 +41,10 @@ def rounding_floor(data: MeanData, points: np.ndarray, method: str = "direct",
     smaller random part than a sign pattern does.
     """
     f0 = invert(data, points, method=method)
-    rows = _distinct_rows(data.values)
     signs = 1.0
     if seed is not None:
-        signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=rows.shape)
-    moved = np.broadcast_to(rows * (1.0 + signs * ULP), data.values.shape)
+        signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=data.rows.shape)
+    moved = np.broadcast_to(data.rows * (1.0 + signs * ULP), data.values.shape)
     moved = MeanData(data.space, data.boundary, data.tgrid, moved, alpha=data.alpha)
     f1 = invert(moved, points, method=method)
     return float(np.max(np.abs(f1 - f0)) / np.max(np.abs(f0)))

@@ -182,6 +182,25 @@ def test_config_errors_exit_cleanly(tmp_path, capsys):
         "error: missing field config.grids.recon_grid.half_width\n")
 
 
+@pytest.mark.parametrize("case", ["config", "means", "report", "out"])
+def test_missing_files_exit_cleanly(tmp_path, capsys, case):
+    # a file that is not there, or an output in a directory that is not
+    # there, is one error line that names the path, not a traceback
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg_with()))
+    missing = str(tmp_path / "nosuch" / f"{case}.csv")
+    argv = {
+        "config": ["roundtrip", "--config", missing, "--out", str(tmp_path / "r.csv")],
+        "means": ["invert", "--config", str(cfg_path), "--means", missing,
+                  "--out", str(tmp_path / "r.csv")],
+        "report": ["render", "--report", missing, "--out", str(tmp_path / "img.pgm")],
+        "out": ["forward", "--config", str(cfg_path), "--out", missing],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and missing in err
+
+
 def test_sections_profile_rejected_for_traces():
     # the trace generators build their means with the exact profile
     assert parse_config(cfg_with(forward_profile="sections"))["forward_profile"] == "sections"
@@ -324,10 +343,11 @@ def line_by_line_write_means(data, path):
             fh.write("".join([f"{i},{tj},{v!r}\n" for tj, v in zip(t, row.tolist())]))
 
 
-@pytest.mark.parametrize("case", ["random", "off-centre", "centred"])
+@pytest.mark.parametrize("case", ["random", "off-centre", "centred", "centred-dense"])
 def test_means_file_is_the_line_by_line_writers(tmp_path, case):
     # write_means formats a row's ",t,value" texts once and joins them with
-    # the centre index, and the one row of broadcast means once for all
+    # the centre index, and the one row of radial means once for all, whether
+    # broadcast or dense
     space = SpaceSpec(EUCLIDEAN, 3, 1.0)
     bd = boundary_grid(space, 32)
     tg = default_tgrid(space, 64)
@@ -335,9 +355,12 @@ def test_means_file_is_the_line_by_line_writers(tmp_path, case):
         values = np.random.default_rng(6).standard_normal((bd.m, tg.n)) * 10.0 ** np.arange(-32, 32)
         data = MeanData(space, bd, tg, values, alpha=-0.5)
     else:
-        centre = np.zeros(3) if case == "centred" else np.array([0.2, -0.1, 0.1])
+        centre = np.array([0.2, -0.1, 0.1]) if case == "off-centre" else np.zeros(3)
         data = forward_means(Phantom(space, (Bump(centre, 0.3, 0.7),)), bd, tg)
+    if case == "centred-dense":
+        data = MeanData(space, bd, tg, np.array(data.values))
     assert (data.values.strides[0] == 0) == (case == "centred")
+    assert (data.rows.shape[0] == 1) == case.startswith("centred")
     got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
     write_means(data, str(got))
     line_by_line_write_means(data, str(ref))

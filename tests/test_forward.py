@@ -95,6 +95,21 @@ def test_mean_data_checks_the_one_row_of_broadcast_means(bad):
             MeanData(E3, bd, tg, values)
 
 
+def test_mean_data_rows_are_the_distinct_rows():
+    # one (1, N) view of the first row when every centre's row is equal, from
+    # a zero row stride or by comparing dense rows; the values otherwise
+    bd = boundary_grid(E3, 16)
+    tg = default_tgrid(E3, 64)
+    row = np.linspace(0.0, 1.0, tg.n)
+    for values in (np.broadcast_to(row, (bd.m, tg.n)), np.tile(row, (bd.m, 1))):
+        data = MeanData(E3, bd, tg, values)
+        assert data.rows.shape == (1, tg.n) and np.shares_memory(data.rows, data.values)
+        assert np.array_equal(data.rows[0], row)
+    values = np.tile(row, (bd.m, 1))
+    values[5, 3] = np.nextafter(values[5, 3], 1.0)
+    assert MeanData(E3, bd, tg, values).rows is values
+
+
 @pytest.mark.parametrize("profile", ["exact", "sections"])
 @pytest.mark.parametrize("space", [E3, S3, SpaceSpec(HYPERBOLIC, 3, 0.8)])
 def test_centred_means_are_one_read_only_row(space, profile):

@@ -12,10 +12,10 @@ from geomeans.inversion import (
     _WINDOW_MARGIN,
     _chart_coefficients,
     _observation_args,
+    _prefactor,
     _read_range,
     backproject,
     chart_box_grid,
-    constants,
     invert,
     make_report,
 )
@@ -44,17 +44,17 @@ def bump_at(space, chart_center, radius, amp=1.0):
 # ---------------------------------------------------------------------------
 
 def test_constants_n3():
-    c = constants(3, 1.0)
-    assert abs(c.d_n1 - (-1.0 / (2.0 * np.pi))) < 1e-15
-    assert abs(c.sigma - 4.0 * np.pi) < 1e-12
-    assert abs(c.d_curved - 1.0 / (2.0 * np.pi)) < 1e-15
+    assert abs(_prefactor(E3) - (-1.0 / (2.0 * np.pi))) < 1e-15
+    assert abs(E3.boundary_area - 4.0 * np.pi) < 1e-12
+    for kind in (SPHERE, HYPERBOLIC):
+        assert abs(_prefactor(SpaceSpec(kind, 3, 0.8)) - 1.0 / (2.0 * np.pi)) < 1e-15
 
 
 def test_constants_n2():
-    c = constants(2, 1.0)
     # the even-dimension constant continues down to n = 2 as +1/(2 pi R)
-    assert abs(c.d_n2 - 1.0 / (2.0 * np.pi)) < 1e-15
-    assert abs(c.d_curved - 0.5) < 1e-15
+    assert abs(_prefactor(E2) - 1.0 / (2.0 * np.pi)) < 1e-15
+    for kind in (SPHERE, HYPERBOLIC):
+        assert abs(_prefactor(SpaceSpec(kind, 2, 0.8)) - 0.5) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -373,18 +373,18 @@ def _fd_laplacian_reference(data, x):
     a step of 1% of the radius."""
     space, bd, tg = data.space, data.boundary, data.tgrid
     n, t = space.n, tg.values
-    c = constants(n, space.radius)
+    d = _prefactor(space)
     h = 1e-2 * space.radius
     if space.kind == EUCLIDEAN:
         if n % 2 == 1:
-            grid, fill, pref = tg, 0.0, c.d_n1
+            grid, fill = tg, 0.0
             prof = d_operator_matrix(t ** (n - 2) * data.values, tg, n - 3)
         else:
-            grid, fill, pref = _table_grid(space, tg.n), "error", c.d_n2
+            grid, fill = _table_grid(space, tg.n), "error"
             q = t * d_operator_matrix(t ** (n - 2) * data.values, tg, n - 2)
             prof = log_kernel_table(q, tg, grid.values, kernel="log|t^2-s^2|")
         field = lambda p: space.boundary_area * backproject(bd, grid, prof, p, fill=fill)
-        return pref * laplacian_fd(field, x, h)
+        return d * laplacian_fd(field, x, h)
     weight = (1.0 - t ** 2) if space.kind == SPHERE else (t ** 2 - 1.0)
     F = data.values * weight ** (n / 2.0 - 1.0)
     if n % 2 == 1:
@@ -396,7 +396,7 @@ def _fd_laplacian_reference(data, x):
     field = lambda p: scale * space.boundary_area * backproject(
         bd, grid, prof, spaces.lift(space, p), fill=fill)
     rim = np.sin(space.radius) if space.kind == SPHERE else np.sinh(space.radius)
-    return c.d_curved * x[:, -1] / rim * laplacian_fd(field, spaces.chart(space, x), h)
+    return d * x[:, -1] / rim * laplacian_fd(field, spaces.chart(space, x), h)
 
 
 @pytest.mark.parametrize("space,chart_c,m,n_t", [
@@ -595,12 +595,12 @@ def test_invert_rejects_lower_sheet_points():
 def _full_range_invert(data, x, method="direct"):
     """Even-n inversion by the route without the window: the log table and
     its differences along the target axis on the whole table grid, then the
-    back-projection and the constants."""
+    back-projection and the prefactor."""
     space, tg, bd = data.space, data.tgrid, data.boundary
     n, t = space.n, tg.values
     values = data.values[:1] if np.all(data.values == data.values[0]) else data.values
     grid = _table_grid(space, tg.n)
-    c = constants(n, space.radius)
+    d = _prefactor(space)
     if space.kind == EUCLIDEAN:
         if method == "modified":
             values = darboux_L_matrix(values, tg, n)
@@ -608,7 +608,7 @@ def _full_range_invert(data, x, method="direct"):
         rows = log_kernel_table(q, tg, grid.values, kernel="log|t^2-s^2|")
         if method == "direct":
             rows = darboux_L_matrix(rows, grid, n)
-        return c.d_n2 * space.boundary_area * backproject(bd, grid, rows, x, fill="error")
+        return d * space.boundary_area * backproject(bd, grid, rows, x, fill="error")
     F = values * (space.curvature * (1.0 - t ** 2)) ** (n / 2.0 - 1.0)
     rows = log_kernel_table(diff_matrix(F, tg, n - 2), tg, grid.values, kernel="log|t-s|")
     d1 = diff_matrix(rows, grid, 1)
@@ -616,7 +616,7 @@ def _full_range_invert(data, x, method="direct"):
     p2, tp2, p1 = backproject(bd, grid, np.stack([d2, grid.values * d2, d1]), x, fill="error")
     A, B, C = _chart_coefficients(space, spaces.chart(space, x))
     lap = space.boundary_area / np.pi * (A * p2 + B * tp2 + C * p1)
-    return c.d_curved * x[:, -1] / space.chart_radius * lap
+    return d * x[:, -1] / space.chart_radius * lap
 
 
 def _geodesic_read_range(space, x):
@@ -918,7 +918,7 @@ def test_curved_finish_matches_the_three_table_stack(monkeypatch, space):
     A, B, C = _chart_coefficients(space, spaces.chart(space, x))
     scale = -1.0 if space.n % 2 == 1 else 1.0 / np.pi
     lap = scale * space.boundary_area * (A * p2 + B * tp2 + C * p1)
-    ref = constants(space.n, space.radius).d_curved * x[:, -1] / space.chart_radius * lap
+    ref = _prefactor(space) * x[:, -1] / space.chart_radius * lap
     assert np.max(np.abs(f - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
