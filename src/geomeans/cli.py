@@ -26,6 +26,7 @@ from .forward import (
     epd_trace_euclidean,
     epd_trace_sphere,
     forward_means,
+    validate_tgrid_range,
     validate_trace_order,
 )
 from .inversion import ReconstructionReport, chart_box_grid, invert, make_report
@@ -272,7 +273,8 @@ def _as_float_text(v, path: str) -> float:
 
 def _means_metadata(line: str) -> tuple[SpaceSpec, BoundaryGrid, TGrid, float | None]:
     """The space, boundary grid, t-grid and trace order of a means file's
-    metadata line, each field checked and named as `means metadata.<field>`."""
+    metadata line, each field checked and named as `means metadata.<field>`;
+    the t-grid's range and the trace order take `MeanData`'s checks."""
     if not line.startswith("# "):
         raise ValueError("missing metadata line")
     try:
@@ -301,6 +303,9 @@ def _means_metadata(line: str) -> tuple[SpaceSpec, BoundaryGrid, TGrid, float | 
     if boundary.m != m:
         raise ConfigError(f"{path}.boundary_m {m} is no boundary grid size of the space: "
                           f"a budget of {m} gives {boundary.m} centres")
+    validate_tgrid_range(space, grid)
+    if alpha is not None:
+        validate_trace_order(space, alpha, "alpha")
     return space, boundary, grid, alpha
 
 
@@ -418,17 +423,28 @@ def write_report(report, space: SpaceSpec, path: str) -> None:
 
 
 def read_report(path: str):
-    """A report's header, data rows and footer. A row without one cell per
-    header column, or a cell that is no finite float, fails naming its data
-    row, counted from 0, and column."""
+    """A report's header, data rows and footer. A header that is not
+    x_1,...,x_n,f_true,f_rec, a footer that is not a JSON object, a row
+    without one cell per header column, or a cell that is no finite float
+    fails naming the part: the header, the footer or the data row, counted
+    from 0, and column."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
+        n = len(header) - 2
+        if n < 1 or header != [f"x_{k + 1}" for k in range(n)] + ["f_true", "f_rec"]:
+            raise ValueError(f"report {path} header: {','.join(header)!r} is not "
+                             "x_1,...,x_n,f_true,f_rec")
         rows = []
         footer = None
         for line in fh:
             line = line.rstrip("\n")
             if line.startswith("# "):
-                footer = json.loads(line[2:])
+                try:
+                    footer = json.loads(line[2:])
+                except json.JSONDecodeError as e:
+                    raise ValueError(f"report {path} footer: {e}") from None
+                if not isinstance(footer, dict):
+                    raise ValueError(f"report {path} footer: {line[2:]!r} is not a JSON object")
                 break
             if not line:
                 continue

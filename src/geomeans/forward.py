@@ -24,6 +24,7 @@ from .spaces import BoundaryGrid, SpaceSpec
 __all__ = [
     "MeanData",
     "validate_trace_order",
+    "validate_tgrid_range",
     "default_tgrid",
     "forward_field_profile",
     "forward_means",
@@ -81,17 +82,28 @@ def validate_trace_order(space: SpaceSpec, alpha: float, name: str) -> None:
         raise ValueError(f"cap traces are generated with {name} > 0, not {alpha!r}")
 
 
-@dataclass
+def validate_tgrid_range(space: SpaceSpec, tgrid: TGrid) -> None:
+    """Reject a t-grid that leaves the space's open `tgrid_range`; on the
+    hyperboloid it may end at cosh 2R, where `default_tgrid` ends."""
+    lo, hi = space.tgrid_range
+    t0, t1 = tgrid.a, tgrid.b
+    closed = space.curvature < 0
+    if not (lo < t0 and (t1 <= hi if closed else t1 < hi)):
+        raise ValueError(f"t-grid from t0 = {t0!r} to t1 = {t1!r} leaves the {space.kind} "
+                         f"section range ({lo!r}, {hi!r}{']' if closed else ')'}")
+
+
+@dataclass(frozen=True)
 class MeanData:
     """Sampled means (or weighted-mean traces) on boundary centers x t-grid.
 
     `alpha` is None for plain means and carries the trace order otherwise,
-    which `validate_trace_order` checks. The t-grid lies inside the space's
-    open `tgrid_range`; on the hyperboloid it may end at cosh 2R, where
-    `default_tgrid` ends. `rows` holds the distinct rows: a (1, N) view of
-    the first row when every centre's row is equal (radial data), which a
-    zero row stride gives at once and dense values give by comparison, and
-    the values themselves otherwise.
+    which `validate_trace_order` checks; `validate_tgrid_range` checks the
+    t-grid. `values` is a read-only view of the caller's array, not a copy.
+    `rows` holds the distinct rows: a (1, N) view of the first row when
+    every centre's row is equal (radial data), which a zero row stride
+    gives at once and dense values give by comparison, and the values
+    themselves otherwise.
     """
 
     space: SpaceSpec
@@ -102,19 +114,15 @@ class MeanData:
     rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.boundary.m, self.tgrid.n):
+        v = np.asarray(self.values, dtype=float).view()
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
+        if v.shape != (self.boundary.m, self.tgrid.n):
             raise ValueError("values must be (centers x t-grid)")
-        lo, hi = self.space.tgrid_range
-        t0, t1 = self.tgrid.a, self.tgrid.b
-        closed = self.space.curvature < 0
-        if not (lo < t0 and (t1 <= hi if closed else t1 < hi)):
-            raise ValueError(f"t-grid from t0 = {t0!r} to t1 = {t1!r} leaves the {self.space.kind} "
-                             f"section range ({lo!r}, {hi!r}{']' if closed else ')'}")
+        validate_tgrid_range(self.space, self.tgrid)
         # the last row against the first settles off-centre data in O(N)
-        v = self.values
         radial = v.strides[0] == 0 or (np.array_equal(v[-1], v[0]) and np.all(v == v[0]))
-        self.rows = v[:1] if radial else v
+        object.__setattr__(self, "rows", v[:1] if radial else v)
         if not np.all(np.isfinite(self.rows)):
             raise ValueError("mean data contains non-finite values")
         if self.alpha is not None:
@@ -465,6 +473,16 @@ def trace_weighting(space: SpaceSpec, grid: TGrid, values: np.ndarray, eta: floa
     return 2.0 ** alpha * scale * w ** (-alpha - eta) * G
 
 
+def _trace(phantom: Phantom, boundary: BoundaryGrid, tgrid: TGrid, alpha: float,
+           order: int) -> MeanData:
+    """Both generators' body: the means' distinct rows, weighted, for every centre."""
+    space = phantom.space
+    validate_trace_order(space, alpha, "alpha")
+    rows = forward_means(phantom, boundary, tgrid, order).rows
+    u = trace_weighting(space, tgrid, rows, space.n / 2.0 - 1.0, alpha)
+    return MeanData(space, boundary, tgrid, np.broadcast_to(u, (boundary.m, tgrid.n)), alpha)
+
+
 def epd_trace_euclidean(phantom: Phantom, boundary: BoundaryGrid, tgrid: TGrid,
                         alpha: float, order: int = 16) -> MeanData:
     """Weighted-mean trace of order alpha on the boundary cylinder: each
@@ -473,13 +491,9 @@ def epd_trace_euclidean(phantom: Phantom, boundary: BoundaryGrid, tgrid: TGrid,
     alpha = 0 gives the plain means; negative orders take the analytic
     continuation (alpha >= (1-n)/2 for well-posedness).
     """
-    space = phantom.space
-    if space.kind != spaces.EUCLIDEAN:
+    if phantom.space.kind != spaces.EUCLIDEAN:
         raise ValueError("Euclidean trace generator needs a Euclidean space")
-    validate_trace_order(space, alpha, "alpha")
-    means = forward_means(phantom, boundary, tgrid, order)
-    u = trace_weighting(space, tgrid, means.values, space.n / 2.0 - 1.0, alpha)
-    return MeanData(space, boundary, tgrid, u, alpha=alpha)
+    return _trace(phantom, boundary, tgrid, alpha, order)
 
 
 def epd_trace_sphere(phantom: Phantom, boundary: BoundaryGrid, tgrid: TGrid,
@@ -488,10 +502,6 @@ def epd_trace_sphere(phantom: Phantom, boundary: BoundaryGrid, tgrid: TGrid,
     (alpha > 0): each centre's means profile weighted by `trace_weighting`
     at eta = n/2 - 1.
     """
-    space = phantom.space
-    if space.kind != spaces.SPHERE:
+    if phantom.space.kind != spaces.SPHERE:
         raise ValueError("spherical trace generator needs a sphere space")
-    validate_trace_order(space, alpha, "alpha")
-    means = forward_means(phantom, boundary, tgrid, order)
-    u = trace_weighting(space, tgrid, means.values, space.n / 2.0 - 1.0, alpha)
-    return MeanData(space, boundary, tgrid, u, alpha=alpha)
+    return _trace(phantom, boundary, tgrid, alpha, order)

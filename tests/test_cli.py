@@ -670,6 +670,24 @@ def test_means_trace_order_checked(means_file, alpha, message):
         read_means(str(path))
 
 
+@pytest.mark.parametrize("changes,message", [
+    ({"alpha": "-5.0"}, r"^alpha must be >= \(1-n\)/2 = -0\.5, not -5\.0$"),
+    ({"t1": "2.2"}, r"^t-grid from t0 = .* to t1 = 2\.2 leaves the euclidean section range"),
+], ids=["alpha", "t1"])
+def test_means_metadata_is_checked_before_the_rows(means_file, changes, message):
+    # a bad trace order or a t-grid past 2R is reported ahead of a malformed
+    # row 0: the metadata is checked before any row is read
+    path, _ = means_file
+    _edit_means_metadata(path, changes)
+
+    def corrupt(rows):
+        _bad_value(rows, 0)
+        return rows
+
+    rewrite_rows(path, corrupt)
+    assert re.search(message, read_error(path))
+
+
 def test_means_hyperboloid_trace_rejected(tmp_path):
     space = SpaceSpec("hyperbolic", 2, 0.8)
     ph = Phantom(space, (Bump(spaces.lift(space, np.array([0.1, 0.0])), 0.2, 1.0),))
@@ -844,6 +862,28 @@ def test_render_names_a_malformed_report_row(tmp_path, capsys, row, message):
     rep = tmp_path / "rep.csv"
     rep.write_text("x_1,x_2,f_true,f_rec\n0.0,0.0,1.0,1.0\n" + row + "\n0.5,0.5,0.0,0.0\n"
                    '# {"rel_l2": "0.0", "sup_err": "0.0", "calibration": "1.0", "method": "direct"}\n')
+    out = tmp_path / "img.pgm"
+    assert main(["render", "--report", str(rep), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: report {rep} {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header,footer,message", [
+    ("x_1,x_2,f_rec", None, "header: 'x_1,x_2,f_rec' is not x_1,...,x_n,f_true,f_rec"),
+    ("x_2,x_1,f_true,f_rec", None,
+     "header: 'x_2,x_1,f_true,f_rec' is not x_1,...,x_n,f_true,f_rec"),
+    ("", None, "header: '' is not x_1,...,x_n,f_true,f_rec"),
+    (None, "# {rel_l2: 0}", "footer: Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)"),
+    (None, '# ["rel_l2"]', "footer: '[\"rel_l2\"]' is not a JSON object"),
+], ids=["short-header", "swapped-header", "empty-header", "footer-not-json",
+       "footer-not-object"])
+def test_render_names_a_malformed_report_header_or_footer(tmp_path, capsys, header, footer,
+                                                          message):
+    rep = tmp_path / "rep.csv"
+    rep.write_text((header if header is not None else "x_1,x_2,f_true,f_rec") + "\n"
+                   "0.0,0.0,1.0,1.0\n0.5,0.5,0.0,0.0\n"
+                   + (footer or '# {"rel_l2": "0.0", "method": "direct"}') + "\n")
     out = tmp_path / "img.pgm"
     assert main(["render", "--report", str(rep), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: report {rep} {message}\n"

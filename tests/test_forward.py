@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import gamma
 
-from geomeans import forward, spaces
+from geomeans import cli, forward, inversion, spaces
 from geomeans.checks import phantom_integral
 from geomeans.forward import (
     MeanData,
@@ -107,7 +110,42 @@ def test_mean_data_rows_are_the_distinct_rows():
         assert np.array_equal(data.rows[0], row)
     values = np.tile(row, (bd.m, 1))
     values[5, 3] = np.nextafter(values[5, 3], 1.0)
-    assert MeanData(E3, bd, tg, values).rows is values
+    rows = MeanData(E3, bd, tg, values).rows
+    assert rows.shape == values.shape and np.shares_memory(rows, values)
+
+
+def _file_data(phantom, bd, tg):
+    # plain means through a means file, as `geomeans invert` reads them
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "means.csv")
+        cli.write_means(forward_means(phantom, bd, tg), path)
+        return cli.read_means(path)
+
+
+@pytest.mark.parametrize("source", ["forward", "trace", "file", "caller"])
+@pytest.mark.parametrize("chart_c", [[0.0, 0.0, 0.0], [0.2, 0.1, -0.15]])
+def test_mean_data_is_frozen_and_read_only(source, chart_c):
+    # no field can be reassigned and neither values nor rows written into,
+    # so rows cannot go stale; values is a view of the caller's array, which
+    # stays writable
+    bd = boundary_grid(E3, 16)
+    tg = default_tgrid(E3, 64)
+    ph = bump_at(E3, chart_c, 0.3)
+    dense = np.array(forward_means(ph, bd, tg).values)
+    data = {"forward": lambda: forward_means(ph, bd, tg),
+            "trace": lambda: epd_trace_euclidean(ph, bd, tg, 0.5),
+            "file": lambda: _file_data(ph, bd, tg),
+            "caller": lambda: MeanData(E3, bd, tg, dense)}[source]()
+    for name in ("values", "rows", "alpha"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(data, name, getattr(data, name))
+    for array in (data.values, data.rows):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    if source == "caller":
+        assert np.shares_memory(data.values, dense) and dense.flags.writeable
+        dense[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("profile", ["exact", "sections"])
@@ -690,6 +728,37 @@ def test_epd_trace_sphere_direct_quadrature_oracle():
         mass = phantom_integral(ph)
         expect = pref * (1.0 - tg.values[j] ** 2) ** (1.0 - alpha - n / 2.0) * mass / sigma
         assert abs(tr.values[i, j] - expect) < 1e-6
+
+
+@pytest.mark.parametrize("space,alpha", [
+    (E3, -1.0), (E3, 0.0), (E3, 0.5), (E3, 1.0), (E3, 2.0),
+    (S3, 0.5), (S3, 1.0), (S3, 2.0),
+])
+def test_centred_traces_weight_one_row(monkeypatch, space, alpha):
+    # a centred phantom's trace weights its one distinct means row and stays
+    # one zero-stride row; the every-row route weights all m identical rows,
+    # a matrix product where the one row takes a vector product, so the two
+    # agree to rounding, not to the byte
+    bd = boundary_grid(space, 64)
+    tg = default_tgrid(space, 128)
+    ph = bump_at(space, np.zeros(space.n), 0.3, 0.7)
+    generate = epd_trace_euclidean if space.kind == EUCLIDEAN else epd_trace_sphere
+    weighted = []
+    with monkeypatch.context() as mp:
+        for name in ("ek_matrix", "ek_ac_matrix", "rl_matrix"):
+            op = getattr(forward, name)
+            mp.setattr(forward, name, lambda samples, *a, op=op, **k:
+                       weighted.append(np.shape(samples)) or op(samples, *a, **k))
+        trace = generate(ph, bd, tg, alpha)
+    assert weighted and all(shape == (1, tg.n) for shape in weighted)
+    assert trace.rows.shape == (1, tg.n) and trace.values.strides[0] == 0
+    means = np.array(forward_means(ph, bd, tg).values)
+    every = trace_weighting(space, tg, means, space.n / 2.0 - 1.0, alpha)
+    assert np.max(np.abs(trace.values - every)) <= 1e-14 * np.max(np.abs(every))
+    # the dense copy of the trace has one distinct row too, which invert reads
+    x = inversion.chart_box_grid(space, np.zeros(space.n), 0.3, 3, ball_radius=0.3)
+    dense = MeanData(space, bd, tg, np.array(trace.values), alpha)
+    assert np.array_equal(inversion.invert(trace, x), inversion.invert(dense, x))
 
 
 # Reference routes for `trace_weighting`: the formulas by which the two trace

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from cubic_reference import cubic_interp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geomeans.numerics import (
     TGrid,
@@ -420,14 +420,19 @@ KERNELS = st.sampled_from([("log|t-s|", -1.0), ("log|t^2-s^2|", 1e-6)])
 @settings(max_examples=20, deadline=None)
 @given(KERNELS, st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=12),
        st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1))
+@example(("log|t-s|", -1.0), [0.0], 0.0, 2.2250738585e-313, 0)
 def test_log_kernel_table_is_linear(kernel, targets, alpha, beta, seed):
+    # the bound is relative, with a floor of one subnormal ulp per grid node:
+    # a subnormal coefficient's table is exact only to a few such ulps
+    # (1.5e-323 on the example), where 1e-12 of its scale underflows to 0
     kernel, lo = kernel
     g = TGrid.linspace(lo, 1.0, 64)
     p, q = np.random.default_rng(seed).standard_normal((2, 3, g.n))
     table = lambda rows: log_kernel_table(rows, g, targets, kernel=kernel)
     tp, tq = alpha * table(p), beta * table(q)
     scale = max(np.max(np.abs(tp)), np.max(np.abs(tq)))
-    assert np.max(np.abs(table(alpha * p + beta * q) - (tp + tq))) <= 1e-12 * scale
+    bound = 1e-12 * scale + g.n * np.finfo(float).smallest_subnormal
+    assert np.max(np.abs(table(alpha * p + beta * q) - (tp + tq))) <= bound
 
 
 @settings(max_examples=20, deadline=None)
