@@ -72,6 +72,7 @@ def _as_coords(v, n: int, path: str) -> np.ndarray:
 def _as_int(v, path: str, least: int | None = None) -> int:
     if not isinstance(v, int) or isinstance(v, bool):
         raise ConfigError(f"{path} must be an integer")
+    _as_number(v, path)  # an integer that no float holds is not finite
     if least is not None and v < least:
         raise ConfigError(f"{path} must be >= {least}, not {v}")
     return v
@@ -112,9 +113,20 @@ def _as_space(sp, path: str, as_radius: Callable[[object, str], float]) -> Space
     n = _as_int(_need(sp, "n", path), f"{path}.n")
     radius = as_radius(_need(sp, "radius", path), f"{path}.radius")
     try:
-        return SpaceSpec(kind, n, radius)
+        space = SpaceSpec(kind, n, radius)
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from None
+    # a chart radius sinh R, its square (chart_box_grid's bound) or the area's
+    # power of it that overflows fails here, naming the radius, before any grid
+    with np.errstate(over="ignore"):
+        try:
+            finite = np.isfinite(space.chart_radius ** 2) and np.isfinite(space.boundary_area)
+        except OverflowError:
+            finite = False
+    if not finite:
+        raise ConfigError(f"{path}.radius {radius!r} gives a chart radius or boundary area "
+                          f"in dimension {n} that no float holds")
+    return space
 
 
 def parse_config(raw: dict) -> dict:
@@ -629,19 +641,23 @@ def main(argv=None) -> int:
     p = sub.add_parser("forward", help="simulate boundary means / traces")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=lambda a: cmd_forward(load_config(a.config), a.out))
 
     p = sub.add_parser("invert", help="reconstruct from a means file")
     p.add_argument("--config", required=True)
     p.add_argument("--means", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=lambda a: cmd_invert(load_config(a.config), a.means, a.out))
 
     p = sub.add_parser("roundtrip", help="forward then invert in memory")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=lambda a: cmd_roundtrip(load_config(a.config), a.out))
 
     p = sub.add_parser("epd-roundtrip", help="trace forward then trace inversion")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=lambda a: cmd_epd_roundtrip(load_config(a.config), a.out))
 
     p = sub.add_parser("verify", help="run identity/lemma verification checks")
     # verify checks the suite name and fills in the seed, so that the other
@@ -649,30 +665,20 @@ def main(argv=None) -> int:
     p.add_argument("--suite", default="all", help="a suite of the checks, or all")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for the sampling-based property checks")
+    p.set_defaults(run=lambda a: cmd_verify(a.suite, a.seed))
 
     p = sub.add_parser("render", help="render a report slice as a PGM image")
     p.add_argument("--report", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--slice", default=None, help="axis=value, e.g. x3=0.0")
+    p.set_defaults(run=lambda a: cmd_render(a.report, a.out, a.slice))
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "forward":
-            return cmd_forward(load_config(args.config), args.out)
-        if args.command == "invert":
-            return cmd_invert(load_config(args.config), args.means, args.out)
-        if args.command == "roundtrip":
-            return cmd_roundtrip(load_config(args.config), args.out)
-        if args.command == "epd-roundtrip":
-            return cmd_epd_roundtrip(load_config(args.config), args.out)
-        if args.command == "verify":
-            return cmd_verify(args.suite, args.seed)
-        if args.command == "render":
-            return cmd_render(args.report, args.out, args.slice)
+        return args.run(args)
     except (ConfigError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

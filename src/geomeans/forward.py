@@ -93,7 +93,7 @@ def validate_tgrid_range(space: SpaceSpec, tgrid: TGrid) -> None:
                          f"section range ({lo!r}, {hi!r}{']' if closed else ')'}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeanData:
     """Sampled means (or weighted-mean traces) on boundary centers x t-grid.
 
@@ -111,7 +111,7 @@ class MeanData:
     tgrid: TGrid
     values: np.ndarray
     alpha: float | None = None
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).view()

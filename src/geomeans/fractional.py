@@ -44,7 +44,7 @@ _OPERATOR_NODES = 8192
 
 def _quintic_operator(grid: TGrid, x: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """N x N matrix A with (samples @ A.T)[:, j] = sum over q of
-    coef[j, q] * quintic_interp(samples, grid, x[j, q], fill=0.0).
+    coef[j, q] * quintic_interp(samples, grid, x[j, q]).
 
     x holds the quadrature nodes of target row j in row j, shape (R, Q) with
     R <= N; coef broadcasts against x, and the rows of A past R are zero.

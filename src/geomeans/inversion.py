@@ -417,7 +417,7 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
 _INTERIOR_MARGIN = 0.02
 
 
-@dataclass
+@dataclass(eq=False)
 class ReconstructionReport:
     """Reconstruction vs ground truth on an evaluation grid."""
 

@@ -111,7 +111,7 @@ def gauss_jacobi(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray
     return x, w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TGrid:
     """Uniform strictly increasing grid of radial/section parameters."""
 
@@ -159,8 +159,9 @@ _QUINTIC_OFFSETS = (-2, -1, 0, 1, 2, 3)
 _QUINTIC_DENOMS = (-120.0, 24.0, -12.0, 12.0, -24.0, 120.0)
 
 
-def quintic_interp(values: np.ndarray, grid: TGrid, x: np.ndarray, fill: float = 0.0) -> np.ndarray:
-    """6-point local quintic interpolation of `values` (..., N) at `x` (K,).
+def quintic_interp(values: np.ndarray, grid: TGrid, x: np.ndarray) -> np.ndarray:
+    """6-point local quintic interpolation of `values` (..., N) at `x` (K,),
+    0 at arguments off the grid.
 
     Order-6 accuracy; used where later differentiation would amplify the
     interpolation error of the cubic scheme.
@@ -179,7 +180,7 @@ def quintic_interp(values: np.ndarray, grid: TGrid, x: np.ndarray, fill: float =
             if other != off:
                 num = num * (s - other)
         out += (num / den) * values[..., idx + off]
-    return np.where(inside, out, fill)
+    return np.where(inside, out, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from . import spaces
 from .spaces import SpaceSpec
 
-__all__ = ["Bump", "Phantom", "RadialField", "bump_profile", "bump_profile_d1", "bump_profile_d2"]
+__all__ = ["Bump", "Phantom", "RadialField", "bump_profile", "laplacian_field"]
 
 MARGIN_FRACTION = 0.05
 
@@ -33,31 +33,7 @@ def bump_profile(s: np.ndarray) -> np.ndarray:
     return np.exp(1.0 - 1.0 / np.maximum(1.0 - s * s, _TINY))
 
 
-def bump_profile_d1(s: np.ndarray) -> np.ndarray:
-    """First derivative of the bump profile."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    si = s[inside]
-    q = 1.0 - si * si
-    out[inside] = np.exp(1.0 - 1.0 / q) * (-2.0 * si / q ** 2)
-    return out
-
-
-def bump_profile_d2(s: np.ndarray) -> np.ndarray:
-    """Second derivative of the bump profile."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    si = s[inside]
-    q = 1.0 - si * si
-    w = np.exp(1.0 - 1.0 / q)
-    # d/ds [-2s/q^2 * w] = w * (4s^2/q^4 - 2/q^2 - 8s^2/q^3)
-    out[inside] = w * (4.0 * si ** 2 / q ** 4 - 2.0 / q ** 2 - 8.0 * si ** 2 / q ** 3)
-    return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bump:
     center: np.ndarray
     geodesic_radius: float
@@ -69,7 +45,7 @@ class Bump:
             raise ValueError("bump radius must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialField:
     """Sum of radial parts g(dist(., center)/scale) with compact unit support.
 
@@ -92,12 +68,12 @@ class RadialField:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Phantom(RadialField):
     """A radial field whose parts are its bumps: each bump is the part
     (center, geodesic_radius, amplitude * bump_profile)."""
 
-    parts: tuple = field(init=False, repr=False, compare=False)
+    parts: tuple = field(init=False, repr=False)
     bumps: tuple[Bump, ...]
 
     def __post_init__(self):
@@ -135,22 +111,9 @@ def laplacian_field(phantom: Phantom) -> RadialField:
     """Closed-form Laplacian of a Euclidean phantom as a radial field."""
     if phantom.space.kind != spaces.EUCLIDEAN:
         raise ValueError("closed-form Laplacian only implemented for Euclidean phantoms")
-    n = phantom.space.n
-
-    def lap_profile(radius: float, amplitude: float):
-        def fn(s: np.ndarray) -> np.ndarray:
-            s = np.asarray(s, dtype=float)
-            term = bump_profile_d2(s)
-            nz = np.abs(s) > 1e-14
-            rad = np.empty_like(s)
-            rad[nz] = bump_profile_d1(s[nz]) / s[nz]
-            rad[~nz] = bump_profile_d2(np.zeros(np.count_nonzero(~nz)))
-            return amplitude * (term + (n - 1) * rad) / radius ** 2
-
-        return fn
-
     parts = tuple(
-        (b.center, b.geodesic_radius, lap_profile(b.geodesic_radius, b.amplitude))
+        (b.center, b.geodesic_radius,
+         partial(_bump_laplacian, phantom.space.n, b.amplitude / b.geodesic_radius ** 2))
         for b in phantom.bumps
     )
     return RadialField(phantom.space, parts)
@@ -160,3 +123,21 @@ def _scaled_bump(amplitude: float, s: np.ndarray) -> np.ndarray:
     """amplitude * bump_profile(s); bound to an amplitude by `partial`, it
     keeps a phantom's parts picklable."""
     return amplitude * bump_profile(s)
+
+
+def _bump_laplacian(n: int, scale: float, s: np.ndarray) -> np.ndarray:
+    """scale * (w'' + (n - 1) w'/s) of the bump profile w at s = |x|, the
+    Laplacian of w(|x|) in R^n, and 0 for |s| >= 1.
+
+    With q = 1 - s^2, w' = -2 s w / q^2, so w'/s = -2 w / q^2 holds at
+    s = 0 too. The mask is needed: the `_TINY` floor of `bump_profile`
+    would give 0 * inf here.
+    """
+    s = np.asarray(s, dtype=float)
+    out = np.zeros_like(s)
+    inside = np.abs(s) < 1.0
+    s2 = s[inside] ** 2
+    q = 1.0 - s2
+    w = np.exp(1.0 - 1.0 / q)
+    out[inside] = scale * w * (4.0 * s2 / q ** 4 - 8.0 * s2 / q ** 3 - 2.0 * n / q ** 2)
+    return out

@@ -143,7 +143,7 @@ def chart(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
     return x[..., :-1]
 
 
-def validate_point(space: SpaceSpec, x: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def validate_point(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
     """x as a float array, checked to lie on the space: x_{n+1}^2 + kappa |x'|^2 = 1,
     and x_{n+1} > 0 on the hyperboloid (its upper sheet)."""
     x = np.asarray(x, dtype=float)
@@ -151,7 +151,7 @@ def validate_point(space: SpaceSpec, x: np.ndarray, tol: float = 1e-12) -> np.nd
         raise ValueError(f"point has dimension {x.shape[-1]}, expected {space.ambient_dim}")
     if space.kind == EUCLIDEAN:
         return x
-    if np.any(np.abs(pairing(space, x, x) - 1.0) > tol * 10):
+    if np.any(np.abs(pairing(space, x, x) - 1.0) > 1e-11):
         raise ValueError(f"point not on the {space.kind} space")
     if space.curvature < 0 and np.any(x[..., -1] <= 0.0):
         raise ValueError("point on the lower sheet of the hyperboloid")
@@ -221,7 +221,7 @@ def unit_sphere_rule(d: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, w / w.sum()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryGrid:
     """Quadrature points on the boundary sphere with normalized weights."""
 

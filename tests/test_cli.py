@@ -154,6 +154,18 @@ def test_recon_grid_ball_radius_optional():
     assert parse_config(raw)["grids"]["recon_grid"]["ball_radius"] is None
 
 
+def test_default_recon_grid_is_a_ball_around_the_first_bump():
+    # without recon_grid the points are the 9-point box around the first
+    # bump of half width its radius + R/10 (0.4 here), clipped to that ball
+    raw = cfg_with()
+    del raw["grids"]["recon_grid"]
+    default = cli._recon_points(parse_config(raw))
+    raw["grids"]["recon_grid"] = {"center": [0.25, 0.1], "half_width": 0.4,
+                                  "points_per_axis": 9, "ball_radius": 0.4}
+    assert default.shape[0] > 0
+    assert np.array_equal(default, cli._recon_points(parse_config(raw)))
+
+
 @pytest.mark.parametrize("where,key", [
     ((), "methd"),
     (("space",), "raduis"),
@@ -275,6 +287,28 @@ def test_non_finite_json_config_exits_cleanly(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: config.phantom[0].geodesic_radius must be finite, not nan\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("space,grids,message", [
+    ({"kind": "euclidean", "n": 3, "radius": 1.0}, {"boundary_points": 10 ** 400},
+     "config.grids.boundary_points must be finite, not inf"),
+    ({"kind": "euclidean", "n": 3, "radius": 1e200}, {},
+     "config.space.radius 1e+200 gives a chart radius or boundary area in dimension 3 "
+     "that no float holds"),
+    ({"kind": "hyperbolic", "n": 3, "radius": 800.0}, {},
+     "config.space.radius 800.0 gives a chart radius or boundary area in dimension 3 "
+     "that no float holds"),
+], ids=["boundary_points", "euclidean-radius", "hyperbolic-radius"])
+def test_overflowing_config_numbers_exit_cleanly(tmp_path, capsys, space, grids, message):
+    # each used to end in an OverflowError, or in a t-grid error naming no
+    # field; each fails before any array is allocated
+    raw = cfg_with(space=space)
+    raw["phantom"][0]["center"] = raw["grids"]["recon_grid"]["center"] = [0.25, 0.1, 0.0]
+    raw["grids"].update(grids)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["forward", "--config", str(cfg_path), "--out", str(tmp_path / "m.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("kind,alpha,message", [
@@ -628,6 +662,10 @@ def _set_means_alpha(path, alpha):
     ({"space": {"kind": "sphere", "n": 3, "radius": "0.8"}, "boundary_m": 10},
      "means metadata.boundary_m 10 is no boundary grid size of the space: "
      "a budget of 10 gives 8 centres"),
+    ({"boundary_m": 10 ** 400}, "means metadata.boundary_m must be finite, not inf"),
+    ({"space": {"kind": "hyperbolic", "n": 2, "radius": "800.0"}},
+     "means metadata.space.radius 800.0 gives a chart radius or boundary area in "
+     "dimension 2 that no float holds"),
 ])
 def test_means_metadata_faults_are_named(means_file, changes, message):
     path, _ = means_file
@@ -771,6 +809,30 @@ def test_forward_invert_pipeline(tmp_path):
     assert float(footer["rel_l2"]) < 0.03
 
 
+def test_invert_rejects_means_of_another_space(tmp_path, means_file, capsys):
+    path, _ = means_file
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg_with(space={"kind": "euclidean", "n": 2, "radius": 1.2})))
+    out = tmp_path / "r.csv"
+    assert main(["invert", "--config", str(cfg_path), "--means", str(path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: means file space does not match the config\n"
+    assert not out.exists()
+
+
+def test_epd_roundtrip_is_the_roundtrip_of_a_trace_config(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg_with()))
+    epd, plain = tmp_path / "epd.csv", tmp_path / "plain.csv"
+    assert main(["epd-roundtrip", "--config", str(cfg_path), "--out", str(epd)]) == 2
+    assert capsys.readouterr().err == "error: epd-roundtrip needs config.alpha\n"
+    assert not epd.exists()
+    cfg_path.write_text(json.dumps(cfg_with(alpha=1.0)))
+    assert main(["epd-roundtrip", "--config", str(cfg_path), "--out", str(epd)]) == 0
+    assert main(["roundtrip", "--config", str(cfg_path), "--out", str(plain)]) == 0
+    assert epd.read_bytes() == plain.read_bytes()
+
+
 def test_render_uniform_image(tmp_path):
     rep = tmp_path / "rep.csv"
     lines = ["x_1,x_2,f_true,f_rec"]
@@ -801,6 +863,21 @@ def test_render_slice(tmp_path):
                  "--slice", "x3=0.5"]) == 0
     content = out.read_text().splitlines()
     assert content[2] == "4 4"
+
+
+def test_render_rejects_a_slice_that_leaves_three_axes(tmp_path, capsys):
+    rep = tmp_path / "rep.csv"
+    lines = ["x_1,x_2,x_3,x_4,f_true,f_rec"]
+    for a in (-0.5, 0.5):
+        for b in (-0.5, 0.5):
+            for c in (-0.5, 0.5):
+                lines.append(f"{a!r},{b!r},{c!r},0.0,0.0,0.0")
+    lines.append('# {"rel_l2": "0.0", "sup_err": "0.0", "calibration": "1.0", "method": "direct"}')
+    rep.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "img.pgm"
+    assert main(["render", "--report", str(rep), "--out", str(out), "--slice", "x4=0.0"]) == 2
+    assert capsys.readouterr().err == "error: slice must reduce the grid to exactly 2 axes\n"
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -466,6 +466,34 @@ def test_exact_means_over_all_centres_match_per_centre_calls(space):
     assert np.max(np.abs(together - apart)) <= 1e-15 * np.max(np.abs(together))
 
 
+def test_exact_means_skip_blocks_that_miss_the_support(monkeypatch):
+    # on t in (0.3, 1) the sections of the centres far from a bump at
+    # (0.5, 0, 0) all miss it; with one centre per block of cells, each such
+    # block is skipped and keeps its zero row, and the others match one block
+    bd = boundary_grid(E3, 64)
+    ph = bump_at(E3, [0.5, 0.0, 0.0], 0.2)
+    tg = TGrid(np.linspace(0.3, 1.0, 64))
+    together = forward_means(ph, bd, tg).values
+    monkeypatch.setattr(forward, "_EXACT_BLOCK_CELLS", tg.n)
+    apart = forward_means(ph, bd, tg).values
+    missed = ~np.any(together, axis=1)
+    assert 0 < np.count_nonzero(missed) < bd.m
+    assert np.all(apart[missed] == 0.0)
+    assert np.max(np.abs(apart - together)) <= 1e-15 * np.max(np.abs(together))
+
+
+def test_forward_means_rejects_bad_arguments():
+    ph = bump_at(E3, [0.2, 0.1, 0.0], 0.3)
+    bd = boundary_grid(E3, 60)
+    tg = default_tgrid(E3, 64)
+    with pytest.raises(TypeError, match="^forward_means needs a Phantom or RadialField$"):
+        forward_means(lambda points: ph(points), bd, tg)
+    with pytest.raises(ValueError, match="^phantom and boundary grid live in different spaces$"):
+        forward_means(ph, boundary_grid(SpaceSpec(EUCLIDEAN, 3, 1.2), 60), tg)
+    with pytest.raises(ValueError, match="^profile must be 'exact' or 'sections'$"):
+        forward_means(ph, bd, tg, profile="midpoint")
+
+
 @pytest.mark.parametrize("profile", ["exact", "sections"])
 @pytest.mark.parametrize("space", [E3, S2, SpaceSpec(HYPERBOLIC, 3, 0.8)])
 def test_phantom_means_equal_those_of_its_radial_field(space, profile):

@@ -147,14 +147,14 @@ def rl_rule(alpha, order):
 
 def ek_per_node(samples, grid, eta, alpha, order):
     s, F = ek_rule(eta, alpha, order)
-    return np.stack([2.0 / gamma(alpha) * quintic_interp(samples, grid, t * s, fill=0.0) @ F
+    return np.stack([2.0 / gamma(alpha) * quintic_interp(samples, grid, t * s) @ F
                      for t in grid.values], axis=-1)
 
 
 def rl_per_node(samples, grid, alpha, order):
     v, F = rl_rule(alpha, order)
     return np.stack([(grid.b - t) ** alpha / gamma(alpha)
-                     * quintic_interp(samples, grid, t + (grid.b - t) * v, fill=0.0) @ F
+                     * quintic_interp(samples, grid, t + (grid.b - t) * v) @ F
                      for t in grid.values], axis=-1)
 
 
@@ -222,7 +222,7 @@ def test_operator_nodes_at_the_grid_ends():
     x = np.array([np.nextafter(g.a, -1.0), g.a, g.b, np.nextafter(g.b, 3.0), 1.0])
     A = _quintic_operator(g, x[:, None], np.ones((x.size, 1)))
     rows = np.stack([np.cos(g.values), 1.0 + g.values ** 2])
-    direct = np.stack([quintic_interp(rows, g, x[k:k + 1], fill=0.0)[:, 0] for k in range(x.size)], axis=-1)
+    direct = np.stack([quintic_interp(rows, g, x[k:k + 1])[:, 0] for k in range(x.size)], axis=-1)
     assert np.array_equal((rows @ A.T)[:, :x.size] == 0.0, direct == 0.0)
     assert close((rows @ A.T)[:, :x.size], direct)
     # grids whose (b - a)/h rounds above n - 1, so that the node at b lies a

@@ -107,6 +107,22 @@ def test_backproject_fill_policy():
         backproject(bd, tg, touching, closer, fill="error")
 
 
+def test_backproject_checks_its_arguments_and_takes_no_points():
+    bd = boundary_grid(E2, 8)
+    tg = default_tgrid(E2, 128)
+    F = np.ones((bd.m, tg.n))
+    x = np.array([[0.2, 0.1]])
+    with pytest.raises(ValueError, match="^fill must be 0.0 or 'error'$"):
+        backproject(bd, tg, F, x, fill="zero")
+    for bad in (F[:3], F[:, :-1], F[None, :, :-1]):
+        with pytest.raises(ValueError, match=r"^need tables \(centres, N\) on the grid"):
+            backproject(bd, tg, bad, x, fill=0.0)
+    none = np.zeros((0, 2))
+    assert backproject(bd, tg, F, none, fill="error").shape == (0,)
+    assert backproject(bd, tg, F, none, fill="error", times_t=True).shape == (2, 0)
+    assert backproject(bd, tg, np.stack([F, F]), none, fill=0.0).shape == (2, 0)
+
+
 @pytest.mark.parametrize("space", [E2, SpaceSpec(SPHERE, 3, 0.8)])
 def test_backproject_stack_equals_single_calls(space):
     # a stack of tables shares arguments and cells but must give exactly the

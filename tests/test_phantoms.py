@@ -1,5 +1,6 @@
 import pickle
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -111,6 +112,49 @@ def test_laplacian_field_matches_pointwise():
     pts = np.array([[0.25, 0.12, -0.15], [0.0, 0.0, 0.0]])
     fd = laplacian_fd(lambda p: ph(p), pts, 1e-3)
     assert np.max(np.abs(fd - lf(pts))) < 5e-3 * np.max(np.abs(lf(pts)))
+
+
+TWO_BUMPS = Phantom(E3, (Bump(np.array([0.2, 0.1, -0.1]), 0.35, 1.2),
+                         Bump(np.array([-0.1, 0.0, 0.2]), 0.25, -0.7)))
+
+
+def _near_the_bumps(ph, count, seed):
+    """The bump centres, then points at up to 1.05 bump radii from each."""
+    rng = np.random.default_rng(seed)
+    pts = [np.stack([b.center for b in ph.bumps])]
+    for b in ph.bumps:
+        u = rng.standard_normal((count, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        pts.append(b.center + u * rng.uniform(0.0, 1.05 * b.geodesic_radius, (count, 1)))
+    return np.concatenate(pts)
+
+
+def test_laplacian_field_against_30_digit_derivatives():
+    # w'' + (n - 1) w'/s of each bump by mpmath's differentiation of w at 30
+    # digits, w'/s at s = 0 by its limit w''(0); the closed form stays within
+    # a few ulps of max|Δf|, bump centres included
+    w = lambda s: mp.exp(1 - 1 / (1 - s * s)) if abs(s) < 1 else mp.mpf(0)
+    pts = _near_the_bumps(TWO_BUMPS, 60, 4)
+    ref = np.zeros(len(pts))
+    with mp.workdps(30):
+        for b in TWO_BUMPS.bumps:
+            for k, s in enumerate(np.linalg.norm(pts - b.center, axis=-1) / b.geodesic_radius):
+                if s < 1.0:
+                    s = mp.mpf(float(s))
+                    d2 = mp.diff(w, s, 2)
+                    d1_over_s = d2 if s == 0 else mp.diff(w, s, 1) / s
+                    ref[k] += float(b.amplitude / mp.mpf(b.geodesic_radius) ** 2
+                                    * (d2 + (E3.n - 1) * d1_over_s))
+    got = laplacian_field(TWO_BUMPS)(pts)
+    assert np.count_nonzero(ref) > len(pts) // 2
+    assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref))
+
+
+def test_laplacian_field_pickles():
+    # its parts are module functions bound by partial, as a phantom's are
+    lf = laplacian_field(TWO_BUMPS)
+    pts = _near_the_bumps(TWO_BUMPS, 50, 5)
+    assert np.array_equal(pickle.loads(pickle.dumps(lf))(pts), lf(pts))
 
 
 def test_radial_field_equals_phantom():
