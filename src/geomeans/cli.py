@@ -9,12 +9,9 @@ round-trippable decimals so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import re
 import sys
 import time
-import warnings
 from typing import Callable
 
 import numpy as np
@@ -34,7 +31,7 @@ from .numerics import TGrid
 from .phantoms import Bump, Phantom, validate_margin
 from .spaces import BoundaryGrid, SpaceSpec, boundary_grid
 
-MEANS_MAGIC = "# geomeans-means v1"
+MEANS_MAGIC = "# geomeans-means v2"
 
 
 class ConfigError(ValueError):
@@ -117,7 +114,10 @@ def _as_space(sp, path: str, as_radius: Callable[[object, str], float]) -> Space
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from None
     # a chart radius sinh R, its square (chart_box_grid's bound) or the area's
-    # power of it that overflows fails here, naming the radius, before any grid
+    # power of it that overflows fails here, naming the radius, before any
+    # grid; so does a t-range end (2R, cosh 2R) whose square, which the
+    # profiles take, overflows, or, in R^n and on the cap, which
+    # `default_tgrid`'s end 1e-3 inside it rounds back to
     with np.errstate(over="ignore"):
         try:
             finite = np.isfinite(space.chart_radius ** 2) and np.isfinite(space.boundary_area)
@@ -126,6 +126,12 @@ def _as_space(sp, path: str, as_radius: Callable[[object, str], float]) -> Space
     if not finite:
         raise ConfigError(f"{path}.radius {radius!r} gives a chart radius or boundary area "
                           f"in dimension {n} that no float holds")
+    hi = space.tgrid_range[1]
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.square(hi))
+    if not finite or (space.kind != spaces.HYPERBOLIC and not hi - 1e-3 < hi):
+        raise ConfigError(f"{path}.radius {radius!r} gives a t-range end {hi!r} whose square "
+                          "overflows or which, less 1e-3, rounds back to itself")
     return space
 
 
@@ -229,7 +235,8 @@ def _recon_points(cfg: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def write_means(data: MeanData, path: str) -> None:
-    """Versioned long-format CSV: magic, JSON metadata, center_idx,t,value rows."""
+    """Versioned CSV: magic, JSON metadata, then line k: centre k's index and
+    its values on the metadata's t-grid."""
     space = data.space
     meta = {
         "space": {"kind": space.kind, "n": space.n, "radius": repr(space.radius)},
@@ -239,38 +246,16 @@ def write_means(data: MeanData, path: str) -> None:
         "t_points": data.tgrid.n,
         "alpha": None if data.alpha is None else repr(data.alpha),
     }
-    t = [repr(v) for v in data.tgrid.values.tolist()]
     with open(path, "w") as fh:
-        fh.write(f"{MEANS_MAGIC}\n# {json.dumps(meta, sort_keys=True)}\ncenter_idx,t,value\n")
-        # one centre's rows at a time, so the text of the whole file is never
-        # held; each distinct row has its ",t,value" texts formatted once,
-        # joined with each centre's index: the one row of radial means
-        # serves every centre
+        fh.write(f"{MEANS_MAGIC}\n# {json.dumps(meta, sort_keys=True)}\ncenter_idx,values\n")
+        # one centre's line at a time, so the text of the whole file is never
+        # held; each distinct row's values are formatted once: the one row of
+        # radial means serves every centre
         rows = data.rows
         for i in range(data.boundary.m):
             if i < len(rows):
-                texts = [f",{tj},{v!r}\n" for tj, v in zip(t, rows[i].tolist())]
-            idx = str(i)
-            fh.write(idx + idx.join(texts))
-
-
-# Lines a means file is read in: reading holds the (m, N) values, one
-# 4-byte count per cell and one chunk's lines and columns (about 1.7 MB),
-# never the whole file's rows
-_READ_ROWS = 8_192
-
-
-def _at_file_row(message: str, offset: int) -> str:
-    """A loadtxt error message with its (last) chunk row number moved by
-    offset to the file's data-row number, counted from 0.
-
-    loadtxt counts rows from 0 in a conversion error but from 1 in a change
-    of column count.
-    """
-    if "number of columns changed" in message:
-        offset -= 1
-    return re.sub(r"(.*) at row (\d+)", lambda g: f"{g[1]} at row {int(g[2]) + offset}",
-                  message, count=1, flags=re.DOTALL)
+                text = ",".join(map(repr, rows[i].tolist()))
+            fh.write(f"{i},{text}\n")
 
 
 def _as_float_text(v, path: str) -> float:
@@ -322,98 +307,60 @@ def _means_metadata(line: str) -> tuple[SpaceSpec, BoundaryGrid, TGrid, float | 
 
 
 def read_means(path: str) -> MeanData:
-    """Read a means file in chunks of `_READ_ROWS` lines, each parsed,
-    checked and placed into the (m, N) values on its own.
+    """Read a means file one line at a time into the (m, N) values.
 
-    A fault is reported as a whole-file read would report it: the first
-    malformed row anywhere, then no data rows or not 3 columns, then the
-    first row with an index or t out of range, then the first t off the
-    grid, then the first (centre, t) cell without exactly one row. Row
-    numbers count the file's data rows from 0.
+    The metadata is checked first; then the first bad data line, counted
+    from 0 like the centres, is named: one that is missing or beyond the m
+    centres, that does not hold its centre index and N values, or that
+    holds a value which is no finite float (named by its value column j and
+    t_j).
     """
     with open(path) as fh:
         magic = fh.readline().rstrip("\n")
+        version = magic.removeprefix("# geomeans-means ")
+        if version != magic and magic != MEANS_MAGIC:
+            raise ValueError(f"means file format {version!r} is not read "
+                             f"(expected {MEANS_MAGIC!r})")
         if magic != MEANS_MAGIC:
             raise ValueError(f"not a means file (expected {MEANS_MAGIC!r})")
         space, boundary, grid, alpha = _means_metadata(fh.readline().rstrip("\n"))
-        header = fh.readline().rstrip("\n")
-        if header != "center_idx,t,value":
+        if fh.readline().rstrip("\n") != "center_idx,values":
             raise ValueError("unexpected column header")
-        m, npts = boundary.m, grid.n
-        # allocated before the chunks' buffers: allocated after them, the
-        # values pin the heap above them once they are freed
-        values = np.empty((m, npts))
-        counts = np.zeros(m * npts, dtype=np.int32)
-        rows = 0  # data rows before the chunk
-        columns = None  # of the file's first data row
-        # messages of the first row out of range and of the first t off the grid
-        outside = off = None
-        with warnings.catch_warnings():
-            # an empty body is reported below
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            while True:
-                # a row of `columns` fields ahead of the chunk lets loadtxt
-                # see a change in the number of columns at the chunk's start
-                lead = [] if columns is None else [",".join(["0"] * columns) + "\n"]
-                try:
-                    chunk = list(itertools.islice(fh, _READ_ROWS))
-                    if not chunk:
-                        break
-                    body = np.loadtxt(lead + chunk, delimiter=",", ndmin=2)[len(lead):]
-                except ValueError as e:
-                    raise ValueError(
-                        f"malformed means row: {_at_file_row(str(e), rows - len(lead))}") from None
-                if body.shape[0] == 0:
-                    continue
-                if columns is None:
-                    columns = body.shape[1]
-                if columns == 3 and outside is None:
-                    outside, off = _place_rows(body, rows, grid, values, counts, off)
-                rows += body.shape[0]
-    if rows == 0:
-        raise ValueError("means file has no data rows")
-    if columns != 3:
-        raise ValueError("means rows need 3 columns: center_idx,t,value")
-    if outside is not None or off is not None:
-        raise ValueError(outside or off)
-    if np.any(counts != 1):
-        k = int(np.argmax(counts != 1))
-        what = "has no row" if counts[k] == 0 else f"has {counts[k]} rows"
-        raise ValueError(f"means file {what} for center_idx {k // npts}, "
-                         f"t {float(grid.values[k % npts])!r}")
+        values = np.empty((boundary.m, grid.n))
+        for k, row in enumerate(values):
+            _read_line(fh.readline(), k, grid, row)
+        if fh.readline():
+            raise ValueError(f"means data line {boundary.m} is past the {boundary.m} centres "
+                             "of the metadata")
     return MeanData(space, boundary, grid, values, alpha)
 
 
-def _place_rows(body: np.ndarray, first: int, grid: TGrid, values: np.ndarray,
-                counts: np.ndarray, off: str | None) -> tuple[str | None, str | None]:
-    """Check a chunk of (center_idx, t, value) rows, the first of them data
-    row `first`, and place them into values, counting each cell.
+def _read_line(line: str, k: int, grid: TGrid, out: np.ndarray) -> None:
+    """Parse data line k of a means file, `k,v_0,...,v_{N-1}`, into out."""
+    where = f"means data line {k}"
+    if not line:
+        raise ValueError(f"{where} is missing: the file ends after {k} centres")
+    fields = line.rstrip("\n").split(",")
+    if len(fields) != 1 + grid.n:
+        raise ValueError(f"{where} has {len(fields)} fields, not center_idx and {grid.n} values")
+    if fields[0] != str(k):
+        raise ValueError(f"{where} has center_idx {fields[0]!r}, not {k}")
+    try:
+        out[:] = fields[1:]
+    except ValueError:
+        out[:] = [_float_or_nan(v) for v in fields[1:]]
+    if not np.all(np.isfinite(out)):
+        j = int(np.argmin(np.isfinite(out)))
+        raise ValueError(f"{where}, value column {j} (t = {float(grid.values[j])!r}): "
+                         f"{fields[1 + j]!r} is not a finite number")
 
-    Returns the message of the chunk's first row out of range, if any, and
-    else `off` or that of its first t off the grid. Once a fault is found no
-    row is placed: the file is rejected.
-    """
-    m, npts = values.shape
-    i_f, t, v = body.T
-    j_f = np.rint((t - grid.a) / grid.h)
-    bad = ~((i_f == np.rint(i_f)) & (i_f >= 0) & (i_f < m) & (j_f >= 0) & (j_f < npts))
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        return (f"means data row {first + k}: center_idx {float(i_f[k])!r} or t "
-                f"{float(t[k])!r} outside the {m} centres x {npts} t-points of the metadata"), off
-    if off is not None:
-        return None, off
-    i, j = i_f.astype(np.int64), j_f.astype(np.int64)
-    wrong = np.abs(t - grid.values[j]) > 4.0 * np.finfo(float).eps * max(abs(grid.a),
-                                                                           abs(grid.b))
-    if np.any(wrong):
-        k = int(np.argmax(wrong))
-        return None, (f"means data row {first + k}: t {float(t[k])!r} is not on the metadata "
-                      f"t-grid (nearest node {float(grid.values[j[k]])!r})")
-    cells = i * npts + j
-    np.add.at(counts, cells, np.int32(1))  # a typed 1 keeps add.at fast
-    values.ravel()[cells] = v
-    return None, None
+
+def _float_or_nan(text: str) -> float:
+    """The float of text, or nan where text is no float."""
+    try:
+        return float(text)
+    except ValueError:
+        return np.nan
 
 
 def write_report(report, space: SpaceSpec, path: str) -> None:
@@ -466,10 +413,7 @@ def read_report(path: str):
                                  f"columns {','.join(header)}")
             values = []
             for name, cell in zip(header, cells):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    values.append(np.nan)
+                values.append(_float_or_nan(cell))
                 if not np.isfinite(values[-1]):
                     raise ValueError(f"{where}, column {name}: {cell!r} is not a finite number")
             rows.append(values)

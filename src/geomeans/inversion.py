@@ -238,7 +238,12 @@ def _table_grid(space: SpaceSpec, n_points: int,
         return grid
     first = int(np.floor((read[0] - grid.a) / grid.h)) - _WINDOW_MARGIN
     last = int(np.ceil((read[1] - grid.a) / grid.h)) + _WINDOW_MARGIN
-    return TGrid(grid.values[max(first, 0):min(last, grid.n - 1) + 1])
+    window = grid.values[max(first, 0):min(last, grid.n - 1) + 1]
+    try:
+        return TGrid(window)
+    except ValueError as e:  # too few nodes: the evaluation points span too few cells
+        raise ValueError(f"t_points {n_points} leave {window.size} nodes in the log-kernel "
+                         f"table's read window: {e}") from None
 
 
 def _read_range(space: SpaceSpec, x: np.ndarray) -> tuple[float, float]:

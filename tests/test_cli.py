@@ -298,7 +298,16 @@ def test_non_finite_json_config_exits_cleanly(tmp_path, capsys):
     ({"kind": "hyperbolic", "n": 3, "radius": 800.0}, {},
      "config.space.radius 800.0 gives a chart radius or boundary area in dimension 3 "
      "that no float holds"),
-], ids=["boundary_points", "euclidean-radius", "hyperbolic-radius"])
+    # the far end of the t-range, cosh 600, has no float square, and 2R less
+    # 1e-3 rounds back to 2R = 2e+150
+    ({"kind": "hyperbolic", "n": 3, "radius": 300.0}, {},
+     "config.space.radius 300.0 gives a t-range end 1.8865101504649698e+260 whose square "
+     "overflows or which, less 1e-3, rounds back to itself"),
+    ({"kind": "euclidean", "n": 3, "radius": 1e150}, {},
+     "config.space.radius 1e+150 gives a t-range end 2e+150 whose square overflows or "
+     "which, less 1e-3, rounds back to itself"),
+], ids=["boundary_points", "euclidean-radius", "hyperbolic-radius", "hyperbolic-t-range",
+        "euclidean-t-range"])
 def test_overflowing_config_numbers_exit_cleanly(tmp_path, capsys, space, grids, message):
     # each used to end in an OverflowError, or in a t-grid error naming no
     # field; each fails before any array is allocated
@@ -309,6 +318,17 @@ def test_overflowing_config_numbers_exit_cleanly(tmp_path, capsys, space, grids,
     cfg_path.write_text(json.dumps(raw))
     assert main(["forward", "--config", str(cfg_path), "--out", str(tmp_path / "m.csv")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_too_few_log_table_nodes_are_named(tmp_path, capsys):
+    # on 400 t-points over (1, cosh 60), the evaluation points of a radius-30
+    # disk read 7 nodes of the log-kernel table's grid, fewer than a grid holds
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg_with(space={"kind": "hyperbolic", "n": 2,
+                                                   "radius": 30.0})))
+    assert main(["roundtrip", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err == ("error: t_points 400 leave 7 nodes in the log-kernel "
+                                       "table's read window: grid needs at least 8 nodes\n")
 
 
 @pytest.mark.parametrize("kind,alpha,message", [
@@ -349,18 +369,17 @@ def test_means_file_bytes(tmp_path):
     data = MeanData(space, bd, tg, values, alpha=1.5)
     meta = {"space": {"kind": "euclidean", "n": 3, "radius": "1.0"}, "boundary_m": bd.m,
             "t0": repr(tg.a), "t1": repr(tg.b), "t_points": 64, "alpha": "1.5"}
-    rows = [f"{i},{float(t)!r},{float(values[i, j])!r}"
-            for i in range(bd.m) for j, t in enumerate(tg.values)]
+    lines = [",".join([str(i)] + [repr(float(v)) for v in values[i]]) for i in range(bd.m)]
     expect = "\n".join([MEANS_MAGIC, "# " + json.dumps(meta, sort_keys=True),
-                        "center_idx,t,value"] + rows) + "\n"
+                        "center_idx,values"] + lines) + "\n"
     path = tmp_path / "means.csv"
     write_means(data, str(path))
     assert path.read_bytes() == expect.encode()
 
 
 def line_by_line_write_means(data, path):
-    """Every line formatted on its own, one centre at a time: the reference
-    route for write_means."""
+    """Every centre's line formatted on its own: the reference route for
+    write_means."""
     space = data.space
     meta = {
         "space": {"kind": space.kind, "n": space.n, "radius": repr(space.radius)},
@@ -370,18 +389,16 @@ def line_by_line_write_means(data, path):
         "t_points": data.tgrid.n,
         "alpha": None if data.alpha is None else repr(data.alpha),
     }
-    t = [repr(v) for v in data.tgrid.values.tolist()]
     with open(path, "w") as fh:
-        fh.write(f"{MEANS_MAGIC}\n# {json.dumps(meta, sort_keys=True)}\ncenter_idx,t,value\n")
+        fh.write(f"{MEANS_MAGIC}\n# {json.dumps(meta, sort_keys=True)}\ncenter_idx,values\n")
         for i, row in enumerate(data.values):
-            fh.write("".join([f"{i},{tj},{v!r}\n" for tj, v in zip(t, row.tolist())]))
+            fh.write(",".join([str(i)] + [repr(v) for v in row.tolist()]) + "\n")
 
 
 @pytest.mark.parametrize("case", ["random", "off-centre", "centred", "centred-dense"])
 def test_means_file_is_the_line_by_line_writers(tmp_path, case):
-    # write_means formats a row's ",t,value" texts once and joins them with
-    # the centre index, and the one row of radial means once for all, whether
-    # broadcast or dense
+    # write_means formats each distinct row's values once, and the one row
+    # of radial means once for all centres, whether broadcast or dense
     space = SpaceSpec(EUCLIDEAN, 3, 1.0)
     bd = boundary_grid(space, 32)
     tg = default_tgrid(space, 64)
@@ -412,178 +429,155 @@ def means_file(tmp_path):
     return path, data
 
 
-def rewrite_rows(path, edit):
-    """Replace the data rows of a means file by edit(rows), rows as field lists."""
+def rewrite_lines(path, edit):
+    """Replace the data lines of a means file by edit(lines), each line a
+    list of its fields."""
     lines = path.read_text().splitlines()
     rows = edit([line.split(",") for line in lines[3:]])
     path.write_text("\n".join(lines[:3] + [",".join(r) for r in rows]) + "\n")
 
 
-# chunk sizes the reader is run at: its own, and 7 lines, which puts chunk
-# boundaries inside even the smallest test files
-READ_ROWS = (cli._READ_ROWS, 7)
-
-
 def read_error(path):
-    """The message of read_means on path, the same at every chunk size."""
-    messages = []
-    for rows in READ_ROWS:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_READ_ROWS", rows)
-            with pytest.raises(ValueError) as err:
-                read_means(str(path))
-        messages.append(str(err.value))
-    assert messages == messages[:1] * len(READ_ROWS)
-    return messages[0]
+    """The message of read_means on path."""
+    with pytest.raises(ValueError) as err:
+        read_means(str(path))
+    return str(err.value)
 
 
-def test_means_rows_in_any_order(means_file):
-    path, data = means_file
-    rewrite_rows(path, lambda rows: sorted(rows, key=lambda r: (float(r[1]), int(r[0]))))
-    assert path.read_text().splitlines()[4].startswith("1,")  # t-major now
-    assert np.array_equal(read_means(str(path)).values, data.values)
+SPACES = [SpaceSpec(EUCLIDEAN, 2, 1.0), SpaceSpec("sphere", 3, 0.8), SpaceSpec("hyperbolic", 2, 0.8)]
 
 
-@settings(max_examples=15, deadline=None)
-@given(arrays(np.float64, (6, 64), elements=st.floats(allow_nan=False, allow_infinity=False)),
-       st.permutations(range(6 * 64)))
-def test_means_roundtrip_under_row_permutations(values, order):
-    space = SpaceSpec(EUCLIDEAN, 2, 1.0)
-    data = MeanData(space, boundary_grid(space, 6), default_tgrid(space, 64), values)
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SPACES), st.sampled_from(["dense", "trace", "centred"]),
+       arrays(np.float64, (8, 64), elements=st.floats(allow_nan=False, allow_infinity=False)),
+       st.floats(0.25, 4.0))
+def test_means_roundtrip_is_bit_exact(space, case, values, alpha):
+    # dense data, traces with their order, and centred data written from a
+    # zero-stride broadcast, which read back as one distinct row
+    bd, tg = boundary_grid(space, 8), default_tgrid(space, 64)
+    if case == "centred":
+        values = np.broadcast_to(values[0], values.shape)
+    alpha = alpha if case == "trace" and space.kind != "hyperbolic" else None
+    data = MeanData(space, bd, tg, values, alpha)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "means.csv"
         write_means(data, str(path))
-        rewrite_rows(path, lambda rows: [rows[k] for k in order])
-        for read_rows in READ_ROWS:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(cli, "_READ_ROWS", read_rows)
-                back = read_means(str(path))
-            assert np.array_equal(back.values, data.values)
-            assert np.array_equal(back.tgrid.values, data.tgrid.values)
-            assert np.array_equal(back.boundary.centers, data.boundary.centers)
-
-
-def test_means_t_column_checked(means_file):
-    path, _ = means_file
-
-    def shift(rows):
-        rows[70][1] = repr(float(rows[70][1]) + 1e-9)
-        return rows
-
-    rewrite_rows(path, shift)
-    assert re.search("^means data row 70: t .* not on the metadata t-grid", read_error(path))
-
-
-def test_means_t_column_out_of_range(means_file):
-    path, _ = means_file
-    rewrite_rows(path, lambda rows: [[r[0], "123.0", r[2]] for r in rows])
-    assert re.search("^means data row 0: .* outside the 8 centres x 64 t-points",
-                     read_error(path))
+        back = read_means(str(path))
+    assert np.array_equal(back.values, data.values)
+    assert np.array_equal(back.tgrid.values, data.tgrid.values)
+    assert np.array_equal(back.boundary.centers, data.boundary.centers)
+    assert back.space == data.space and back.alpha == data.alpha
+    if case == "centred":
+        assert back.rows.shape == (1, tg.n)
 
 
 @pytest.mark.parametrize("idx", ["8", "-1", "2.5"])
 def test_means_center_index_out_of_range(means_file, idx):
     path, _ = means_file
 
-    def corrupt(rows):
-        rows[5][0] = idx
-        return rows
+    def corrupt(lines):
+        lines[5][0] = idx
+        return lines
 
-    rewrite_rows(path, corrupt)
-    assert read_error(path).startswith(f"means data row 5: center_idx {float(idx)!r}")
+    rewrite_lines(path, corrupt)
+    assert read_error(path) == f"means data line 5 has center_idx {idx!r}, not 5"
 
 
 def test_means_missing_cell(means_file):
+    # a short line: one value of centre 1 left out
     path, _ = means_file
-    rewrite_rows(path, lambda rows: rows[:100] + rows[101:])
-    assert read_error(path).startswith("means file has no row for center_idx 1, t ")
+    rewrite_lines(path, lambda lines: lines[:1] + [lines[1][:-1]] + lines[2:])
+    assert read_error(path) == "means data line 1 has 64 fields, not center_idx and 64 values"
 
 
 def test_means_repeated_cell(means_file):
+    # the same line count as the metadata: centre 1's line twice, centre 2's never
     path, _ = means_file
-    # same row count as the metadata: one cell twice, another never
-    rewrite_rows(path, lambda rows: rows[:100] + [rows[99]] + rows[101:])
-    assert read_error(path).startswith("means file has 2 rows for center_idx 1, t ")
+    rewrite_lines(path, lambda lines: lines[:2] + [lines[1]] + lines[3:])
+    assert read_error(path) == "means data line 2 has center_idx '1', not 2"
 
 
 def test_means_empty_body(means_file):
     path, _ = means_file
-    rewrite_rows(path, lambda rows: [])
-    assert read_error(path) == "means file has no data rows"
+    rewrite_lines(path, lambda lines: [])
+    assert read_error(path) == "means data line 0 is missing: the file ends after 0 centres"
 
 
-def whole_file_parse_error(path):
-    """The reader's message for a malformed row, as one parse of all the data
-    rows reports it, with the row counted from 0: loadtxt counts from 0 in a
-    conversion error, from 1 in a change of column count."""
-    with open(path) as fh:
-        for _ in range(3):
-            fh.readline()
-        with pytest.raises(ValueError) as err:
-            np.loadtxt(fh, delimiter=",", ndmin=2)
-    message = str(err.value)
-    if "number of columns changed" in message:
-        message = re.sub(r"at row (\d+)", lambda g: f"at row {int(g[1]) - 1}", message)
-    return f"malformed means row: {message}"
+def test_means_too_few_lines(means_file):
+    path, _ = means_file
+    rewrite_lines(path, lambda lines: lines[:-1])
+    assert read_error(path) == "means data line 7 is missing: the file ends after 7 centres"
 
 
-def _bad_value(rows, k):
-    rows[k][2] = "abc"
+@pytest.mark.parametrize("extra", [["8", "0.5"], [""]], ids=["data", "blank"])
+def test_means_too_many_lines(means_file, extra):
+    path, _ = means_file
+    rewrite_lines(path, lambda lines: lines + [extra])
+    assert read_error(path) == "means data line 8 is past the 8 centres of the metadata"
 
 
-def _two_fields(rows, k):
-    rows[k] = rows[k][:2]
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc", ""])
+def test_means_values_must_be_finite_numbers(means_file, value):
+    path, data = means_file
+
+    def corrupt(lines):
+        lines[3][1 + 10] = lines[3][1 + 40] = value
+        return lines
+
+    rewrite_lines(path, corrupt)
+    assert read_error(path) == (f"means data line 3, value column 10 "
+                                f"(t = {float(data.tgrid.values[10])!r}): {value!r} is not a "
+                                f"finite number")
 
 
-def _four_fields_from(rows, k):
-    for r in rows[k:]:
-        r.append("0.5")
+# The cells of a 160-centre file on 64 t-points, numbered i * 64 + j for
+# centre i's value column j: each test below corrupts the line of one cell
+MALFORMED_CELLS = [1, 6, 7, 8191, 8192, 9000]
+
+
+def _bad_value(lines, cell):
+    lines[cell // 64][1 + cell % 64] = "abc"
+
+
+def _two_fields(lines, cell):
+    lines[cell // 64][1 + cell % 64:] = []
+
+
+def _four_fields_from(lines, cell):
+    for line in lines[cell // 64:]:
+        line.append("0.5")
 
 
 @pytest.mark.parametrize("edit", [_bad_value, _two_fields, _four_fields_from])
-@pytest.mark.parametrize("row", [1, 6, 7, 8191, 8192, 9000])
+@pytest.mark.parametrize("row", MALFORMED_CELLS)
 def test_means_malformed_rows_are_numbered_in_the_file(tmp_path, edit, row):
-    # 10 240 data rows, more than one chunk at every chunk size, with comment
-    # and blank lines, which are not data rows, ahead of the bad one
+    # the first bad line is named by its number, which is its centre index,
+    # and a bad value by its value column too
     space = SpaceSpec(EUCLIDEAN, 2, 1.0)
     values = np.random.default_rng(3).standard_normal((160, 64))
+    grid = default_tgrid(space, 64)
     path = tmp_path / "means.csv"
-    write_means(MeanData(space, boundary_grid(space, 160), default_tgrid(space, 64), values),
-                str(path))
+    write_means(MeanData(space, boundary_grid(space, 160), grid, values), str(path))
 
-    def corrupt(rows):
-        edit(rows, row)
-        return rows[:3] + [["# a comment"], [""]] + rows[3:]
+    def corrupt(lines):
+        edit(lines, row)
+        return lines
 
-    rewrite_rows(path, corrupt)
-    message = read_error(path)
-    assert message == whole_file_parse_error(path)
-    assert f" at row {row}" in message
-
-
-@pytest.mark.parametrize("faults,reported", [
-    # an index out of range anywhere comes before a t off the grid
-    ({3: (None, "+1e-9"), 300: ("9", None)}, "^means data row 300: center_idx 9.0"),
-    ({3: (None, "+1e-9"), 300: (None, "+1e-9")}, "^means data row 3: t .* not on the"),
-    # a malformed row anywhere comes before both
-    ({3: ("9", None), 300: ("x", None)}, "^malformed means row: .*'x'.* at row 300"),
-])
-def test_means_fault_precedence_is_the_whole_files(means_file, faults, reported):
-    path, _ = means_file
-
-    def corrupt(rows):
-        for k, (idx, shift) in faults.items():
-            rows[k][0] = idx or rows[k][0]
-            rows[k][1] = repr(float(rows[k][1]) + float(shift)) if shift else rows[k][1]
-        return rows
-
-    rewrite_rows(path, corrupt)
-    assert re.search(reported, read_error(path))
+    rewrite_lines(path, corrupt)
+    line, column = divmod(row, 64)
+    expect = {
+        _bad_value: f"means data line {line}, value column {column} "
+                    f"(t = {float(grid.values[column])!r}): 'abc' is not a finite number",
+        _two_fields: f"means data line {line} has {1 + column} fields, not center_idx and 64 "
+                     "values",
+        _four_fields_from: f"means data line {line} has 66 fields, not center_idx and 64 values",
+    }
+    assert read_error(path) == expect[edit]
 
 
 def test_means_read_memory_is_bounded(tmp_path):
-    # 409 600 rows: the reader holds the values, a 4-byte count per cell and
-    # one chunk; a whole-file parse peaks at 9.3 times the values
+    # 640 lines of 640 values: the reader holds the values and one line; a
+    # whole-file parse peaks at several times the values
     import tracemalloc
 
     space = SpaceSpec(EUCLIDEAN, 2, 1.0)
@@ -598,31 +592,31 @@ def test_means_read_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(back.values, values)
-    assert peak < 3.0 * values.nbytes
+    assert peak < 1.5 * values.nbytes
+
+
+def _rewrite_on_grid(path, t_points, shift=0.0):
+    """Rewrite a means file as one consistent in itself on a grid of
+    t_points over its t-range moved by shift, every value 0.5."""
+    lines = path.read_text().splitlines()
+    meta = json.loads(lines[1][2:])
+    t = np.linspace(float(meta["t0"]) + shift, float(meta["t1"]) + shift, t_points)
+    meta["t0"], meta["t1"], meta["t_points"] = repr(float(t[0])), repr(float(t[-1])), t_points
+    body = [",".join([str(i)] + ["0.5"] * t_points) for i in range(meta["boundary_m"])]
+    path.write_text("\n".join([lines[0], "# " + json.dumps(meta), lines[2]] + body) + "\n")
 
 
 def test_means_short_t_grid(means_file):
-    # a file consistent in itself, on a 10-point t-grid
     path, _ = means_file
-    lines = path.read_text().splitlines()
-    meta = json.loads(lines[1][2:])
-    meta["t_points"] = 10
-    t = np.linspace(float(meta["t0"]), float(meta["t1"]), 10)
-    rows = [f"{i},{float(tj)!r},0.5" for i in range(meta["boundary_m"]) for tj in t]
-    path.write_text("\n".join([lines[0], "# " + json.dumps(meta), lines[2]] + rows) + "\n")
+    _rewrite_on_grid(path, 10)
     with pytest.raises(ValueError, match="t_points 10 .*shorter than 64 nodes"):
         read_means(str(path))
 
 
 def test_means_t_grid_outside_the_section_range(means_file):
-    # a file consistent in itself, on a t-grid that ends past 2R
+    # a t-grid that ends past 2R
     path, _ = means_file
-    lines = path.read_text().splitlines()
-    meta = json.loads(lines[1][2:])
-    t = np.linspace(float(meta["t0"]) + 0.2, float(meta["t1"]) + 0.2, meta["t_points"])
-    meta["t0"], meta["t1"] = repr(float(t[0])), repr(float(t[-1]))
-    rows = [f"{i},{float(tj)!r},0.5" for i in range(meta["boundary_m"]) for tj in t]
-    path.write_text("\n".join([lines[0], "# " + json.dumps(meta), lines[2]] + rows) + "\n")
+    _rewrite_on_grid(path, 64, shift=0.2)
     with pytest.raises(ValueError, match=r"t1 = 2\.199.* leaves the euclidean section range"):
         read_means(str(path))
 
@@ -666,6 +660,9 @@ def _set_means_alpha(path, alpha):
     ({"space": {"kind": "hyperbolic", "n": 2, "radius": "800.0"}},
      "means metadata.space.radius 800.0 gives a chart radius or boundary area in "
      "dimension 2 that no float holds"),
+    ({"space": {"kind": "hyperbolic", "n": 2, "radius": "300.0"}},
+     "means metadata.space.radius 300.0 gives a t-range end 1.8865101504649698e+260 whose "
+     "square overflows or which, less 1e-3, rounds back to itself"),
 ])
 def test_means_metadata_faults_are_named(means_file, changes, message):
     path, _ = means_file
@@ -714,15 +711,15 @@ def test_means_trace_order_checked(means_file, alpha, message):
 ], ids=["alpha", "t1"])
 def test_means_metadata_is_checked_before_the_rows(means_file, changes, message):
     # a bad trace order or a t-grid past 2R is reported ahead of a malformed
-    # row 0: the metadata is checked before any row is read
+    # line 0: the metadata is checked before any line is read
     path, _ = means_file
     _edit_means_metadata(path, changes)
 
-    def corrupt(rows):
-        _bad_value(rows, 0)
-        return rows
+    def corrupt(lines):
+        _bad_value(lines, 0)
+        return lines
 
-    rewrite_rows(path, corrupt)
+    rewrite_lines(path, corrupt)
     assert re.search(message, read_error(path))
 
 
@@ -752,6 +749,17 @@ def test_means_magic_check(tmp_path):
     p.write_text("not a means file\n")
     with pytest.raises(ValueError, match="geomeans-means"):
         read_means(str(p))
+
+
+def test_means_file_of_format_v1_is_rejected_naming_its_version(means_file):
+    # the long format of one (center_idx, t, value) row per cell
+    path, data = means_file
+    lines = path.read_text().splitlines()
+    rows = [f"{i},{float(t)!r},{float(v)!r}" for i, row in enumerate(data.values)
+            for t, v in zip(data.tgrid.values, row)]
+    path.write_text("\n".join(["# geomeans-means v1", lines[1], "center_idx,t,value"] + rows)
+                    + "\n")
+    assert read_error(path) == "means file format 'v1' is not read (expected '# geomeans-means v2')"
 
 
 def test_roundtrip_command_deterministic(tmp_path):
