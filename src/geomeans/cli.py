@@ -26,7 +26,7 @@ from .forward import (
     validate_tgrid_range,
     validate_trace_order,
 )
-from .inversion import ReconstructionReport, chart_box_grid, invert, make_report
+from .inversion import ReconstructionReport, chart_box_grid, invert, make_report, validate_method
 from .numerics import TGrid
 from .phantoms import Bump, Phantom, validate_margin
 from .spaces import BoundaryGrid, SpaceSpec, boundary_grid
@@ -110,29 +110,9 @@ def _as_space(sp, path: str, as_radius: Callable[[object, str], float]) -> Space
     n = _as_int(_need(sp, "n", path), f"{path}.n")
     radius = as_radius(_need(sp, "radius", path), f"{path}.radius")
     try:
-        space = SpaceSpec(kind, n, radius)
+        return SpaceSpec(kind, n, radius)
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from None
-    # a chart radius sinh R, its square (chart_box_grid's bound) or the area's
-    # power of it that overflows fails here, naming the radius, before any
-    # grid; so does a t-range end (2R, cosh 2R) whose square, which the
-    # profiles take, overflows, or, in R^n and on the cap, which
-    # `default_tgrid`'s end 1e-3 inside it rounds back to
-    with np.errstate(over="ignore"):
-        try:
-            finite = np.isfinite(space.chart_radius ** 2) and np.isfinite(space.boundary_area)
-        except OverflowError:
-            finite = False
-    if not finite:
-        raise ConfigError(f"{path}.radius {radius!r} gives a chart radius or boundary area "
-                          f"in dimension {n} that no float holds")
-    hi = space.tgrid_range[1]
-    with np.errstate(over="ignore"):
-        finite = np.isfinite(np.square(hi))
-    if not finite or (space.kind != spaces.HYPERBOLIC and not hi - 1e-3 < hi):
-        raise ConfigError(f"{path}.radius {radius!r} gives a t-range end {hi!r} whose square "
-                          "overflows or which, less 1e-3, rounds back to itself")
-    return space
 
 
 def parse_config(raw: dict) -> dict:
@@ -189,9 +169,6 @@ def parse_config(raw: dict) -> dict:
                               "admissible interior or the ball_radius")
         grids["recon_grid"] = {"center": center, "half_width": half, "points_per_axis": ppa,
                                "ball_radius": ball}
-    method = raw.get("method", "direct")
-    if method not in ("direct", "modified"):
-        raise ConfigError("config.method must be 'direct' or 'modified'")
     alpha = raw.get("alpha")
     if alpha is not None:
         alpha = _as_number(alpha, "config.alpha")
@@ -199,6 +176,11 @@ def parse_config(raw: dict) -> dict:
             validate_trace_order(space, alpha, "config.alpha")
         except ValueError as e:
             raise ConfigError(str(e)) from None
+    method = raw.get("method", "direct")
+    try:
+        validate_method(space, alpha, method, "config.method")
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     profile = raw.get("forward_profile", "exact")
     if profile not in ("exact", "sections"):
         raise ConfigError("config.forward_profile must be 'exact' or 'sections'")

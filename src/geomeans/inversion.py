@@ -43,6 +43,7 @@ from .spaces import BoundaryGrid, SpaceSpec
 __all__ = [
     "backproject",
     "invert",
+    "validate_method",
     "ReconstructionReport",
     "make_report",
     "chart_box_grid",
@@ -223,19 +224,15 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, F: np.ndarray, x: np.ndarra
 _WINDOW_MARGIN = 6
 
 
-def _table_grid(space: SpaceSpec, n_points: int,
-                read: tuple[float, float] | None = None) -> TGrid:
-    """Target grid for log-kernel tables, spanning the full open t-range.
-
-    With read = (lo, hi), only the grid's nodes from the one at or below lo
-    to the one at or above hi, plus `_WINDOW_MARGIN` nodes on each side,
-    clipped to the grid.
+def _table_grid(space: SpaceSpec, n_points: int, read: tuple[float, float]) -> TGrid:
+    """Target grid for log-kernel tables that are read over read = (lo, hi):
+    of n_points nodes spanning the full open t-range, the ones from the node
+    at or below lo to the one at or above hi, plus `_WINDOW_MARGIN` nodes on
+    each side, clipped to the grid.
     """
     lo, hi = space.tgrid_range
     slack = 1e-6 * (hi - lo)
     grid = TGrid.linspace(lo + slack, hi - slack, n_points)
-    if read is None:
-        return grid
     first = int(np.floor((read[0] - grid.a) / grid.h)) - _WINDOW_MARGIN
     last = int(np.ceil((read[1] - grid.a) / grid.h)) + _WINDOW_MARGIN
     window = grid.values[max(first, 0):min(last, grid.n - 1) + 1]
@@ -337,6 +334,18 @@ def _chart_coefficients(space: SpaceSpec, xp: np.ndarray):
             -c * (k * n / z + rho2 / z ** 3))
 
 
+def validate_method(space: SpaceSpec, alpha: float | None, method: str, name: str) -> None:
+    """Reject an inversion method that does not apply, naming the field:
+    'direct' or 'modified', and only 'direct' for traces (alpha set) and
+    off R^n."""
+    if method not in ("direct", "modified"):
+        raise ValueError(f"{name}: unknown method {method!r}; pick 'direct' or 'modified'")
+    if alpha is not None and method != "direct":
+        raise ValueError(f"{name}: trace data only supports the direct method")
+    if method == "modified" and space.kind != spaces.EUCLIDEAN:
+        raise ValueError(f"{name}: modified inversion is Euclidean-only")
+
+
 def invert(data: MeanData, x: np.ndarray, method: str = "direct",
            fd_step: float | None = None) -> np.ndarray:
     """Reconstruct f at ambient points x (K, n) in R^n, (K, n+1) on the cap
@@ -362,12 +371,7 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     The keyword stays for callers that still pass the configured step.
     """
     space, alpha, n = data.space, data.alpha, data.space.n
-    if method not in ("direct", "modified"):
-        raise ValueError(f"unknown method {method!r}")
-    if alpha is not None and method != "direct":
-        raise ValueError("trace data only supports the direct method")
-    if method == "modified" and space.kind != spaces.EUCLIDEAN:
-        raise ValueError("modified inversion is Euclidean-only")
+    validate_method(space, alpha, method, "method")
     x = spaces.validate_point(space, np.atleast_2d(np.asarray(x, dtype=float)))
     if space.kind == spaces.EUCLIDEAN:
         outside = np.linalg.norm(x, axis=1) >= space.radius

@@ -3,10 +3,8 @@
 1-D Gauss-Legendre and Gauss-Jacobi quadrature, quintic interpolation
 on uniform grids, finite-difference derivatives there, the
 radial operators D = (1/2t) d/dt and L = d^2/dt^2 + (n-1)/t d/dt,
-graded-panel quadrature for integrable singular kernels (log and
-algebraic), log-kernel tables of cubic interpolants by product
-integration cell by cell, and finite-difference Laplacians of callable
-fields.
+log-kernel tables of cubic interpolants by product integration cell by
+cell, and finite-difference Laplacians of callable fields.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ __all__ = [
     "diff_matrix",
     "d_operator_matrix",
     "darboux_L_matrix",
-    "graded_panels",
     "log_kernel_table",
     "laplacian_fd",
 ]
@@ -256,44 +253,6 @@ def darboux_L_matrix(samples: np.ndarray, grid: TGrid, n: int,
     d1 *= (n - 1) / t
     d2 += d1
     return d2
-
-
-# ---------------------------------------------------------------------------
-# graded-panel quadrature for integrable singular kernels
-# ---------------------------------------------------------------------------
-
-def graded_panels(a: float, b: float, singular: tuple[float, ...] | list[float],
-                  order: int = 16):
-    """Gauss-Legendre panels on [a, b], graded by breakpoints s +/- eps 2^k
-    (eps = 1e-10 of the interval) toward each singular point s within one
-    interval length of it, and split in ten; breakpoints within 1e-15 of the
-    interval merge. Interior singular points are excluded by slivers of
-    half-width eps, which the caller accounts for analytically. Returns
-    (nodes, weights, slivers) with slivers a list of (point, half_width).
-    """
-    if not a < b:
-        raise ValueError("interval must satisfy a < b")
-    if order < 1:
-        raise ValueError("quadrature order must be >= 1")
-    span = b - a
-    eps = 1e-10 * span
-    bps = {a, b} | {a + span * j / 10 for j in range(1, 10)}
-    slivers = []
-    for s in singular:
-        if s <= a - span or s >= b + span:
-            continue
-        d = eps
-        while d <= span:
-            bps.update(t for t in (s - d, s + d) if a < t < b)
-            d *= 2.0
-        if a < s < b:
-            slivers.append((float(s), eps))
-    pts = np.array(sorted(bps))
-    pts = pts[np.concatenate([[True], np.diff(pts) > 1e-15 * span])]
-    mid, half = 0.5 * (pts[:-1] + pts[1:]), 0.5 * (pts[1:] - pts[:-1])
-    keep = [not any(abs(m - s) < e for s, e in slivers) for m in mid]
-    x, w = _leggauss(order)
-    return (mid[keep, None] + half[keep, None] * x).ravel(), (half[keep, None] * w).ravel(), slivers
 
 
 # ---------------------------------------------------------------------------

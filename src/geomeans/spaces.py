@@ -68,6 +68,21 @@ class SpaceSpec:
             raise ValueError("radius must be positive")
         if self.kind == SPHERE and self.radius > np.pi / 2 + 1e-12:
             raise ValueError("cap angle must lie in (0, pi/2]")
+        # the grids take the chart radius squared, the boundary area and the
+        # square of the t-range end (2R, cosh 2R); in R^n and on the cap
+        # `default_tgrid` ends 1e-3 inside that end
+        with np.errstate(over="ignore"):
+            hi = self.tgrid_range[1]
+            try:
+                finite = np.all(np.isfinite([self.chart_radius ** 2, self.boundary_area,
+                                             np.square(hi)]))
+            except OverflowError:
+                finite = False
+        if not finite or (self.kind != HYPERBOLIC and not hi - 1e-3 < hi):
+            raise ValueError(f"radius {self.radius!r} in dimension {self.n} gives grids that no "
+                             f"float holds: the chart radius or the t-range end {hi!r} squared, "
+                             "or the boundary area, overflows, or that end less 1e-3 rounds "
+                             "back to itself")
 
     @property
     def ambient_dim(self) -> int:

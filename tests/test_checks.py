@@ -1,14 +1,23 @@
+"""The lemma evaluators of `geomeans.checks` on what no criterion checks:
+closed forms of the regularized 2F1, evenness in h, flatness in alpha, the
+log circle's convergence in `order`, the graded panels that the evaluators
+integrate on, and the shape of the registry. Criteria 1-5 themselves run
+once each, from `CHECKS`, in `tests/test_acceptance.py`."""
+
 import mpmath
 import numpy as np
 import pytest
 from scipy.special import gamma
 
 from geomeans.checks import (
+    CHECKS,
+    SUITES,
     chebyshev_pv,
     chebyshev_u,
     g_alpha_continued,
     g_alpha_direct,
     gaussian_profile,
+    graded_panels,
     hyp2f1_regularized,
     log_circle_integral,
     power_integral_log_form,
@@ -64,13 +73,6 @@ def test_g_direct_constant_kernel():
 def test_g_direct_requires_positive_alpha():
     with pytest.raises(ValueError):
         g_alpha_direct(3, -0.5, 0.0)
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.7])
-@pytest.mark.parametrize("h", [-0.6, 0.0, 0.7])
-def test_direct_matches_continued(n, alpha, h):
-    assert abs(g_alpha_direct(n, alpha, h) - g_alpha_continued(n, alpha, h)) < 1e-8
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -137,7 +139,44 @@ def test_chebyshev_pv_low_degrees():
     assert abs(chebyshev_pv(2, 0.0)) < 1e-7  # pi U_1(0) = 0
 
 
-@pytest.mark.parametrize("nn", range(1, 7))
-@pytest.mark.parametrize("h", [-0.7, 0.0, 0.3, 0.8])
-def test_chebyshev_pv_recurrence_oracle(nn, h):
-    assert abs(chebyshev_pv(nn, h) - np.pi * chebyshev_u(nn - 1, h)) < 1e-6
+def _union_length(intervals):
+    """Total length of a union of intervals (lo, hi)."""
+    total, reach = 0.0, -np.inf
+    for lo, hi in sorted(intervals):
+        total += max(0.0, hi - max(lo, reach))
+        reach = max(reach, hi)
+    return total
+
+
+def test_graded_panels_cover_interval():
+    # on [0, 1], eps = 1e-10: 0.5 - eps 2^30 meets the uniform split 0.5
+    # exactly, and two ulps above it lands within 1e-15 of 0.5 and is merged;
+    # points outside the interval, the log|t^2-s^2| pairs (|s|, -|s|) with
+    # s = 0, two points on another interval and none at all
+    exact = 0.5 - 1e-10 * 2.0 ** 30
+    cases = [(0.0, 1.0, [s]) for s in (0.0, 1.0, -0.5, 2.5, exact,
+                                       np.nextafter(np.nextafter(exact, 1.0), 1.0), 0.4, -1.0, 2.0)]
+    cases += [(-1.0, 1.0, [abs(s), -abs(s)]) for s in (0.0, 0.3, -0.7, 1.0, -1.0, 1.5, 3.2)]
+    cases += [(0.2, 1.7, [0.9, 0.5]), (0.2, 1.7, [1.69, 5.0]), (0.2, 1.7, [-9.0, 9.0]),
+              (0.0, 2.0, [])]
+    for a, b, singular in cases:
+        nodes, weights, slivers = graded_panels(a, b, singular, order=8)
+        eps = 1e-10 * (b - a)
+        assert [c for c, _ in slivers] == [s for s in singular if a < s < b]
+        assert all(half == eps for _, half in slivers)
+        assert np.all((nodes > a) & (nodes < b)) and np.all(weights > 0.0)
+        assert all(np.all(np.abs(nodes - c) > eps) for c, _ in slivers)
+        # the weights cover the interval but the union of the slivers
+        cut = _union_length([(max(c - eps, a), min(c + eps, b)) for c, _ in slivers])
+        assert abs(weights.sum() + cut - (b - a)) <= 1e-15 * (b - a), (a, b, singular)
+
+
+def test_registry_labels_and_suites():
+    # verify's lines are read by label, so no two figures share one; SUITES
+    # lists each entry's suite once, in the order the criteria first use it
+    labels = [label for c in CHECKS for label, _, _ in c.bounds]
+    assert len(set(labels)) == len(labels)
+    first = {}
+    for c in CHECKS:
+        first[c.suite] = min(first.get(c.suite, c.number), c.number)
+    assert list(SUITES) == sorted(first, key=first.get)

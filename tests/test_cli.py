@@ -275,6 +275,13 @@ def test_config_structure_faults_are_named(tmp_path, capsys, where, value, messa
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _too_large(path, radius, n, end):
+    """The fault of a space whose radius gives grids that no float holds."""
+    return (f"{path}: radius {radius} in dimension {n} gives grids that no float holds: the "
+            f"chart radius or the t-range end {end} squared, or the boundary area, overflows, "
+            "or that end less 1e-3 rounds back to itself")
+
+
 def test_non_finite_json_config_exits_cleanly(tmp_path, capsys):
     # Python's json reads NaN and Infinity; a NaN bump radius used to run
     # through and write a report of nan
@@ -293,19 +300,15 @@ def test_non_finite_json_config_exits_cleanly(tmp_path, capsys):
     ({"kind": "euclidean", "n": 3, "radius": 1.0}, {"boundary_points": 10 ** 400},
      "config.grids.boundary_points must be finite, not inf"),
     ({"kind": "euclidean", "n": 3, "radius": 1e200}, {},
-     "config.space.radius 1e+200 gives a chart radius or boundary area in dimension 3 "
-     "that no float holds"),
+     _too_large("config.space", "1e+200", 3, "2e+200")),
     ({"kind": "hyperbolic", "n": 3, "radius": 800.0}, {},
-     "config.space.radius 800.0 gives a chart radius or boundary area in dimension 3 "
-     "that no float holds"),
+     _too_large("config.space", "800.0", 3, "inf")),
     # the far end of the t-range, cosh 600, has no float square, and 2R less
     # 1e-3 rounds back to 2R = 2e+150
     ({"kind": "hyperbolic", "n": 3, "radius": 300.0}, {},
-     "config.space.radius 300.0 gives a t-range end 1.8865101504649698e+260 whose square "
-     "overflows or which, less 1e-3, rounds back to itself"),
+     _too_large("config.space", "300.0", 3, "1.8865101504649698e+260")),
     ({"kind": "euclidean", "n": 3, "radius": 1e150}, {},
-     "config.space.radius 1e+150 gives a t-range end 2e+150 whose square overflows or "
-     "which, less 1e-3, rounds back to itself"),
+     _too_large("config.space", "1e+150", 3, "2e+150")),
 ], ids=["boundary_points", "euclidean-radius", "hyperbolic-radius", "hyperbolic-t-range",
         "euclidean-t-range"])
 def test_overflowing_config_numbers_exit_cleanly(tmp_path, capsys, space, grids, message):
@@ -343,6 +346,25 @@ def test_trace_order_checked_in_config(kind, alpha, message):
     raw["alpha"] = alpha
     with pytest.raises(ConfigError, match=message):
         parse_config(raw)
+
+
+@pytest.mark.parametrize("name,message", [
+    ("epd_euclid3_wave", "config.method: trace data only supports the direct method"),
+    ("sphere3", "config.method: modified inversion is Euclidean-only"),
+])
+def test_method_rules_are_checked_before_the_forward_step(tmp_path, monkeypatch, capsys, name,
+                                                          message):
+    # each used to run the forward step, then fail naming no field
+    def forward(cfg):
+        raise AssertionError("the forward step ran")
+
+    monkeypatch.setattr(cli, "_forward_data", forward)
+    raw = json.loads((checks.CONFIGS / f"{name}.json").read_text())
+    raw["method"] = "modified"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["roundtrip", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_means_csv_roundtrip_bitwise(tmp_path):
@@ -658,11 +680,9 @@ def _set_means_alpha(path, alpha):
      "a budget of 10 gives 8 centres"),
     ({"boundary_m": 10 ** 400}, "means metadata.boundary_m must be finite, not inf"),
     ({"space": {"kind": "hyperbolic", "n": 2, "radius": "800.0"}},
-     "means metadata.space.radius 800.0 gives a chart radius or boundary area in "
-     "dimension 2 that no float holds"),
+     _too_large("means metadata.space", "800.0", 2, "inf")),
     ({"space": {"kind": "hyperbolic", "n": 2, "radius": "300.0"}},
-     "means metadata.space.radius 300.0 gives a t-range end 1.8865101504649698e+260 whose "
-     "square overflows or which, less 1e-3, rounds back to itself"),
+     _too_large("means metadata.space", "300.0", 2, "1.8865101504649698e+260")),
 ])
 def test_means_metadata_faults_are_named(means_file, changes, message):
     path, _ = means_file

@@ -5,6 +5,7 @@ import pytest
 from cubic_reference import cubic_interp
 from hypothesis import example, given, settings, strategies as st
 
+from geomeans.checks import graded_panels
 from geomeans.numerics import (
     TGrid,
     _diff1,
@@ -13,7 +14,6 @@ from geomeans.numerics import (
     diff_matrix,
     gauss_jacobi,
     gauss_legendre,
-    graded_panels,
     laplacian_fd,
     log_kernel_table,
     quintic_interp,
@@ -325,38 +325,6 @@ def test_log_kernel_operator_matches_per_node_route(kernel, lo):
     ref = np.array([[log_kernel_reference(r, g, float(s), kernel)
                      for s in targets] for r in rows])
     assert np.max(np.abs(table - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-def _union_length(intervals):
-    """Total length of a union of intervals (lo, hi)."""
-    total, reach = 0.0, -np.inf
-    for lo, hi in sorted(intervals):
-        total += max(0.0, hi - max(lo, reach))
-        reach = max(reach, hi)
-    return total
-
-
-def test_graded_panels_cover_interval():
-    # on [0, 1], eps = 1e-10: 0.5 - eps 2^30 meets the uniform split 0.5
-    # exactly, and two ulps above it lands within 1e-15 of 0.5 and is merged;
-    # points outside the interval, the log|t^2-s^2| pairs (|s|, -|s|) with
-    # s = 0, two points on another interval and none at all
-    exact = 0.5 - 1e-10 * 2.0 ** 30
-    cases = [(0.0, 1.0, [s]) for s in (0.0, 1.0, -0.5, 2.5, exact,
-                                       np.nextafter(np.nextafter(exact, 1.0), 1.0), 0.4, -1.0, 2.0)]
-    cases += [(-1.0, 1.0, [abs(s), -abs(s)]) for s in (0.0, 0.3, -0.7, 1.0, -1.0, 1.5, 3.2)]
-    cases += [(0.2, 1.7, [0.9, 0.5]), (0.2, 1.7, [1.69, 5.0]), (0.2, 1.7, [-9.0, 9.0]),
-              (0.0, 2.0, [])]
-    for a, b, singular in cases:
-        nodes, weights, slivers = graded_panels(a, b, singular, order=8)
-        eps = 1e-10 * (b - a)
-        assert [c for c, _ in slivers] == [s for s in singular if a < s < b]
-        assert all(half == eps for _, half in slivers)
-        assert np.all((nodes > a) & (nodes < b)) and np.all(weights > 0.0)
-        assert all(np.all(np.abs(nodes - c) > eps) for c, _ in slivers)
-        # the weights cover the interval but the union of the slivers
-        cut = _union_length([(max(c - eps, a), min(c + eps, b)) for c, _ in slivers])
-        assert abs(weights.sum() + cut - (b - a)) <= 1e-15 * (b - a), (a, b, singular)
 
 
 def log_kernel_closed_form(a, b, s, kernel, coef=(1.0,)):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,16 @@ def test_space_validation():
     for radius in (-1.0, 0.0, float("nan")):
         with pytest.raises(ValueError, match="radius must be positive"):
             SpaceSpec(EUCLIDEAN, 3, radius)
+    # radii whose grids no float holds, built without a config: the chart
+    # radius squared overflows (1e200, inf, and sinh 800), 2R less 1e-3
+    # rounds back to 2R (1e150), cosh 2R squared overflows (300)
+    for kind, radius in ((EUCLIDEAN, 1e200), (EUCLIDEAN, float("inf")), (EUCLIDEAN, 1e150),
+                         (HYPERBOLIC, 800.0), (HYPERBOLIC, 300.0)):
+        message = f"radius {radius!r} in dimension 3 gives grids that no float holds: "
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            SpaceSpec(kind, 3, radius)
+    assert np.isfinite(SpaceSpec(EUCLIDEAN, 3, 1e6).boundary_area)
+    assert np.isfinite(SpaceSpec(HYPERBOLIC, 3, 100.0).boundary_area)
 
 
 def test_boundary_square_example():
