@@ -59,8 +59,6 @@ __all__ = [
     "hyp2f1_regularized",
     "g_alpha_direct",
     "g_alpha_continued",
-    "TaylorProfile",
-    "gaussian_profile",
     "regularized_power_integral",
     "power_integral_log_form",
     "log_circle_integral",
@@ -265,47 +263,18 @@ def g_alpha_continued(n: int, alpha: float, h: float) -> float:
 # subtraction-regularized power integrals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TaylorProfile:
-    """Smooth rapidly decaying test function with Taylor data at 0.
-
-    `derivs[k]` is the k-th derivative at 0; `deriv_fn(k)` returns the k-th
-    derivative as a vectorized callable; `tail` bounds the numerically
-    relevant support.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    derivs: tuple[float, ...]
-    tail: float
-    deriv_fn: Callable[[int], Callable[[np.ndarray], np.ndarray]]
+# exp(-t^2) is below 1e-35 beyond this: the end of the numerically relevant support
+_GAUSSIAN_TAIL = 9.0
 
 
-def gaussian_profile() -> TaylorProfile:
-    """exp(-t^2) with closed-form derivatives (Hermite recursion)."""
-    derivs = []
-    for k in range(64):
-        if k % 2:
-            derivs.append(0.0)
-        else:
-            m = k // 2
-            derivs.append((-1.0) ** m * factorial(k) / factorial(m))
-
-    def deriv_fn(k: int) -> Callable[[np.ndarray], np.ndarray]:
-        coeffs = np.zeros(k + 1)
-        coeffs[k] = 1.0
-
-        def d(t: np.ndarray) -> np.ndarray:
-            t = np.asarray(t, dtype=float)
-            return (-1.0) ** k * np.polynomial.hermite.hermval(t, coeffs) * np.exp(-t * t)
-
-        return d
-
-    return TaylorProfile(fn=lambda t: np.exp(-np.asarray(t, dtype=float) ** 2),
-                         derivs=tuple(derivs), tail=9.0, deriv_fn=deriv_fn)
+def _gaussian_even_derivative(k: int) -> float:
+    """The derivative of order 2k of exp(-t^2) at 0: (-1)^k (2k)!/k!."""
+    return (-1.0) ** k * factorial(2 * k) / factorial(k)
 
 
-def regularized_power_integral(profile: TaylorProfile, alpha: float) -> float:
-    """Analytic continuation of int_R |t|^(a-1) phi(t) dt / Gamma(a/2).
+def regularized_power_integral(alpha: float) -> float:
+    """Analytic continuation of int_R |t|^(a-1) phi(t) dt / Gamma(a/2) for
+    the Gaussian phi(t) = exp(-t^2), whose value is 1 for every a.
 
     On |t| <= 1 the degree 2m+1 Taylor polynomial, m = max(0, ceil((1-a)/2)),
     is subtracted and returned through its closed-form moments
@@ -317,46 +286,45 @@ def regularized_power_integral(profile: TaylorProfile, alpha: float) -> float:
     half = round(alpha / 2.0)
     if half <= 0 and abs(alpha - 2.0 * half) < 1e-9:
         k = int(-half)
-        return (-1.0) ** k * factorial(k) / factorial(2 * k) * profile.derivs[2 * k]
+        return (-1.0) ** k * factorial(k) / factorial(2 * k) * _gaussian_even_derivative(k)
     # below t_cut the subtracted remainder cancels catastrophically against
     # the t^(alpha-1) blowup, so that stretch is covered by the next Taylor
     # moments instead of quadrature
     extra = 3
-    if 2 * (m + extra) >= len(profile.derivs):
-        raise ValueError("not enough Taylor data for the subtraction and cutoff moments")
     t_cut = 0.05
     nodes, weights, _ = graded_panels(t_cut, 1.0, [t_cut], order=24)
     # even part: phi(t) + phi(-t) - 2 * even Taylor part
-    even_poly = np.polynomial.Polynomial([profile.derivs[j] / factorial(j)
-                                          for j in range(0, 2 * m + 2, 2)])
-    rem = profile.fn(nodes) + profile.fn(-nodes) - 2.0 * even_poly(nodes ** 2)
+    even_poly = np.polynomial.Polynomial([_gaussian_even_derivative(j) / factorial(2 * j)
+                                          for j in range(m + 1)])
+    rem = 2.0 * np.exp(-nodes ** 2) - 2.0 * even_poly(nodes ** 2)
     inner = float(np.dot(weights, nodes ** (alpha - 1.0) * rem))
-    inner += sum(2.0 * profile.derivs[2 * k] / factorial(2 * k)
+    inner += sum(2.0 * _gaussian_even_derivative(k) / factorial(2 * k)
                  * t_cut ** (alpha + 2.0 * k) / (alpha + 2.0 * k)
                  for k in range(m + 1, m + extra + 1))
-    moments = sum(2.0 * profile.derivs[2 * k] / (factorial(2 * k) * (alpha + 2.0 * k))
+    moments = sum(2.0 * _gaussian_even_derivative(k) / (factorial(2 * k) * (alpha + 2.0 * k))
                   for k in range(m + 1))
-    edges = np.geomspace(1.0, profile.tail, 12)
+    edges = np.geomspace(1.0, _GAUSSIAN_TAIL, 12)
     rules = [gauss_legendre(24, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     tail_nodes = np.concatenate([x for x, _ in rules])
     tail_w = np.concatenate([w for _, w in rules])
-    outer = float(np.dot(tail_w, tail_nodes ** (alpha - 1.0)
-                         * (profile.fn(tail_nodes) + profile.fn(-tail_nodes))))
+    outer = float(np.dot(tail_w, tail_nodes ** (alpha - 1.0) * 2.0 * np.exp(-tail_nodes ** 2)))
     return (inner + moments + outer) / gamma(alpha / 2.0)
 
 
-def power_integral_log_form(profile: TaylorProfile, m: int) -> float:
-    """The log-moment form of the continuation at a = 1 - 2m:
+def power_integral_log_form(m: int) -> float:
+    """The log-moment form of the continuation at a = 1 - 2m for the
+    Gaussian phi(t) = exp(-t^2):
 
-    -c * int phi^(2m)(t) log|t| dt,  c = 1/(Gamma(1/2 - m) (2m-1)!).
+    -c * int phi^(2m)(t) log|t| dt,  c = 1/(Gamma(1/2 - m) (2m-1)!),
+
+    with phi^(2m)(t) = H_2m(t) exp(-t^2) (physicists' Hermite H_2m).
     """
     if m < 1:
         raise ValueError("the log form needs m >= 1")
-    d = profile.deriv_fn(2 * m)
-    nodes, weights, slivers = graded_panels(0.0, profile.tail, [0.0], order=24)
-    total = float(np.dot(weights, np.log(nodes) * (d(nodes) + d(-nodes))))
-    for c0, eps in slivers:
-        total += 2.0 * d(np.array([c0]))[0] * eps * (np.log(eps) - 1.0)
+    # the singular point 0 ends the interval, so the panels leave no sliver
+    nodes, weights, _ = graded_panels(0.0, _GAUSSIAN_TAIL, [0.0], order=24)
+    d = np.polynomial.hermite.hermval(nodes, np.eye(2 * m + 1)[2 * m]) * np.exp(-nodes * nodes)
+    total = float(np.dot(weights, np.log(nodes) * (2.0 * d)))
     coeff = 1.0 / (gamma(0.5 - m) * factorial(2 * m - 1))
     return -coeff * total
 
@@ -536,13 +504,11 @@ def _chebyshev_pv(seed: int) -> tuple[float]:
 
 
 def _power_integrals(seed: int) -> tuple[float, float]:
-    gp = gaussian_profile()
-    worst = max(abs(regularized_power_integral(gp, a) - 1.0)
-                for a in (-4.0, -3.0, -2.0, -1.0))
+    worst = max(abs(regularized_power_integral(a) - 1.0) for a in (-4.0, -3.0, -2.0, -1.0))
     worst_log = 0.0
     for m in (1, 2):  # continuation points -1 and -3
-        worst_log = max(worst_log, abs(power_integral_log_form(gp, m)
-                                       - regularized_power_integral(gp, 1.0 - 2.0 * m)))
+        worst_log = max(worst_log, abs(power_integral_log_form(m)
+                                       - regularized_power_integral(1.0 - 2.0 * m)))
     return worst, worst_log
 
 

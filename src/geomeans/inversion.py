@@ -112,17 +112,20 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, F: np.ndarray, x: np.ndarra
                 fill: float | str, times_t: bool = False) -> np.ndarray:
     """Weighted boundary average of per-center profiles at the observation args.
 
-    F is (centers x grid), or a stack (k, centers, grid) of such tables,
-    and is sampled by cubic interpolation at |x - xi| in R^n and at the
-    pairing (xi, x) on the cap and the hyperboloid. A table of one row
-    stands for every centre (radial data). The result is (K,) for one table
-    and (k, K) for a stack. Arguments outside the grid count as zero with
-    fill=0.0, and raise with fill='error'. With times_t the result gains
-    one more row at the end, (2, K) for one table: the back-projection of
-    t times the first table, from the values gathered for it. The cubic
-    through the nodes' t_i g_i is t p(t) less p's leading coefficient times
-    the nodes' polynomial, so it reads a p(a) - h (D^3g/6) (s+1) s (s-1) (s-2)
-    at a = t_j + s h.
+    F is one table (centers x grid), or a sequence of such tables of one
+    shape: a list, a tuple or a (k, centers, grid) array. A list or tuple
+    is always a sequence. Each table is sampled by cubic interpolation at
+    |x - xi| in R^n and at the pairing (xi, x) on the cap and the
+    hyperboloid; a table of one row stands for every centre (radial data).
+    The result is (K,) for one table and (k, K) for a sequence. Arguments
+    outside the grid count as zero with fill=0.0. With fill='error' they
+    raise at the first block of centres that reads one, naming the first
+    point there that does, its argument and the grid's ends. With times_t
+    the result gains one more row at the end, (2, K) for one table: the
+    back-projection of t times the first table, from the values gathered
+    for it. The cubic through the nodes' t_i g_i is t p(t) less p's leading
+    coefficient times the nodes' polynomial, so it reads
+    a p(a) - h (D^3g/6) (s+1) s (s-1) (s-2) at a = t_j + s h.
 
     The centres run in blocks, each against every point (`_BLOCK_CELLS`).
     A block's table rows become Newton forward differences on the columns
@@ -135,14 +138,18 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, F: np.ndarray, x: np.ndarra
     """
     if fill not in (0.0, "error"):
         raise ValueError("fill must be 0.0 or 'error'")
-    F = np.atleast_2d(np.asarray(F, dtype=float))
-    tables = np.ascontiguousarray(F if F.ndim == 3 else F[None])
+    one = not isinstance(F, (list, tuple)) and np.ndim(F) < 3
+    # the flat gathers need C-contiguous tables
+    tables = [np.ascontiguousarray(np.atleast_2d(np.asarray(table, dtype=float)))
+              for table in ([F] if one else F)]
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    (K, m, N), radial = (x.shape[0], boundary.m, grid.n), tables.shape[1] == 1
-    if tables.shape[1:] not in ((m, N), (1, N)):
-        raise ValueError("need tables (centres, N) on the grid, or one row")
-    out = np.zeros((tables.shape[0] + times_t, K))
-    result = out if F.ndim == 3 or times_t else out[0]
+    K, m, N = x.shape[0], boundary.m, grid.n
+    shapes = {table.shape for table in tables}
+    if len(shapes) != 1 or not shapes <= {(m, N), (1, N)}:
+        raise ValueError("need tables (centres, N) on the grid, or one row, all of one shape")
+    radial = tables[0].shape[0] == 1
+    out = np.zeros((len(tables) + times_t, K))
+    result = out[0] if one and not times_t else out
     if K == 0:
         return result
     args = _observation_args(boundary.space, x)
@@ -164,9 +171,11 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, F: np.ndarray, x: np.ndarra
         low, high = a.min(), a.max()
         everywhere = low >= a0 and high <= grid.b
         if not everywhere:
-            if fill == "error":
-                raise ValueError("interpolation point outside grid range")
             inside = (a >= a0) & (a <= grid.b)
+            if fill == "error":
+                i, j = np.argwhere(~inside)[0]
+                raise ValueError(f"point {i} {x[i].tolist()} reads argument {float(a[i, j])!r} "
+                                 f"outside the grid [{a0!r}, {grid.b!r}]")
             # the arguments off the grid read the first cell
             a = np.where(inside, a, a0)
             low, high = a0, a.max()
@@ -286,7 +295,8 @@ def _rows(space: SpaceSpec, grid: TGrid, values: np.ndarray, read: tuple[float, 
     curved grids) of filter^{n-2} F, times t in R^n, built only on the
     window of the full target grid that arguments in `read` reach
     (`_table_grid`); an argument off it raises. n = 2 reproduces the disk
-    formula.
+    formula. P is always a new array, never the caller's means, so `invert`
+    may write over it.
     """
     n, euclidean = space.n, space.kind == spaces.EUCLIDEAN
     filt = d_operator_matrix if euclidean else diff_matrix
@@ -389,22 +399,22 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     if method == "modified":
         values = darboux_L_matrix(values, data.tgrid, n)
     grid, rows, fill = _rows(space, data.tgrid, values, _read_range(space, x))
-    if space.kind == spaces.EUCLIDEAN:
-        if method == "direct":
-            # The Laplacian of x -> P(|x - xi|) is (L_n P)(|x - xi|), with
-            # L_n = d^2/dt^2 + (n-1)/t d/dt: the direct formula back-projects
-            # L_n P (along the target axis of the even table), the modified
-            # one has applied L_n to the means. rows is never the caller's
-            # means, so L_n may write over it.
-            rows = darboux_L_matrix(rows, grid, n, _overwrite=True)
-    else:
-        # the stack (P'', P') is filled in place: P' into its last slot, P''
-        # from it; rebinding rows frees P before the back-projection, which
-        # adds BP[t P''] from the values it gathers for P''
-        stack = np.empty((2,) + rows.shape)
-        _diff1(rows, grid.h, out=stack[1])
-        _diff1(stack[1], grid.h, out=stack[0])
-        rows = stack
+    if method == "direct":
+        # The Laplacian of x -> P(arg(xi, x)) is P''(arg) |grad arg|^2 +
+        # P'(arg) Lap arg. One pair of passes gives P', then P'' over P,
+        # which `_rows` made for this call. In R^n this is the back-projection
+        # of L_n P = P'' + (n-1)/t P', formed in place as `darboux_L_matrix`
+        # forms it (along the target axis of the even table); the modified
+        # formula has applied L_n to the means. On the cap and the hyperboloid
+        # the back-projection adds BP[t P''] from the values it gathers for P''.
+        first = _diff1(rows, grid.h)
+        rows = _diff1(first, grid.h, out=rows)
+        if space.kind == spaces.EUCLIDEAN:
+            first *= (n - 1) / grid.values
+            rows += first
+        else:
+            rows = (rows, first)
+        del first
     f0 = backproject(data.boundary, grid, rows, x, fill=fill,
                      times_t=space.kind != spaces.EUCLIDEAN)
 

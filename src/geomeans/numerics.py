@@ -237,19 +237,13 @@ def d_operator_matrix(samples: np.ndarray, grid: TGrid, m: int) -> np.ndarray:
     return out
 
 
-def darboux_L_matrix(samples: np.ndarray, grid: TGrid, n: int,
-                     _overwrite: bool = False) -> np.ndarray:
-    """L = d^2/dt^2 + (n-1)/t d/dt along the last axis.
-
-    With _overwrite the result is written over `samples`, which must then be
-    a float array that the caller owns and no longer reads.
-    """
+def darboux_L_matrix(samples: np.ndarray, grid: TGrid, n: int) -> np.ndarray:
+    """L = d^2/dt^2 + (n-1)/t d/dt along the last axis."""
     t = grid.values
     if np.any(t <= 0):
         raise ValueError("the radial operator needs a strictly positive grid")
-    samples = np.asarray(samples, dtype=float)
-    d1 = _diff1(samples, grid.h)
-    d2 = _diff1(d1, grid.h, out=samples if _overwrite else None)
+    d1 = _diff1(np.asarray(samples, dtype=float), grid.h)
+    d2 = _diff1(d1, grid.h)
     d1 *= (n - 1) / t
     d2 += d1
     return d2

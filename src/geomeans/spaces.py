@@ -159,11 +159,15 @@ def chart(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
 
 
 def validate_point(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
-    """x as a float array, checked to lie on the space: x_{n+1}^2 + kappa |x'|^2 = 1,
-    and x_{n+1} > 0 on the hyperboloid (its upper sheet)."""
+    """x as a float array, checked to have finite coordinates and to lie on
+    the space: x_{n+1}^2 + kappa |x'|^2 = 1, and x_{n+1} > 0 on the
+    hyperboloid (its upper sheet)."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != space.ambient_dim:
         raise ValueError(f"point has dimension {x.shape[-1]}, expected {space.ambient_dim}")
+    if not np.isfinite(x).all():
+        bad = x[~np.isfinite(x).all(axis=-1)][0]
+        raise ValueError(f"point {bad.tolist()} has a coordinate that is not finite")
     if space.kind == EUCLIDEAN:
         return x
     if np.any(np.abs(pairing(space, x, x) - 1.0) > 1e-11):

@@ -16,7 +16,6 @@ from geomeans.checks import (
     chebyshev_u,
     g_alpha_continued,
     g_alpha_direct,
-    gaussian_profile,
     graded_panels,
     hyp2f1_regularized,
     log_circle_integral,
@@ -92,33 +91,29 @@ def test_continued_even_in_h():
 
 
 def test_gaussian_power_integral_flat_in_alpha():
-    gp = gaussian_profile()
     alphas = [a for a in np.linspace(-5.0, 2.0, 20)]
     for a in alphas:
-        v = regularized_power_integral(gp, float(a))
+        v = regularized_power_integral(float(a))
         assert abs(v - 1.0) < 1e-6
 
 
 def test_gaussian_power_integral_at_continuation_points():
-    gp = gaussian_profile()
     for a in (-4.0, -3.0, -2.0, -1.0):
-        assert abs(regularized_power_integral(gp, a) - 1.0) < 1e-6
+        assert abs(regularized_power_integral(a) - 1.0) < 1e-6
 
 
 def test_gaussian_exact_derivative_coefficient():
     # at a = -2m the value is (-1)^m m!/(2m)! phi^(2m)(0); for the Gaussian
     # with m = 1 this is (-1/2) * (-2) = 1
-    gp = gaussian_profile()
-    assert regularized_power_integral(gp, -2.0) == pytest.approx(1.0, abs=1e-14)
+    assert regularized_power_integral(-2.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_log_form_matches():
-    gp = gaussian_profile()
     for m in (1, 2):  # continuation points alpha = -1, -3
-        assert abs(power_integral_log_form(gp, m) - 1.0) < 1e-6
+        assert abs(power_integral_log_form(m) - 1.0) < 1e-6
         a = 1.0 - 2.0 * m
-        assert abs(power_integral_log_form(gp, m)
-                   - regularized_power_integral(gp, a)) < 1e-6
+        assert abs(power_integral_log_form(m)
+                   - regularized_power_integral(a)) < 1e-6
 
 
 def test_log_circle_value_and_h_independence():

@@ -1,10 +1,13 @@
 """Every name a geomeans module exports in `__all__` exists, so a deletion
 that leaves its export behind fails here rather than at a star import; the
-exported value types compare as documented."""
+exported value types compare as documented; and every binding that the
+benchmark's span tracer wraps resolves."""
 
 import copy
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,3 +54,23 @@ def test_array_holding_value_types_compare_by_identity():
         assert len({a, b}) == 2
     assert SpaceSpec(EUCLIDEAN, 2, 1.0) == space
     assert hash(SpaceSpec(EUCLIDEAN, 2, 1.0)) == hash(space)
+
+
+def test_bench_tracer_finds_every_binding():
+    # bench/spans.py wraps functions where their callers bind them; a source
+    # change that drops such a binding fails here, not only in the benchmark
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+
+    class Tracer:
+        wrapped = 0
+
+        def wrap(self, module, attr, layer, hook=None):
+            assert callable(getattr(module, attr)), f"{module.__name__}.{attr}"
+            self.wrapped += 1
+
+    tracer = Tracer()
+    spans.install(tracer)
+    assert tracer.wrapped > 0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from cubic_reference import cubic_cells, cubic_weights
@@ -114,7 +116,7 @@ def test_backproject_checks_its_arguments_and_takes_no_points():
     x = np.array([[0.2, 0.1]])
     with pytest.raises(ValueError, match="^fill must be 0.0 or 'error'$"):
         backproject(bd, tg, F, x, fill="zero")
-    for bad in (F[:3], F[:, :-1], F[None, :, :-1]):
+    for bad in (F[:3], F[:, :-1], F[None, :, :-1], [F, F[:1]], ()):
         with pytest.raises(ValueError, match=r"^need tables \(centres, N\) on the grid"):
             backproject(bd, tg, bad, x, fill=0.0)
     none = np.zeros((0, 2))
@@ -136,6 +138,11 @@ def test_backproject_stack_equals_single_calls(space):
     assert stacked.shape == (3, 50)
     for table, row in zip(tables, stacked):
         assert np.array_equal(row, backproject(bd, tg, table, x, fill=0.0))
+    # a list or a tuple of tables is the same sequence, and a table that is
+    # not C-contiguous reads the same numbers
+    assert np.array_equal(backproject(bd, tg, list(tables), x, fill=0.0), stacked)
+    assert np.array_equal(backproject(bd, tg, (tables[0], np.asfortranarray(tables[1]), tables[2]),
+                                      x, fill=0.0), stacked)
     # one (1, N) row stands for every centre, alone and in a stack
     one = tables[:, :1]
     tiled = np.tile(one, (1, bd.m, 1))
@@ -604,6 +611,36 @@ def test_invert_rejects_lower_sheet_points():
         invert(data, x * np.array([1.0, 1.0, 1.0, -1.0]))
 
 
+@pytest.mark.parametrize("space", [E3, SpaceSpec(SPHERE, 3, 0.8), E2, SpaceSpec(SPHERE, 2, 0.8),
+                                   SpaceSpec(HYPERBOLIC, 2, 0.8)])
+def test_invert_rejects_points_that_are_not_finite(space):
+    # unchecked, R^3 read such a point as -0.0, the cap as nan, and the n = 2
+    # log tables failed to make a grid window of nan
+    bd = boundary_grid(space, 16)
+    tg = default_tgrid(space, 128)
+    data = MeanData(space, bd, tg, np.ones((bd.m, tg.n)))
+    x = spaces.lift(space, np.full((2, space.n), 0.1))
+    x[1, 0] = np.nan
+    with pytest.raises(ValueError, match=r"^point \[nan, [^]]*\] has a coordinate that is not finite$"):
+        invert(data, x)
+
+
+@pytest.mark.parametrize("space", [E2, SpaceSpec(SPHERE, 2, 0.8), SpaceSpec(HYPERBOLIC, 2, 0.8)])
+def test_off_grid_arguments_name_the_point_and_the_grid(space):
+    # a point at geodesic radius 0.999999 R reads arguments beyond the end
+    # of the full log-table grid, which stops 1e-6 of the t-range short of it
+    bd = boundary_grid(space, 16)
+    tg = default_tgrid(space, 128)
+    data = MeanData(space, bd, tg, np.ones((bd.m, tg.n)))
+    r = 0.999999 * space.radius
+    x = spaces.lift(space, np.array([[0.1, 0.0], [float(space.sin_k(r)), 0.0]]))
+    grid = inversion._table_grid(space, tg.n, _read_range(space, x))
+    point = re.escape(str(x[1].tolist()))
+    ends = re.escape(f"[{grid.a!r}, {grid.b!r}]")
+    with pytest.raises(ValueError, match=rf"^point 1 {point} reads argument \S+ outside the grid {ends}$"):
+        invert(data, x)
+
+
 # ---------------------------------------------------------------------------
 # the log-table window
 # ---------------------------------------------------------------------------
@@ -891,15 +928,17 @@ def _curved_invert_keeping(monkeypatch, space):
     values = rng.standard_normal((bd.m, tg.n))
     made, projected = [], []
 
-    def keeping(fn, into):
+    def keeping(fn, into, copy):
         def wrapped(*args, **kwargs):
-            into.append((args, kwargs, fn(*args, **kwargs)))
-            return into[-1][2]
+            result = fn(*args, **kwargs)
+            into.append((args, kwargs, result.copy() if copy else result))
+            return result
         return wrapped
 
-    monkeypatch.setattr(inversion, "diff_matrix", keeping(diff_matrix, made))
-    monkeypatch.setattr(inversion, "log_kernel_table", keeping(log_kernel_table, made))
-    monkeypatch.setattr(inversion, "backproject", keeping(backproject, projected))
+    # invert writes P'' over the rows P, so those are kept as copies
+    monkeypatch.setattr(inversion, "diff_matrix", keeping(diff_matrix, made, True))
+    monkeypatch.setattr(inversion, "log_kernel_table", keeping(log_kernel_table, made, True))
+    monkeypatch.setattr(inversion, "backproject", keeping(backproject, projected, False))
     chart = np.array([[0.0] * space.n, [0.1] * space.n, [-0.2] + [0.05] * (space.n - 1)])
     x = spaces.lift(space, chart)
     f = invert(MeanData(space, bd, tg, values), x)
@@ -912,13 +951,14 @@ CURVED = [SpaceSpec(SPHERE, 3, 0.8), SpaceSpec(HYPERBOLIC, 3, 0.8), S2]
 
 @pytest.mark.parametrize("space", CURVED)
 def test_curved_stack_is_the_stacked_derivatives(monkeypatch, space):
-    # invert fills the (P'', P') stack in place; the stack it back-projects
-    # must hold the bits of np.stack over the separate derivatives of the
-    # same rows P
-    _, rows, ((_, grid, stack, _), kwargs, _) = _curved_invert_keeping(monkeypatch, space)
+    # invert takes P' and then P'' over P; the pair (P'', P') it
+    # back-projects must hold the bits of the separate derivatives of a copy
+    # of the same rows P
+    _, rows, ((_, grid, pair, _), kwargs, _) = _curved_invert_keeping(monkeypatch, space)
     d1 = diff_matrix(rows, grid, 1)
     d2 = diff_matrix(d1, grid, 1)
-    assert np.array_equal(stack, np.stack([d2, d1]))
+    assert isinstance(pair, tuple) and len(pair) == 2
+    assert np.array_equal(pair[0], d2) and np.array_equal(pair[1], d1)
     assert kwargs["times_t"]
 
 
@@ -938,22 +978,23 @@ def test_curved_finish_matches_the_three_table_stack(monkeypatch, space):
     assert np.max(np.abs(f - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_invert_memory_on_a_cap(tmp_path):
-    # an (800, 600) cap case: the filters hold the rows, the (2, m, N) stack
-    # and one derivative's interior; with whole-array temporaries and
-    # np.stack the peak was 7 times the means, with the (3, m, N) stack of
-    # (P'', t P'', P') 5
+def test_invert_memory_on_a_cap():
+    # (800, 600) cases on the cap, on the hyperboloid and in R^n: the pair
+    # of derivative passes holds the rows P, P' and one derivative's
+    # interior, and P'' takes P's place. A (2, m, N) stack of (P'', P')
+    # beside P took the cap and the hyperboloid to 4.03 times the means;
+    # with whole-array temporaries and np.stack the cap was at 7
     import tracemalloc
 
-    space = SpaceSpec(SPHERE, 3, 0.8)
-    tg = default_tgrid(space, 600)
-    bd = boundary_grid(space, 800)
-    data = MeanData(space, bd, tg, np.random.default_rng(10).standard_normal((bd.m, tg.n)))
-    x = chart_box_grid(space, np.zeros(3), 0.3, 5, ball_radius=0.3)
-    tracemalloc.start()
-    try:
-        invert(data, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4.5 * data.values.nbytes
+    for space in (SpaceSpec(SPHERE, 3, 0.8), SpaceSpec(HYPERBOLIC, 3, 0.8), E3):
+        tg = default_tgrid(space, 600)
+        bd = boundary_grid(space, 800)
+        data = MeanData(space, bd, tg, np.random.default_rng(10).standard_normal((bd.m, tg.n)))
+        x = chart_box_grid(space, np.zeros(3), 0.3, 5, ball_radius=0.3)
+        tracemalloc.start()
+        try:
+            invert(data, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * data.values.nbytes, space.kind

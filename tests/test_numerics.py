@@ -235,15 +235,6 @@ def test_darboux_matches_the_expression_form(grid, n):
     assert np.array_equal(samples, kept)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
-def test_darboux_over_its_input_matches_the_expression_form(grid, n):
-    samples = np.random.default_rng(13).standard_normal((4, grid.n))
-    ref = _darboux_reference(samples, grid, n)
-    out = darboux_L_matrix(samples, grid, n, _overwrite=True)
-    assert out is samples
-    assert np.array_equal(out, ref)
-
-
 def log_kernel_reference(samples, grid, s: float, kernel: str = "log|t-s|") -> float:
     """One target's log-kernel integral by interpolating the profile at the
     nodes of order-20 graded panels on every grid cell, plus a moment for

@@ -61,6 +61,16 @@ def test_bump_radius_must_be_positive(radius):
         Bump(np.array([0.2, 0.0]), radius, 1.0)
 
 
+@pytest.mark.parametrize("space", [E2, SpaceSpec(SPHERE, 2, 0.8)])
+def test_bump_centre_must_be_finite(space):
+    # unchecked, a nan centre gave the support margin nan, which passed the
+    # margin check, and means that were all 0
+    centre = spaces.lift(space, np.array([0.1, 0.0]))
+    centre[0] = np.nan
+    with pytest.raises(ValueError, match=r"^point \[nan, .*\] has a coordinate that is not finite$"):
+        Phantom(space, (Bump(centre, 0.3, 1.0),))
+
+
 def test_margin_violation_rejected():
     with pytest.raises(ValueError):
         Phantom(E2, (Bump(np.array([0.8, 0.0]), 0.3, 1.0),))

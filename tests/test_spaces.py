@@ -180,6 +180,16 @@ def test_lower_sheet_rejected():
         spaces.validate_point(H3, x * np.array([1.0, 1.0, 1.0, -1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_points_that_are_not_finite_rejected(bad):
+    # the first such point is named; the on-space check alone let nan pass
+    for space in (E2, H3):
+        x = spaces.lift(space, np.array([[0.1] * space.n, [0.2] * space.n, [0.0] * space.n]))
+        x[1, -1] = x[2, 0] = bad
+        with pytest.raises(ValueError, match=re.escape(f"point {x[1].tolist()} has a coordinate")):
+            spaces.validate_point(space, x)
+
+
 def test_minkowski_identity_point():
     e = spaces.origin(H3)
     assert abs(pairing(H3, e, e) - 1.0) < 1e-15
