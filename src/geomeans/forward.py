@@ -123,7 +123,8 @@ class MeanData:
         # the last row against the first settles off-centre data in O(N)
         radial = v.strides[0] == 0 or (np.array_equal(v[-1], v[0]) and np.all(v == v[0]))
         object.__setattr__(self, "rows", v[:1] if radial else v)
-        if not np.all(np.isfinite(self.rows)):
+        # min and max carry any NaN or infinity, with no (m, N) mask
+        if not (np.isfinite(self.rows.min()) and np.isfinite(self.rows.max())):
             raise ValueError("mean data contains non-finite values")
         if self.alpha is not None:
             validate_trace_order(self.space, self.alpha, "alpha")

@@ -5,9 +5,12 @@ runs the distinct rows of the means (`MeanData.rows`, one row for radial
 data): it undoes a trace's fractional time weighting (layer 2:
 Erdelyi-Kober in R^n, right-sided Riemann-Liouville on the cap) by the
 index law with `forward.trace_weighting`, filters the rows in t and, in
-even dimensions, tables them against the log kernel (layers 3 and 4, one
-row builder for all three spaces), and back-projects once, with the outer
+even dimensions, tables them against the log kernel (layers 3 and 4, the
+same steps in all three spaces), and back-projects once, with the outer
 Laplacian in closed form (layer 5), the one step that differs by space.
+The back-projection pulls the filtered rows of each block of centres as it
+reaches them, so only the operator products of layers 2 and 4 run on
+every row at once.
 The result is one constant (`_prefactor`) times that Laplacian. The
 Euclidean odd/even formulas are those of Finch, Haltmeier & Rakesh (SIAM J.
 Appl. Math. 68, 2007), with a Laplacian-free `modified` variant; the cap and
@@ -64,8 +67,8 @@ _BLOCK_CELLS = 32_768
 
 def _observation_args(space: SpaceSpec, x: np.ndarray):
     """The map from a block of boundary centres (b, dim) to the observation
-    arguments (K, b) of the points x (K, dim): |x - xi| in R^n, the pairing
-    (xi, x) on the cap and the hyperboloid.
+    arguments (K, b) of the points x (K, dim), into `out` if given: |x - xi|
+    in R^n, the pairing (xi, x) on the cap and the hyperboloid.
 
     Both come from one product x xi^T, and whatever depends on the points
     alone is taken once; the distance is sqrt(max(|x|^2 + |xi|^2 - 2 x.xi, 0)),
@@ -74,8 +77,8 @@ def _observation_args(space: SpaceSpec, x: np.ndarray):
     if space.kind == spaces.EUCLIDEAN:
         x_sq = (x ** 2).sum(axis=1)[:, None]
 
-        def args(centers: np.ndarray) -> np.ndarray:
-            d2 = x @ centers.T
+        def args(centers: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            d2 = np.matmul(x, centers.T, out=out)
             d2 *= -2.0
             d2 += x_sq
             d2 += (centers ** 2).sum(axis=1)
@@ -85,8 +88,8 @@ def _observation_args(space: SpaceSpec, x: np.ndarray):
         return args
     chart, height = np.ascontiguousarray(x[:, :-1]), x[:, -1:]
 
-    def args(centers: np.ndarray) -> np.ndarray:
-        a = chart @ centers[:, :-1].T
+    def args(centers: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        a = np.matmul(chart, centers[:, :-1].T, out=out)
         a *= space.curvature
         a += height * centers[:, -1]
         return a
@@ -108,57 +111,98 @@ def _differences(rows: np.ndarray, first: int, width: int, out: np.ndarray) -> n
     return out
 
 
-def backproject(boundary: BoundaryGrid, grid: TGrid, F: np.ndarray, x: np.ndarray,
+def _is_sequence(F) -> bool:
+    # a list or a tuple is always a sequence of tables, an array from 3 axes on
+    return isinstance(F, (list, tuple)) or np.ndim(F) >= 3
+
+
+def _tables(F, shapes: set, count: int | None = None) -> list[np.ndarray]:
+    """One table or a sequence of them as a list of float tables, which must
+    share one of the `shapes` (and be `count` tables, when it is given)."""
+    # the flat gathers need C-contiguous tables
+    tables = [np.ascontiguousarray(np.atleast_2d(np.asarray(table, dtype=float)))
+              for table in (F if _is_sequence(F) else [F])]
+    if (len({table.shape for table in tables}) != 1 or tables[0].shape not in shapes
+            or count not in (None, len(tables))):
+        raise ValueError("need tables (centres, N) on the grid, or one row, all of one shape")
+    return tables
+
+
+def backproject(boundary: BoundaryGrid, grid: TGrid, F, x: np.ndarray,
                 fill: float | str, times_t: bool = False) -> np.ndarray:
     """Weighted boundary average of per-center profiles at the observation args.
 
     F is one table (centers x grid), or a sequence of such tables of one
     shape: a list, a tuple or a (k, centers, grid) array. A list or tuple
-    is always a sequence. Each table is sampled by cubic interpolation at
-    |x - xi| in R^n and at the pairing (xi, x) on the cap and the
-    hyperboloid; a table of one row stands for every centre (radial data).
-    The result is (K,) for one table and (k, K) for a sequence. Arguments
-    outside the grid count as zero with fill=0.0. With fill='error' they
-    raise at the first block of centres that reads one, naming the first
-    point there that does, its argument and the grid's ends. With times_t
-    the result gains one more row at the end, (2, K) for one table: the
-    back-projection of t times the first table, from the values gathered
-    for it. The cubic through the nodes' t_i g_i is t p(t) less p's leading
-    coefficient times the nodes' polynomial, so it reads
-    a p(a) - h (D^3g/6) (s+1) s (s-1) (s-2) at a = t_j + s h.
+    is always a sequence. F may also be a block source: a function
+    (lo, hi) -> the table, or the sequence of tables, of the centres lo to
+    hi - 1 alone, each (hi - lo, grid). It is called once per block of
+    centres, in order (with no points, for the first block alone), so that
+    its caller never needs every centre's rows at once.
+    Each table is sampled by cubic interpolation at |x - xi| in R^n and at
+    the pairing (xi, x) on the cap and the hyperboloid; a whole table of
+    one row stands for every centre (radial data). The result is (K,) for
+    one table and (k, K) for a sequence. Arguments outside the grid count
+    as zero with fill=0.0. With fill='error' they raise at the first block
+    of centres that reads one, naming the first point there that does, its
+    argument and the grid's ends. With times_t the result gains one more
+    row at the end, (2, K) for one table: the back-projection of t times
+    the first table, from the values gathered for it. The cubic through the
+    nodes' t_i g_i is t p(t) less p's leading coefficient times the nodes'
+    polynomial, so it reads a p(a) - h (D^3g/6) (s+1) s (s-1) (s-2) at
+    a = t_j + s h.
 
     The centres run in blocks, each against every point (`_BLOCK_CELLS`).
-    A block's table rows become Newton forward differences on the columns
-    its cells reach, and each cell reads its cubic in nested form,
-    g + (s+1) (Dg + s/2 (D^2g + (s-1)/3 D^3g)), from four gathers at one flat
-    index: the stencil's first node plus the row's offset, or the node
-    alone in a one-row table, which is differenced once. Each block's
-    values add into the result by one product against its boundary
-    weights.
+    Whole tables become the source of their rows lo to hi - 1, so every
+    block takes one path. A block's table rows become Newton forward
+    differences on the columns its cells reach, and each cell reads its
+    cubic in nested form, g + (s+1) (Dg + s/2 (D^2g + (s-1)/3 D^3g)), from
+    four gathers at one flat index: the stencil's first node plus the row's
+    offset, or the node alone in a one-row table, which is differenced
+    once. Each block's values add into the result by one product against
+    its boundary weights.
     """
     if fill not in (0.0, "error"):
         raise ValueError("fill must be 0.0 or 'error'")
-    one = not isinstance(F, (list, tuple)) and np.ndim(F) < 3
-    # the flat gathers need C-contiguous tables
-    tables = [np.ascontiguousarray(np.atleast_2d(np.asarray(table, dtype=float)))
-              for table in ([F] if one else F)]
     x = np.atleast_2d(np.asarray(x, dtype=float))
     K, m, N = x.shape[0], boundary.m, grid.n
-    shapes = {table.shape for table in tables}
-    if len(shapes) != 1 or not shapes <= {(m, N), (1, N)}:
-        raise ValueError("need tables (centres, N) on the grid, or one row, all of one shape")
-    radial = tables[0].shape[0] == 1
-    out = np.zeros((len(tables) + times_t, K))
+    block = max(1, _BLOCK_CELLS // max(K, N))
+    if callable(F):
+        source, radial = F, False
+    else:
+        whole = _tables(F, {(m, N), (1, N)})
+        radial = whole[0].shape[0] == 1
+
+        def source(lo: int, hi: int):
+            rows = whole if radial else [table[lo:hi] for table in whole]
+            return rows if _is_sequence(F) else rows[0]
+
+    def shapes(lo: int, hi: int) -> set:
+        return {(1, N)} if radial else {(hi - lo, N)}
+
+    tables = source(0, min(block, m))
+    one = not _is_sequence(tables)
+    tables = _tables(tables, shapes(0, min(block, m)))
+    count = len(tables)
+    out = np.zeros((count + times_t, K))
     result = out[0] if one and not times_t else out
     if K == 0:
         return result
     args = _observation_args(boundary.space, x)
-    block = max(1, _BLOCK_CELLS // max(K, N))
     if radial:
         diffs = [_differences(table, 0, N - 3, np.empty((3, 1, N))) for table in tables]
     else:
         spare = np.empty((3, min(block, m), N))
     values = np.empty((out.shape[0], K, min(block, m)))
+    # Every block reuses one set of the cells' arrays. Made afresh for each
+    # block, between a source's rows, they left the heap's top free for the
+    # allocator to return, and each block faulted its pages in again: the
+    # benchmark's odd_3d_files invert_s read 13% above whole tables. Seven
+    # arrays of a block's size, not one seven times as large: that one, once
+    # freed, raised the allocator's mapping threshold for the calls after,
+    # and highdim_4d's repeated forward steps read 7-10% slower
+    work = [np.empty(K * min(block, m)) for _ in range(7)]
+    cells = np.empty(K * min(block, m), dtype=np.intp)
     a0, h = grid.a, grid.h
 
     def first_node(arg: float) -> int:
@@ -167,7 +211,10 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, F: np.ndarray, x: np.ndarra
 
     for lo in range(0, m, block):
         hi = min(lo + block, m)
-        a = args(boundary.centers[lo:hi])
+        if lo:
+            tables = _tables(source(lo, hi), shapes(lo, hi), count)
+        a, s, node, third, term, f1, f2 = (w[:K * (hi - lo)].reshape(K, hi - lo) for w in work)
+        a = args(boundary.centers[lo:hi], out=a)
         low, high = a.min(), a.max()
         everywhere = low >= a0 and high <= grid.b
         if not everywhere:
@@ -181,9 +228,9 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, F: np.ndarray, x: np.ndarra
             low, high = a0, a.max()
         # cell j covers [t_j, t_j+1), the end cells reach one cell further
         # out, and s = (a - t_j)/h; the cubic's nodes are j-1, ..., j+2
-        s = a - a0
+        np.subtract(a, a0, out=s)
         s /= h
-        node = np.floor(s)
+        np.floor(s, out=node)
         np.clip(node, 1.0, N - 3.0, out=node)
         s -= node
         node -= 1.0
@@ -191,12 +238,17 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, F: np.ndarray, x: np.ndarra
             first = first_node(low)
             width = first_node(high) - first + 1
             node += np.arange(0.0, (hi - lo) * N, N)
-        cell = node.astype(np.intp)
-        third, term = np.empty_like(s), np.empty_like(s)
-        f1, f2, f3 = s + 1.0, s * 0.5, (s - 1.0) / 3.0  # the nested form's factors
+        cell = cells[:K * (hi - lo)].reshape(K, hi - lo)
+        np.copyto(cell, node, casting="unsafe")
+        # the nested form's factors s + 1, s/2 and (s - 1)/3, the last one
+        # over the nodes, which are read no further
+        f3 = node
+        np.add(s, 1.0, out=f1)
+        np.multiply(s, 0.5, out=f2)
+        np.subtract(s, 1.0, out=f3)
+        f3 /= 3.0
         vals = values[:, :, :hi - lo]
-        for j, (table, acc) in enumerate(zip(tables, vals)):
-            rows = table if radial else table[lo:hi]
+        for j, (rows, acc) in enumerate(zip(tables, vals)):
             d = diffs[j] if radial else _differences(rows, first, width, spare[:, :hi - lo])
             # the cells keep every index in range; mode="clip" only spares
             # the buffered copy that mode="raise" makes of `out`
@@ -219,6 +271,8 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, F: np.ndarray, x: np.ndarra
         if not everywhere:
             vals *= inside
         out += vals @ boundary.weights[lo:hi]
+        # the block's tables go before the source makes the next block's
+        del tables, rows, plane
     return result
 
 
@@ -284,33 +338,36 @@ def _section_weight(space: SpaceSpec, t: np.ndarray) -> np.ndarray:
     return (space.curvature * (1.0 - t ** 2)) ** (n / 2.0 - 1.0)
 
 
-def _rows(space: SpaceSpec, grid: TGrid, values: np.ndarray, read: tuple[float, float]):
-    """Grid, rows P and fill of the back-projection (layers 3 and 4), in R^n,
-    on the cap and on the hyperboloid.
+def _filtered(space: SpaceSpec, grid: TGrid, values: np.ndarray, method: str) -> np.ndarray:
+    """Layer 3 on rows (M, N) of the means, in R^n, on the cap and on the
+    hyperboloid: filter^k F, always a new array, never the caller's means.
 
-    F = sin_k(r)^{n-2} means. The filter is d/da in the pairing variable up
-    to a constant: D = (1/2t) d/dt in R^n, d/dt on the curved grids. Odd n:
-    P = filter^{n-3} F on the data grid, and arguments off it read 0. Even
-    n: P is the log-kernel table (log|t^2-s^2| in R^n, log|t-s| on the
-    curved grids) of filter^{n-2} F, times t in R^n, built only on the
-    window of the full target grid that arguments in `read` reach
-    (`_table_grid`); an argument off it raises. n = 2 reproduces the disk
-    formula. P is always a new array, never the caller's means, so `invert`
-    may write over it.
+    F = sin_k(r)^{n-2} times the means, or times L_n of them for the
+    `modified` formula. The filter is d/da in the pairing variable up to a
+    constant: D = (1/2t) d/dt in R^n, d/dt on the curved grids; k = n - 3
+    for odd n and n - 2 for even n. Every step works row by row, so the
+    rows of a block of centres come out as they do from all rows at once.
     """
-    n, euclidean = space.n, space.kind == spaces.EUCLIDEAN
-    filt = d_operator_matrix if euclidean else diff_matrix
-    # F stays a temporary: held through the log table, it would raise the
-    # peak memory by one more (m, N) array
-    rows = filt(_section_weight(space, grid.values) * values, grid, n - 3 if n % 2 else n - 2)
-    if n % 2 == 1:
-        return grid, rows, 0.0
-    if euclidean:
-        # rows is F or the filter's own array, never the caller's means
+    n = space.n
+    if method == "modified":
+        values = darboux_L_matrix(values, grid, n)
+    filt = d_operator_matrix if space.kind == spaces.EUCLIDEAN else diff_matrix
+    return filt(_section_weight(space, grid.values) * values, grid, n - 3 if n % 2 else n - 2)
+
+
+def _log_table(space: SpaceSpec, grid: TGrid, rows: np.ndarray, read: tuple[float, float]):
+    """Layer 4 of even n: the target grid and the log-kernel table of the
+    filtered rows (log|t^2-s^2| in R^n, of the rows times t, which it
+    writes over; log|t-s| on the curved grids). The table is built only on
+    the window of the full target grid that arguments in `read` reach
+    (`_table_grid`); an argument off it raises. n = 2 reproduces the disk
+    formula.
+    """
+    if space.kind == spaces.EUCLIDEAN:
         rows *= grid.values
     out_grid = _table_grid(space, grid.n, read)
-    kernel = "log|t^2-s^2|" if euclidean else "log|t-s|"
-    return out_grid, log_kernel_table(rows, grid, out_grid.values, kernel=kernel), "error"
+    kernel = "log|t^2-s^2|" if space.kind == spaces.EUCLIDEAN else "log|t-s|"
+    return out_grid, log_kernel_table(rows, grid, out_grid.values, kernel=kernel)
 
 
 def _prefactor(space: SpaceSpec) -> float:
@@ -370,11 +427,18 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     order checked by `MeanData`) first have their fractional weighting
     undone, and then take the direct formula. Only the distinct rows
     `data.rows` run through the layers: radial data, whose rows are all
-    equal, run as one row, which back-projects to the same numbers. In even
-    n the log-kernel table and its differences are built only on the
-    targets between the points' smallest and largest possible arguments
+    equal, run as one row, which back-projects to the same numbers.
+
+    The two operator products run once over every distinct row, each
+    against an operator built once: the undoing of a trace's weighting
+    (layer 2) and, in even n, the log-kernel table (layer 4), built only on
+    the targets between the points' smallest and largest possible arguments
     (`_read_range`) plus a margin; an argument outside that window still
-    raises.
+    raises. Every other step works row by row, so the back-projection pulls
+    its rows block by block from a source: the section weighting and the
+    t-filter (odd n, after L_n for `modified`) or the block's slice of the
+    table (even n), then the pair of derivative passes, on the block's
+    centres alone. No (m, N) array is made after the operator products.
 
     `fd_step` is accepted and ignored: every outer Laplacian is computed in
     closed form inside the back-projection, with no finite-difference step.
@@ -392,31 +456,39 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
         raise ValueError(f"evaluation points must lie strictly inside the {region} of radius "
                          f"{space.radius:g}; {x[outside][0].tolist()} does not")
 
-    values = data.rows
+    values, grid, fill = data.rows, data.tgrid, 0.0
     if alpha is not None:
         # the index law: T_{eta+alpha,-alpha} undoes T_{eta,alpha}, eta = n/2 - 1
-        values = trace_weighting(space, data.tgrid, values, n / 2.0 - 1.0 + alpha, -alpha)
-    if method == "modified":
-        values = darboux_L_matrix(values, data.tgrid, n)
-    grid, rows, fill = _rows(space, data.tgrid, values, _read_range(space, x))
-    if method == "direct":
+        values = trace_weighting(space, grid, values, n / 2.0 - 1.0 + alpha, -alpha)
+    if n % 2 == 0:
+        grid, values = _log_table(space, grid, _filtered(space, grid, values, method),
+                                  _read_range(space, x))
+        fill = "error"
+
+    def rows(lo: int, hi: int):
+        # the rows P of the centres lo to hi - 1: layer 3 on their means in
+        # odd n, their slice of invert's own table in even n
+        P = values[lo:hi] if n % 2 == 0 else _filtered(space, grid, values[lo:hi], method)
+        if method == "modified":
+            return P
         # The Laplacian of x -> P(arg(xi, x)) is P''(arg) |grad arg|^2 +
-        # P'(arg) Lap arg. One pair of passes gives P', then P'' over P,
-        # which `_rows` made for this call. In R^n this is the back-projection
-        # of L_n P = P'' + (n-1)/t P', formed in place as `darboux_L_matrix`
-        # forms it (along the target axis of the even table); the modified
-        # formula has applied L_n to the means. On the cap and the hyperboloid
-        # the back-projection adds BP[t P''] from the values it gathers for P''.
-        first = _diff1(rows, grid.h)
-        rows = _diff1(first, grid.h, out=rows)
-        if space.kind == spaces.EUCLIDEAN:
-            first *= (n - 1) / grid.values
-            rows += first
-        else:
-            rows = (rows, first)
-        del first
-    f0 = backproject(data.boundary, grid, rows, x, fill=fill,
-                     times_t=space.kind != spaces.EUCLIDEAN)
+        # P'(arg) Lap arg. One pair of passes gives P', then P'' over P. In
+        # R^n this is the back-projection of L_n P = P'' + (n-1)/t P', formed
+        # in place as `darboux_L_matrix` forms it (along the target axis of
+        # the even table); the modified formula has applied L_n to the means.
+        # On the cap and the hyperboloid the back-projection adds BP[t P'']
+        # from the values it gathers for P''.
+        first = _diff1(P, grid.h)
+        P = _diff1(first, grid.h, out=P)
+        if space.kind != spaces.EUCLIDEAN:
+            return P, first
+        first *= (n - 1) / grid.values
+        P += first
+        return P
+
+    # one row (radial data) runs once as whole tables
+    f0 = backproject(data.boundary, grid, rows(0, 1) if values.shape[0] == 1 else rows, x,
+                     fill=fill, times_t=space.kind != spaces.EUCLIDEAN)
 
     d = _prefactor(space)
     if space.kind == spaces.EUCLIDEAN:

@@ -184,11 +184,22 @@ def quintic_interp(values: np.ndarray, grid: TGrid, x: np.ndarray) -> np.ndarray
 # finite-difference derivatives on uniform grids
 # ---------------------------------------------------------------------------
 
+# The one-sided end formulas of `_diff1`: columns 0, 1, -2 and -1 weigh the
+# nodes 0, ..., 4 resp. -1, ..., -5 by these weights (times 1/12h)
+_END_COLUMNS = [0, 1, -2, -1]
+_END_NODES = np.array([[0, 1, 2, 3, 4]] * 2 + [[-1, -2, -3, -4, -5]] * 2)
+_END_WEIGHTS = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0],
+                         [3.0, 10.0, -18.0, 6.0, -1.0], [25.0, -48.0, 36.0, -16.0, 3.0]])
+
+
 def _diff1(samples: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """4th-order first derivative along the last axis (one-sided at the ends),
     into `out` (which must not share memory with samples) if given.
 
-    The interior takes one temporary of its own size.
+    The interior takes one temporary of its own size. The four end columns
+    take a handful of calls for any number of rows, which matters for the
+    few rows of a block of centres; each sums its weighted nodes from the
+    left, as the written-out formula would.
     """
     f = samples
     out = np.empty_like(f) if out is None else out
@@ -198,14 +209,12 @@ def _diff1(samples: np.ndarray, h: float, out: np.ndarray | None = None) -> np.n
     inner += 8.0 * f[..., 3:-1]
     inner -= f[..., 4:]
     inner /= 12.0 * h
-    out[..., 0] = (-25.0 * f[..., 0] + 48.0 * f[..., 1] - 36.0 * f[..., 2]
-                   + 16.0 * f[..., 3] - 3.0 * f[..., 4]) / (12.0 * h)
-    out[..., 1] = (-3.0 * f[..., 0] - 10.0 * f[..., 1] + 18.0 * f[..., 2]
-                   - 6.0 * f[..., 3] + f[..., 4]) / (12.0 * h)
-    out[..., -2] = (3.0 * f[..., -1] + 10.0 * f[..., -2] - 18.0 * f[..., -3]
-                    + 6.0 * f[..., -4] - f[..., -5]) / (12.0 * h)
-    out[..., -1] = (25.0 * f[..., -1] - 48.0 * f[..., -2] + 36.0 * f[..., -3]
-                    - 16.0 * f[..., -4] + 3.0 * f[..., -5]) / (12.0 * h)
+    terms = f[..., _END_NODES] * _END_WEIGHTS
+    ends = terms[..., 0] + terms[..., 1]
+    for k in range(2, 5):
+        ends += terms[..., k]
+    ends /= 12.0 * h
+    out[..., _END_COLUMNS] = ends
     return out
 
 

@@ -114,6 +114,24 @@ def test_mean_data_rows_are_the_distinct_rows():
     assert rows.shape == values.shape and np.shares_memory(rows, values)
 
 
+
+def test_mean_data_checks_dense_values_without_a_copy():
+    # finiteness from the values' min and max, and the last row against the
+    # first for radial data: no (m, N) temporary, not even a bool mask
+    import tracemalloc
+
+    bd = boundary_grid(E3, 800)
+    tg = default_tgrid(E3, 600)
+    values = np.random.default_rng(2).standard_normal((bd.m, tg.n))
+    tracemalloc.start()
+    try:
+        data = MeanData(E3, bd, tg, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.rows.shape == values.shape
+    assert peak < 0.01 * values.nbytes
+
 def _file_data(phantom, bd, tg):
     # plain means through a means file, as `geomeans invert` reads them
     with tempfile.TemporaryDirectory() as tmp:

@@ -5,6 +5,7 @@ import pytest
 from cubic_reference import cubic_cells, cubic_weights
 from hypothesis import given, settings, strategies as st
 from scipy.special import gamma
+from whole_reference import whole_invert, whole_rows
 
 from geomeans import cli, inversion, spaces
 from geomeans.checks import phantom_integral, riesz_potential
@@ -109,20 +110,38 @@ def test_backproject_fill_policy():
         backproject(bd, tg, touching, closer, fill="error")
 
 
-def test_backproject_checks_its_arguments_and_takes_no_points():
+def test_backproject_checks_its_arguments_and_takes_no_points(monkeypatch):
     bd = boundary_grid(E2, 8)
     tg = default_tgrid(E2, 128)
     F = np.ones((bd.m, tg.n))
     x = np.array([[0.2, 0.1]])
     with pytest.raises(ValueError, match="^fill must be 0.0 or 'error'$"):
         backproject(bd, tg, F, x, fill="zero")
-    for bad in (F[:3], F[:, :-1], F[None, :, :-1], [F, F[:1]], ()):
+    # whole tables, and sources whose block is not (hi - lo, N) tables of
+    # one shape: short or long on either axis, one row for several centres,
+    # mixed, none, or a count that changes from block to block
+    sources = (lambda lo, hi: F[lo:hi, :-1], lambda lo, hi: F[:1],
+               lambda lo, hi: F[lo:hi + 1], lambda lo, hi: [F[lo:hi], F[lo:hi, :-1]],
+               lambda lo, hi: (), lambda lo, hi: [F[lo:hi]] * (1 + (lo > 0)))
+    monkeypatch.setattr(inversion, "_BLOCK_CELLS", 3 * tg.n)
+    assert bd.m > 3
+    for bad in (F[:3], F[:, :-1], F[None, :, :-1], [F, F[:1]], ()) + sources:
         with pytest.raises(ValueError, match=r"^need tables \(centres, N\) on the grid"):
             backproject(bd, tg, bad, x, fill=0.0)
     none = np.zeros((0, 2))
     assert backproject(bd, tg, F, none, fill="error").shape == (0,)
     assert backproject(bd, tg, F, none, fill="error", times_t=True).shape == (2, 0)
     assert backproject(bd, tg, np.stack([F, F]), none, fill=0.0).shape == (2, 0)
+    # a source with no points is asked for its first block alone
+    asked = []
+
+    def source(lo, hi):
+        asked.append((lo, hi))
+        return F[lo:hi], F[lo:hi]
+
+    assert backproject(bd, tg, source, none, fill=0.0).shape == (2, 0)
+    assert backproject(bd, tg, lambda lo, hi: F[lo:hi], none, fill=0.0).shape == (0,)
+    assert asked == [(0, 3)]
 
 
 @pytest.mark.parametrize("space", [E2, SpaceSpec(SPHERE, 3, 0.8)])
@@ -138,6 +157,16 @@ def test_backproject_stack_equals_single_calls(space):
     assert stacked.shape == (3, 50)
     for table, row in zip(tables, stacked):
         assert np.array_equal(row, backproject(bd, tg, table, x, fill=0.0))
+    # a source of the same tables, asked once per block in order
+    asked = []
+
+    def source(lo, hi):
+        asked.append((lo, hi))
+        return tables[:, lo:hi]
+
+    assert np.array_equal(backproject(bd, tg, source, x, fill=0.0), stacked)
+    block = _BLOCK_CELLS // tg.n
+    assert asked == [(lo, min(lo + block, bd.m)) for lo in range(0, bd.m, block)]
     # a list or a tuple of tables is the same sequence, and a table that is
     # not C-contiguous reads the same numbers
     assert np.array_equal(backproject(bd, tg, list(tables), x, fill=0.0), stacked)
@@ -919,31 +948,31 @@ def test_forward_and_invert_are_equivariant(space, m, symmetry, seed):
 
 
 def _curved_invert_keeping(monkeypatch, space):
-    """invert on random curved rows at the origin and two more points, with
-    its last rows P (the filter's or the log table's) and its
-    back-projection's arguments kept."""
+    """invert on random curved rows at the origin and two more points, in
+    blocks of 3 centres, with its back-projection's arguments and every
+    block (lo, hi, tables) that its source gave kept, and the whole rows P
+    of the whole-array route."""
     rng = np.random.default_rng(9)
     tg = default_tgrid(space, 128)
     bd = boundary_grid(space, 16)
-    values = rng.standard_normal((bd.m, tg.n))
-    made, projected = [], []
+    data = MeanData(space, bd, tg, rng.standard_normal((bd.m, tg.n)))
+    projected, blocks = [], []
 
-    def keeping(fn, into, copy):
-        def wrapped(*args, **kwargs):
-            result = fn(*args, **kwargs)
-            into.append((args, kwargs, result.copy() if copy else result))
-            return result
-        return wrapped
+    def keeping(boundary, grid, F, x, **kwargs):
+        def source(lo, hi):
+            blocks.append((lo, hi, F(lo, hi)))
+            return blocks[-1][2]
 
-    # invert writes P'' over the rows P, so those are kept as copies
-    monkeypatch.setattr(inversion, "diff_matrix", keeping(diff_matrix, made, True))
-    monkeypatch.setattr(inversion, "log_kernel_table", keeping(log_kernel_table, made, True))
-    monkeypatch.setattr(inversion, "backproject", keeping(backproject, projected, False))
+        projected.append((boundary, grid, x, kwargs))
+        monkeypatch.setattr(inversion, "_BLOCK_CELLS", 3 * max(len(x), grid.n))
+        return backproject(boundary, grid, source, x, **kwargs)
+
+    monkeypatch.setattr(inversion, "backproject", keeping)
     chart = np.array([[0.0] * space.n, [0.1] * space.n, [-0.2] + [0.05] * (space.n - 1)])
     x = spaces.lift(space, chart)
-    f = invert(MeanData(space, bd, tg, values), x)
+    f = invert(data, x)
     assert len(projected) == 1
-    return f, made[-1][2], projected[-1]
+    return f, whole_rows(data, x)[1], projected[0], blocks
 
 
 CURVED = [SpaceSpec(SPHERE, 3, 0.8), SpaceSpec(HYPERBOLIC, 3, 0.8), S2]
@@ -951,14 +980,19 @@ CURVED = [SpaceSpec(SPHERE, 3, 0.8), SpaceSpec(HYPERBOLIC, 3, 0.8), S2]
 
 @pytest.mark.parametrize("space", CURVED)
 def test_curved_stack_is_the_stacked_derivatives(monkeypatch, space):
-    # invert takes P' and then P'' over P; the pair (P'', P') it
-    # back-projects must hold the bits of the separate derivatives of a copy
-    # of the same rows P
-    _, rows, ((_, grid, pair, _), kwargs, _) = _curved_invert_keeping(monkeypatch, space)
-    d1 = diff_matrix(rows, grid, 1)
-    d2 = diff_matrix(d1, grid, 1)
-    assert isinstance(pair, tuple) and len(pair) == 2
-    assert np.array_equal(pair[0], d2) and np.array_equal(pair[1], d1)
+    # the source takes P' and then P'' over the block's rows P; each pair
+    # (P'', P') it returns must hold the bits of the separate derivatives of
+    # those rows of the whole P, and the blocks must cover the centres in
+    # order, the last one short
+    _, rows, (bd, grid, x, kwargs), blocks = _curved_invert_keeping(monkeypatch, space)
+    assert [(lo, hi) for lo, hi, _ in blocks] == [(lo, min(lo + 3, bd.m))
+                                                 for lo in range(0, bd.m, 3)]
+    assert bd.m > 6 and bd.m % 3
+    for lo, hi, pair in blocks:
+        d1 = diff_matrix(rows[lo:hi], grid, 1)
+        d2 = diff_matrix(d1, grid, 1)
+        assert isinstance(pair, tuple) and len(pair) == 2
+        assert np.array_equal(pair[0], d2) and np.array_equal(pair[1], d1)
     assert kwargs["times_t"]
 
 
@@ -966,7 +1000,7 @@ def test_curved_stack_is_the_stacked_derivatives(monkeypatch, space):
 def test_curved_finish_matches_the_three_table_stack(monkeypatch, space):
     # BP[t P''] from the values gathered for P'' against the back-projection
     # of the explicit table t P'', finished in closed form
-    f, rows, ((bd, grid, _, x), kwargs, _) = _curved_invert_keeping(monkeypatch, space)
+    f, rows, (bd, grid, x, kwargs), _ = _curved_invert_keeping(monkeypatch, space)
     d1 = diff_matrix(rows, grid, 1)
     d2 = diff_matrix(d1, grid, 1)
     p2, tp2, p1 = backproject(bd, grid, np.stack([d2, grid.values * d2, d1]), x,
@@ -978,23 +1012,65 @@ def test_curved_finish_matches_the_three_table_stack(monkeypatch, space):
     assert np.max(np.abs(f - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+# every space for n = 2, 3 and 4 on plain means, traces of the R^3 and the
+# cap orders the trace configs take, and the modified formula of R^n
+STREAMED = ([(SpaceSpec(kind, n, 1.0 if kind == EUCLIDEAN else 0.8), None, "direct")
+             for kind in (EUCLIDEAN, SPHERE, HYPERBOLIC) for n in (2, 3, 4)]
+            + [(E3, -1.0, "direct"), (SpaceSpec(SPHERE, 3, 0.8), 1.0, "direct")]
+            + [(SpaceSpec(EUCLIDEAN, n, 1.0), None, "modified") for n in (2, 3, 4)])
+
+
+@pytest.mark.parametrize("space,alpha,method", STREAMED)
+@pytest.mark.parametrize("rows", ["dense", "radial"])
+@pytest.mark.parametrize("block", [None, 5])
+def test_streamed_invert_is_the_whole_array_route(monkeypatch, space, alpha, method, rows, block):
+    # invert pulls each block's rows through layers 3 to 5 as the
+    # back-projection reaches them; every step works row by row, so it gives
+    # the bits of every layer on whole arrays, in one block or in blocks of
+    # 5 centres whose last one is short, and for one radial row
+    rng = np.random.default_rng(11)
+    tg = default_tgrid(space, 128)
+    bd = boundary_grid(space, 24)
+    x = _interior_points(space, 9, 0.8, rng)
+    values = (rng.standard_normal((bd.m, tg.n)) if rows == "dense"
+              else np.broadcast_to(rng.standard_normal(tg.n), (bd.m, tg.n)))
+    data = MeanData(space, bd, tg, values, alpha)
+    assert data.rows.shape[0] == (1 if rows == "radial" else bd.m)
+    if block is not None:
+        # the back-projection's grid is the table's window in even n; both
+        # routes sum the blocks' values in the same order
+        grid = whole_rows(data, x, method)[0]
+        monkeypatch.setattr(inversion, "_BLOCK_CELLS", block * max(len(x), grid.n))
+        assert bd.m % block and bd.m > 2 * block
+    assert np.array_equal(invert(data, x, method=method), whole_invert(data, x, method))
+
+
 def test_invert_memory_on_a_cap():
-    # (800, 600) cases on the cap, on the hyperboloid and in R^n: the pair
-    # of derivative passes holds the rows P, P' and one derivative's
-    # interior, and P'' takes P's place. A (2, m, N) stack of (P'', P')
-    # beside P took the cap and the hyperboloid to 4.03 times the means;
-    # with whole-array temporaries and np.stack the cap was at 7
+    # (800, 600) dense means: the back-projection pulls each block's rows
+    # through the t-filter and the derivative pair, so odd n makes no
+    # (m, N) array; the peak is one block's working set, measured 0.48 times
+    # the means on the cap and the hyperboloid and 0.47 in R^3. Whole rows
+    # took all three to 3.03 times, and a (2, m, N) stack of (P'', P')
+    # beside P took the cap and the hyperboloid to 4.03. Traces undo their
+    # weighting on every row at once, measured 1.87 times at the R^3 order
+    # -1 and 3.03 at the cap order 1 (4.03 with whole rows after it). Even n
+    # filter every row for the log table, measured 4.03 in R^4 (686 centres)
     import tracemalloc
 
-    for space in (SpaceSpec(SPHERE, 3, 0.8), SpaceSpec(HYPERBOLIC, 3, 0.8), E3):
+    E4 = SpaceSpec(EUCLIDEAN, 4, 1.0)
+    for space, alpha, bound in ((SpaceSpec(SPHERE, 3, 0.8), None, 0.5),
+                                (SpaceSpec(HYPERBOLIC, 3, 0.8), None, 0.5), (E3, None, 0.5),
+                                (E3, -1.0, 2.1), (SpaceSpec(SPHERE, 3, 0.8), 1.0, 3.3),
+                                (E4, None, 4.3)):
         tg = default_tgrid(space, 600)
         bd = boundary_grid(space, 800)
-        data = MeanData(space, bd, tg, np.random.default_rng(10).standard_normal((bd.m, tg.n)))
-        x = chart_box_grid(space, np.zeros(3), 0.3, 5, ball_radius=0.3)
+        values = np.random.default_rng(10).standard_normal((bd.m, tg.n))
+        data = MeanData(space, bd, tg, values, alpha)
+        x = chart_box_grid(space, np.zeros(space.n), 0.3, 5, ball_radius=0.3)
         tracemalloc.start()
         try:
             invert(data, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * data.values.nbytes, space.kind
+        assert peak < bound * data.values.nbytes, (space, alpha)
