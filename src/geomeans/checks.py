@@ -596,7 +596,8 @@ def _log_identities(seed: int) -> tuple[float]:
         cf_log = np.log(spec.chart_radius if flat else spec.chart_radius / 2)
         cf = -cf_log / (2.0 * np.pi) * phantom_integral(ph)
         for x in xs:
-            rhs = float(backproject(bd, tbl_grid, tbl, x[None, :], fill="error")[0]) + cf
+            rhs = float(backproject(bd, tbl_grid, lambda lo, hi: (tbl[lo:hi],), x[None, :],
+                                    fill="error")[0, 0]) + cf
             worst = max(worst, abs(log_potential(ph, x) - rhs))
     return (worst,)
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from typing import Callable
 
 import numpy as np
@@ -80,6 +81,16 @@ def _as_positive(v, path: str) -> float:
     if v <= 0:
         raise ConfigError(f"{path} must be positive")
     return v
+
+
+@contextmanager
+def _sizing(field: str, size: int):
+    """Name the field and its size when the grid built in the block asks
+    for more memory than there is."""
+    try:
+        yield
+    except MemoryError as e:
+        raise ConfigError(f"{field} {size}: {e}") from None
 
 
 def _fields(obj, known: tuple[str, ...], path: str) -> dict:
@@ -164,7 +175,9 @@ def parse_config(raw: dict) -> dict:
         half = _as_positive(_need(rg, "half_width", pth), f"{pth}.half_width")
         ball = rg.get("ball_radius")
         ball = None if ball is None else _as_positive(ball, f"{pth}.ball_radius")
-        if chart_box_grid(space, center, half, ppa, ball).shape[0] == 0:
+        with _sizing(f"{pth}.points_per_axis", ppa):
+            points = chart_box_grid(space, center, half, ppa, ball)
+        if points.shape[0] == 0:
             raise ConfigError(f"{pth} selects no point: every node lies outside the "
                               "admissible interior or the ball_radius")
         grids["recon_grid"] = {"center": center, "half_width": half, "points_per_axis": ppa,
@@ -271,14 +284,14 @@ def _means_metadata(line: str) -> tuple[SpaceSpec, BoundaryGrid, TGrid, float | 
     alpha = None if alpha is None else _as_float_text(alpha, f"{path}.alpha")
     try:
         grid = TGrid.linspace(t0, t1, npts)
-    except ValueError as e:
+    except (ValueError, MemoryError) as e:
         raise ValueError(f"means file t_points {npts} from t0 {t0!r} to t1 {t1!r}: "
                          f"{e}") from None
     # the writer's count is a grid size: fed back as the budget, it gives the grid
     try:
         boundary = boundary_grid(space, m)
-    except ValueError as e:
-        raise ConfigError(f"{path}.boundary_m: {e}") from None
+    except (ValueError, MemoryError) as e:
+        raise ConfigError(f"{path}.boundary_m {m}: {e}") from None
     if boundary.m != m:
         raise ConfigError(f"{path}.boundary_m {m} is no boundary grid size of the space: "
                           f"a budget of {m} gives {boundary.m} centres")
@@ -423,17 +436,18 @@ def write_pgm(values: np.ndarray, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _forward_data(cfg: dict) -> MeanData:
-    space = cfg["space"]
-    bd = boundary_grid(space, cfg["grids"]["boundary_points"])
-    tg = default_tgrid(space, cfg["grids"]["t_points"])
+    space, grids = cfg["space"], cfg["grids"]
+    with _sizing("config.grids.boundary_points", grids["boundary_points"]):
+        bd = boundary_grid(space, grids["boundary_points"])
+    with _sizing("config.grids.t_points", grids["t_points"]):
+        tg = default_tgrid(space, grids["t_points"])
     alpha = cfg["alpha"]
     if alpha is None:
-        return forward_means(cfg["phantom"], bd, tg,
-                             order=cfg["grids"]["quadrature_order"],
+        return forward_means(cfg["phantom"], bd, tg, order=grids["quadrature_order"],
                              profile=cfg["forward_profile"])
     # parse_config admits traces in R^n and on the cap only
     generate = epd_trace_euclidean if space.kind == spaces.EUCLIDEAN else epd_trace_sphere
-    return generate(cfg["phantom"], bd, tg, alpha, order=cfg["grids"]["quadrature_order"])
+    return generate(cfg["phantom"], bd, tg, alpha, order=grids["quadrature_order"])
 
 
 def cmd_forward(cfg: dict, out_path: str) -> int:

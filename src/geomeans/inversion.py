@@ -8,9 +8,10 @@ index law with `forward.trace_weighting`, filters the rows in t and, in
 even dimensions, tables them against the log kernel (layers 3 and 4, the
 same steps in all three spaces), and back-projects once, with the outer
 Laplacian in closed form (layer 5), the one step that differs by space.
-The back-projection pulls the filtered rows of each block of centres as it
-reaches them, so only the operator products of layers 2 and 4 run on
-every row at once.
+The back-projection takes one input form, a source of the filtered rows of
+each block of centres, which it pulls as it reaches them (radial data's one
+row once), so only the operator products of layers 2 and 4 run on every
+row at once.
 The result is one constant (`_prefactor`) times that Laplacian. The
 Euclidean odd/even formulas are those of Finch, Haltmeier & Rakesh (SIAM J.
 Appl. Math. 68, 2007), with a Laplacian-free `modified` variant; the cap and
@@ -67,8 +68,8 @@ _BLOCK_CELLS = 32_768
 
 def _observation_args(space: SpaceSpec, x: np.ndarray):
     """The map from a block of boundary centres (b, dim) to the observation
-    arguments (K, b) of the points x (K, dim), into `out` if given: |x - xi|
-    in R^n, the pairing (xi, x) on the cap and the hyperboloid.
+    arguments (K, b) of the points x (K, dim), into `out`: |x - xi| in R^n,
+    the pairing (xi, x) on the cap and the hyperboloid.
 
     Both come from one product x xi^T, and whatever depends on the points
     alone is taken once; the distance is sqrt(max(|x|^2 + |xi|^2 - 2 x.xi, 0)),
@@ -77,7 +78,7 @@ def _observation_args(space: SpaceSpec, x: np.ndarray):
     if space.kind == spaces.EUCLIDEAN:
         x_sq = (x ** 2).sum(axis=1)[:, None]
 
-        def args(centers: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        def args(centers: np.ndarray, out: np.ndarray) -> np.ndarray:
             d2 = np.matmul(x, centers.T, out=out)
             d2 *= -2.0
             d2 += x_sq
@@ -88,7 +89,7 @@ def _observation_args(space: SpaceSpec, x: np.ndarray):
         return args
     chart, height = np.ascontiguousarray(x[:, :-1]), x[:, -1:]
 
-    def args(centers: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def args(centers: np.ndarray, out: np.ndarray) -> np.ndarray:
         a = np.matmul(chart, centers[:, :-1].T, out=out)
         a *= space.curvature
         a += height * centers[:, -1]
@@ -111,89 +112,60 @@ def _differences(rows: np.ndarray, first: int, width: int, out: np.ndarray) -> n
     return out
 
 
-def _is_sequence(F) -> bool:
-    # a list or a tuple is always a sequence of tables, an array from 3 axes on
-    return isinstance(F, (list, tuple)) or np.ndim(F) >= 3
-
-
-def _tables(F, shapes: set, count: int | None = None) -> list[np.ndarray]:
-    """One table or a sequence of them as a list of float tables, which must
+def _tables(block, shapes: set, count: int | None = None) -> list[np.ndarray]:
+    """A source's block of tables as a list of float tables, which must
     share one of the `shapes` (and be `count` tables, when it is given)."""
     # the flat gathers need C-contiguous tables
-    tables = [np.ascontiguousarray(np.atleast_2d(np.asarray(table, dtype=float)))
-              for table in (F if _is_sequence(F) else [F])]
+    tables = [np.ascontiguousarray(table, dtype=float) for table in block]
     if (len({table.shape for table in tables}) != 1 or tables[0].shape not in shapes
             or count not in (None, len(tables))):
         raise ValueError("need tables (centres, N) on the grid, or one row, all of one shape")
     return tables
 
 
-def backproject(boundary: BoundaryGrid, grid: TGrid, F, x: np.ndarray,
+def backproject(boundary: BoundaryGrid, grid: TGrid, rows, x: np.ndarray,
                 fill: float | str, times_t: bool = False) -> np.ndarray:
     """Weighted boundary average of per-center profiles at the observation args.
 
-    F is one table (centers x grid), or a sequence of such tables of one
-    shape: a list, a tuple or a (k, centers, grid) array. A list or tuple
-    is always a sequence. F may also be a block source: a function
-    (lo, hi) -> the table, or the sequence of tables, of the centres lo to
-    hi - 1 alone, each (hi - lo, grid). It is called once per block of
-    centres, in order (with no points, for the first block alone), so that
-    its caller never needs every centre's rows at once.
-    Each table is sampled by cubic interpolation at |x - xi| in R^n and at
-    the pairing (xi, x) on the cap and the hyperboloid; a whole table of
-    one row stands for every centre (radial data). The result is (K,) for
-    one table and (k, K) for a sequence. Arguments outside the grid count
-    as zero with fill=0.0. With fill='error' they raise at the first block
-    of centres that reads one, naming the first point there that does, its
-    argument and the grid's ends. With times_t the result gains one more
-    row at the end, (2, K) for one table: the back-projection of t times
-    the first table, from the values gathered for it. The cubic through the
-    nodes' t_i g_i is t p(t) less p's leading coefficient times the nodes'
-    polynomial, so it reads a p(a) - h (D^3g/6) (s+1) s (s-1) (s-2) at
-    a = t_j + s h.
+    rows is the block source of k tables on the grid: rows(lo, hi) returns
+    a sequence of k tables, each (hi - lo, N), for the centres lo to hi - 1.
+    It is called once per block of centres, in order (with no points, for
+    the first block alone), so that its caller never needs every centre's
+    rows at once. Tables of one row in a first block of more than one
+    centre stand for every centre (radial data), and rows is not called
+    again. Each table is sampled by cubic interpolation at |x - xi| in R^n
+    and at the pairing (xi, x) on the cap and the hyperboloid. The result
+    is (k + times_t, K), one row per table. Arguments outside the grid
+    count as zero with fill=0.0. With fill='error' they raise at the first
+    block of centres that reads one, naming the first point there that
+    does, its argument and the grid's ends. With times_t the last row is
+    the back-projection of t times the first table, from the values
+    gathered for it. The cubic through the nodes' t_i g_i is t p(t) less
+    p's leading coefficient times the nodes' polynomial, so it reads
+    a p(a) - h (D^3g/6) (s+1) s (s-1) (s-2) at a = t_j + s h.
 
     The centres run in blocks, each against every point (`_BLOCK_CELLS`).
-    Whole tables become the source of their rows lo to hi - 1, so every
-    block takes one path. A block's table rows become Newton forward
-    differences on the columns its cells reach, and each cell reads its
-    cubic in nested form, g + (s+1) (Dg + s/2 (D^2g + (s-1)/3 D^3g)), from
-    four gathers at one flat index: the stencil's first node plus the row's
-    offset, or the node alone in a one-row table, which is differenced
-    once. Each block's values add into the result by one product against
-    its boundary weights.
+    A block's table rows, or the one row of radial data, become Newton
+    forward differences on the columns its cells reach, and each cell reads
+    its cubic in nested form, g + (s+1) (Dg + s/2 (D^2g + (s-1)/3 D^3g)),
+    from four gathers at one flat index: the stencil's first node plus the
+    row's offset, or the node alone in a radial row. Each block's values
+    add into the result by one product against its boundary weights.
     """
     if fill not in (0.0, "error"):
         raise ValueError("fill must be 0.0 or 'error'")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     K, m, N = x.shape[0], boundary.m, grid.n
     block = max(1, _BLOCK_CELLS // max(K, N))
-    if callable(F):
-        source, radial = F, False
-    else:
-        whole = _tables(F, {(m, N), (1, N)})
-        radial = whole[0].shape[0] == 1
-
-        def source(lo: int, hi: int):
-            rows = whole if radial else [table[lo:hi] for table in whole]
-            return rows if _is_sequence(F) else rows[0]
-
-    def shapes(lo: int, hi: int) -> set:
-        return {(1, N)} if radial else {(hi - lo, N)}
-
-    tables = source(0, min(block, m))
-    one = not _is_sequence(tables)
-    tables = _tables(tables, shapes(0, min(block, m)))
-    count = len(tables)
+    b = min(block, m)
+    tables = _tables(rows(0, b), {(b, N), (1, N)})
+    radial, count = tables[0].shape[0] < b, len(tables)
     out = np.zeros((count + times_t, K))
-    result = out[0] if one and not times_t else out
     if K == 0:
-        return result
+        return out
     args = _observation_args(boundary.space, x)
-    if radial:
-        diffs = [_differences(table, 0, N - 3, np.empty((3, 1, N))) for table in tables]
-    else:
-        spare = np.empty((3, min(block, m), N))
-    values = np.empty((out.shape[0], K, min(block, m)))
+    spare = np.empty((3, tables[0].shape[0], N))
+    values = np.empty((out.shape[0], K, b))
     # Every block reuses one set of the cells' arrays. Made afresh for each
     # block, between a source's rows, they left the heap's top free for the
     # allocator to return, and each block faulted its pages in again: the
@@ -201,8 +173,8 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, F, x: np.ndarray,
     # arrays of a block's size, not one seven times as large: that one, once
     # freed, raised the allocator's mapping threshold for the calls after,
     # and highdim_4d's repeated forward steps read 7-10% slower
-    work = [np.empty(K * min(block, m)) for _ in range(7)]
-    cells = np.empty(K * min(block, m), dtype=np.intp)
+    work = [np.empty(K * b) for _ in range(7)]
+    cells = np.empty(K * b, dtype=np.intp)
     a0, h = grid.a, grid.h
 
     def first_node(arg: float) -> int:
@@ -211,8 +183,8 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, F, x: np.ndarray,
 
     for lo in range(0, m, block):
         hi = min(lo + block, m)
-        if lo:
-            tables = _tables(source(lo, hi), shapes(lo, hi), count)
+        if lo and not radial:
+            tables = _tables(rows(lo, hi), {(hi - lo, N)}, count)
         a, s, node, third, term, f1, f2 = (w[:K * (hi - lo)].reshape(K, hi - lo) for w in work)
         a = args(boundary.centers[lo:hi], out=a)
         low, high = a.min(), a.max()
@@ -234,9 +206,9 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, F, x: np.ndarray,
         np.clip(node, 1.0, N - 3.0, out=node)
         s -= node
         node -= 1.0
+        first = first_node(low)
+        width = first_node(high) - first + 1
         if not radial:
-            first = first_node(low)
-            width = first_node(high) - first + 1
             node += np.arange(0.0, (hi - lo) * N, N)
         cell = cells[:K * (hi - lo)].reshape(K, hi - lo)
         np.copyto(cell, node, casting="unsafe")
@@ -248,13 +220,13 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, F, x: np.ndarray,
         np.subtract(s, 1.0, out=f3)
         f3 /= 3.0
         vals = values[:, :, :hi - lo]
-        for j, (rows, acc) in enumerate(zip(tables, vals)):
-            d = diffs[j] if radial else _differences(rows, first, width, spare[:, :hi - lo])
+        for j, (table, acc) in enumerate(zip(tables, vals)):
+            d = _differences(table, first, width, spare[:, :table.shape[0]])
             # the cells keep every index in range; mode="clip" only spares
             # the buffered copy that mode="raise" makes of `out`
             np.take(d[2].ravel(), cell, out=third, mode="clip")
             np.multiply(third, f3, out=acc)
-            for plane, factor in ((d[1], f2), (d[0], f1), (rows, None)):
+            for plane, factor in ((d[1], f2), (d[0], f1), (table, None)):
                 acc += np.take(plane.ravel(), cell, out=term, mode="clip")
                 if factor is not None:
                     acc *= factor
@@ -271,9 +243,11 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, F, x: np.ndarray,
         if not everywhere:
             vals *= inside
         out += vals @ boundary.weights[lo:hi]
-        # the block's tables go before the source makes the next block's
-        del tables, rows, plane
-    return result
+        # a block's own tables go before the source makes the next block's
+        del table, plane
+        if not radial:
+            del tables
+    return out
 
 
 # Nodes a log-kernel table keeps on each side of the arguments it is read at.
@@ -438,7 +412,8 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     its rows block by block from a source: the section weighting and the
     t-filter (odd n, after L_n for `modified`) or the block's slice of the
     table (even n), then the pair of derivative passes, on the block's
-    centres alone. No (m, N) array is made after the operator products.
+    centres alone; for radial data it gives the one row, which stands for
+    every centre. No (m, N) array is made after the operator products.
 
     `fd_step` is accepted and ignored: every outer Laplacian is computed in
     closed form inside the back-projection, with no finite-difference step.
@@ -467,10 +442,14 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
 
     def rows(lo: int, hi: int):
         # the rows P of the centres lo to hi - 1: layer 3 on their means in
-        # odd n, their slice of invert's own table in even n
-        P = values[lo:hi] if n % 2 == 0 else _filtered(space, grid, values[lo:hi], method)
+        # odd n, their slice of invert's own table in even n. Radial data's
+        # one row is copied, since the pair below writes over P and the
+        # back-projection asks for the row again in blocks of one centre
+        P = values[lo:hi] if values.shape[0] > 1 else values.copy()
+        if n % 2:
+            P = _filtered(space, grid, P, method)
         if method == "modified":
-            return P
+            return (P,)
         # The Laplacian of x -> P(arg(xi, x)) is P''(arg) |grad arg|^2 +
         # P'(arg) Lap arg. One pair of passes gives P', then P'' over P. In
         # R^n this is the back-projection of L_n P = P'' + (n-1)/t P', formed
@@ -484,15 +463,14 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
             return P, first
         first *= (n - 1) / grid.values
         P += first
-        return P
+        return (P,)
 
-    # one row (radial data) runs once as whole tables
-    f0 = backproject(data.boundary, grid, rows(0, 1) if values.shape[0] == 1 else rows, x,
-                     fill=fill, times_t=space.kind != spaces.EUCLIDEAN)
+    f0 = backproject(data.boundary, grid, rows, x, fill=fill,
+                     times_t=space.kind != spaces.EUCLIDEAN)
 
     d = _prefactor(space)
     if space.kind == spaces.EUCLIDEAN:
-        return d * space.boundary_area * f0
+        return d * space.boundary_area * f0[0]
     p2, p1, tp2 = f0
     A, B, C = _chart_coefficients(space, spaces.chart(space, x))
     scale = -1.0 if n % 2 == 1 else 1.0 / np.pi
@@ -530,10 +508,15 @@ def make_report(points: np.ndarray, f_true: np.ndarray, f_rec: np.ndarray,
                 method: str, seconds: float = 0.0) -> ReconstructionReport:
     f_true = np.asarray(f_true, dtype=float)
     f_rec = np.asarray(f_rec, dtype=float)
-    denom = float(np.linalg.norm(f_true))
-    rel = float(np.linalg.norm(f_rec - f_true)) / denom if denom > 0 else float("nan")
     sup = float(np.max(np.abs(f_rec - f_true)))
-    cal = float(np.dot(f_rec, f_true) / np.dot(f_true, f_true)) if denom > 0 else float("nan")
+    # the ratios come from both arrays scaled by 2^-e, max|f_true| = q 2^e
+    # with q in [0.5, 1): exact, so they keep their bits, and no sum of
+    # squares overflows
+    e = np.frexp(np.max(np.abs(f_true), initial=0.0))[1]
+    true, rec = np.ldexp(f_true, -e), np.ldexp(f_rec, -e)
+    denom = float(np.linalg.norm(true))
+    rel = float(np.linalg.norm(rec - true)) / denom if denom > 0 else float("nan")
+    cal = float(np.dot(rec, true) / np.dot(true, true)) if denom > 0 else float("nan")
     return ReconstructionReport(np.atleast_2d(points), f_true, f_rec, rel, sup, cal,
                                 method, seconds)
 

@@ -334,6 +334,29 @@ def test_too_few_log_table_nodes_are_named(tmp_path, capsys):
                                        "table's read window: grid needs at least 8 nodes\n")
 
 
+@pytest.mark.parametrize("where,value,command", [
+    (("t_points",), 10 ** 12, "forward"),
+    (("boundary_points",), 10 ** 12, "forward"),
+    (("recon_grid", "points_per_axis"), 100_000, "forward"),
+], ids=["t_points", "boundary_points", "points_per_axis"])
+def test_grid_sizes_that_no_memory_holds_are_named(tmp_path, capsys, where, value, command):
+    # each grid asks for terabytes or more, which fails at once: the fault
+    # names the field and its value where a MemoryError used to escape
+    raw = cfg_with(space={"kind": "euclidean", "n": 3, "radius": 1.0})
+    raw["phantom"][0]["center"] = raw["grids"]["recon_grid"]["center"] = [0.25, 0.1, 0.0]
+    *parents, field = where
+    target = raw["grids"]
+    for key in parents:
+        target = target[key]
+    target[field] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config.grids.{'.'.join(where)} {value}: ")
+    assert err.count("\n") == 1 and not out.exists()
+
 @pytest.mark.parametrize("kind,alpha,message", [
     ("euclidean", -1.0, r"^config.alpha must be >= \(1-n\)/2 = -0.5, not -1.0$"),
     ("sphere", 0.0, r"^cap traces are generated with config.alpha > 0, not 0.0$"),
@@ -711,6 +734,23 @@ def test_means_metadata_faults_exit_cleanly(tmp_path, means_file, capsys):
     assert capsys.readouterr().err == "error: missing field means metadata.space\n"
 
 
+@pytest.mark.parametrize("field,message", [
+    ("t_points", "means file t_points 1000000000000 from t0 0.001 to t1 1.999: "),
+    ("boundary_m", "means metadata.boundary_m 1000000000000: "),
+])
+def test_means_grid_sizes_that_no_memory_holds_are_named(tmp_path, means_file, capsys, field,
+                                                         message):
+    # a grid of 10^12 nodes or centres fails at once, and exits 2 naming the
+    # field and its value as the site's other faults do
+    path, _ = means_file
+    _edit_means_metadata(path, {field: 10 ** 12})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg_with()))
+    assert main(["invert", "--config", str(cfg_path), "--means", str(path),
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
 @pytest.mark.parametrize("alpha,message", [
     ("inf", "alpha must be finite, not inf"),
     ("nan", "alpha must be finite, not nan"),
@@ -794,6 +834,22 @@ def test_roundtrip_command_deterministic(tmp_path):
     assert header == ["x_1", "x_2", "f_true", "f_rec"]
     assert float(footer["rel_l2"]) < 0.03
 
+
+
+def test_roundtrip_of_a_huge_amplitude_reports_its_figures(tmp_path):
+    # euclid2 at amplitude 1e250: the report's ratios come from values scaled
+    # by a power of two, so no sum of squares overflows (a warning fails the
+    # suite), and rel_l2 reads as at amplitude 1
+    raw = json.loads((checks.CONFIGS / "euclid2.json").read_text())
+    rel = []
+    for amplitude in (1.0, 1e250):
+        raw["phantom"][0]["amplitude"] = amplitude
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "r.csv"
+        assert main(["roundtrip", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rel.append(float(read_report(str(out))[2]["rel_l2"]))
+    assert abs(rel[1] - rel[0]) <= 1e-6 * rel[0] and rel[0] < 1e-4
 
 NO_SCIPY = """
 import json, sys

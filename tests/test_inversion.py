@@ -5,7 +5,7 @@ import pytest
 from cubic_reference import cubic_cells, cubic_weights
 from hypothesis import given, settings, strategies as st
 from scipy.special import gamma
-from whole_reference import whole_invert, whole_rows
+from whole_reference import whole_invert, whole_rows, whole_source
 
 from geomeans import cli, inversion, spaces
 from geomeans.checks import phantom_integral, riesz_potential
@@ -68,16 +68,16 @@ def test_backproject_constant():
     bd = boundary_grid(E2, 32)
     tg = default_tgrid(E2, 128)
     F = np.ones((bd.m, tg.n))
-    out = backproject(bd, tg, F, np.array([[0.2, 0.1]]), fill="error")
-    assert abs(out[0] - 1.0) < 1e-12
+    out = backproject(bd, tg, whole_source(F), np.array([[0.2, 0.1]]), fill="error")
+    assert abs(out[0, 0] - 1.0) < 1e-12
 
 
 def test_backproject_squared_distance_at_origin():
     bd = boundary_grid(E2, 64)
     tg = default_tgrid(E2, 256)
     F = np.tile(tg.values ** 2, (bd.m, 1))
-    out = backproject(bd, tg, F, np.zeros((1, 2)), fill="error")
-    assert abs(out[0] - 1.0) < 1e-9  # all |x - xi| = R
+    out = backproject(bd, tg, whole_source(F), np.zeros((1, 2)), fill="error")
+    assert abs(out[0, 0] - 1.0) < 1e-9  # all |x - xi| = R
 
 
 def test_backproject_single_center():
@@ -89,9 +89,9 @@ def test_backproject_single_center():
     tg = default_tgrid(E2, 128)
     F = np.sin(tg.values)[None, :]
     x = np.array([[0.3, 0.0]])
-    out = backproject(single, tg, F, x, fill="error")
+    out = backproject(single, tg, whole_source(F), x, fill="error")
     r = np.linalg.norm(x[0] - centers[0])
-    assert abs(out[0] - np.sin(r)) < 1e-9
+    assert abs(out[0, 0] - np.sin(r)) < 1e-9
 
 
 def test_backproject_fill_policy():
@@ -101,13 +101,22 @@ def test_backproject_fill_policy():
     supported[:, 40:60] = 1.0
     # fill=0.0: arguments outside the grid count as zero
     far = np.array([[0.999, 0.0]])
-    out = backproject(bd, tg, supported, far, fill=0.0)
-    assert np.isfinite(out[0])
+    out = backproject(bd, tg, whole_source(supported), far, fill=0.0)
+    assert np.isfinite(out[0, 0])
     # fill='error': out-of-grid arguments must raise
     touching = np.ones((bd.m, tg.n))
     closer = np.array([[0.9997, 0.0]])
     with pytest.raises(ValueError):
-        backproject(bd, tg, touching, closer, fill="error")
+        backproject(bd, tg, whole_source(touching), closer, fill="error")
+
+
+def _asking(source, asked):
+    """source, keeping each block (lo, hi) it is asked for in `asked`."""
+    def asking(lo, hi):
+        asked.append((lo, hi))
+        return source(lo, hi)
+
+    return asking
 
 
 def test_backproject_checks_its_arguments_and_takes_no_points(monkeypatch):
@@ -116,78 +125,71 @@ def test_backproject_checks_its_arguments_and_takes_no_points(monkeypatch):
     F = np.ones((bd.m, tg.n))
     x = np.array([[0.2, 0.1]])
     with pytest.raises(ValueError, match="^fill must be 0.0 or 'error'$"):
-        backproject(bd, tg, F, x, fill="zero")
-    # whole tables, and sources whose block is not (hi - lo, N) tables of
-    # one shape: short or long on either axis, one row for several centres,
-    # mixed, none, or a count that changes from block to block
-    sources = (lambda lo, hi: F[lo:hi, :-1], lambda lo, hi: F[:1],
-               lambda lo, hi: F[lo:hi + 1], lambda lo, hi: [F[lo:hi], F[lo:hi, :-1]],
-               lambda lo, hi: (), lambda lo, hi: [F[lo:hi]] * (1 + (lo > 0)))
+        backproject(bd, tg, whole_source(F), x, fill="zero")
+    # sources whose block is no sequence of (hi - lo, N) tables of one
+    # shape: a bare table, short or long on either axis, one row for a
+    # later block, mixed, none, or a count that changes from block to block
+    sources = (lambda lo, hi: F[lo:hi], lambda lo, hi: (F[lo:hi - 1],),
+               lambda lo, hi: (F[lo:hi + 1],), lambda lo, hi: (F[lo:hi, :-1],),
+               lambda lo, hi: (np.ones((hi - lo, tg.n + 1)),),
+               lambda lo, hi: (F[lo:hi] if lo == 0 else F[:1],),
+               lambda lo, hi: [F[lo:hi], F[lo:hi, :-1]], lambda lo, hi: (),
+               lambda lo, hi: [F[lo:hi]] * (1 + (lo > 0)))
     monkeypatch.setattr(inversion, "_BLOCK_CELLS", 3 * tg.n)
     assert bd.m > 3
-    for bad in (F[:3], F[:, :-1], F[None, :, :-1], [F, F[:1]], ()) + sources:
+    for bad in sources:
         with pytest.raises(ValueError, match=r"^need tables \(centres, N\) on the grid"):
             backproject(bd, tg, bad, x, fill=0.0)
-    none = np.zeros((0, 2))
-    assert backproject(bd, tg, F, none, fill="error").shape == (0,)
-    assert backproject(bd, tg, F, none, fill="error", times_t=True).shape == (2, 0)
-    assert backproject(bd, tg, np.stack([F, F]), none, fill=0.0).shape == (2, 0)
-    # a source with no points is asked for its first block alone
-    asked = []
-
-    def source(lo, hi):
-        asked.append((lo, hi))
-        return F[lo:hi], F[lo:hi]
-
+    # with no points only the first block is asked for, and the result
+    # still holds one row per table, and the t row
+    none, asked = np.zeros((0, 2)), []
+    source = _asking(whole_source(F, F), asked)
     assert backproject(bd, tg, source, none, fill=0.0).shape == (2, 0)
-    assert backproject(bd, tg, lambda lo, hi: F[lo:hi], none, fill=0.0).shape == (0,)
-    assert asked == [(0, 3)]
+    assert backproject(bd, tg, source, none, fill="error", times_t=True).shape == (3, 0)
+    assert asked == [(0, 3)] * 2
 
 
 @pytest.mark.parametrize("space", [E2, SpaceSpec(SPHERE, 3, 0.8)])
-def test_backproject_stack_equals_single_calls(space):
+def test_backproject_stack_equals_single_calls(monkeypatch, space):
     # a stack of tables shares arguments and cells but must give exactly the
-    # numbers of one call per table
+    # numbers of one call per table, in blocks of 7 centres
     rng = np.random.default_rng(5)
     bd = boundary_grid(space, 40)
     tg = default_tgrid(space, 128)
     tables = rng.standard_normal((3, bd.m, tg.n))
     x = spaces.lift(space, rng.uniform(-0.3, 0.3, size=(50, space.n)))
-    stacked = backproject(bd, tg, tables, x, fill=0.0)
-    assert stacked.shape == (3, 50)
-    for table, row in zip(tables, stacked):
-        assert np.array_equal(row, backproject(bd, tg, table, x, fill=0.0))
-    # a source of the same tables, asked once per block in order
+    monkeypatch.setattr(inversion, "_BLOCK_CELLS", 7 * tg.n)
+    assert bd.m % 7 and bd.m > 14
     asked = []
-
-    def source(lo, hi):
-        asked.append((lo, hi))
-        return tables[:, lo:hi]
-
-    assert np.array_equal(backproject(bd, tg, source, x, fill=0.0), stacked)
-    block = _BLOCK_CELLS // tg.n
-    assert asked == [(lo, min(lo + block, bd.m)) for lo in range(0, bd.m, block)]
-    # a list or a tuple of tables is the same sequence, and a table that is
-    # not C-contiguous reads the same numbers
-    assert np.array_equal(backproject(bd, tg, list(tables), x, fill=0.0), stacked)
-    assert np.array_equal(backproject(bd, tg, (tables[0], np.asfortranarray(tables[1]), tables[2]),
-                                      x, fill=0.0), stacked)
-    # one (1, N) row stands for every centre, alone and in a stack
+    stacked = backproject(bd, tg, _asking(whole_source(*tables), asked), x, fill=0.0)
+    assert stacked.shape == (3, 50)
+    assert asked == [(lo, min(lo + 7, bd.m)) for lo in range(0, bd.m, 7)]
+    for table, row in zip(tables, stacked):
+        assert np.array_equal(row, backproject(bd, tg, whole_source(table), x, fill=0.0)[0])
+    # a table that is not C-contiguous reads the same numbers
+    fortran = whole_source(tables[0], np.asfortranarray(tables[1]), tables[2])
+    assert np.array_equal(backproject(bd, tg, fortran, x, fill=0.0), stacked)
+    # one (1, N) row per table stands for every centre, and is asked for once
     one = tables[:, :1]
     tiled = np.tile(one, (1, bd.m, 1))
-    assert np.array_equal(backproject(bd, tg, one[0], x, fill=0.0),
-                          backproject(bd, tg, tiled[0], x, fill=0.0))
-    assert np.array_equal(backproject(bd, tg, one, x, fill=0.0),
-                          backproject(bd, tg, tiled, x, fill=0.0))
+    asked.clear()
+    got = backproject(bd, tg, _asking(whole_source(*one), asked), x, fill=0.0)
+    assert np.array_equal(got, backproject(bd, tg, whole_source(*tiled), x, fill=0.0))
+    assert asked == [(0, 7)]
+    # in blocks of one centre a one-row block is that centre's own row, which
+    # the source gives again for every block
+    monkeypatch.setattr(inversion, "_BLOCK_CELLS", max(len(x), tg.n))
+    asked.clear()
+    got = backproject(bd, tg, _asking(whole_source(*one), asked), x, fill=0.0)
+    assert np.array_equal(got, backproject(bd, tg, whole_source(*tiled), x, fill=0.0))
+    assert asked == [(lo, lo + 1) for lo in range(bd.m)]
 
 
-def _backproject_reference(boundary, grid, F, x, fill):
-    """The back-projection by the route without blocks or a flat index: the
-    broadcast distance resp. pairing on (centres, points), every point in one
-    block, the four stencil values read with take_along_axis and the fill
-    applied with np.where."""
-    F = np.atleast_2d(np.asarray(F, dtype=float))
-    tables = F if F.ndim == 3 else F[None]
+def _backproject_reference(boundary, grid, tables, x, fill):
+    """The back-projection of a sequence of whole tables by the route without
+    blocks or a flat index: the broadcast distance resp. pairing on
+    (centres, points), every point in one block, the four stencil values
+    read with take_along_axis and the fill applied with np.where."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     space, centers = boundary.space, boundary.centers
     if space.kind == EUCLIDEAN:
@@ -204,7 +206,7 @@ def _backproject_reference(boundary, grid, F, x, fill):
         for w, off in zip(cubic_weights(s), (-1, 0, 1, 2)):
             vals += w * np.take_along_axis(table, idx + off, axis=1)
         out.append(boundary.weights @ np.where(inside, vals, 0.0))
-    return np.array(out) if F.ndim == 3 else out[0]
+    return np.array(out)
 
 
 def _interior_points(space, count, scale, rng):
@@ -246,9 +248,10 @@ def test_backproject_matches_reference(space, m, rows, k, count, coverage):
         lo, hi = space.tgrid_range
         grid, fill = TGrid.linspace(lo + 0.2 * (hi - lo), lo + 0.7 * (hi - lo), 128), 0.0
     shape = (bd.m if rows == "m" else 1, grid.n)
-    tables = rng.uniform(0.5, 1.5, shape if k is None else (k,) + shape)
+    # k tables, or one where k is None
+    tables = rng.uniform(0.5, 1.5, (k or 1,) + shape)
     x = _interior_points(space, count, 0.9, rng)
-    got = backproject(bd, grid, tables, x, fill=fill)
+    got = backproject(bd, grid, whole_source(*tables), x, fill=fill)
     ref = _backproject_reference(bd, grid, tables, x, fill)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -261,9 +264,9 @@ def test_backproject_block_of_one_centre():
     bd = boundary_grid(E2, 5)
     grid = TGrid(np.linspace(0.0, 2.0, 16))
     x = _interior_points(E2, K, 0.9, rng)
-    for tables in (rng.uniform(0.5, 1.5, (bd.m, grid.n)), rng.uniform(0.5, 1.5, (1, grid.n))):
-        got = backproject(bd, grid, tables, x, fill="error")
-        ref = _backproject_reference(bd, grid, tables, x, "error")
+    for table in (rng.uniform(0.5, 1.5, (bd.m, grid.n)), rng.uniform(0.5, 1.5, (1, grid.n))):
+        got = backproject(bd, grid, whole_source(table), x, fill="error")
+        ref = _backproject_reference(bd, grid, [table], x, "error")
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -283,17 +286,17 @@ def test_backproject_times_t_is_the_t_table(rows):
     bd = boundary_grid(E2, 12)
     toward = -bd.centers[0] / np.linalg.norm(bd.centers[0])
     x = bd.centers[0] + wanted[:, None] * toward
-    tables = rng.uniform(0.5, 1.5, (bd.m if rows == "m" else 1, grid.n))
-    got = backproject(bd, grid, tables, x, fill=0.0, times_t=True)
+    table = rng.uniform(0.5, 1.5, (bd.m if rows == "m" else 1, grid.n))
+    got = backproject(bd, grid, whole_source(table), x, fill=0.0, times_t=True)
     assert got.shape == (2, x.shape[0])
-    assert np.array_equal(got[0], backproject(bd, grid, tables, x, fill=0.0))
-    ref = _backproject_reference(bd, grid, grid.values * tables, x, 0.0)
+    assert np.array_equal(got[:1], backproject(bd, grid, whole_source(table), x, fill=0.0))
+    ref = _backproject_reference(bd, grid, [grid.values * table], x, 0.0)
     assert np.max(np.abs(got[1] - ref)) <= 1e-13 * np.max(np.abs(ref))
     # a stack keeps its tables' rows and adds t times the first one last
-    stacked = backproject(bd, grid, np.stack([tables, 2.0 * tables]), x, fill=0.0, times_t=True)
+    stacked = backproject(bd, grid, whole_source(table, 2.0 * table), x, fill=0.0, times_t=True)
     assert np.array_equal(stacked[[0, 2]], got)
     with pytest.raises(ValueError, match="outside"):
-        backproject(bd, grid, tables, x, fill="error", times_t=True)
+        backproject(bd, grid, whole_source(table), x, fill="error", times_t=True)
 
 
 def test_backproject_reads_cubics_exactly():
@@ -304,7 +307,8 @@ def test_backproject_reads_cubics_exactly():
     x = _interior_points(E2, 300, 0.5, np.random.default_rng(15))
     args = np.linalg.norm(x[:, None, :] - bd.centers[None, :, :], axis=-1)
     for g in (lambda t: 2.0 - t + 0.5 * t ** 2 - 1.5 * t ** 3, lambda t: 2.0 - t + 0.5 * t ** 2):
-        got = backproject(bd, grid, g(grid.values)[None, :], x, fill="error", times_t=True)
+        got = backproject(bd, grid, whole_source(g(grid.values)[None, :]), x, fill="error",
+                          times_t=True)
         exact = (g(args) * bd.weights).sum(axis=1)
         assert np.max(np.abs(got[0] - exact)) <= 1e-13 * np.max(np.abs(exact))
     t_exact = (args * g(args) * bd.weights).sum(axis=1)
@@ -352,7 +356,7 @@ def test_newtonian_potential_identity_n3():
     t = tg.values
     G = t * data.values
     x = np.array([[0.25, 0.05, -0.1], [0.0, 0.0, 0.0], [0.4, 0.2, -0.3]])
-    lhs = 0.5 * E3.boundary_area * backproject(bd, tg, G, x, fill=0.0)
+    lhs = 0.5 * E3.boundary_area * backproject(bd, tg, whole_source(G), x, fill=0.0)[0]
     lam = 0.25  # (2R)^{2-n} Gamma(n/2) / sqrt(pi) at n = 3, R = 1
     for k in range(3):
         newton = riesz_potential(ph, x[k]) / (gamma(0.5) / (4.0 * np.pi ** 1.5))
@@ -413,6 +417,20 @@ def test_curved_roundtrips_quick():
         assert abs(rep.calibration - 1.0) < 0.01
 
 
+def test_report_ratios_of_huge_values_are_those_of_the_values():
+    # rel_l2 and the calibration come from the values scaled by a power of
+    # two, exactly, so values times 2^600 give the same bits and overflow no
+    # sum of squares (a warning fails the suite); sup_err stays unscaled
+    rng = np.random.default_rng(16)
+    points = rng.standard_normal((40, 2))
+    f_true = rng.uniform(0.5, 1.5, 40)
+    f_rec = f_true + 1e-3 * rng.standard_normal(40)
+    rep = make_report(points, f_true, f_rec, "direct")
+    big = make_report(points, f_true * 2.0 ** 600, f_rec * 2.0 ** 600, "direct")
+    assert (big.rel_l2, big.calibration) == (rep.rel_l2, rep.calibration)
+    assert big.sup_err == rep.sup_err * 2.0 ** 600
+    assert np.array_equal(big.f_true, f_true * 2.0 ** 600)
+
 def _table_grid(space, n_points):
     lo, hi = space.tgrid_range
     slack = 1e-6 * (hi - lo)
@@ -435,7 +453,8 @@ def _fd_laplacian_reference(data, x):
             grid, fill = _table_grid(space, tg.n), "error"
             q = t * d_operator_matrix(t ** (n - 2) * data.values, tg, n - 2)
             prof = log_kernel_table(q, tg, grid.values, kernel="log|t^2-s^2|")
-        field = lambda p: space.boundary_area * backproject(bd, grid, prof, p, fill=fill)
+        field = lambda p: space.boundary_area * backproject(bd, grid, whole_source(prof), p,
+                                                            fill=fill)[0]
         return d * laplacian_fd(field, x, h)
     weight = (1.0 - t ** 2) if space.kind == SPHERE else (t ** 2 - 1.0)
     F = data.values * weight ** (n / 2.0 - 1.0)
@@ -446,7 +465,7 @@ def _fd_laplacian_reference(data, x):
         grid, fill, scale = _table_grid(space, tg.n), "error", 1.0 / np.pi
         prof = log_kernel_table(diff_matrix(F, tg, n - 2), tg, grid.values, kernel="log|t-s|")
     field = lambda p: scale * space.boundary_area * backproject(
-        bd, grid, prof, spaces.lift(space, p), fill=fill)
+        bd, grid, whole_source(prof), spaces.lift(space, p), fill=fill)[0]
     rim = np.sin(space.radius) if space.kind == SPHERE else np.sinh(space.radius)
     return d * x[:, -1] / rim * laplacian_fd(field, spaces.chart(space, x), h)
 
@@ -690,12 +709,14 @@ def _full_range_invert(data, x, method="direct"):
         rows = log_kernel_table(q, tg, grid.values, kernel="log|t^2-s^2|")
         if method == "direct":
             rows = darboux_L_matrix(rows, grid, n)
-        return d * space.boundary_area * backproject(bd, grid, rows, x, fill="error")
+        return d * space.boundary_area * backproject(bd, grid, whole_source(rows), x,
+                                                     fill="error")[0]
     F = values * (space.curvature * (1.0 - t ** 2)) ** (n / 2.0 - 1.0)
     rows = log_kernel_table(diff_matrix(F, tg, n - 2), tg, grid.values, kernel="log|t-s|")
     d1 = diff_matrix(rows, grid, 1)
     d2 = diff_matrix(d1, grid, 1)
-    p2, tp2, p1 = backproject(bd, grid, np.stack([d2, grid.values * d2, d1]), x, fill="error")
+    p2, tp2, p1 = backproject(bd, grid, whole_source(d2, grid.values * d2, d1), x,
+                              fill="error")
     A, B, C = _chart_coefficients(space, spaces.chart(space, x))
     lap = space.boundary_area / np.pi * (A * p2 + B * tp2 + C * p1)
     return d * x[:, -1] / space.chart_radius * lap
@@ -845,7 +866,8 @@ def test_read_range_bounds_every_argument(kind, n, seed, scale):
     x = _interior_points(space, 30, scale, rng)
     lo, hi = _read_range(space, x)
     tol = 1e-12 * max(abs(lo), abs(hi))
-    args = _observation_args(space, x)(boundary_grid(space, 64 if n == 2 else 200).centers)
+    centers = boundary_grid(space, 64 if n == 2 else 200).centers
+    args = _observation_args(space, x)(centers, out=np.empty((len(x), len(centers))))
     assert lo - tol <= np.min(args) and np.max(args) <= hi + tol
 
 
@@ -958,9 +980,9 @@ def _curved_invert_keeping(monkeypatch, space):
     data = MeanData(space, bd, tg, rng.standard_normal((bd.m, tg.n)))
     projected, blocks = [], []
 
-    def keeping(boundary, grid, F, x, **kwargs):
+    def keeping(boundary, grid, rows, x, **kwargs):
         def source(lo, hi):
-            blocks.append((lo, hi, F(lo, hi)))
+            blocks.append((lo, hi, rows(lo, hi)))
             return blocks[-1][2]
 
         projected.append((boundary, grid, x, kwargs))
@@ -1003,7 +1025,7 @@ def test_curved_finish_matches_the_three_table_stack(monkeypatch, space):
     f, rows, (bd, grid, x, kwargs), _ = _curved_invert_keeping(monkeypatch, space)
     d1 = diff_matrix(rows, grid, 1)
     d2 = diff_matrix(d1, grid, 1)
-    p2, tp2, p1 = backproject(bd, grid, np.stack([d2, grid.values * d2, d1]), x,
+    p2, tp2, p1 = backproject(bd, grid, whole_source(d2, grid.values * d2, d1), x,
                               fill=kwargs["fill"])
     A, B, C = _chart_coefficients(space, spaces.chart(space, x))
     scale = -1.0 if space.n % 2 == 1 else 1.0 / np.pi
@@ -1044,6 +1066,22 @@ def test_streamed_invert_is_the_whole_array_route(monkeypatch, space, alpha, met
         assert bd.m % block and bd.m > 2 * block
     assert np.array_equal(invert(data, x, method=method), whole_invert(data, x, method))
 
+
+
+@pytest.mark.parametrize("space,method", [(E2, "direct"), (E4, "modified"), (E3, "direct"),
+                                          (S2, "direct"), (SpaceSpec(HYPERBOLIC, 3, 0.8), "direct")])
+def test_radial_invert_in_blocks_of_one_centre(monkeypatch, space, method):
+    # in blocks of one centre the back-projection asks invert's source for
+    # radial data's one row in every block; each must be the row of the
+    # whole-array route, though the derivative pair writes over the rows
+    rng = np.random.default_rng(13)
+    tg = default_tgrid(space, 128)
+    bd = boundary_grid(space, 24)
+    x = _interior_points(space, 9, 0.8, rng)
+    data = MeanData(space, bd, tg, np.broadcast_to(rng.standard_normal(tg.n), (bd.m, tg.n)))
+    grid = whole_rows(data, x, method)[0]
+    monkeypatch.setattr(inversion, "_BLOCK_CELLS", max(len(x), grid.n))
+    assert np.array_equal(invert(data, x, method=method), whole_invert(data, x, method))
 
 def test_invert_memory_on_a_cap():
     # (800, 600) dense means: the back-projection pulls each block's rows

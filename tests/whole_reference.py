@@ -5,6 +5,7 @@ block of centres into the back-projection: here every layer runs on all
 distinct rows at once, the derivative tables are whole (m, N) arrays, and
 the back-projection takes them whole. Every step between the operator
 products works row by row, so both routes give the same bits.
+`whole_source` makes the back-projection's block source of whole tables.
 """
 
 from __future__ import annotations
@@ -15,6 +16,12 @@ from geomeans import inversion, spaces
 from geomeans.forward import trace_weighting
 from geomeans.numerics import d_operator_matrix, darboux_L_matrix, diff_matrix, log_kernel_table
 from geomeans.spaces import EUCLIDEAN
+
+
+def whole_source(*tables):
+    """The block source of whole tables, each (m, N) or one radial (1, N)
+    row: the rows lo to hi - 1 of every table, a radial row as it is."""
+    return lambda lo, hi: [table if len(table) == 1 else table[lo:hi] for table in tables]
 
 
 def whole_rows(data, x, method="direct"):
@@ -44,19 +51,21 @@ def whole_invert(data, x, method="direct"):
     """f at the points x from the whole rows, finished as `invert` finishes."""
     space, n = data.space, data.space.n
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    grid, rows, fill = whole_rows(data, x, method)
+    grid, P, fill = whole_rows(data, x, method)
     euclidean = space.kind == EUCLIDEAN
+    tables = (P,)
     if method == "direct":
         # L_n P in R^n; the pair (P'', P') on the cap and the hyperboloid
         if euclidean:
-            rows = darboux_L_matrix(rows, grid, n)
+            tables = (darboux_L_matrix(P, grid, n),)
         else:
-            first = diff_matrix(rows, grid, 1)
-            rows = (diff_matrix(first, grid, 1), first)
-    f0 = inversion.backproject(data.boundary, grid, rows, x, fill=fill, times_t=not euclidean)
+            first = diff_matrix(P, grid, 1)
+            tables = (diff_matrix(first, grid, 1), first)
+    f0 = inversion.backproject(data.boundary, grid, whole_source(*tables), x, fill=fill,
+                               times_t=not euclidean)
     d = inversion._prefactor(space)
     if euclidean:
-        return d * space.boundary_area * f0
+        return d * space.boundary_area * f0[0]
     p2, p1, tp2 = f0
     A, B, C = inversion._chart_coefficients(space, spaces.chart(space, x))
     scale = -1.0 if n % 2 == 1 else 1.0 / np.pi
