@@ -9,9 +9,9 @@ even dimensions, tables them against the log kernel (layers 3 and 4, the
 same steps in all three spaces), and back-projects once, with the outer
 Laplacian in closed form (layer 5), the one step that differs by space.
 The back-projection takes one input form, a source of the filtered rows of
-each block of centres, which it pulls as it reaches them (radial data's one
-row once), so only the operator products of layers 2 and 4 run on every
-row at once.
+each block of centres, which it pulls as it reaches them, so only the
+operator products of layers 2 and 4 run on every row at once; radial data
+back-project on a zonal grid (`_zonal`).
 The result is one constant (`_prefactor`) times that Laplacian. The
 Euclidean odd/even formulas are those of Finch, Haltmeier & Rakesh (SIAM J.
 Appl. Math. 68, 2007), with a Laplacian-free `modified` variant; the cap and
@@ -33,6 +33,7 @@ from .numerics import (
     d_operator_matrix,
     darboux_L_matrix,
     diff_matrix,
+    gauss_jacobi,
     log_kernel_table,
 )
 
@@ -112,14 +113,13 @@ def _differences(rows: np.ndarray, first: int, width: int, out: np.ndarray) -> n
     return out
 
 
-def _tables(block, shapes: set, count: int | None = None) -> list[np.ndarray]:
-    """A source's block of tables as a list of float tables, which must
-    share one of the `shapes` (and be `count` tables, when it is given)."""
+def _tables(block, shape: tuple, count: int | None = None) -> list[np.ndarray]:
+    """A source's block of tables as a list of float tables, each of the
+    `shape` (and `count` of them, when it is given)."""
     # the flat gathers need C-contiguous tables
     tables = [np.ascontiguousarray(table, dtype=float) for table in block]
-    if (len({table.shape for table in tables}) != 1 or tables[0].shape not in shapes
-            or count not in (None, len(tables))):
-        raise ValueError("need tables (centres, N) on the grid, or one row, all of one shape")
+    if not tables or any(t.shape != shape for t in tables) or count not in (None, len(tables)):
+        raise ValueError("need tables (centres, N) on the grid, all of one shape")
     return tables
 
 
@@ -131,26 +131,23 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, rows, x: np.ndarray,
     a sequence of k tables, each (hi - lo, N), for the centres lo to hi - 1.
     It is called once per block of centres, in order (with no points, for
     the first block alone), so that its caller never needs every centre's
-    rows at once. Tables of one row in a first block of more than one
-    centre stand for every centre (radial data), and rows is not called
-    again. Each table is sampled by cubic interpolation at |x - xi| in R^n
-    and at the pairing (xi, x) on the cap and the hyperboloid. The result
-    is (k + times_t, K), one row per table. Arguments outside the grid
-    count as zero with fill=0.0. With fill='error' they raise at the first
-    block of centres that reads one, naming the first point there that
-    does, its argument and the grid's ends. With times_t the last row is
-    the back-projection of t times the first table, from the values
+    rows at once. Each table is sampled by cubic interpolation at |x - xi|
+    in R^n and at the pairing (xi, x) on the cap and the hyperboloid. The
+    result is (k + times_t, K), one row per table. Arguments outside the
+    grid count as zero with fill=0.0. With fill='error' they raise at the
+    first block of centres that reads one, naming the first point there
+    that does, its argument and the grid's ends. With times_t the last row
+    is the back-projection of t times the first table, from the values
     gathered for it. The cubic through the nodes' t_i g_i is t p(t) less
     p's leading coefficient times the nodes' polynomial, so it reads
     a p(a) - h (D^3g/6) (s+1) s (s-1) (s-2) at a = t_j + s h.
 
     The centres run in blocks, each against every point (`_BLOCK_CELLS`).
-    A block's table rows, or the one row of radial data, become Newton
-    forward differences on the columns its cells reach, and each cell reads
-    its cubic in nested form, g + (s+1) (Dg + s/2 (D^2g + (s-1)/3 D^3g)),
-    from four gathers at one flat index: the stencil's first node plus the
-    row's offset, or the node alone in a radial row. Each block's values
-    add into the result by one product against its boundary weights.
+    A block's table rows become Newton forward differences on the columns
+    its cells reach, and each cell reads its cubic in nested form,
+    g + (s+1) (Dg + s/2 (D^2g + (s-1)/3 D^3g)), from four gathers at the
+    stencil's first node plus the row's offset. Each block's values add
+    into the result by one product against its boundary weights.
     """
     if fill not in (0.0, "error"):
         raise ValueError("fill must be 0.0 or 'error'")
@@ -158,13 +155,13 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, rows, x: np.ndarray,
     K, m, N = x.shape[0], boundary.m, grid.n
     block = max(1, _BLOCK_CELLS // max(K, N))
     b = min(block, m)
-    tables = _tables(rows(0, b), {(b, N), (1, N)})
-    radial, count = tables[0].shape[0] < b, len(tables)
+    tables = _tables(rows(0, b), (b, N))
+    count = len(tables)
     out = np.zeros((count + times_t, K))
     if K == 0:
         return out
     args = _observation_args(boundary.space, x)
-    spare = np.empty((3, tables[0].shape[0], N))
+    spare = np.empty((3, b, N))
     values = np.empty((out.shape[0], K, b))
     # Every block reuses one set of the cells' arrays. Made afresh for each
     # block, between a source's rows, they left the heap's top free for the
@@ -183,8 +180,8 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, rows, x: np.ndarray,
 
     for lo in range(0, m, block):
         hi = min(lo + block, m)
-        if lo and not radial:
-            tables = _tables(rows(lo, hi), {(hi - lo, N)}, count)
+        if lo:
+            tables = _tables(rows(lo, hi), (hi - lo, N), count)
         a, s, node, third, term, f1, f2 = (w[:K * (hi - lo)].reshape(K, hi - lo) for w in work)
         a = args(boundary.centers[lo:hi], out=a)
         low, high = a.min(), a.max()
@@ -208,8 +205,7 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, rows, x: np.ndarray,
         node -= 1.0
         first = first_node(low)
         width = first_node(high) - first + 1
-        if not radial:
-            node += np.arange(0.0, (hi - lo) * N, N)
+        node += np.arange(0.0, (hi - lo) * N, N)
         cell = cells[:K * (hi - lo)].reshape(K, hi - lo)
         np.copyto(cell, node, casting="unsafe")
         # the nested form's factors s + 1, s/2 and (s - 1)/3, the last one
@@ -244,9 +240,7 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, rows, x: np.ndarray,
             vals *= inside
         out += vals @ boundary.weights[lo:hi]
         # a block's own tables go before the source makes the next block's
-        del table, plane
-        if not radial:
-            del tables
+        del table, plane, tables
     return out
 
 
@@ -297,6 +291,24 @@ def _read_range(space: SpaceSpec, x: np.ndarray) -> tuple[float, float]:
     spread = space.chart_radius * np.linalg.norm(x[:, :-1], axis=1)
     return (float(np.min(x[:, -1] * c - spread, initial=c)),
             float(np.max(x[:, -1] * c + spread, initial=c)))
+
+
+def _zonal(space: SpaceSpec, x: np.ndarray, q: int) -> tuple[BoundaryGrid, np.ndarray]:
+    """The zonal boundary grid of q centres chart_radius (u_q, sqrt(1 - u_q^2),
+    0, ...), at height cos_k R off R^n, and the points x turned onto its axis,
+    (|x'|, 0, ..., 0), keeping x_{n+1}. With every centre's row the same, the
+    boundary average at x depends on a centre only through u = omega . x'/|x'|,
+    of density (1 - u^2)^((n-3)/2): one integral in u, which the u_q sum by
+    that weight's Gauss-Jacobi rule (Chebyshev's at n = 2)."""
+    n = space.n
+    u, w = gauss_jacobi(q, (n - 3) / 2.0, (n - 3) / 2.0)
+    centers = np.zeros((q, x.shape[1]))
+    centers[:, :2] = space.chart_radius * np.stack([u, np.sqrt(1.0 - u ** 2)], axis=1)
+    centers[:, n:] = space.cos_k(space.radius)  # no column in R^n
+    turned = np.zeros_like(x)
+    turned[:, 0] = np.linalg.norm(x[:, :n], axis=1)
+    turned[:, n:] = x[:, n:]
+    return BoundaryGrid(space, centers, w / w.sum()), turned
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +412,10 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     > 0 on the cap and the hyperboloid. Trace data (`data.alpha` set, its
     order checked by `MeanData`) first have their fractional weighting
     undone, and then take the direct formula. Only the distinct rows
-    `data.rows` run through the layers: radial data, whose rows are all
-    equal, run as one row, which back-projects to the same numbers.
+    `data.rows` run through the layers. Radial data (all rows equal)
+    back-project on `_zonal`'s grid of one centre per node of the
+    back-projection's grid, not on `data.boundary`, the points turned onto
+    its axis (an argument off the grid names the turned point).
 
     The two operator products run once over every distinct row, each
     against an operator built once: the undoing of a trace's weighting
@@ -412,8 +426,7 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     its rows block by block from a source: the section weighting and the
     t-filter (odd n, after L_n for `modified`) or the block's slice of the
     table (even n), then the pair of derivative passes, on the block's
-    centres alone; for radial data it gives the one row, which stands for
-    every centre. No (m, N) array is made after the operator products.
+    centres alone. No (m, N) array is made after the operator products.
 
     `fd_step` is accepted and ignored: every outer Laplacian is computed in
     closed form inside the back-projection, with no finite-difference step.
@@ -439,13 +452,15 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
         grid, values = _log_table(space, grid, _filtered(space, grid, values, method),
                                   _read_range(space, x))
         fill = "error"
+    boundary, points = data.boundary, x
+    if values.shape[0] == 1:
+        boundary, points = _zonal(space, x, grid.n)
+        values = np.repeat(values, grid.n, axis=0)
 
     def rows(lo: int, hi: int):
         # the rows P of the centres lo to hi - 1: layer 3 on their means in
-        # odd n, their slice of invert's own table in even n. Radial data's
-        # one row is copied, since the pair below writes over P and the
-        # back-projection asks for the row again in blocks of one centre
-        P = values[lo:hi] if values.shape[0] > 1 else values.copy()
+        # odd n, their slice of invert's own table in even n
+        P = values[lo:hi]
         if n % 2:
             P = _filtered(space, grid, P, method)
         if method == "modified":
@@ -465,7 +480,7 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
         P += first
         return (P,)
 
-    f0 = backproject(data.boundary, grid, rows, x, fill=fill,
+    f0 = backproject(boundary, grid, rows, points, fill=fill,
                      times_t=space.kind != spaces.EUCLIDEAN)
 
     d = _prefactor(space)

@@ -4,7 +4,8 @@ The reference route for `invert`, which pulls the filtered rows of each
 block of centres into the back-projection: here every layer runs on all
 distinct rows at once, the derivative tables are whole (m, N) arrays, and
 the back-projection takes them whole. Every step between the operator
-products works row by row, so both routes give the same bits.
+products works row by row, so both routes give the same bits. Radial data
+take the zonal grid here as there.
 `whole_source` makes the back-projection's block source of whole tables.
 """
 
@@ -19,9 +20,9 @@ from geomeans.spaces import EUCLIDEAN
 
 
 def whole_source(*tables):
-    """The block source of whole tables, each (m, N) or one radial (1, N)
-    row: the rows lo to hi - 1 of every table, a radial row as it is."""
-    return lambda lo, hi: [table if len(table) == 1 else table[lo:hi] for table in tables]
+    """The block source of whole tables, each (m, N): the rows lo to hi - 1
+    of every table."""
+    return lambda lo, hi: [table[lo:hi] for table in tables]
 
 
 def whole_rows(data, x, method="direct"):
@@ -52,6 +53,10 @@ def whole_invert(data, x, method="direct"):
     space, n = data.space, data.space.n
     x = np.atleast_2d(np.asarray(x, dtype=float))
     grid, P, fill = whole_rows(data, x, method)
+    boundary, points = data.boundary, x
+    if P.shape[0] == 1:
+        boundary, points = inversion._zonal(space, x, grid.n)
+        P = np.repeat(P, grid.n, axis=0)
     euclidean = space.kind == EUCLIDEAN
     tables = (P,)
     if method == "direct":
@@ -61,7 +66,7 @@ def whole_invert(data, x, method="direct"):
         else:
             first = diff_matrix(P, grid, 1)
             tables = (diff_matrix(first, grid, 1), first)
-    f0 = inversion.backproject(data.boundary, grid, whole_source(*tables), x, fill=fill,
+    f0 = inversion.backproject(boundary, grid, whole_source(*tables), points, fill=fill,
                                times_t=not euclidean)
     d = inversion._prefactor(space)
     if euclidean:
