@@ -590,7 +590,7 @@ def _log_identities(seed: int) -> tuple[float]:
         data = forward_means(ph, bd, tg)
         prof = data.values * (tg.values if flat else 1.0)
         xs = spaces.lift(spec, points)
-        tbl_grid = _table_grid(spec, 700, _read_range(spec, xs))
+        tbl_grid = _table_grid(spec, tg, _read_range(spec, xs))
         tbl = log_kernel_table(prof, tg, tbl_grid.values,
                                kernel="log|t^2-s^2|" if flat else "log|t-s|")
         cf_log = np.log(spec.chart_radius if flat else spec.chart_radius / 2)

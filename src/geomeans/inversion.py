@@ -255,23 +255,38 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, rows, x: np.ndarray,
 _WINDOW_MARGIN = 6
 
 
-def _table_grid(space: SpaceSpec, n_points: int, read: tuple[float, float]) -> TGrid:
-    """Target grid for log-kernel tables that are read over read = (lo, hi):
-    of n_points nodes spanning the full open t-range, the ones from the node
-    at or below lo to the one at or above hi, plus `_WINDOW_MARGIN` nodes on
-    each side, clipped to the grid.
+def _table_grid(space: SpaceSpec, grid: TGrid, read: tuple[float, float]) -> TGrid:
+    """Target grid for log-kernel tables of rows on the data grid `grid` that
+    are read over read = (lo, hi). The full target grid is the data grid's
+    lattice a + k h (h = (b - a)/(N - 1), k any integer) from the first node
+    below the open t-range to the first above it: the data grid's own nodes,
+    extended by whole steps, so every argument inside the range lies on it.
+    In R^n it starts at the first node above 0 instead, where the radial
+    operator's (n - 1)/t is defined. Of those, the window runs from the
+    node at or below lo to the one at or above hi, plus `_WINDOW_MARGIN`
+    nodes on each side, clipped to the full grid. Reads that all lie in the
+    data grid's first or last cell, or beyond it, raise, naming t_points:
+    the grid is too coarse to resolve them.
     """
     lo, hi = space.tgrid_range
-    slack = 1e-6 * (hi - lo)
-    grid = TGrid.linspace(lo + slack, hi - slack, n_points)
-    first = int(np.floor((read[0] - grid.a) / grid.h)) - _WINDOW_MARGIN
-    last = int(np.ceil((read[1] - grid.a) / grid.h)) + _WINDOW_MARGIN
-    window = grid.values[max(first, 0):min(last, grid.n - 1) + 1]
-    try:
-        return TGrid(window)
-    except ValueError as e:  # too few nodes: the evaluation points span too few cells
-        raise ValueError(f"t_points {n_points} leave {window.size} nodes in the log-kernel "
-                         f"table's read window: {e}") from None
+    a, b, N = float(grid.a), float(grid.b), grid.n
+    step = (b - a) / (N - 1)
+    first = np.floor((read[0] - a) / step)
+    last = np.ceil((read[1] - a) / step)
+    if last <= 1 or first >= N - 2:
+        cell = f"first cell {[a, a + step]}" if last <= 1 else f"last cell {[b - step, b]}"
+        raise ValueError(f"t_points {N} put every argument the points read in the t-grid's "
+                         f"{cell} or beyond it: too coarse a grid for them")
+    # the full grid's end nodes, counted from the data grid's ends: a grid
+    # that ends on the range's end (the hyperboloid's cosh 2R) takes the
+    # node one step past it, whatever the rounding
+    below = -np.floor((a - lo) / step) - 1
+    if space.kind == spaces.EUCLIDEAN:
+        below += 1 if a + (below + 1) * step > 0 else 2
+    above = N + np.floor((hi - b) / step)
+    window = a + np.arange(max(below, first - _WINDOW_MARGIN),
+                           min(above, last + _WINDOW_MARGIN) + 1.0) * step
+    return TGrid(window)
 
 
 def _read_range(space: SpaceSpec, x: np.ndarray) -> tuple[float, float]:
@@ -341,17 +356,23 @@ def _filtered(space: SpaceSpec, grid: TGrid, values: np.ndarray, method: str) ->
     return filt(_section_weight(space, grid.values) * values, grid, n - 3 if n % 2 else n - 2)
 
 
-def _log_table(space: SpaceSpec, grid: TGrid, rows: np.ndarray, read: tuple[float, float]):
-    """Layer 4 of even n: the target grid and the log-kernel table of the
-    filtered rows (log|t^2-s^2| in R^n, of the rows times t, which it
-    writes over; log|t-s| on the curved grids). The table is built only on
-    the window of the full target grid that arguments in `read` reach
-    (`_table_grid`); an argument off it raises. n = 2 reproduces the disk
-    formula.
+def _log_table(space: SpaceSpec, grid: TGrid, values: np.ndarray, method: str,
+               read: tuple[float, float]):
+    """Layers 3 and 4 of even n: the target grid and the log-kernel table of
+    the filtered rows of the means (log|t^2-s^2| in R^n, of the rows times
+    t; log|t-s| on the curved grids). The filter runs on blocks of rows into
+    the one array that the table reads, so none of its temporaries holds
+    every row. The table is built only on the window of the full target
+    grid that arguments in `read` reach (`_table_grid`); an argument off it
+    raises. n = 2 reproduces the disk formula.
     """
+    out_grid = _table_grid(space, grid, read)
+    rows = np.empty(values.shape)
+    size = max(1, _BLOCK_CELLS // grid.n)
+    for lo in range(0, len(values), size):
+        rows[lo:lo + size] = _filtered(space, grid, values[lo:lo + size], method)
     if space.kind == spaces.EUCLIDEAN:
         rows *= grid.values
-    out_grid = _table_grid(space, grid.n, read)
     kernel = "log|t^2-s^2|" if space.kind == spaces.EUCLIDEAN else "log|t-s|"
     return out_grid, log_kernel_table(rows, grid, out_grid.values, kernel=kernel)
 
@@ -409,24 +430,31 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     f = d_n x_{n+1}/sin_k(R) times the chart Laplacian of the boundary
     integral of P(xi, (xi, x)), scaled by -1 (odd n) resp. 1/pi (even n).
     Points must lie strictly inside: |x| < R in R^n, kappa (x_{n+1} - cos_k R)
-    > 0 on the cap and the hyperboloid. Trace data (`data.alpha` set, its
-    order checked by `MeanData`) first have their fractional weighting
-    undone, and then take the direct formula. Only the distinct rows
-    `data.rows` run through the layers. Radial data (all rows equal)
-    back-project on `_zonal`'s grid of one centre per node of the
-    back-projection's grid, not on `data.boundary`, the points turned onto
-    its axis (an argument off the grid names the turned point).
+    > 0 on the cap and the hyperboloid. In even n they read the full
+    log-table grid (`_table_grid`), which runs one data step past the
+    t-range's ends on the cap and the hyperboloid and starts at its first
+    node above 0 in R^n: a point that reads below that node raises, named.
+    A t-grid so coarse that all the points' arguments fall in its first or
+    last cell raises too. Trace data
+    (`data.alpha` set, its order checked by `MeanData`) first have their
+    fractional weighting undone, and then take the direct formula. Only
+    the distinct rows `data.rows` run through the layers. Radial data (all
+    rows equal) back-project on `_zonal`'s grid of one centre per node of
+    the back-projection's grid, not on `data.boundary`, the points turned
+    onto its axis (an argument off the grid names the turned point).
 
     The two operator products run once over every distinct row, each
     against an operator built once: the undoing of a trace's weighting
     (layer 2) and, in even n, the log-kernel table (layer 4), built only on
     the targets between the points' smallest and largest possible arguments
     (`_read_range`) plus a margin; an argument outside that window still
-    raises. Every other step works row by row, so the back-projection pulls
-    its rows block by block from a source: the section weighting and the
-    t-filter (odd n, after L_n for `modified`) or the block's slice of the
-    table (even n), then the pair of derivative passes, on the block's
-    centres alone. No (m, N) array is made after the operator products.
+    raises. The even-n filter that feeds the table runs on blocks of rows
+    into the one array the table reads. Every other step works row by row,
+    so the back-projection pulls its rows block by block from a source: the
+    section weighting and the t-filter (odd n, after L_n for `modified`) or
+    the block's slice of the table (even n), then the pair of derivative
+    passes, on the block's centres alone. No (m, N) array is made after
+    the operator products.
 
     `fd_step` is accepted and ignored: every outer Laplacian is computed in
     closed form inside the back-projection, with no finite-difference step.
@@ -449,8 +477,7 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
         # the index law: T_{eta+alpha,-alpha} undoes T_{eta,alpha}, eta = n/2 - 1
         values = trace_weighting(space, grid, values, n / 2.0 - 1.0 + alpha, -alpha)
     if n % 2 == 0:
-        grid, values = _log_table(space, grid, _filtered(space, grid, values, method),
-                                  _read_range(space, x))
+        grid, values = _log_table(space, grid, values, method, _read_range(space, x))
         fill = "error"
     boundary, points = data.boundary, x
     if values.shape[0] == 1:

@@ -4,7 +4,9 @@
 on uniform grids, finite-difference derivatives there, the
 radial operators D = (1/2t) d/dt and L = d^2/dt^2 + (n-1)/t d/dt,
 log-kernel tables of cubic interpolants by product integration cell by
-cell, and finite-difference Laplacians of callable fields.
+cell, at targets on the grid's lattice, whose cell integrals depend on
+the cell-to-target offset alone, and finite-difference Laplacians of
+callable fields.
 """
 
 from __future__ import annotations
@@ -281,96 +283,130 @@ def _cell_rules():
     return polys, v, 0.5 * w[:, None] * cubic
 
 
-# cells within _NEAR_REACH cells of a singular point take exact moments
-_NEAR_REACH = 2
+# cells whose midpoints lie within _NEAR_REACH steps of a singular point take
+# exact moments: 6 cells about a point on a node, 5 about one midway
+_NEAR_REACH = 3
 # binom(p, i) and the power p - i of the moments' binomial expansion
 _BINOM = np.array([[math.comb(p, i) for i in range(4)] for p in range(4)], dtype=float)
 _BINOM_POWER = np.maximum(np.subtract.outer(range(4), range(4)), 0)
-# targets per block: a block's kernel values take 6 (N - 1) doubles a target
-_TARGET_BLOCK = 8
+# target rows per block of the operator: 64 N doubles, never the whole
+# targets x N operator
+_ROW_BLOCK = 64
 
 
-def _far_cells(grid: TGrid, sigma: np.ndarray, home: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre integrals (K, N - 1, 4) of each cell's cubic weights
-    against the terms log|t - sigma| (sigma (K, S)) of the cells farther
-    than _NEAR_REACH from the cells `home` of sigma."""
-    _, v, weights = _cell_rules()
-    t = grid.values[:-1, None] + grid.h * v
-    # the far terms' distances multiply into one logarithm; a near term gives 1
-    dist = np.ones(sigma.shape[:1] + t.shape)
-    for s, c in zip(sigma.T, home.T):
-        far = np.abs(np.arange(grid.n - 1) - c[:, None]) > _NEAR_REACH
-        dist *= np.where(far[..., None], np.abs(t - s[:, None, None]), 1.0)
-    kv = np.log(dist, out=dist)
-    cells = kv @ weights[1]
-    cells[:, 0] = kv[:, 0] @ weights[0]
-    cells[:, -1] = kv[:, -1] @ weights[2]
-    return grid.h * cells
+def _offset_cells(ends: np.ndarray, step: float) -> np.ndarray:
+    """The integrals (3, C, 4) of the cubic weights of the first, an
+    interior and the last cell against log|t - sigma| over the C cells of
+    the grid's step between consecutive `ends` (C + 1,), given in steps from
+    sigma.
 
-
-def _near_cells(grid: TGrid, sigma: np.ndarray, home: np.ndarray):
-    """The cells j (K, S, C) within _NEAR_REACH cells of the singular points
-    sigma (K, S), and the exact integrals (K, S, C, 4) of their cubic weights
-    against log|t - sigma| (0 off the grid). With v = x + c, x = (t - sigma)/h,
+    The cells whose midpoints lie within _NEAR_REACH steps of sigma take
+    exact moments. With v = x + c, x = (t - sigma)/step,
 
         int_0^1 v^p log|t - sigma| dv = sum_i binom(p, i) c^(p-i) [G_i(hi) - G_i(lo)],
-        G_i(x) = x^(i+1)/(i+1) (log|h x| - 1/(i+1)),
+        G_i(x) = x^(i+1)/(i+1) (log|step x| - 1/(i+1)),
 
-    lo = -c = (t_j - sigma)/h, hi = (t_{j+1} - sigma)/h off the grid's nodes,
-    so that a target at a grid end keeps its tiny offset. |c| <= 3: no cancellation.
+    lo = -c and hi the cell's ends, each given apart, so that a target at a
+    grid end keeps its tiny offset. |c| < 3.5: no cancellation. Every other
+    cell, 2.5 steps or more from sigma, takes 6 Gauss-Legendre nodes.
     """
-    h, last = grid.h, grid.n - 2
-    near = home[..., None] + np.arange(-_NEAR_REACH, _NEAR_REACH + 1)
-    on = (near >= 0) & (near <= last)
-    j = np.clip(near, 0, last)  # cells off the grid take a stand-in offset
-    lo = np.where(on, (grid.values[j] - sigma[..., None]) / h, -0.5)
-    hi = np.where(on, (grid.values[j + 1] - sigma[..., None]) / h, 0.5)
+    polys, v, weights = _cell_rules()
+    lo, hi = ends[:-1], ends[1:]
+    near = np.abs(lo + 0.5) < _NEAR_REACH
+    out = np.empty((3, lo.size, 4))
+    out[:, ~near] = np.log(np.abs(step * (lo[~near, None] + v))) @ weights
+    e = np.stack([lo[near], hi[near]])
     i = np.arange(4.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        G = [np.where(e[..., None] == 0.0, 0.0, e[..., None] ** (i + 1) / (i + 1)
-                      * (np.log(np.abs(h * e))[..., None] - 1.0 / (i + 1)))
-             for e in (lo, hi)]
-    moments = (_BINOM * (-lo[..., None, None]) ** _BINOM_POWER) @ (G[1] - G[0])[..., None]
-    polys = _cell_rules()[0][np.minimum(j, 1) + (j == last)]
-    return j, h * on[..., None] * (polys @ moments)[..., 0]
+        G = np.where(e[..., None] == 0.0, 0.0, e[..., None] ** (i + 1) / (i + 1)
+                     * (np.log(np.abs(step * e))[..., None] - 1.0 / (i + 1)))
+    moments = (_BINOM * (-lo[near, None, None]) ** _BINOM_POWER) @ (G[1] - G[0])[..., None]
+    out[:, near] = (polys[:, None] @ moments)[..., 0]
+    return step * out
 
 
 def log_kernel_table(profiles: np.ndarray, grid: TGrid, targets: np.ndarray,
                      kernel: str = "log|t-s|") -> np.ndarray:
     """Log-kernel integrals of cubic-interpolated profiles (M, N) at targets (K,) -> (M, K).
 
-    Entry (i, j) integrates profile i times kernel(t; targets[j]) over the
+    Entry (i, k) integrates profile i times kernel(t; targets[k]) over the
     grid range cell by cell, on each of which the interpolant is one cubic
     (product integration: Atkinson, The Numerical Solution of Integral
     Equations of the Second Kind, 1997, ch. 4). The kernel is the sum of
     log|t - sigma| over s, and -s too for log|t^2-s^2|; each term takes exact
-    moments near sigma, Gauss-Legendre nodes elsewhere. The operator rows
-    of a block of targets fold their cells into the cubic stencils, and one
-    matrix product applies them to every profile.
+    moments near sigma, Gauss-Legendre nodes elsewhere.
+
+    The targets step by the grid's step h = (b - a)/(N - 1): one target, or
+    a run targets[0] + k h from any anchor (to 1e-9 h); others raise. An
+    anchor within rounding of a node a + n h (n any integer; 8 ulps of
+    |a| + |targets[0]|) is taken on it. Cell j then meets target k at the
+    offset j - k of the term s and j + k of the term -s, so each term's
+    cell integrals are computed once per offset, N + K - 2 of them, with
+    the cells' ends a whole number of steps less one fraction common to
+    every offset: a target's row does not depend on the other targets.
+    Each term folds its interior cells into one vector over the nodes'
+    offsets, of which each target's row is a window; the rows of a block
+    of targets take those windows, the 3 stencil columns at each end afresh
+    and the two end cells, and one matrix product applies them to every
+    profile.
     """
     profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
     targets = np.asarray(targets, dtype=float).ravel()
-    if kernel == "log|t-s|":
-        sigma = targets[:, None]
-    elif kernel == "log|t^2-s^2|":
-        sigma = np.stack([np.abs(targets), -np.abs(targets)], axis=1)
-    else:
+    if kernel not in ("log|t-s|", "log|t^2-s^2|"):
         raise ValueError(f"unknown kernel {kernel!r}")
-    home = np.clip(np.floor((sigma - grid.a) / grid.h), -_NEAR_REACH - 1,
-                   grid.n + _NEAR_REACH - 1).astype(np.int64)  # the cells of sigma
-    near, near_cells = _near_cells(grid, sigma, home)
-    out = np.empty((profiles.shape[0], targets.size))
-    for start in range(0, targets.size, _TARGET_BLOCK):
-        block = slice(start, start + _TARGET_BLOCK)
-        cells = _far_cells(grid, sigma[block], home[block])
-        np.add.at(cells, (np.arange(cells.shape[0])[:, None, None], near[block]), near_cells[block])
-        # cell j's stencil starts at node j - 1, the end cells' one node inward
-        rows = np.zeros((cells.shape[0], grid.n))
-        rows[:, :4] = cells[:, 0]
-        rows[:, -4:] += cells[:, -1]
-        for k in range(4):
-            rows[:, k:k + grid.n - 3] += cells[:, 1:-1, k]
-        out[:, block] = profiles @ rows.T
+    N, K = grid.n, targets.size
+    step = (grid.b - grid.a) / (N - 1)
+    k = np.arange(K)
+    if np.any(np.abs(targets - (targets[:1] + k * step)) > 1e-9 * step):
+        raise ValueError(f"log-kernel targets must step by the grid's step {step!r}")
+    out = np.empty((profiles.shape[0], K))
+    if K == 0:
+        return out
+    # target k sits n + k + f steps above a (n an integer, |f| <= 1/2; f = 0
+    # within the anchor's rounding), and -target k sits u - n - k - f steps
+    # above it, u = -2a/h
+    anchor = (targets[0] - grid.a) / step
+    n = np.round(anchor)
+    slack = 8 * np.finfo(float).eps * (abs(grid.a) + abs(targets[0]))
+    f = 0.0 if abs(targets[0] - grid.a - n * step) <= slack else anchor - n
+    u = -2.0 * grid.a / step
+    points = [(1, n, f)]
+    if kernel == "log|t^2-s^2|":
+        points.append((-1, np.round(u) - n, u - np.round(u) - f))
+    terms = []
+    for e, whole, frac in points:
+        # cell j's lower end lies j - e k - whole - frac steps from the
+        # singular point e targets[k]: the offset d = j - e k, from `first` on
+        first = min(0, -e * (K - 1))
+        ends = np.arange(first - whole, first - whole + N + K - 1) - frac
+        cells = _offset_cells(ends, step)
+        # interior cell j weighs the nodes j - 1, ..., j + 2: fold them into
+        # the nodes' offsets, of which target k's row reads N from j = 0's
+        pad = np.zeros((N + K + 2, 4))
+        pad[2:-2] = cells[1]
+        nodes = sum(pad[3 - p:N + K + 2 - p, p] for p in range(4))
+        terms.append((e, first, cells, np.lib.stride_tricks.sliding_window_view(nodes, N)))
+    rows = np.empty((min(K, _ROW_BLOCK), N))
+    for start in range(0, K, _ROW_BLOCK):
+        ks = k[start:start + _ROW_BLOCK]
+        block = rows[:ks.size]
+        block.fill(0.0)
+        # target k's cell j sits at j + at, at = -e k - first, in the term's
+        # arrays, and so does its row's window: a block's windows run from
+        # its first target's by -e
+        ats = [-e * ks - first for e, first, _, _ in terms]
+        for at, (e, _, _, windows) in zip(ats, terms):
+            block += windows[at[0]::-e][:ks.size]
+        # the end cells read their own stencils, one node inward, and the
+        # interior cells reach the 3 columns at each end only in part
+        block[:, :3] = block[:, -3:] = 0.0
+        for at, (_, _, cells, _) in zip(ats, terms):
+            block[:, :4] += cells[0, at]
+            block[:, -4:] += cells[2, at + N - 2]
+            for r in (1, 2, 3):
+                block[:, r - 1:3] += cells[1, at + r, :4 - r]
+                block[:, N - 3:N + 1 - r] += cells[1, at + N - 2 - r, r:]
+        out[:, start:start + ks.size] = profiles @ block.T
     return out
 
 

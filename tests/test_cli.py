@@ -324,14 +324,26 @@ def test_overflowing_config_numbers_exit_cleanly(tmp_path, capsys, space, grids,
 
 
 def test_too_few_log_table_nodes_are_named(tmp_path, capsys):
-    # on 400 t-points over (1, cosh 60), the evaluation points of a radius-30
-    # disk read 7 nodes of the log-kernel table's grid, fewer than a grid holds
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg_with(space={"kind": "hyperbolic", "n": 2,
-                                                   "radius": 30.0})))
-    assert main(["roundtrip", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 2
-    assert capsys.readouterr().err == ("error: t_points 400 leave 7 nodes in the log-kernel "
-                                       "table's read window: grid needs at least 8 nodes\n")
+    # on 400 t-points over (1, cosh 60), every argument that the points of a
+    # radius-30 disk read lies in the first cell of the t-grid; on 400 over
+    # (-1, 1), every one of a cap of angle 0.02 lies in (0.9996, 1), beyond
+    # the last node 0.999. The t-grid cannot resolve the points' arguments
+    # there, so both exit 2, naming t_points and that cell
+    cap = cfg_with(space={"kind": "sphere", "n": 2, "radius": 0.02},
+                   phantom=[{"center": [0.002, 0.001], "geodesic_radius": 0.004,
+                             "amplitude": 1.0}])
+    cap["grids"]["recon_grid"] = {"center": [0.002, 0.001], "half_width": 0.004,
+                                  "points_per_axis": 7, "ball_radius": 0.004}
+    step = 1.998 / 399
+    for raw, cell in ((cfg_with(space={"kind": "hyperbolic", "n": 2, "radius": 30.0}),
+                       f"first cell [1.001, {1.001 + (float(np.cosh(60.0)) - 1.001) / 399!r}]"),
+                      (cap, f"last cell [{0.999 - step!r}, 0.999]")):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["roundtrip", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err == (f"error: t_points 400 put every argument the points "
+                                           f"read in the t-grid's {cell} or beyond it: too "
+                                           "coarse a grid for them\n")
 
 
 @pytest.mark.parametrize("where,value,command", [
@@ -839,7 +851,7 @@ def test_roundtrip_command_deterministic(tmp_path):
 def test_centred_configs_reconstruct_on_the_zonal_grid(tmp_path, name, bound):
     # centred means are one row, which back-projects on a zonal grid as one
     # integral in the angle to the point, not by the product rule over the
-    # centres (measured 7.92e-5 and 4.91e-6; 1.21e-2 and 1.29e-2 by the
+    # centres (measured 7.65e-5 and 4.91e-6; 1.21e-2 and 1.29e-2 by the
     # product rule)
     out = tmp_path / "r.csv"
     assert main(["roundtrip", "--config", str(checks.CONFIGS / f"{name}.json"),

@@ -421,10 +421,16 @@ def test_report_ratios_of_huge_values_are_those_of_the_values():
     assert big.sup_err == rep.sup_err * 2.0 ** 600
     assert np.array_equal(big.f_true, f_true * 2.0 ** 600)
 
-def _table_grid(space, n_points):
+def _table_grid(space, tg):
+    """The full log-table target grid: the nodes of the data grid's lattice,
+    stepped by (b - a)/(N - 1), from the first below the open t-range (the
+    first above 0 in R^n) to the first above it, counted in whole steps
+    from the data grid's ends."""
     lo, hi = space.tgrid_range
-    slack = 1e-6 * (hi - lo)
-    return TGrid.linspace(lo + slack, hi - slack, n_points)
+    step = (tg.b - tg.a) / (tg.n - 1)
+    k = np.arange(-np.floor((tg.a - lo) / step) - 1, tg.n + np.floor((hi - tg.b) / step) + 1)
+    t = tg.a + k * step
+    return TGrid(t[t > 0] if space.kind == EUCLIDEAN else t)
 
 
 def _fd_laplacian_reference(data, x):
@@ -440,7 +446,7 @@ def _fd_laplacian_reference(data, x):
             grid, fill = tg, 0.0
             prof = d_operator_matrix(t ** (n - 2) * data.values, tg, n - 3)
         else:
-            grid, fill = _table_grid(space, tg.n), "error"
+            grid, fill = _table_grid(space, tg), "error"
             q = t * d_operator_matrix(t ** (n - 2) * data.values, tg, n - 2)
             prof = log_kernel_table(q, tg, grid.values, kernel="log|t^2-s^2|")
         field = lambda p: space.boundary_area * backproject(bd, grid, whole_source(prof), p,
@@ -452,7 +458,7 @@ def _fd_laplacian_reference(data, x):
         grid, fill, scale = tg, 0.0, -1.0
         prof = diff_matrix(F, tg, n - 3)
     else:
-        grid, fill, scale = _table_grid(space, tg.n), "error", 1.0 / np.pi
+        grid, fill, scale = _table_grid(space, tg), "error", 1.0 / np.pi
         prof = log_kernel_table(diff_matrix(F, tg, n - 2), tg, grid.values, kernel="log|t-s|")
     field = lambda p: scale * space.boundary_area * backproject(
         bd, grid, whole_source(prof), spaces.lift(space, p), fill=fill)[0]
@@ -682,20 +688,32 @@ def test_invert_rejects_points_that_are_not_finite(space):
 
 @pytest.mark.parametrize("space", [E2, SpaceSpec(SPHERE, 2, 0.8), SpaceSpec(HYPERBOLIC, 2, 0.8)])
 def test_off_grid_arguments_name_the_point_and_the_grid(space):
-    # a point at geodesic radius 0.999999 R reads arguments beyond the end
-    # of the full log-table grid, which stops 1e-6 of the t-range short of
-    # it, at the centre opposite; rows that differ from centre to centre
-    # keep the back-projection on the data's own centres
+    # a point at geodesic radius 0.999999 R reads arguments near both ends
+    # of the t-range, at the centre next to it and the one opposite. The
+    # full log-table grid runs one data step past the ends on the cap and
+    # the hyperboloid, where the point inverts, and starts at the data
+    # grid's first node 1e-3 in R^n, where it raises. A back-projection on
+    # the window of a point near the origin names it in every space; rows
+    # that differ from centre to centre keep the back-projection on the
+    # data's own centres
     bd = boundary_grid(space, 16)
     tg = default_tgrid(space, 128)
     data = MeanData(space, bd, tg, np.ones((bd.m, tg.n)) + np.arange(bd.m)[:, None])
     r = 0.999999 * space.radius
     x = spaces.lift(space, np.array([[0.1, 0.0], [float(space.sin_k(r)), 0.0]]))
-    grid = inversion._table_grid(space, tg.n, _read_range(space, x))
+    near = inversion._table_grid(space, tg, _read_range(space, x[:1]))
+    runs = [(near, lambda: backproject(bd, near, whole_source(np.ones((bd.m, near.n))), x,
+                                       fill="error"))]
+    if space.kind == EUCLIDEAN:
+        runs.append((inversion._table_grid(space, tg, _read_range(space, x)),
+                     lambda: invert(data, x)))
+    else:
+        assert np.all(np.isfinite(invert(data, x)))
     point = re.escape(str(x[1].tolist()))
-    ends = re.escape(f"[{grid.a!r}, {grid.b!r}]")
-    with pytest.raises(ValueError, match=rf"^point 1 {point} reads argument \S+ outside the grid {ends}$"):
-        invert(data, x)
+    for grid, run in runs:
+        ends = re.escape(f"[{grid.a!r}, {grid.b!r}]")
+        with pytest.raises(ValueError, match=rf"^point 1 {point} reads argument \S+ outside the grid {ends}$"):
+            run()
 
 
 # ---------------------------------------------------------------------------
@@ -711,10 +729,10 @@ def _full_range_invert(data, x, method="direct"):
     n, t = space.n, tg.values
     values, points = data.rows, x
     if len(values) == 1:
-        q = inversion._table_grid(space, tg.n, _read_range(space, x)).n
+        q = inversion._table_grid(space, tg, _read_range(space, x)).n
         bd, points = inversion._zonal(space, x, q)
         values = np.repeat(values, q, axis=0)
-    grid = _table_grid(space, tg.n)
+    grid = _table_grid(space, tg)
     d = _prefactor(space)
     if space.kind == EUCLIDEAN:
         if method == "modified":
@@ -835,8 +853,8 @@ def test_windowed_table_is_the_full_tables_columns(name, kernel):
     cfg = cli.load_config(f"configs/{name}.json")
     data, x = cli._forward_data(cfg), cli._recon_points(cfg)
     tg = data.tgrid
-    full = _table_grid(data.space, tg.n)
-    window = inversion._table_grid(data.space, tg.n, _read_range(data.space, x))
+    full = _table_grid(data.space, tg)
+    window = inversion._table_grid(data.space, tg, _read_range(data.space, x))
     first = int(np.searchsorted(full.values, window.a))
     assert np.array_equal(window.values, full.values[first:first + window.n])
     assert window.n < full.n
@@ -861,7 +879,7 @@ def test_invert_builds_only_the_window(monkeypatch):
 
     monkeypatch.setattr(inversion, "log_kernel_table", counting)
     invert(data, x)
-    full = _table_grid(data.space, data.tgrid.n)
+    full = _table_grid(data.space, data.tgrid)
     lo, hi = _geodesic_read_range(data.space, x)
     window = int(np.ceil((hi - full.a) / full.h)) - int(np.floor((lo - full.a) / full.h)) + 1
     assert len(asked) == 1
@@ -885,10 +903,11 @@ def test_read_range_bounds_every_argument(kind, n, seed, scale):
     assert lo - tol <= np.min(args) and np.max(args) <= hi + tol
 
 
-def _admissible_edge(space, n_points):
+def _admissible_edge(space, tg):
     """The geodesic radius at which the points' argument bounds first reach
-    an end of the full table grid."""
-    grid = _table_grid(space, n_points)
+    an end of the full table grid: the boundary, on the cap and the
+    hyperboloid."""
+    grid = _table_grid(space, tg)
     lo, hi = 0.0, space.radius
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -905,14 +924,14 @@ def test_points_at_the_admissible_edge_invert(space, m):
     bd = boundary_grid(space, m)
     tg = default_tgrid(space, 128)
     data = forward_means(bump_at(space, np.full(space.n, 0.1), 0.3), bd, tg)
-    r = _admissible_edge(space, tg.n) * (1.0 - 1e-9)
+    r = _admissible_edge(space, tg) * (1.0 - 1e-9)
     toward = spaces.chart(space, bd.centers[:2])
     toward = np.stack([toward[0], toward[0] + toward[1]])
     xp = space.sin_k(r) * toward / np.linalg.norm(toward, axis=1, keepdims=True)
     x = spaces.lift(space, xp)
     assert np.all(np.isfinite(invert(data, x)))
-    full = _table_grid(space, tg.n)
-    window = inversion._table_grid(space, tg.n, _read_range(space, x))
+    full = _table_grid(space, tg)
+    window = inversion._table_grid(space, tg, _read_range(space, x))
     assert window.a == full.a or window.b == full.b
 
 
@@ -1107,14 +1126,16 @@ def test_invert_memory_on_a_cap():
     # beside P took the cap and the hyperboloid to 4.03. Traces undo their
     # weighting on every row at once, measured 1.87 times at the R^3 order
     # -1 and 3.03 at the cap order 1 (4.03 with whole rows after it). Even n
-    # filter every row for the log table, measured 4.03 in R^4 (686 centres)
+    # filter blocks of rows into the one array the log table reads, measured
+    # 1.59 in R^4 (686 centres) with the table beside it; whole-row filters
+    # took it to 4.03
     import tracemalloc
 
     E4 = SpaceSpec(EUCLIDEAN, 4, 1.0)
     for space, alpha, bound in ((SpaceSpec(SPHERE, 3, 0.8), None, 0.5),
                                 (SpaceSpec(HYPERBOLIC, 3, 0.8), None, 0.5), (E3, None, 0.5),
                                 (E3, -1.0, 2.1), (SpaceSpec(SPHERE, 3, 0.8), 1.0, 3.3),
-                                (E4, None, 4.3)):
+                                (E4, None, 1.7)):
         tg = default_tgrid(space, 600)
         bd = boundary_grid(space, 800)
         values = np.random.default_rng(10).standard_normal((bd.m, tg.n))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -266,6 +267,11 @@ def log_kernel_one(samples, grid, s: float, kernel: str = "log|t-s|") -> float:
     return float(log_kernel_table(samples, grid, [s], kernel)[0, 0])
 
 
+def log_kernel_each(rows, grid, targets, kernel: str = "log|t-s|") -> np.ndarray:
+    """The table at targets off the grid's step, one call per target."""
+    return np.concatenate([log_kernel_table(rows, grid, [s], kernel) for s in targets], axis=1)
+
+
 def test_log_kernel_point_singularity():
     g = TGrid(np.linspace(-1.0, 1.0, 400))
     assert abs(log_kernel_one(np.ones(400), g, 0.0, "log|t-s|") - (-2.0)) < 1e-10
@@ -295,7 +301,7 @@ def test_log_kernel_table_matches_scalar():
     t = g.values
     rows = np.stack([np.sin(t), np.cos(t) ** 2])
     targets = np.array([0.3, 1.1, 1.7])
-    table = log_kernel_table(rows, g, targets, kernel="log|t-s|")
+    table = log_kernel_each(rows, g, targets)
     for i in range(2):
         for j, s in enumerate(targets):
             ref = log_kernel_reference(rows[i], g, float(s))
@@ -312,10 +318,52 @@ def test_log_kernel_operator_matches_per_node_route(kernel, lo):
     rows = np.stack([np.exp(-4.0 * (t - 0.3) ** 2), np.sin(3.0 * t) + 0.5, np.ones_like(t)])
     targets = np.concatenate([[g.a, g.b, t[40], 0.5 * (t[60] + t[61])],
                               [-1.2, 1.3] if kernel == "log|t-s|" else [0.0]])
+    table = log_kernel_each(rows, g, targets, kernel)
+    ref = np.array([[log_kernel_reference(r, g, float(s), kernel)
+                     for s in targets] for r in rows])
+    assert np.max(np.abs(table - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _lattice(g, case):
+    """Targets that step by the grid's step (b - a)/(N - 1): the grid's own
+    nodes, 12 of them at either end, a run anchored 0.37 steps off the nodes
+    from 1.63 steps below the grid to 0.63 steps below its end, or one target."""
+    step = (g.b - g.a) / (g.n - 1)
+    return {"full": g.values, "window at a": g.values[:12], "window at b": g.values[-12:],
+            "off the nodes": g.a + (0.37 + np.arange(-2, g.n)) * step, "one": [0.3]}[case]
+
+
+@pytest.mark.parametrize("case", ["full", "window at a", "window at b", "off the nodes", "one"])
+@pytest.mark.parametrize("kernel,lo", [("log|t-s|", -0.7), ("log|t-s|", 0.05),
+                                       ("log|t^2-s^2|", -0.7), ("log|t^2-s^2|", 0.05)])
+def test_log_kernel_lattice_matches_per_target_route(kernel, lo, case):
+    # the cells' integrals by offset against order-20 graded panels, target
+    # by target; a grid through 0, where -s and s both meet it, and a
+    # positive one. The reference misses targets within 1e-10 of a cell of
+    # a node they are not on (its sliver crosses the node), so the runs on
+    # the nodes are the grid's own values, and the grid's ends (-0.7, 1)
+    # put no -s near a node
+    g = TGrid(np.linspace(lo, 1.0, 40))
+    t = g.values
+    rows = np.stack([np.exp(-3.0 * (t - 0.2) ** 2), np.sin(4.0 * t) + 0.5])
+    targets = _lattice(g, case)
     table = log_kernel_table(rows, g, targets, kernel=kernel)
     ref = np.array([[log_kernel_reference(r, g, float(s), kernel)
                      for s in targets] for r in rows])
     assert np.max(np.abs(table - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("targets", [[0.1, 0.2, 0.35], "every other node", "one off by 1e-6"])
+def test_log_kernel_targets_off_the_step_raise(targets):
+    g = TGrid.linspace(0.0, 1.0, 64)
+    step = (g.b - g.a) / (g.n - 1)
+    if targets == "every other node":
+        targets = g.values[::2]
+    elif targets == "one off by 1e-6":
+        targets = g.values[10:30].copy()
+        targets[7] += 1e-6 * step
+    with pytest.raises(ValueError, match=re.escape(f"the grid's step {step!r}")):
+        log_kernel_table(np.ones(g.n), g, targets)
 
 
 def log_kernel_closed_form(a, b, s, kernel, coef=(1.0,)):
@@ -338,7 +386,7 @@ def test_log_kernel_table_matches_closed_form(a, kernel):
     targets = [0.4, 0.73, 0.02, 0.0]
     for coef in [(1.0,), (2.0, 1.0, -1.0, 0.5)]:
         profile = np.polynomial.polynomial.polyval(g.values, coef)
-        table = log_kernel_table(profile, g, targets, kernel=kernel)[0]
+        table = log_kernel_each(profile, g, targets, kernel)[0]
         ref = np.array([log_kernel_closed_form(a, 1.0, s, kernel, coef) for s in targets])
         assert np.max(np.abs(table - ref) / np.abs(ref)) <= 1e-14
 
@@ -387,7 +435,7 @@ def test_log_kernel_table_is_linear(kernel, targets, alpha, beta, seed):
     kernel, lo = kernel
     g = TGrid.linspace(lo, 1.0, 64)
     p, q = np.random.default_rng(seed).standard_normal((2, 3, g.n))
-    table = lambda rows: log_kernel_table(rows, g, targets, kernel=kernel)
+    table = lambda rows: log_kernel_each(rows, g, targets, kernel)
     tp, tq = alpha * table(p), beta * table(q)
     scale = max(np.max(np.abs(tp)), np.max(np.abs(tq)))
     bound = 1e-12 * scale + g.n * np.finfo(float).smallest_subnormal
@@ -395,16 +443,18 @@ def test_log_kernel_table_is_linear(kernel, targets, alpha, beta, seed):
 
 
 @settings(max_examples=20, deadline=None)
-@given(KERNELS, st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=30),
-       st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=30))
-def test_log_kernel_table_splits_over_targets(kernel, first, second):
-    # the target blocks of the build do not show in the table
+@given(KERNELS, st.floats(-1.5, 1.5), st.integers(1, 100), st.integers(1, 100))
+def test_log_kernel_table_splits_over_runs(kernel, anchor, first, second):
+    # a lattice of targets split into two consecutive runs: the second run's
+    # anchor and the blocks of the build do not show in the table beyond
+    # the rounding of the cells' offsets
     kernel, lo = kernel
     g = TGrid.linspace(lo, 1.0, 64)
+    targets = anchor + np.arange(first + second) * ((g.b - g.a) / (g.n - 1))
     rows = np.stack([np.exp(-3.0 * (g.values - 0.2) ** 2), np.sin(4.0 * g.values)])
-    joint = log_kernel_table(rows, g, first + second, kernel=kernel)
-    apart = np.concatenate([log_kernel_table(rows, g, first, kernel=kernel),
-                            log_kernel_table(rows, g, second, kernel=kernel)], axis=1)
+    joint = log_kernel_table(rows, g, targets, kernel=kernel)
+    apart = np.concatenate([log_kernel_table(rows, g, targets[:first], kernel=kernel),
+                            log_kernel_table(rows, g, targets[first:], kernel=kernel)], axis=1)
     assert np.max(np.abs(joint - apart)) <= 1e-14 * np.max(np.abs(joint))
 
 

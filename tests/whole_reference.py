@@ -43,7 +43,7 @@ def whole_rows(data, x, method="direct"):
         return tg, rows, 0.0
     if euclidean:
         rows = rows * t
-    grid = inversion._table_grid(space, tg.n, inversion._read_range(space, x))
+    grid = inversion._table_grid(space, tg, inversion._read_range(space, x))
     kernel = "log|t^2-s^2|" if euclidean else "log|t-s|"
     return grid, log_kernel_table(rows, tg, grid.values, kernel=kernel), "error"
 
