@@ -454,8 +454,9 @@ def forward_means(phantom, boundary: BoundaryGrid, tgrid: TGrid,
 
 
 def trace_weighting(space: SpaceSpec, grid: TGrid, values: np.ndarray, eta: float,
-                    alpha: float) -> np.ndarray:
-    """T_{eta,alpha}, the time weighting of the traces (layer 2), on rows (M, N).
+                    alpha: float, columns: slice = slice(None)) -> np.ndarray:
+    """T_{eta,alpha}, the time weighting of the traces (layer 2), on rows (M, N),
+    at the grid's nodes `columns` (every node by default): (M, those nodes).
 
     R^n: Gamma(alpha+eta+1)/Gamma(eta+1) times the Erdelyi-Kober integral
     I_eta^alpha (its analytic continuation for alpha <= 0). Cap:
@@ -466,12 +467,12 @@ def trace_weighting(space: SpaceSpec, grid: TGrid, values: np.ndarray, eta: floa
     """
     scale = gamma(alpha + (eta + 1.0)) / gamma(eta + 1.0)
     if space.kind == spaces.EUCLIDEAN:
-        u = (ek_matrix if alpha > 0 else ek_ac_matrix)(values, grid, eta, alpha)
+        u = (ek_matrix if alpha > 0 else ek_ac_matrix)(values, grid, eta, alpha, columns=columns)
         u *= scale
         return u
     w = 1.0 - grid.values ** 2
-    G = rl_matrix(values * w ** eta, grid, alpha)
-    return 2.0 ** alpha * scale * w ** (-alpha - eta) * G
+    G = rl_matrix(values * w ** eta, grid, alpha, columns=columns)
+    return 2.0 ** alpha * scale * (w ** (-alpha - eta))[columns] * G
 
 
 def _trace(phantom: Phantom, boundary: BoundaryGrid, tgrid: TGrid, alpha: float,

@@ -9,6 +9,14 @@ fractional order m + alpha, then applies (-d/dt)^m. `ek_ac_matrix` applies
 the derivative factor first, I_eta^alpha = I_eta^{m+alpha} o
 I_{eta+m+alpha}^{-m}: the integer-order derivative formula, then the
 fractional integral. Both derivative formulas come from the numerics module.
+
+Every operator takes the target nodes `columns` (a slice of the grid's
+nodes, all of them by default) and returns those columns alone. A
+positive-order operator is built only on their rows and applied at its full
+(N, N) shape, so each column keeps the bits of the whole operator's; a
+derivative runs on the columns its targets read, 2 more nodes on each side
+per pass. A left-sided (Erdelyi-Kober) integral reads every node below its
+targets, a right-sided (Riemann-Liouville) one every node above.
 """
 
 from __future__ import annotations
@@ -42,12 +50,14 @@ def _ek_rule(eta: float, alpha: float, order: int):
 _OPERATOR_NODES = 8192
 
 
-def _quintic_operator(grid: TGrid, x: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """N x N matrix A with (samples @ A.T)[:, j] = sum over q of
+def _quintic_operator(grid: TGrid, x: np.ndarray, coef: np.ndarray,
+                      first: int = 0) -> np.ndarray:
+    """N x N matrix A with (samples @ A.T)[:, first + j] = sum over q of
     coef[j, q] * quintic_interp(samples, grid, x[j, q]).
 
-    x holds the quadrature nodes of target row j in row j, shape (R, Q) with
-    R <= N; coef broadcasts against x, and the rows of A past R are zero.
+    x holds the quadrature nodes of target row first + j in row j, shape
+    (R, Q) with first + R <= N; coef broadcasts against x, and the other
+    rows of A are zero.
     Each node's six stencil weights come from quintic_interp applied to the
     rows of an 8 x 8 identity on a unit grid, at the node's local coordinate s:
     the stencil starts at base 0 when s < 1 (interior cells and the left-edge
@@ -74,13 +84,20 @@ def _quintic_operator(grid: TGrid, x: np.ndarray, coef: np.ndarray) -> np.ndarra
         w = quintic_interp(eye, unit, s + 2.0 + base)
         w = np.take_along_axis(w, base + stencil, axis=0)
         flat = rows * n + idx - 2 + stencil
-        A[j0:j1] = np.bincount(flat.ravel(), (w * cb).ravel(),
-                               minlength=(j1 - j0) * n).reshape(j1 - j0, n)
+        A[first + j0:first + j1] = np.bincount(flat.ravel(), (w * cb).ravel(),
+                                               minlength=(j1 - j0) * n).reshape(j1 - j0, n)
     return A
 
 
+def _bounds(grid: TGrid, columns: slice, reach: int = 0) -> tuple[int, int]:
+    """The first and one past the last of the grid's nodes `columns`, widened
+    by `reach` nodes on each side within the grid."""
+    lo, hi, _ = columns.indices(grid.n)
+    return max(lo - reach, 0), min(hi + reach, grid.n)
+
+
 def ek_matrix(samples: np.ndarray, grid: TGrid, eta: float, alpha: float,
-              order: int = 192) -> np.ndarray:
+              order: int = 192, columns: slice = slice(None)) -> np.ndarray:
     """Positive-order Erdelyi-Kober integral of each row of samples (M, N).
 
     (I_eta^a phi)(t) = (2 t^{-2(a+eta)} / Gamma(a)) *
@@ -89,49 +106,63 @@ def ek_matrix(samples: np.ndarray, grid: TGrid, eta: float, alpha: float,
     extended by zero outside the grid. The rule is built once as an N x N
     operator (quintic interpolation at the nodes t * s_q, a block of target
     rows at a time, so the build holds about 2 N x N arrays whatever the
-    order) and applied to all rows with one matrix product.
+    order) and applied to all rows with one matrix product. Only the target
+    rows `columns` are built, and only those columns are returned.
     """
     if alpha <= 0:
         raise ValueError("use the analytic-continuation path for alpha <= 0")
     if eta < -0.5:
         raise ValueError("positive-order operators need eta >= -1/2")
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    t = grid.values
+    lo, hi = _bounds(grid, columns)
     s, F = _ek_rule(eta, alpha, order)
-    A = _quintic_operator(grid, t[:, None] * s[None, :], 2.0 / gamma(alpha) * F)
-    return samples @ A.T
+    A = _quintic_operator(grid, grid.values[lo:hi, None] * s[None, :], 2.0 / gamma(alpha) * F,
+                          first=lo)
+    return (samples @ A.T)[:, lo:hi]
 
 
-def _ek_integer_neg_matrix(samples: np.ndarray, grid: TGrid, eta: float, m: int) -> np.ndarray:
-    """(I_eta^{-m} phi)(t) = t^{-2(eta-m)} D^m [t^{2 eta} phi(t)], D = (1/2t) d/dt."""
+def _ek_integer_neg_matrix(samples: np.ndarray, grid: TGrid, eta: float, m: int,
+                           columns: slice = slice(None)) -> np.ndarray:
+    """(I_eta^{-m} phi)(t) = t^{-2(eta-m)} D^m [t^{2 eta} phi(t)], D = (1/2t) d/dt,
+    at the grid's nodes `columns`."""
     t = grid.values
-    weighted = np.asarray(samples, dtype=float) * t ** (2.0 * eta)
-    return d_operator_matrix(weighted, grid, m) * t ** (-2.0 * (eta - m))
+    lo, hi = _bounds(grid, columns)
+    w0, w1 = _bounds(grid, columns, 2 * m)
+    weighted = np.asarray(samples, dtype=float)[:, w0:w1] * (t ** (2.0 * eta))[w0:w1]
+    inner = d_operator_matrix(weighted, grid, m, slice(w0, w1))[:, lo - w0:hi - w0]
+    return inner * (t ** (-2.0 * (eta - m)))[lo:hi]
 
 
 def ek_ac_matrix(samples: np.ndarray, grid: TGrid, eta: float, alpha: float,
-                 order: int = 192) -> np.ndarray:
+                 order: int = 192, columns: slice = slice(None)) -> np.ndarray:
     """Erdelyi-Kober operator of order alpha <= 0 by analytic continuation.
 
     With m = ceil(-alpha), factor I_eta^alpha = I_eta^{m+alpha} o
     I_{eta+m+alpha}^{-m}; the integer-negative factor is the derivative
     formula, the fractional remainder (if any) the positive-order integral.
+    The derivative runs on the nodes that the integral's targets `columns`
+    read: every node up to the last one's quintic stencil.
     """
     if alpha > 0:
         raise ValueError("alpha must be <= 0 on this path")
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    lo, hi = _bounds(grid, columns)
     if alpha == 0:
-        return samples.copy()
+        return samples[:, lo:hi].copy()
     m = int(np.ceil(-alpha))
     rem = m + alpha
     eta_prime = eta + rem
-    inner = _ek_integer_neg_matrix(samples, grid, eta_prime, m)
     if rem == 0:
-        return inner
-    return ek_matrix(inner, grid, eta, rem, order=order)
+        return _ek_integer_neg_matrix(samples, grid, eta_prime, m, columns)
+    # target j reads the stencil nodes idx - 2, ..., idx + 3, idx = max(j, 2) at most
+    reads = min(max(hi + 3, 6), grid.n)
+    inner = np.zeros((samples.shape[0], grid.n))
+    inner[:, :reads] = _ek_integer_neg_matrix(samples, grid, eta_prime, m, slice(reads))
+    return ek_matrix(inner, grid, eta, rem, order=order, columns=columns)
 
 
-def rl_matrix(samples: np.ndarray, grid: TGrid, alpha: float, order: int = 192) -> np.ndarray:
+def rl_matrix(samples: np.ndarray, grid: TGrid, alpha: float, order: int = 192,
+              columns: slice = slice(None)) -> np.ndarray:
     """Right-sided Riemann-Liouville integral of order alpha of rows (M, N).
 
     alpha > 0: (I_-^a u)(t) = (1/Gamma(a)) int_t^b (tau - t)^{a-1} u(tau) dtau
@@ -140,22 +171,27 @@ def rl_matrix(samples: np.ndarray, grid: TGrid, alpha: float, order: int = 192) 
     The positive-order rule is one N x N operator, quintic interpolation at
     the nodes tau = t + (b - t) v_q built a block of target rows at a time
     (about 3 N x N arrays at the peak with the nodes and weights), applied
-    to all rows with one matrix product.
+    to all rows with one matrix product. Only the target rows `columns` are
+    built, and only those columns are returned; the derivative of a
+    nonpositive order runs on them and 2 m nodes on each side.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    lo, hi = _bounds(grid, columns)
     if alpha == 0:
-        return samples.copy()
+        return samples[:, lo:hi].copy()
     if alpha < 0:
         m = int(np.ceil(-alpha))
         rem = m + alpha
-        inner = samples if rem == 0 else rl_matrix(samples, grid, rem, order)
-        return (-1.0) ** m * diff_matrix(inner, grid, m)
-    t = grid.values
+        w0, w1 = _bounds(grid, columns, 2 * m)
+        inner = samples[:, w0:w1] if rem == 0 else rl_matrix(samples, grid, rem, order,
+                                                               slice(w0, w1))
+        return (-1.0) ** m * diff_matrix(inner, grid, m)[:, lo - w0:hi - w0]
+    t = grid.values[lo:hi]
     x, w = gauss_jacobi(order, 0.0, alpha - 1.0)
     v = 0.5 * (1.0 + x)
     F = w * 2.0 ** (-alpha)
     span = (grid.b - t)[:, None]
     tau = t[:, None] + span * v[None, :]
-    coef = (span ** alpha / gamma(alpha)) * F[None, :]
-    A = _quintic_operator(grid, tau, coef)
-    return samples @ A.T
+    coef = (((grid.b - grid.values) ** alpha)[lo:hi, None] / gamma(alpha)) * F[None, :]
+    A = _quintic_operator(grid, tau, coef, first=lo)
+    return (samples @ A.T)[:, lo:hi]

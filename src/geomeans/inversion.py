@@ -11,7 +11,11 @@ Laplacian in closed form (layer 5), the one step that differs by space.
 The back-projection takes one input form, a source of the filtered rows of
 each block of centres, which it pulls as it reaches them, so only the
 operator products of layers 2 and 4 run on every row at once; radial data
-back-project on a zonal grid (`_zonal`).
+back-project on a zonal grid (`_zonal`). In odd dimensions layers 2 and 3
+run only on the t-columns that the back-projection reads (`_read_columns`),
+and it reads them against the whole t-grid; one window function
+(`_read_nodes`) takes the points' argument bounds in both parities and
+rejects a t-grid too coarse for them.
 The result is one constant (`_prefactor`) times that Laplacian. The
 Euclidean odd/even formulas are those of Finch, Haltmeier & Rakesh (SIAM J.
 Appl. Math. 68, 2007), with a Laplacian-free `modified` variant; the cap and
@@ -124,11 +128,13 @@ def _tables(block, shape: tuple, count: int | None = None) -> list[np.ndarray]:
 
 
 def backproject(boundary: BoundaryGrid, grid: TGrid, rows, x: np.ndarray,
-                fill: float | str, times_t: bool = False) -> np.ndarray:
+                fill: float | str, times_t: bool = False,
+                columns: slice = slice(None)) -> np.ndarray:
     """Weighted boundary average of per-center profiles at the observation args.
 
-    rows is the block source of k tables on the grid: rows(lo, hi) returns
-    a sequence of k tables, each (hi - lo, N), for the centres lo to hi - 1.
+    rows is the block source of k tables on the grid's nodes `columns`
+    (every node by default): rows(lo, hi) returns a sequence of k tables,
+    each (hi - lo, those nodes), for the centres lo to hi - 1.
     It is called once per block of centres, in order (with no points, for
     the first block alone), so that its caller never needs every centre's
     rows at once. Each table is sampled by cubic interpolation at |x - xi|
@@ -147,21 +153,26 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, rows, x: np.ndarray,
     its cells reach, and each cell reads its cubic in nested form,
     g + (s+1) (Dg + s/2 (D^2g + (s-1)/3 D^3g)), from four gathers at the
     stencil's first node plus the row's offset. Each block's values add
-    into the result by one product against its boundary weights.
+    into the result by one product against its boundary weights. Every cell
+    and every s is taken on the whole grid, whatever `columns`: the tables
+    must hold the stencil of every argument on the grid. Arguments off it
+    read the first cell of the columns.
     """
     if fill not in (0.0, "error"):
         raise ValueError("fill must be 0.0 or 'error'")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     K, m, N = x.shape[0], boundary.m, grid.n
+    c0, c1, _ = columns.indices(N)
+    W = c1 - c0
     block = max(1, _BLOCK_CELLS // max(K, N))
     b = min(block, m)
-    tables = _tables(rows(0, b), (b, N))
+    tables = _tables(rows(0, b), (b, W))
     count = len(tables)
     out = np.zeros((count + times_t, K))
     if K == 0:
         return out
     args = _observation_args(boundary.space, x)
-    spare = np.empty((3, b, N))
+    spare = np.empty((3, b, W))
     values = np.empty((out.shape[0], K, b))
     # Every block reuses one set of the cells' arrays. Made afresh for each
     # block, between a source's rows, they left the heap's top free for the
@@ -175,13 +186,13 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, rows, x: np.ndarray,
     a0, h = grid.a, grid.h
 
     def first_node(arg: float) -> int:
-        # the stencil's first node at one argument, as for the cells below
-        return min(max(floor((arg - a0) / h), 1), N - 3) - 1
+        # the stencil's first column at one argument, as for the cells below
+        return min(max(floor((arg - a0) / h), c0 + 1), c1 - 3) - 1 - c0
 
     for lo in range(0, m, block):
         hi = min(lo + block, m)
         if lo:
-            tables = _tables(rows(lo, hi), (hi - lo, N), count)
+            tables = _tables(rows(lo, hi), (hi - lo, W), count)
         a, s, node, third, term, f1, f2 = (w[:K * (hi - lo)].reshape(K, hi - lo) for w in work)
         a = args(boundary.centers[lo:hi], out=a)
         low, high = a.min(), a.max()
@@ -192,20 +203,21 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, rows, x: np.ndarray,
                 i, j = np.argwhere(~inside)[0]
                 raise ValueError(f"point {i} {x[i].tolist()} reads argument {float(a[i, j])!r} "
                                  f"outside the grid [{a0!r}, {grid.b!r}]")
-            # the arguments off the grid read the first cell
+            # the arguments off the grid read the first cell of the columns
             a = np.where(inside, a, a0)
             low, high = a0, a.max()
-        # cell j covers [t_j, t_j+1), the end cells reach one cell further
-        # out, and s = (a - t_j)/h; the cubic's nodes are j-1, ..., j+2
+        # cell j covers [t_j, t_j+1), the end cells of the columns reach one
+        # cell further out, and s = (a - t_j)/h; the cubic's nodes are j-1,
+        # ..., j+2, which sit in column j - 1 - c0 on
         np.subtract(a, a0, out=s)
         s /= h
         np.floor(s, out=node)
-        np.clip(node, 1.0, N - 3.0, out=node)
+        np.clip(node, c0 + 1.0, c1 - 3.0, out=node)
         s -= node
-        node -= 1.0
+        node -= 1.0 + c0
         first = first_node(low)
         width = first_node(high) - first + 1
-        node += np.arange(0.0, (hi - lo) * N, N)
+        node += np.arange(0.0, (hi - lo) * W, W)
         cell = cells[:K * (hi - lo)].reshape(K, hi - lo)
         np.copyto(cell, node, casting="unsafe")
         # the nested form's factors s + 1, s/2 and (s - 1)/3, the last one
@@ -255,6 +267,29 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, rows, x: np.ndarray,
 _WINDOW_MARGIN = 6
 
 
+def _read_nodes(grid: TGrid, read: tuple[float, float]) -> tuple[float, float]:
+    """The data grid's node at or below read[0] and the one at or above
+    read[1], in steps (b - a)/(N - 1) from a; either may lie off the grid.
+    Reads that all lie in the grid's first or last cell, or beyond it, or
+    that span an interval inside one of its cells raise, naming t_points:
+    the grid is too coarse to resolve them. A single argument (the origin
+    alone, or no points) spans no interval."""
+    a, b, N = float(grid.a), float(grid.b), grid.n
+    step = (b - a) / (N - 1)
+    first = np.floor((read[0] - a) / step)
+    last = np.ceil((read[1] - a) / step)
+    if last <= 1:
+        cell = f"first cell {[a, a + step]} or beyond it"
+    elif first >= N - 2:
+        cell = f"last cell {[b - step, b]} or beyond it"
+    elif last - first <= 1 and read[0] < read[1]:
+        cell = f"cell {[a + float(first) * step, a + float(last) * step]}"
+    else:
+        return first, last
+    raise ValueError(f"t_points {N} put every argument the points read in the t-grid's "
+                     f"{cell}: too coarse a grid for them")
+
+
 def _table_grid(space: SpaceSpec, grid: TGrid, read: tuple[float, float]) -> TGrid:
     """Target grid for log-kernel tables of rows on the data grid `grid` that
     are read over read = (lo, hi). The full target grid is the data grid's
@@ -263,20 +298,14 @@ def _table_grid(space: SpaceSpec, grid: TGrid, read: tuple[float, float]) -> TGr
     extended by whole steps, so every argument inside the range lies on it.
     In R^n it starts at the first node above 0 instead, where the radial
     operator's (n - 1)/t is defined. Of those, the window runs from the
-    node at or below lo to the one at or above hi, plus `_WINDOW_MARGIN`
-    nodes on each side, clipped to the full grid. Reads that all lie in the
-    data grid's first or last cell, or beyond it, raise, naming t_points:
-    the grid is too coarse to resolve them.
+    node at or below lo to the one at or above hi (`_read_nodes`, which
+    rejects too coarse a grid), plus `_WINDOW_MARGIN` nodes on each side,
+    clipped to the full grid.
     """
     lo, hi = space.tgrid_range
     a, b, N = float(grid.a), float(grid.b), grid.n
     step = (b - a) / (N - 1)
-    first = np.floor((read[0] - a) / step)
-    last = np.ceil((read[1] - a) / step)
-    if last <= 1 or first >= N - 2:
-        cell = f"first cell {[a, a + step]}" if last <= 1 else f"last cell {[b - step, b]}"
-        raise ValueError(f"t_points {N} put every argument the points read in the t-grid's "
-                         f"{cell} or beyond it: too coarse a grid for them")
+    first, last = _read_nodes(grid, read)
     # the full grid's end nodes, counted from the data grid's ends: a grid
     # that ends on the range's end (the hyperboloid's cosh 2R) takes the
     # node one step past it, whatever the rounding
@@ -287,6 +316,19 @@ def _table_grid(space: SpaceSpec, grid: TGrid, read: tuple[float, float]) -> TGr
     window = a + np.arange(max(below, first - _WINDOW_MARGIN),
                            min(above, last + _WINDOW_MARGIN) + 1.0) * step
     return TGrid(window)
+
+
+def _read_columns(grid: TGrid, read: tuple[float, float], passes: int) -> slice:
+    """The data grid's nodes that odd n's layers 2 and 3 compute for reads
+    over read = (lo, hi): from the node at or below lo to the one at or
+    above hi (`_read_nodes`, which rejects too coarse a grid), widened by
+    the cubic stencil's reach, 2 nodes for each of the `passes` difference
+    passes that follow, and clipped to the grid. The stencil of a cell
+    starts one node below it and ends two above; one more node on each side
+    takes an argument that rounds past lo or hi into the next cell."""
+    first, last = _read_nodes(grid, read)
+    reach = 2 + 2 * passes
+    return slice(int(max(first - reach, 0)), int(min(last + reach, grid.n - 1)) + 1)
 
 
 def _read_range(space: SpaceSpec, x: np.ndarray) -> tuple[float, float]:
@@ -319,7 +361,8 @@ def _zonal(space: SpaceSpec, x: np.ndarray, q: int) -> tuple[BoundaryGrid, np.nd
     u, w = gauss_jacobi(q, (n - 3) / 2.0, (n - 3) / 2.0)
     centers = np.zeros((q, x.shape[1]))
     centers[:, :2] = space.chart_radius * np.stack([u, np.sqrt(1.0 - u ** 2)], axis=1)
-    centers[:, n:] = space.cos_k(space.radius)  # no column in R^n
+    if space.kind != spaces.EUCLIDEAN:
+        centers[:, n] = space.cos_k(space.radius)
     turned = np.zeros_like(x)
     turned[:, 0] = np.linalg.norm(x[:, :n], axis=1)
     turned[:, n:] = x[:, n:]
@@ -339,21 +382,28 @@ def _section_weight(space: SpaceSpec, t: np.ndarray) -> np.ndarray:
     return (space.curvature * (1.0 - t ** 2)) ** (n / 2.0 - 1.0)
 
 
-def _filtered(space: SpaceSpec, grid: TGrid, values: np.ndarray, method: str) -> np.ndarray:
-    """Layer 3 on rows (M, N) of the means, in R^n, on the cap and on the
-    hyperboloid: filter^k F, always a new array, never the caller's means.
+def _filtered(space: SpaceSpec, grid: TGrid, values: np.ndarray, method: str,
+              columns: slice = slice(None)) -> np.ndarray:
+    """Layer 3 on rows of the means at the grid's nodes `columns` (every
+    node by default), in R^n, on the cap and on the hyperboloid: filter^k F,
+    always a new array, never the caller's means.
 
     F = sin_k(r)^{n-2} times the means, or times L_n of them for the
     `modified` formula. The filter is d/da in the pairing variable up to a
     constant: D = (1/2t) d/dt in R^n, d/dt on the curved grids; k = n - 3
     for odd n and n - 2 for even n. Every step works row by row, so the
-    rows of a block of centres come out as they do from all rows at once.
+    rows of a block of centres come out as they do from all rows at once,
+    and each pass leaves inexact only the 2 columns at each end of a window
+    inside the grid.
     """
     n = space.n
     if method == "modified":
-        values = darboux_L_matrix(values, grid, n)
-    filt = d_operator_matrix if space.kind == spaces.EUCLIDEAN else diff_matrix
-    return filt(_section_weight(space, grid.values) * values, grid, n - 3 if n % 2 else n - 2)
+        values = darboux_L_matrix(values, grid, n, columns)
+    weighted = _section_weight(space, grid.values)[columns] * values
+    k = n - 3 if n % 2 else n - 2
+    if space.kind == spaces.EUCLIDEAN:
+        return d_operator_matrix(weighted, grid, k, columns)
+    return diff_matrix(weighted, grid, k)
 
 
 def _log_table(space: SpaceSpec, grid: TGrid, values: np.ndarray, method: str,
@@ -434,8 +484,9 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     log-table grid (`_table_grid`), which runs one data step past the
     t-range's ends on the cap and the hyperboloid and starts at its first
     node above 0 in R^n: a point that reads below that node raises, named.
-    A t-grid so coarse that all the points' arguments fall in its first or
-    last cell raises too. Trace data
+    In odd n arguments off the t-grid read 0. In both, a t-grid so coarse
+    that all the points' arguments fall in its first or last cell, or
+    beyond it, or in one interior cell raises, naming t_points. Trace data
     (`data.alpha` set, its order checked by `MeanData`) first have their
     fractional weighting undone, and then take the direct formula. Only
     the distinct rows `data.rows` run through the layers. Radial data (all
@@ -456,6 +507,15 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     passes, on the block's centres alone. No (m, N) array is made after
     the operator products.
 
+    In odd n every step before the back-projection runs on one window of
+    the t-grid's nodes (`_read_columns`): the nodes whose cells hold the
+    points' arguments, widened by the cubic stencil and by 2 nodes for each
+    difference pass after layer 2. The trace undo builds its operator's
+    rows only there (and applies it at its full shape) and differentiates
+    only the nodes those rows read; the back-projection reads the window
+    against the whole grid's a and h. Each window column holds the bits of
+    the whole-grid route.
+
     `fd_step` is accepted and ignored: every outer Laplacian is computed in
     closed form inside the back-projection, with no finite-difference step.
     The keyword stays for callers that still pass the configured step.
@@ -472,12 +532,19 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
         raise ValueError(f"evaluation points must lie strictly inside the {region} of radius "
                          f"{space.radius:g}; {x[outside][0].tolist()} does not")
 
-    values, grid, fill = data.rows, data.tgrid, 0.0
+    values, grid, fill, read = data.rows, data.tgrid, 0.0, _read_range(space, x)
+    # odd n computes layers 2 and 3 on the nodes the back-projection reads,
+    # widened by the n - 1 difference passes after layer 2: L_n or the
+    # derivative pair, and the filter's n - 3; even n's table reads all
+    columns = _read_columns(grid, read, n - 1) if n % 2 else slice(None)
     if alpha is not None:
         # the index law: T_{eta+alpha,-alpha} undoes T_{eta,alpha}, eta = n/2 - 1
-        values = trace_weighting(space, grid, values, n / 2.0 - 1.0 + alpha, -alpha)
+        values = trace_weighting(space, grid, values, n / 2.0 - 1.0 + alpha, -alpha,
+                                 columns=columns)
+    else:
+        values = values[:, columns]
     if n % 2 == 0:
-        grid, values = _log_table(space, grid, values, method, _read_range(space, x))
+        grid, values = _log_table(space, grid, values, method, read)
         fill = "error"
     boundary, points = data.boundary, x
     if values.shape[0] == 1:
@@ -489,7 +556,7 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
         # odd n, their slice of invert's own table in even n
         P = values[lo:hi]
         if n % 2:
-            P = _filtered(space, grid, P, method)
+            P = _filtered(space, grid, P, method, columns)
         if method == "modified":
             return (P,)
         # The Laplacian of x -> P(arg(xi, x)) is P''(arg) |grad arg|^2 +
@@ -503,12 +570,12 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
         P = _diff1(first, grid.h, out=P)
         if space.kind != spaces.EUCLIDEAN:
             return P, first
-        first *= (n - 1) / grid.values
+        first *= (n - 1) / grid.values[columns]
         P += first
         return (P,)
 
     f0 = backproject(boundary, grid, rows, points, fill=fill,
-                     times_t=space.kind != spaces.EUCLIDEAN)
+                     times_t=space.kind != spaces.EUCLIDEAN, columns=columns)
 
     d = _prefactor(space)
     if space.kind == spaces.EUCLIDEAN:

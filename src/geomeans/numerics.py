@@ -232,11 +232,15 @@ def diff_matrix(samples: np.ndarray, grid: TGrid, k: int = 1) -> np.ndarray:
     return out
 
 
-def d_operator_matrix(samples: np.ndarray, grid: TGrid, m: int) -> np.ndarray:
-    """Apply D = (1/2t) d/dt m times along the last axis (positive grids only)."""
+def d_operator_matrix(samples: np.ndarray, grid: TGrid, m: int,
+                      columns: slice = slice(None)) -> np.ndarray:
+    """Apply D = (1/2t) d/dt m times along the last axis (positive grids only)
+    to samples that hold the grid's nodes `columns` (every node by default),
+    at the grid's own step. Each pass's one-sided ends leave the 2 columns at
+    each end of a window inside the grid inexact."""
     if m < 0:
         raise ValueError("operator power must be >= 0")
-    t = grid.values
+    t = grid.values[columns]
     if m > 0 and np.any(t <= 0):
         raise ValueError("D = (1/2t) d/dt needs a strictly positive grid")
     out = np.asarray(samples, dtype=float)
@@ -248,9 +252,12 @@ def d_operator_matrix(samples: np.ndarray, grid: TGrid, m: int) -> np.ndarray:
     return out
 
 
-def darboux_L_matrix(samples: np.ndarray, grid: TGrid, n: int) -> np.ndarray:
-    """L = d^2/dt^2 + (n-1)/t d/dt along the last axis."""
-    t = grid.values
+def darboux_L_matrix(samples: np.ndarray, grid: TGrid, n: int,
+                     columns: slice = slice(None)) -> np.ndarray:
+    """L = d^2/dt^2 + (n-1)/t d/dt along the last axis of samples that hold
+    the grid's nodes `columns` (every node by default), as `d_operator_matrix`
+    takes them."""
+    t = grid.values[columns]
     if np.any(t <= 0):
         raise ValueError("the radial operator needs a strictly positive grid")
     d1 = _diff1(np.asarray(samples, dtype=float), grid.h)

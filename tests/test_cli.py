@@ -346,6 +346,65 @@ def test_too_few_log_table_nodes_are_named(tmp_path, capsys):
                                            "coarse a grid for them\n")
 
 
+def _odd_coarse_configs():
+    """Configs shaped like BASE whose points' arguments all fall in one
+    cell of the 400-point t-grid, with that cell as the error names it: the
+    first over (1, cosh 60) for a hyperbolic n=3 ball of radius 30, beyond
+    the last node 0.999 for a cap n=3 of angle 0.02, and one interior cell
+    of width 5013 for R^2 and R^3 balls of radius 1e6."""
+    hyperbolic = cfg_with(space={"kind": "hyperbolic", "n": 3, "radius": 30.0})
+    hyperbolic["phantom"][0]["center"] = [0.25, 0.1, 0.0]
+    hyperbolic["grids"]["recon_grid"]["center"] = [0.25, 0.1, 0.0]
+    cap = cfg_with(space={"kind": "sphere", "n": 3, "radius": 0.02},
+                   phantom=[{"center": [0.002, 0.001, 0.0], "geodesic_radius": 0.004,
+                             "amplitude": 1.0}])
+    cap["grids"]["recon_grid"] = {"center": [0.002, 0.001, 0.0], "half_width": 0.004,
+                                  "points_per_axis": 7, "ball_radius": 0.004}
+    yield hyperbolic, ("first cell [1.001, "
+                       f"{1.001 + (float(np.cosh(60.0)) - 1.001) / 399!r}] or beyond it")
+    yield cap, f"last cell [{0.999 - 1.998 / 399!r}, 0.999] or beyond it"
+    for n in (2, 3):
+        raw = cfg_with(space={"kind": "euclidean", "n": n, "radius": 1e6})
+        raw["phantom"][0]["center"] = raw["grids"]["recon_grid"]["center"] = [0.25, 0.1, 0.0][:n]
+        a, b = 1e-3, 2e6 - 1e-3
+        step = (b - a) / 399
+        yield raw, f"cell {[a + 199 * step, a + 200 * step]}"
+
+
+def test_too_coarse_grids_are_named_in_odd_n_and_inside_the_grid(tmp_path, capsys):
+    # one window function reads the points' argument bounds in both
+    # parities: a t-grid on which they all fall in one cell, first, last or
+    # interior, cannot resolve the points, and exits 2 naming t_points and
+    # that cell, where these configs wrote a report of rel_l2 1.0
+    for raw, cell in _odd_coarse_configs():
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["roundtrip", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err == (f"error: t_points 400 put every argument the points "
+                                           f"read in the t-grid's {cell}: too coarse a grid "
+                                           "for them\n")
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_a_euclidean_ball_of_radius_1000_round_trips(tmp_path):
+    # configs/euclid4.json scaled by 1000, on 200 centres: its one radial
+    # row back-projects on the zonal grid, which took a height column from
+    # cosh(1000) in R^n too, where there is none, and overflowed
+    import warnings
+
+    raw = json.loads(Path("configs/euclid4.json").read_text())
+    raw["space"]["radius"] = 1000.0
+    raw["phantom"][0]["geodesic_radius"] = 350.0
+    raw["grids"]["recon_grid"].update(half_width=450.0, ball_radius=450.0)
+    raw["grids"]["boundary_points"] = 200
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+    cfg_path.write_text(json.dumps(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["roundtrip", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert float(read_report(str(out))[2]["rel_l2"]) < 1e-3
+
+
 @pytest.mark.parametrize("where,value,command", [
     (("t_points",), 10 ** 12, "forward"),
     (("boundary_points",), 10 ** 12, "forward"),

@@ -252,8 +252,8 @@ def whole_array_operator(grid, rows, x, coef):
     return A.reshape(grid.n, grid.n)
 
 
-def reference_operator(grid, x, coef):
-    rows = np.repeat(np.arange(x.shape[0]), x.shape[1])
+def reference_operator(grid, x, coef, first=0):
+    rows = np.repeat(np.arange(first, first + x.shape[0]), x.shape[1])
     return whole_array_operator(grid, rows, x.ravel(), np.broadcast_to(coef, x.shape).ravel())
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gamma
 from whole_reference import whole_invert, whole_rows, whole_source
 
-from geomeans import cli, inversion, spaces
+from geomeans import cli, fractional, inversion, spaces
 from geomeans.checks import phantom_integral, riesz_potential
 from geomeans.forward import MeanData, default_tgrid, forward_means
 from geomeans.inversion import (
@@ -29,6 +29,7 @@ from geomeans.numerics import (
     diff_matrix,
     laplacian_fd,
     log_kernel_table,
+    quintic_interp,
 )
 from geomeans.phantoms import Bump, Phantom, bump_profile
 from geomeans.spaces import EUCLIDEAN, HYPERBOLIC, SPHERE, SpaceSpec, boundary_grid
@@ -1035,19 +1036,26 @@ CURVED = [SpaceSpec(SPHERE, 3, 0.8), SpaceSpec(HYPERBOLIC, 3, 0.8), S2]
 
 @pytest.mark.parametrize("space", CURVED)
 def test_curved_stack_is_the_stacked_derivatives(monkeypatch, space):
-    # the source takes P' and then P'' over the block's rows P; each pair
-    # (P'', P') it returns must hold the bits of the separate derivatives of
-    # those rows of the whole P, and the blocks must cover the centres in
-    # order, the last one short
+    # the source takes P' and then P'' over the block's rows P, on the
+    # back-projection's columns (odd n's read window); each pair (P'', P')
+    # it returns must hold the bits of the separate derivatives of those
+    # rows of the whole P, except the 4 columns at each end of a window
+    # inside the grid that the pair's one-sided ends reach, and the blocks
+    # must cover the centres in order, the last one short
     _, rows, (bd, grid, x, kwargs), blocks = _curved_invert_keeping(monkeypatch, space)
     assert [(lo, hi) for lo, hi, _ in blocks] == [(lo, min(lo + 3, bd.m))
                                                  for lo in range(0, bd.m, 3)]
     assert bd.m > 6 and bd.m % 3
+    c0, c1, _ = kwargs.get("columns", slice(None)).indices(grid.n)
+    exact = slice(c0 + 4 if c0 else 0, c1 - 4 if c1 < grid.n else grid.n)
+    assert exact.stop - exact.start >= 8
     for lo, hi, pair in blocks:
         d1 = diff_matrix(rows[lo:hi], grid, 1)
         d2 = diff_matrix(d1, grid, 1)
         assert isinstance(pair, tuple) and len(pair) == 2
-        assert np.array_equal(pair[0], d2) and np.array_equal(pair[1], d1)
+        assert all(table.shape == (hi - lo, c1 - c0) for table in pair)
+        assert np.array_equal(pair[0][:, exact.start - c0:exact.stop - c0], d2[:, exact])
+        assert np.array_equal(pair[1][:, exact.start - c0:exact.stop - c0], d1[:, exact])
     assert kwargs["times_t"]
 
 
@@ -1116,6 +1124,126 @@ def test_radial_invert_in_blocks_of_one_centre(monkeypatch, space, method):
     grid = whole_rows(data, x, method)[0]
     monkeypatch.setattr(inversion, "_BLOCK_CELLS", max(len(x), grid.n))
     assert np.array_equal(invert(data, x, method=method), whole_invert(data, x, method))
+
+
+S3 = SpaceSpec(SPHERE, 3, 0.8)
+E5 = SpaceSpec(EUCLIDEAN, 5, 1.0)
+# odd n on the read window: two filter passes at n = 5 in every space, the
+# modified formula's L_n, trace undos with a fractional remainder (R^3 at
+# alpha -0.5 an order-0.5 integral, at 0.5 a derivative and then that
+# integral; the cap at 0.5 a derivative of an order-0.5 integral), and
+# t-grids that end or start midway through the points' arguments
+WINDOWED = ([(SpaceSpec(kind, 5, 1.0 if kind == EUCLIDEAN else 0.8), None, "direct", None)
+             for kind in (EUCLIDEAN, SPHERE, HYPERBOLIC)]
+            + [(E3, None, "modified", None), (E5, None, "modified", None)]
+            + [(E3, -0.5, "direct", None), (E3, 0.5, "direct", None), (S3, 0.5, "direct", None)]
+            + [(space, None, "direct", cut) for space in (E3, S3) for cut in ("above", "below")])
+
+
+@pytest.mark.parametrize("space,alpha,method,cut", WINDOWED)
+@pytest.mark.parametrize("rows", ["dense", "radial"])
+def test_windowed_invert_is_the_whole_array_route(monkeypatch, space, alpha, method, cut, rows):
+    # odd n undoes the trace weighting, filters and differentiates only the
+    # t-columns that the back-projection reads, widened by the passes that
+    # follow; the whole-array route runs every layer on every column, and
+    # both give the same bits, in blocks of 5 centres. On a t-grid that ends
+    # midway, the arguments past it read 0 from a window that starts inside
+    # the grid
+    rng = np.random.default_rng(17)
+    tg = default_tgrid(space, 128)
+    bd = boundary_grid(space, 24 if space.n < 5 else 32)
+    x = _interior_points(space, 9, 0.8, rng)
+    lo, hi = _read_range(space, x)
+    if cut == "above":
+        tg = TGrid.linspace(tg.a, 0.5 * (lo + hi), 128)
+    elif cut == "below":
+        tg = TGrid.linspace(0.5 * (lo + hi), tg.b, 128)
+    values = (rng.standard_normal((bd.m, tg.n)) if rows == "dense"
+              else np.broadcast_to(rng.standard_normal(tg.n), (bd.m, tg.n)))
+    data = MeanData(space, bd, tg, values, alpha)
+    c0, c1, _ = inversion._read_columns(tg, (lo, hi), space.n - 1).indices(tg.n)
+    if cut is None:
+        assert 0 < c1 - c0 < tg.n
+    elif cut == "above":
+        assert hi > tg.b and c0 > 0
+    else:
+        assert lo < tg.a and c0 == 0
+    monkeypatch.setattr(inversion, "_BLOCK_CELLS", 5 * max(len(x), tg.n))
+    assert np.array_equal(invert(data, x, method=method), whole_invert(data, x, method))
+
+
+@pytest.mark.parametrize("space,alpha,method,cut", [case for case in WINDOWED if case[3] is None]
+                         + [(E3, -1.0, "direct", None), (E3, 1.0, "direct", None),
+                            (S3, 1.0, "direct", None),
+                            (SpaceSpec(HYPERBOLIC, 3, 0.8), None, "direct", None)])
+def test_windowed_tables_hold_every_column_an_argument_reads(monkeypatch, space, alpha, method,
+                                                             cut):
+    # an argument in cell j reads the nodes j - 1, ..., j + 2, and one that
+    # rounds past the points' bounds reads one node further: every table
+    # the source gives must hold the whole route's bits from 2 nodes below
+    # the node at or below the smallest bound to 2 above the node at or
+    # above the largest, the bounds taken from the points' geodesic radii
+    rng = np.random.default_rng(23)
+    tg = default_tgrid(space, 128)
+    bd = boundary_grid(space, 24 if space.n < 5 else 32)
+    x = _interior_points(space, 9, 0.6, rng)
+    data = MeanData(space, bd, tg, rng.standard_normal((bd.m, tg.n)), alpha)
+    kept = []
+
+    def keeping(boundary, grid, rows, x, **kwargs):
+        def source(lo, hi):
+            kept.append((lo, hi, rows(lo, hi)))
+            return kept[-1][2]
+
+        kept.append(kwargs["columns"].indices(grid.n)[:2])
+        return backproject(boundary, grid, source, x, **kwargs)
+
+    monkeypatch.setattr(inversion, "backproject", keeping)
+    invert(data, x, method=method)
+    (c0, c1), *blocks = kept
+    P = whole_rows(data, x, method)[1]
+    if method == "modified":
+        whole = (P,)
+    elif space.kind == EUCLIDEAN:
+        whole = (darboux_L_matrix(P, tg, space.n),)
+    else:
+        whole = (diff_matrix(diff_matrix(P, tg, 1), tg, 1), diff_matrix(P, tg, 1))
+    lo, hi = _geodesic_read_range(space, x)
+    step = (tg.b - tg.a) / (tg.n - 1)
+    r0 = max(int(np.floor((lo - tg.a) / step)) - 2, 0)
+    r1 = min(int(np.ceil((hi - tg.a) / step)) + 2, tg.n - 1) + 1
+    assert c0 <= r0 < r1 <= c1 and c1 - c0 < tg.n
+    for lo, hi, tables in blocks:
+        assert len(tables) == len(whole)
+        for table, ref in zip(tables, whole):
+            assert np.array_equal(table[:, r0 - c0:r1 - c0], ref[lo:hi, r0:r1])
+
+
+@pytest.mark.parametrize("space,alpha", [(E3, -1.0), (E3, 0.5), (S3, 0.5)])
+def test_trace_undo_builds_only_the_window(monkeypatch, space, alpha):
+    # the quadrature nodes asked of quintic_interp: the order of the rule
+    # (192) times the target rows, the nodes of the cells that hold the
+    # points' argument bounds and a margin on each side: the cubic stencil
+    # and a node for rounding (2), the n - 1 difference passes after the
+    # undo (2 each) and the derivative of the cap's order -0.5 undo (2)
+    rng = np.random.default_rng(19)
+    tg = default_tgrid(space, 400)
+    bd = boundary_grid(space, 16)
+    x = _interior_points(space, 9, 0.5, rng)
+    data = MeanData(space, bd, tg, rng.standard_normal((bd.m, tg.n)), alpha)
+    asked = []
+
+    def counting(values, grid, x, *args, **kwargs):
+        asked.append(np.size(x))
+        return quintic_interp(values, grid, x, *args, **kwargs)
+
+    monkeypatch.setattr(fractional, "quintic_interp", counting)
+    invert(data, x)
+    lo, hi = _geodesic_read_range(space, x)
+    window = int(np.ceil((hi - tg.a) / tg.h)) - int(np.floor((lo - tg.a) / tg.h)) + 1
+    margin = 2 + 2 * (space.n - 1) + 2
+    assert 0 < sum(asked) <= (window + 2 * margin) * 192 < tg.n * 192
+
 
 def test_invert_memory_on_a_cap():
     # (800, 600) dense means: the back-projection pulls each block's rows

@@ -6,6 +6,11 @@ distinct rows at once, the derivative tables are whole (m, N) arrays, and
 the back-projection takes them whole. Every step between the operator
 products works row by row, so both routes give the same bits. Radial data
 take the zonal grid here as there.
+
+It is also the reference without the read window: in odd n, `invert`
+undoes a trace's weighting, filters and differentiates only the t-columns
+that the back-projection reads; here every layer runs on every column of
+the t-grid, and the back-projection reads the columns it needs.
 `whole_source` makes the back-projection's block source of whole tables.
 """
 
