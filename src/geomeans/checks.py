@@ -528,7 +528,7 @@ def _fractional_roundtrips(seed: int) -> tuple[float, float]:
     bump2 = bump_profile(g2.values / 0.5)
     worst_rl = 0.0
     for a in (0.5, 1.0, 1.5):
-        back = rl_matrix(rl_matrix(bump2, g2, a, order=256), g2, -a, order=256)
+        back = rl_matrix(rl_matrix(bump2, g2, a), g2, -a)
         worst_rl = max(worst_rl, float(np.max(np.abs(back[0] - bump2))))
     return worst_ek, worst_rl
 

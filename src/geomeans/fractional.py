@@ -1,8 +1,13 @@
 """Erdelyi-Kober and right-sided Riemann-Liouville fractional operators.
 
-Positive orders are weighted integrals with an algebraic endpoint factor;
-the factor is absorbed exactly by a Gauss-Jacobi rule after substituting
-out the singularity, so smooth profiles integrate with spectral accuracy.
+Positive orders are weighted integrals with an algebraic endpoint factor,
+integrated against the samples' quintic interpolant. The Erdelyi-Kober
+kernel changes with the target: a Gauss-Jacobi rule absorbs its factor
+exactly after substituting out the singularity, at nodes interpolated from
+the samples. The Riemann-Liouville kernel depends on the offset from the
+target alone: each cell takes the kernel's exact moments against its
+stencil's powers (product integration), so one vector of weights by offset
+gives every interior row.
 Nonpositive orders are realized by analytic continuation with
 m = ceil(-alpha), in two orders. `rl_matrix` integrates to the positive
 fractional order m + alpha, then applies (-d/dt)^m. `ek_ac_matrix` applies
@@ -24,8 +29,18 @@ from __future__ import annotations
 from math import gamma
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import TGrid, d_operator_matrix, diff_matrix, gauss_jacobi, quintic_interp
+from .numerics import (
+    _QUINTIC_DENOMS,
+    _QUINTIC_OFFSETS,
+    TGrid,
+    d_operator_matrix,
+    diff_matrix,
+    gauss_jacobi,
+    gauss_legendre,
+    quintic_interp,
+)
 
 __all__ = ["ek_matrix", "ek_ac_matrix", "rl_matrix"]
 
@@ -91,8 +106,12 @@ def _quintic_operator(grid: TGrid, x: np.ndarray, coef: np.ndarray,
 
 def _bounds(grid: TGrid, columns: slice, reach: int = 0) -> tuple[int, int]:
     """The first and one past the last of the grid's nodes `columns`, widened
-    by `reach` nodes on each side within the grid."""
+    by `reach` nodes on each side within the grid for reach / 2 difference
+    passes. At a grid end such a window holds at least reach + 3 nodes: the
+    end columns' one-sided formulas read 4 nodes in."""
     lo, hi, _ = columns.indices(grid.n)
+    if reach:
+        lo, hi = min(lo, grid.n - 3), max(hi, 3)
     return max(lo - reach, 0), min(hi + reach, grid.n)
 
 
@@ -161,19 +180,89 @@ def ek_ac_matrix(samples: np.ndarray, grid: TGrid, eta: float, alpha: float,
     return ek_matrix(inner, grid, eta, rem, order=order, columns=columns)
 
 
-def rl_matrix(samples: np.ndarray, grid: TGrid, alpha: float, order: int = 192,
+# The Lagrange weights of the quintic stencil (nodes base - 2, ..., base + 3)
+# in powers of a cell's coordinate x in [0, 1]: stencil node o's weight at
+# s = x + shift is sum over p of _STENCIL_POWERS[shift][o, p] x^p. Interior
+# cells take shift 0; the two cells at each grid end share the end stencil,
+# at shifts -2 and -1 on the left and 1 and 2 on the right.
+_STENCIL_POWERS = {
+    shift: np.array([np.poly([q - shift for q in _QUINTIC_OFFSETS if q != off])[::-1] / den
+                     for off, den in zip(_QUINTIC_OFFSETS, _QUINTIC_DENOMS)])
+    for shift in (-2, -1, 0, 1, 2)
+}
+
+# Gauss-Legendre nodes of the cell moments at offsets d >= 1, where the kernel
+# (d + x)^(alpha - 1) is analytic on [0, 1] with its singularity at x = -d: the
+# error falls as (3 + sqrt 8)^(-2 nodes), so 16 nodes reach rounding
+_MOMENT_NODES = 16
+
+
+def _rl_moments(alpha: float, count: int) -> np.ndarray:
+    """m[p, d] = int_0^1 (d + x)^(alpha - 1) x^p dx for p <= 5 and the
+    offsets d < count: 1/(alpha + p) at d = 0, Gauss-Legendre beyond."""
+    x, w = gauss_legendre(_MOMENT_NODES, 0.0, 1.0)
+    powers = np.arange(6)
+    kernel = (np.arange(1.0, count)[None, :] + x[:, None]) ** (alpha - 1.0)
+    m = np.empty((6, count))
+    m[:, 0] = 1.0 / (alpha + powers)
+    m[:, 1:] = (w * x ** powers[:, None]) @ kernel
+    return m
+
+
+def _rl_operator(grid: TGrid, alpha: float, lo: int, hi: int) -> np.ndarray:
+    """N x N matrix A with (samples @ A.T)[:, j] the order-alpha right-sided
+    integral of the samples' quintic interpolant from t_j to b, for the
+    target rows lo <= j < hi; the other rows of A are zero.
+
+    Cell k = [t_k, t_k+1] sits d = k - j cells above target j, so its weights
+    are h^alpha / Gamma(alpha) times its stencil's power coefficients against
+    the moments m_p(d) (`_rl_moments`). Were every cell interior, row j would
+    be one band read at the offsets i - j: `band`, a view of one vector,
+    which holds every cell k >= j, those past the grid's end too. Each row
+    then trades the interior stencil for the end stencil at the clipped cells
+    0, 1, N - 3 and N - 2 and drops the cells N - 1, N and N + 1 that the
+    band reaches past the end. Every row takes the same steps whatever lo and
+    hi, so it keeps its bits in any window. The last target integrates over
+    no cell, and its row stays zero.
+    """
+    n = grid.n
+    m = _rl_moments(alpha, n + 2) * (grid.h ** alpha / gamma(alpha))
+    weights = {shift: powers @ m for shift, powers in _STENCIL_POWERS.items()}
+    band = np.zeros(2 * n + 6)  # band[n + e]: node j + e's weight at target j
+    for off, row in zip(_QUINTIC_OFFSETS, weights[0]):
+        band[n + off:n + off + n + 2] += row
+    last = min(hi, n - 1)
+    A = np.zeros((n, n))
+    A[lo:last] = sliding_window_view(band, n)[n - last + 1:n - lo + 1][::-1]
+    # (cell, its end stencil's first node and shift, or None past the end)
+    ends = [(0, 0, -2), (1, 0, -1), (n - 3, n - 6, 1), (n - 2, n - 6, 2),
+            (n - 1, None, None), (n, None, None), (n + 1, None, None)]
+    for k, base, shift in ends:
+        rows = slice(lo, min(last, k + 1))
+        if rows.start >= rows.stop:
+            continue
+        d = slice(k - rows.stop + 1, k - lo + 1)
+        c0, c1 = max(k - 2, 0), min(k + 4, n)
+        A[rows, c0:c1] -= weights[0][c0 - k + 2:c1 - k + 2, d][:, ::-1].T
+        if shift is not None:
+            A[rows, base:base + 6] += weights[shift][:, d][:, ::-1].T
+    return A
+
+
+def rl_matrix(samples: np.ndarray, grid: TGrid, alpha: float,
               columns: slice = slice(None)) -> np.ndarray:
     """Right-sided Riemann-Liouville integral of order alpha of rows (M, N).
 
     alpha > 0: (I_-^a u)(t) = (1/Gamma(a)) int_t^b (tau - t)^{a-1} u(tau) dtau
     with b the grid end (profiles vanish beyond it). alpha <= 0 with
     m = ceil(-alpha): (-d/dt)^m applied to the order m + alpha integral.
-    The positive-order rule is one N x N operator, quintic interpolation at
-    the nodes tau = t + (b - t) v_q built a block of target rows at a time
-    (about 3 N x N arrays at the peak with the nodes and weights), applied
-    to all rows with one matrix product. Only the target rows `columns` are
-    built, and only those columns are returned; the derivative of a
-    nonpositive order runs on them and 2 m nodes on each side.
+    The positive-order rule is product integration of the samples' quintic
+    interpolant: the kernel's exact moments on each cell, which depend on
+    the cell's offset from the target alone (`_rl_operator`). It is one
+    N x N operator, applied to all rows with one matrix product. Only the
+    target rows `columns` are built, and only those columns are returned;
+    the derivative of a nonpositive order runs on them and 2 m nodes on each
+    side.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     lo, hi = _bounds(grid, columns)
@@ -183,15 +272,6 @@ def rl_matrix(samples: np.ndarray, grid: TGrid, alpha: float, order: int = 192,
         m = int(np.ceil(-alpha))
         rem = m + alpha
         w0, w1 = _bounds(grid, columns, 2 * m)
-        inner = samples[:, w0:w1] if rem == 0 else rl_matrix(samples, grid, rem, order,
-                                                               slice(w0, w1))
+        inner = samples[:, w0:w1] if rem == 0 else rl_matrix(samples, grid, rem, slice(w0, w1))
         return (-1.0) ** m * diff_matrix(inner, grid, m)[:, lo - w0:hi - w0]
-    t = grid.values[lo:hi]
-    x, w = gauss_jacobi(order, 0.0, alpha - 1.0)
-    v = 0.5 * (1.0 + x)
-    F = w * 2.0 ** (-alpha)
-    span = (grid.b - t)[:, None]
-    tau = t[:, None] + span * v[None, :]
-    coef = (((grid.b - grid.values) ** alpha)[lo:hi, None] / gamma(alpha)) * F[None, :]
-    A = _quintic_operator(grid, tau, coef, first=lo)
-    return (samples @ A.T)[:, lo:hi]
+    return (samples @ _rl_operator(grid, alpha, lo, hi).T)[:, lo:hi]

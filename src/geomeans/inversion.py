@@ -492,7 +492,8 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     the distinct rows `data.rows` run through the layers. Radial data (all
     rows equal) back-project on `_zonal`'s grid of one centre per node of
     the back-projection's grid, not on `data.boundary`, the points turned
-    onto its axis (an argument off the grid names the turned point).
+    onto its axis (an argument off the grid names the turned point); the
+    one row's tables are made once and repeated to every block of centres.
 
     The two operator products run once over every distinct row, each
     against an operator built once: the undoing of a trace's weighting
@@ -546,15 +547,10 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     if n % 2 == 0:
         grid, values = _log_table(space, grid, values, method, read)
         fill = "error"
-    boundary, points = data.boundary, x
-    if values.shape[0] == 1:
-        boundary, points = _zonal(space, x, grid.n)
-        values = np.repeat(values, grid.n, axis=0)
 
-    def rows(lo: int, hi: int):
-        # the rows P of the centres lo to hi - 1: layer 3 on their means in
-        # odd n, their slice of invert's own table in even n
-        P = values[lo:hi]
+    def tables(P: np.ndarray):
+        # the tables of the rows P: layer 3 on means in odd n, rows of
+        # invert's own table in even n (overwritten there)
         if n % 2:
             P = _filtered(space, grid, P, method, columns)
         if method == "modified":
@@ -573,6 +569,19 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
         first *= (n - 1) / grid.values[columns]
         P += first
         return (P,)
+
+    boundary, points = data.boundary, x
+    if values.shape[0] == 1:
+        # every zonal centre takes the one row's tables; the passes work
+        # row by row, so its copies keep the bits of tables made per block
+        boundary, points = _zonal(space, x, grid.n)
+        one = tables(values)
+
+        def rows(lo: int, hi: int):
+            return [np.repeat(table, hi - lo, axis=0) for table in one]
+    else:
+        def rows(lo: int, hi: int):
+            return tables(values[lo:hi])
 
     f0 = backproject(boundary, grid, rows, points, fill=fill,
                      times_t=space.kind != spaces.EUCLIDEAN, columns=columns)

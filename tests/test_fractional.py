@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import gamma, roots_jacobi
+from scipy.special import binom, gamma, roots_jacobi, roots_legendre
 
 from geomeans import fractional
 from geomeans.fractional import _quintic_operator, ek_ac_matrix, ek_matrix, rl_matrix
@@ -96,7 +96,7 @@ def test_rl_zero_order(sym_grid):
 def test_rl_roundtrip(alpha):
     g = TGrid.linspace(-1 + 1e-3, 1 - 1e-3, 1200)
     bump = bump_profile(g.values / 0.5)
-    back = rl_matrix(rl_matrix(bump, g, alpha, order=256), g, -alpha, order=256)[0]
+    back = rl_matrix(rl_matrix(bump, g, alpha), g, -alpha)[0]
     assert np.max(np.abs(back - bump)) <= 1e-4
 
 
@@ -132,7 +132,10 @@ def test_positive_path_rejects_nonpositive_alpha(pos_grid):
 
 
 # Reference routes without the operator matrix: interpolate the samples at
-# every quadrature node of every grid node, one grid node at a time.
+# every quadrature node of every grid node, one grid node at a time. The RL
+# route is exact for the quintic interpolant: its rule runs cell by cell,
+# Gauss-Jacobi on the target's own cell, where the kernel is singular, and
+# Gauss-Legendre on the others, where it is analytic.
 
 def ek_rule(eta, alpha, order):
     x, w = roots_jacobi(order, eta, 2.0 * alpha - 1.0)
@@ -151,11 +154,19 @@ def ek_per_node(samples, grid, eta, alpha, order):
                      for t in grid.values], axis=-1)
 
 
-def rl_per_node(samples, grid, alpha, order):
-    v, F = rl_rule(alpha, order)
-    return np.stack([(grid.b - t) ** alpha / gamma(alpha)
-                     * quintic_interp(samples, grid, t + (grid.b - t) * v) @ F
-                     for t in grid.values], axis=-1)
+def rl_per_cell(samples, grid, alpha):
+    x, w = roots_jacobi(8, 0.0, alpha - 1.0)
+    own, own_w = 0.5 * (1.0 + x), w * 2.0 ** (-alpha)
+    x, w = roots_legendre(24)
+    v, v_w = 0.5 * (1.0 + x), 0.5 * w
+    out = np.zeros(np.shape(samples)[:-1] + (grid.n,))
+    for j in range(grid.n - 1):
+        d = np.arange(1.0, grid.n - 1 - j)[:, None]
+        cells = quintic_interp(samples, grid, (grid.a + (j + d + v) * grid.h).ravel())
+        kernel = ((d + v) ** (alpha - 1.0) * v_w).ravel()
+        out[..., j] = (quintic_interp(samples, grid, grid.a + (j + own) * grid.h) @ own_w
+                       + cells @ kernel) * grid.h ** alpha / gamma(alpha)
+    return out
 
 
 def close(got, ref):
@@ -203,16 +214,27 @@ def test_rl_operator_matches_per_node_route(alpha):
     g = TGrid.linspace(-0.95, 0.95, 96)
     t = g.values
     rows = np.stack([np.exp(-3.0 * t ** 2), np.sin(2.0 * t) + 0.3, np.ones_like(t)])
-    order = 24
     m = max(0, int(np.ceil(-alpha)))
     rem = m + alpha
-    ref = rows
-    if rem > 0:
-        v, _ = rl_rule(rem, order)
-        assert clips(g, (t[:, None] + (g.b - t)[:, None] * v).ravel()) == (True, True)
-        ref = rl_per_node(rows, g, rem, order)
+    ref = rows if rem == 0 else rl_per_cell(rows, g, rem)
     ref = (-1.0) ** m * diff_matrix(ref, g, m)
-    assert close(rl_matrix(rows, g, alpha, order), ref)
+    assert close(rl_matrix(rows, g, alpha), ref)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.3, 2.3])
+def test_rl_is_exact_on_quintics(alpha):
+    # the quintic interpolant reproduces t^p, p <= 5, in every cell, the
+    # clipped end cells too, and the moments integrate it exactly:
+    # I^a t^p = sum_q C(p, q) t^(p-q) (b - t)^(a+q) / (a + q) / Gamma(a)
+    g = TGrid.linspace(0.2, 1.7, 96)
+    t = g.values
+    rows = np.stack([t ** p for p in range(6)])
+    exact = np.stack([sum(binom(p, q) * t ** (p - q) * (g.b - t) ** (alpha + q) / (alpha + q)
+                          for q in range(p + 1)) for p in range(6)]) / gamma(alpha)
+    for window in (slice(None), slice(0, 3), slice(1, 2), slice(g.n - 4, None),
+                   slice(g.n - 3, g.n - 1)):
+        got = rl_matrix(rows, g, alpha, columns=window)
+        assert np.all(np.abs(got - exact[:, window]) <= 1e-13 * np.abs(exact[:, window]))
 
 
 def test_operator_nodes_at_the_grid_ends():
@@ -258,18 +280,21 @@ def reference_operator(grid, x, coef, first=0):
 
 
 OPERATORS = {
-    "ek": lambda rows, g, order: ek_matrix(rows, g, 0.5, 0.7, order),
-    "ek_continuation": lambda rows, g, order: ek_ac_matrix(rows, g, 0.5, -1.4, order),
-    "rl": lambda rows, g, order: rl_matrix(rows, g, 1.3, order),
-    "rl_negative": lambda rows, g, order: rl_matrix(rows, g, -0.6, order),
+    "ek": lambda rows, g, order, cols: ek_matrix(rows, g, 0.5, 0.7, order, cols),
+    "ek_continuation": lambda rows, g, order, cols: ek_ac_matrix(rows, g, 0.5, -1.4, order, cols),
+    "rl": lambda rows, g, order, cols: rl_matrix(rows, g, 1.3, cols),
+    "rl_negative": lambda rows, g, order, cols: rl_matrix(rows, g, -0.6, cols),
 }
 
 
 # 797 rows are a whole number of blocks at none of the orders (42, 512 and
-# 32 rows a block); the 128-node grid puts the RL node at b a rounding error
-# past its last cell (with a zero weight there; the clamp that keeps it on
-# the last sample is pinned by test_operator_nodes_at_the_grid_ends); 7
-# nodes a block make every row a block of its own
+# 32 rows a block); the 128-node grid's (b - a)/h rounds above N - 1 (the
+# clamp that keeps a node at b on the last sample is pinned by
+# test_operator_nodes_at_the_grid_ends); 7 nodes a block make every row a
+# block of its own. The operators run on windows of target rows, one node
+# wide on the clipped end cells, and the results are joined. The RL operator
+# takes no quadrature nodes and no blocks, so its whole build is its own
+# reference: each window's rows keep the whole build's bits.
 @pytest.mark.parametrize("grid,order,nodes", [
     ((1e-3, 2.0, 797), 16, None),
     ((1e-3, 2.0, 797), 192, None),
@@ -287,13 +312,15 @@ def test_blocked_operator_equals_whole_array_build(monkeypatch, name, grid, orde
         assert (g.b - g.a) / g.h > g.n - 1
     t = g.values
     rows = np.stack([np.exp(-3.0 * (t - 1.0) ** 2), np.cos(2.0 * t), t ** 2])
-    blocked = OPERATORS[name](rows, g, order)
+    cuts = [0, 1, 2, g.n // 2, g.n - 3, g.n - 2, g.n]
+    blocked = np.concatenate([OPERATORS[name](rows, g, order, slice(lo, hi))
+                              for lo, hi in zip(cuts, cuts[1:])], axis=1)
     monkeypatch.setattr(fractional, "_quintic_operator", reference_operator)
-    assert np.array_equal(blocked, OPERATORS[name](rows, g, order))
+    assert np.array_equal(blocked, OPERATORS[name](rows, g, order, slice(None)))
 
 
 def traced_peak(build):
-    build()  # the Gauss-Jacobi rules are cached after the first call
+    build()  # the quadrature rules are cached after the first call
     tracemalloc.start()
     try:
         build()
@@ -303,8 +330,24 @@ def traced_peak(build):
 
 
 def test_operator_builds_stay_near_the_matrix_size():
-    # the whole-array build peaked at 9.65 (EK) and 13.2 (RL) N x N matrices
+    # the whole-array build peaked at 9.65 (EK) and 13.2 (RL) N x N matrices;
+    # RL's blocked build of its quadrature nodes at 2.82, its moment build at
+    # 1.095, the matrix and its product
     g = TGrid.linspace(1e-3, 2.0, 800)
     assert traced_peak(lambda: ek_matrix(np.sin(g.values), g, 0.5, 1.0, 192)) < 3 * 8 * 800 ** 2
     g = TGrid.linspace(-0.99, 0.99, 600)
-    assert traced_peak(lambda: rl_matrix(np.sin(g.values), g, 1.0, 192)) < 4 * 8 * 600 ** 2
+    assert traced_peak(lambda: rl_matrix(np.sin(g.values), g, 1.0)) < 1.1 * 8 * 600 ** 2
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -2.0])
+def test_derivative_windows_at_the_grid_ends(alpha):
+    # an integer order is the derivative alone; a window of one or two
+    # targets at a grid end still reads the 5 nodes of the end formulas
+    g = TGrid.linspace(0.05, 2.0, 96)
+    t = g.values
+    rows = np.stack([np.exp(-3.0 * (t - 1.0) ** 2), np.cos(2.0 * t)])
+    for op in (lambda cols: rl_matrix(rows, g, alpha, cols),
+               lambda cols: ek_ac_matrix(rows, g, 0.5, alpha, columns=cols)):
+        whole = op(slice(None))
+        for lo, hi in ((0, 1), (0, 2), (1, 2), (g.n - 2, g.n), (g.n - 1, g.n)):
+            assert np.array_equal(op(slice(lo, hi)), whole[:, lo:hi])
