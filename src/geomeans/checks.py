@@ -100,20 +100,20 @@ class Figure:
 class Check:
     """One acceptance criterion.
 
-    `compute(seed)` returns one value per entry of `bounds`, a (label,
-    comparator, bound) triple; only criterion 14 draws from the seed.
+    `compute()` returns one value per entry of `bounds`, a (label,
+    comparator, bound) triple.
     """
 
     number: int
     name: str
     suite: str
     bounds: tuple[tuple[str, str, float], ...]
-    compute: Callable[[int], tuple[float, ...]]
+    compute: Callable[[], tuple[float, ...]]
     time_limit: float
 
-    def figures(self, seed: int = SEED) -> list[Figure]:
+    def figures(self) -> list[Figure]:
         return [Figure(label, float(v), op, bound)
-                for (label, op, bound), v in zip(self.bounds, self.compute(seed), strict=True)]
+                for (label, op, bound), v in zip(self.bounds, self.compute(), strict=True)]
 
 
 def _held(op: str, bound: float, *labels: str) -> tuple[tuple[str, str, float], ...]:
@@ -470,7 +470,7 @@ def _bump_at(space: SpaceSpec, chart_center, radius: float) -> Phantom:
 # lemmas
 # ---------------------------------------------------------------------------
 
-def _continuation_limit(seed: int) -> tuple[float]:
+def _continuation_limit() -> tuple[float]:
     """a.c. of the power-kernel moment at the critical order is Gamma((n-1)/2)."""
     worst = 0.0
     for n in (3, 4, 5, 6):
@@ -481,7 +481,7 @@ def _continuation_limit(seed: int) -> tuple[float]:
     return (worst,)
 
 
-def _direct_vs_continued(seed: int) -> tuple[float]:
+def _direct_vs_continued() -> tuple[float]:
     worst = 0.0
     for n in (3, 4, 5):
         for a in (0.5, 1.0, 1.7):
@@ -490,12 +490,12 @@ def _direct_vs_continued(seed: int) -> tuple[float]:
     return (worst,)
 
 
-def _log_circle(seed: int) -> tuple[float]:
+def _log_circle() -> tuple[float]:
     expect = -2.0 * np.pi * np.log(2.0)
     return (max(abs(log_circle_integral(h) - expect) for h in (-0.9, 0.0, 0.5)),)
 
 
-def _chebyshev_pv(seed: int) -> tuple[float]:
+def _chebyshev_pv() -> tuple[float]:
     worst = 0.0
     for nn in range(1, 7):
         for h in (-0.7, 0.0, 0.3, 0.8):
@@ -503,7 +503,7 @@ def _chebyshev_pv(seed: int) -> tuple[float]:
     return (worst,)
 
 
-def _power_integrals(seed: int) -> tuple[float, float]:
+def _power_integrals() -> tuple[float, float]:
     worst = max(abs(regularized_power_integral(a) - 1.0) for a in (-4.0, -3.0, -2.0, -1.0))
     worst_log = 0.0
     for m in (1, 2):  # continuation points -1 and -3
@@ -516,7 +516,7 @@ def _power_integrals(seed: int) -> tuple[float, float]:
 # fractional operators
 # ---------------------------------------------------------------------------
 
-def _fractional_roundtrips(seed: int) -> tuple[float, float]:
+def _fractional_roundtrips() -> tuple[float, float]:
     g = TGrid.linspace(1e-3, 2.0, 1200)
     bump = bump_profile((g.values - 1.0) / 0.4)
     worst_ek = 0.0
@@ -537,7 +537,7 @@ def _fractional_roundtrips(seed: int) -> tuple[float, float]:
 # identities
 # ---------------------------------------------------------------------------
 
-def _darboux_property(seed: int) -> tuple[float]:
+def _darboux_property() -> tuple[float]:
     """The radial wave operator L intertwines with the means (n = 3)."""
     space = SpaceSpec(EUCLIDEAN, 3, 1.0)
     ph = _bump_at(space, [0.2, 0.1, -0.15], 0.32)
@@ -556,7 +556,7 @@ def _darboux_property(seed: int) -> tuple[float]:
     return (worst,)
 
 
-def _potential_identities(seed: int) -> tuple[float, float]:
+def _potential_identities() -> tuple[float, float]:
     """Minus the Laplacian of the Riesz potential (n = 3) and the Laplacian
     of the log potential (n = 2) return the phantom."""
     ph = _bump_at(SpaceSpec(EUCLIDEAN, 3, 1.0), [0.2, 0.1, -0.15], 0.32)
@@ -571,7 +571,7 @@ def _potential_identities(seed: int) -> tuple[float, float]:
             float(np.max(np.abs(lap2 - tru2) / np.abs(tru2))))
 
 
-def _log_identities(seed: int) -> tuple[float]:
+def _log_identities() -> tuple[float]:
     """The back-projected log-kernel table of the means plus the boundary
     constant is the log potential, in all three spaces (n = 2). R^n tables
     t means against log|t^2-s^2| with the constant log R; the cap and the
@@ -602,9 +602,9 @@ def _log_identities(seed: int) -> tuple[float]:
     return (worst,)
 
 
-def _h_bound(seed: int) -> tuple[float, float, float]:
+def _h_bound() -> tuple[float, float, float]:
     """max|h| - 1 over sampled interior pairs, per space (negative: |h| < 1)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     return tuple(_h_bound_worst(SpaceSpec(kind, 2, radius), rng, 10_000) - 1.0
                  for kind, radius in ((EUCLIDEAN, 1.0), (SPHERE, 0.8), (HYPERBOLIC, 0.8)))
 
@@ -660,18 +660,18 @@ def _roundtrip(name: str, changes: dict | None = None) -> ReconstructionReport:
     return cli._reconstruct(cfg, cli._forward_data(cfg))
 
 
-def _euclidean_roundtrips(seed: int) -> tuple[float, ...]:
+def _euclidean_roundtrips() -> tuple[float, ...]:
     return tuple(_roundtrip(name).rel_l2 for name in ("euclid2", "euclid3", "euclid4", "euclid5"))
 
 
-def _offcentre_n4_roundtrip(seed: int) -> tuple[float]:
+def _offcentre_n4_roundtrip() -> tuple[float]:
     """euclid4 with its bump off the centre: every centre has its own row,
     so the general n = 4 path runs (one log-table row per centre), which
     the centred configs skip."""
     return (_roundtrip("euclid4", {"phantom.0.center": [0.2, -0.1, 0.1, 0.05]}).rel_l2,)
 
 
-def _modified_formulas(seed: int) -> tuple[float, float]:
+def _modified_formulas() -> tuple[float, float]:
     """The direct and the Laplacian-free formula agree on the same data."""
     rels = []
     for name in ("euclid2", "euclid3"):
@@ -682,7 +682,7 @@ def _modified_formulas(seed: int) -> tuple[float, float]:
     return tuple(rels)
 
 
-def _curved_roundtrips(seed: int) -> tuple[float, ...]:
+def _curved_roundtrips() -> tuple[float, ...]:
     """rel_l2 and calibration gap of each cap and hyperboloid config."""
     figures = []
     for name in ("sphere2", "sphere3", "hyperbolic2", "hyperbolic3"):
@@ -691,7 +691,7 @@ def _curved_roundtrips(seed: int) -> tuple[float, ...]:
     return tuple(figures)
 
 
-def _trace_roundtrips(seed: int) -> tuple[float, ...]:
+def _trace_roundtrips() -> tuple[float, ...]:
     """Traces of orders +1 and +2 besides the config's -1 in R^3, and the
     cap's trace config."""
     return (_roundtrip("epd_euclid3_wave", {"alpha": 1.0}).rel_l2,
@@ -700,7 +700,7 @@ def _trace_roundtrips(seed: int) -> tuple[float, ...]:
             _roundtrip("epd_sphere3").rel_l2)
 
 
-def _convergence_monotonicity(seed: int) -> tuple[float]:
+def _convergence_monotonicity() -> tuple[float]:
     """Error ratio of section quadrature of order 8 on 400 t-nodes to order
     16 on 800, on 96 centres and 9 points per axis."""
     coarse, fine = (_roundtrip("euclid2", {"grids.boundary_points": 96,

@@ -550,17 +550,16 @@ def _min_spacing(vals: np.ndarray) -> float:
     return float(np.min(np.diff(u))) if u.size > 1 else 1.0
 
 
-def cmd_verify(suite: str, seed: int | None = None) -> int:
+def cmd_verify(suite: str) -> int:
     # only verify reads the checks, so a plain import of cli does not load them
     from . import checks
 
-    seed = checks.SEED if seed is None else seed
     if suite != "all" and suite not in checks.SUITES:
         raise ConfigError(f"unknown suite {suite!r}; pick {'|'.join(checks.SUITES)}|all")
     failures = 0
     for check in checks.CHECKS:
         if suite in ("all", check.suite):
-            for figure in check.figures(seed):
+            for figure in check.figures():
                 print(figure.line())
                 failures += 0 if figure.passed else 1
     print(f"{'all checks passed' if failures == 0 else f'{failures} check(s) FAILED'}")
@@ -600,12 +599,10 @@ def main(argv=None) -> int:
     p.set_defaults(run=lambda a: cmd_epd_roundtrip(load_config(a.config), a.out))
 
     p = sub.add_parser("verify", help="run identity/lemma verification checks")
-    # verify checks the suite name and fills in the seed, so that the other
-    # subcommands never load the checks
+    # verify checks the suite name, so that the other subcommands never load
+    # the checks
     p.add_argument("--suite", default="all", help="a suite of the checks, or all")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for the sampling-based property checks")
-    p.set_defaults(run=lambda a: cmd_verify(a.suite, a.seed))
+    p.set_defaults(run=lambda a: cmd_verify(a.suite))
 
     p = sub.add_parser("render", help="render a report slice as a PGM image")
     p.add_argument("--report", required=True)

@@ -19,9 +19,9 @@ Every operator takes the target nodes `columns` (a slice of the grid's
 nodes, all of them by default) and returns those columns alone. A
 positive-order operator is built only on their rows and applied at its full
 (N, N) shape, so each column keeps the bits of the whole operator's; a
-derivative runs on the columns its targets read, 2 more nodes on each side
-per pass. A left-sided (Erdelyi-Kober) integral reads every node below its
-targets, a right-sided (Riemann-Liouville) one every node above.
+derivative runs on the window its targets read (`numerics._widen`). A
+left-sided (Erdelyi-Kober) integral reads every node below its targets, a
+right-sided (Riemann-Liouville) one every node above.
 """
 
 from __future__ import annotations
@@ -32,9 +32,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .numerics import (
-    _QUINTIC_DENOMS,
     _QUINTIC_OFFSETS,
     TGrid,
+    _lagrange_powers,
+    _widen,
     d_operator_matrix,
     diff_matrix,
     gauss_jacobi,
@@ -104,17 +105,6 @@ def _quintic_operator(grid: TGrid, x: np.ndarray, coef: np.ndarray,
     return A
 
 
-def _bounds(grid: TGrid, columns: slice, reach: int = 0) -> tuple[int, int]:
-    """The first and one past the last of the grid's nodes `columns`, widened
-    by `reach` nodes on each side within the grid for reach / 2 difference
-    passes. At a grid end such a window holds at least reach + 3 nodes: the
-    end columns' one-sided formulas read 4 nodes in."""
-    lo, hi, _ = columns.indices(grid.n)
-    if reach:
-        lo, hi = min(lo, grid.n - 3), max(hi, 3)
-    return max(lo - reach, 0), min(hi + reach, grid.n)
-
-
 def ek_matrix(samples: np.ndarray, grid: TGrid, eta: float, alpha: float,
               order: int = 192, columns: slice = slice(None)) -> np.ndarray:
     """Positive-order Erdelyi-Kober integral of each row of samples (M, N).
@@ -133,7 +123,7 @@ def ek_matrix(samples: np.ndarray, grid: TGrid, eta: float, alpha: float,
     if eta < -0.5:
         raise ValueError("positive-order operators need eta >= -1/2")
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    lo, hi = _bounds(grid, columns)
+    lo, hi, _ = columns.indices(grid.n)
     s, F = _ek_rule(eta, alpha, order)
     A = _quintic_operator(grid, grid.values[lo:hi, None] * s[None, :], 2.0 / gamma(alpha) * F,
                           first=lo)
@@ -145,8 +135,8 @@ def _ek_integer_neg_matrix(samples: np.ndarray, grid: TGrid, eta: float, m: int,
     """(I_eta^{-m} phi)(t) = t^{-2(eta-m)} D^m [t^{2 eta} phi(t)], D = (1/2t) d/dt,
     at the grid's nodes `columns`."""
     t = grid.values
-    lo, hi = _bounds(grid, columns)
-    w0, w1 = _bounds(grid, columns, 2 * m)
+    lo, hi, _ = columns.indices(grid.n)
+    w0, w1 = _widen(lo, hi, 2 * m, 0, grid.n)
     weighted = np.asarray(samples, dtype=float)[:, w0:w1] * (t ** (2.0 * eta))[w0:w1]
     inner = d_operator_matrix(weighted, grid, m, slice(w0, w1))[:, lo - w0:hi - w0]
     return inner * (t ** (-2.0 * (eta - m)))[lo:hi]
@@ -160,12 +150,13 @@ def ek_ac_matrix(samples: np.ndarray, grid: TGrid, eta: float, alpha: float,
     I_{eta+m+alpha}^{-m}; the integer-negative factor is the derivative
     formula, the fractional remainder (if any) the positive-order integral.
     The derivative runs on the nodes that the integral's targets `columns`
-    read: every node up to the last one's quintic stencil.
+    read: every node up to the last one's quintic stencil, 3 nodes above it
+    (`numerics._widen`).
     """
     if alpha > 0:
         raise ValueError("alpha must be <= 0 on this path")
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    lo, hi = _bounds(grid, columns)
+    lo, hi, _ = columns.indices(grid.n)
     if alpha == 0:
         return samples[:, lo:hi].copy()
     m = int(np.ceil(-alpha))
@@ -173,8 +164,7 @@ def ek_ac_matrix(samples: np.ndarray, grid: TGrid, eta: float, alpha: float,
     eta_prime = eta + rem
     if rem == 0:
         return _ek_integer_neg_matrix(samples, grid, eta_prime, m, columns)
-    # target j reads the stencil nodes idx - 2, ..., idx + 3, idx = max(j, 2) at most
-    reads = min(max(hi + 3, 6), grid.n)
+    reads = _widen(0, hi, 3, 0, grid.n)[1]
     inner = np.zeros((samples.shape[0], grid.n))
     inner[:, :reads] = _ek_integer_neg_matrix(samples, grid, eta_prime, m, slice(reads))
     return ek_matrix(inner, grid, eta, rem, order=order, columns=columns)
@@ -185,11 +175,7 @@ def ek_ac_matrix(samples: np.ndarray, grid: TGrid, eta: float, alpha: float,
 # s = x + shift is sum over p of _STENCIL_POWERS[shift][o, p] x^p. Interior
 # cells take shift 0; the two cells at each grid end share the end stencil,
 # at shifts -2 and -1 on the left and 1 and 2 on the right.
-_STENCIL_POWERS = {
-    shift: np.array([np.poly([q - shift for q in _QUINTIC_OFFSETS if q != off])[::-1] / den
-                     for off, den in zip(_QUINTIC_OFFSETS, _QUINTIC_DENOMS)])
-    for shift in (-2, -1, 0, 1, 2)
-}
+_STENCIL_POWERS = {shift: _lagrange_powers(_QUINTIC_OFFSETS, shift) for shift in (-2, -1, 0, 1, 2)}
 
 # Gauss-Legendre nodes of the cell moments at offsets d >= 1, where the kernel
 # (d + x)^(alpha - 1) is analytic on [0, 1] with its singularity at x = -d: the
@@ -261,17 +247,17 @@ def rl_matrix(samples: np.ndarray, grid: TGrid, alpha: float,
     the cell's offset from the target alone (`_rl_operator`). It is one
     N x N operator, applied to all rows with one matrix product. Only the
     target rows `columns` are built, and only those columns are returned;
-    the derivative of a nonpositive order runs on them and 2 m nodes on each
-    side.
+    the derivative of a nonpositive order runs on the window of its m passes
+    (`numerics._widen`).
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    lo, hi = _bounds(grid, columns)
+    lo, hi, _ = columns.indices(grid.n)
     if alpha == 0:
         return samples[:, lo:hi].copy()
     if alpha < 0:
         m = int(np.ceil(-alpha))
         rem = m + alpha
-        w0, w1 = _bounds(grid, columns, 2 * m)
+        w0, w1 = _widen(lo, hi, 2 * m, 0, grid.n)
         inner = samples[:, w0:w1] if rem == 0 else rl_matrix(samples, grid, rem, slice(w0, w1))
         return (-1.0) ** m * diff_matrix(inner, grid, m)[:, lo - w0:hi - w0]
     return (samples @ _rl_operator(grid, alpha, lo, hi).T)[:, lo:hi]

@@ -12,9 +12,9 @@ The back-projection takes one input form, a source of the filtered rows of
 each block of centres, which it pulls as it reaches them, so only the
 operator products of layers 2 and 4 run on every row at once; radial data
 back-project on a zonal grid (`_zonal`). In odd dimensions layers 2 and 3
-run only on the t-columns that the back-projection reads (`_read_columns`),
-and it reads them against the whole t-grid; one window function
-(`_read_nodes`) takes the points' argument bounds in both parities and
+run only on the t-columns that the back-projection reads, and it reads them
+against the whole t-grid; one window function (`_read_window`) gives those
+columns and even n's table targets, from the points' argument bounds, and
 rejects a t-grid too coarse for them.
 The result is one constant (`_prefactor`) times that Laplacian. The
 Euclidean odd/even formulas are those of Finch, Haltmeier & Rakesh (SIAM J.
@@ -34,6 +34,7 @@ from .forward import MeanData, trace_weighting
 from .numerics import (
     TGrid,
     _diff1,
+    _widen,
     d_operator_matrix,
     darboux_L_matrix,
     diff_matrix,
@@ -256,17 +257,6 @@ def backproject(boundary: BoundaryGrid, grid: TGrid, rows, x: np.ndarray,
     return out
 
 
-# Nodes a log-kernel table keeps on each side of the arguments it is read at.
-# Its differences along the target axis (L_n in R^n, d/dt twice on the cap and
-# the hyperboloid) are two 4th-order first differences, whose one-sided end
-# formulas reach 4 nodes in, and the cubic stencil reads from one node below
-# its cell to two above. Reads then need 5 nodes below the node at or below
-# the smallest argument, and 6 above the node at or above the largest one,
-# whose cell starts there when an argument falls on it; 6 on each side
-# covers both.
-_WINDOW_MARGIN = 6
-
-
 def _read_nodes(grid: TGrid, read: tuple[float, float]) -> tuple[float, float]:
     """The data grid's node at or below read[0] and the one at or above
     read[1], in steps (b - a)/(N - 1) from a; either may lie off the grid.
@@ -290,6 +280,20 @@ def _read_nodes(grid: TGrid, read: tuple[float, float]) -> tuple[float, float]:
                      f"{cell}: too coarse a grid for them")
 
 
+def _read_window(grid: TGrid, read: tuple[float, float], passes: int, start: int,
+                 stop: int) -> tuple[int, int]:
+    """The window (first node, one past the last), in steps (b - a)/(N - 1)
+    from the data grid's a and within [start, stop), that reads over
+    read = (lo, hi) need computed when `passes` difference passes follow:
+    from the node at or below lo to the one at or above hi (`_read_nodes`,
+    which rejects too coarse a grid), widened by the cubic stencil's reach
+    of 2 and by 2 nodes per pass (`numerics._widen`). A cell's stencil
+    starts one node below it and ends two above; one more node on each side
+    takes an argument that rounds past lo or hi into the next cell."""
+    first, last = _read_nodes(grid, read)
+    return _widen(int(first), int(last) + 1, 2 + 2 * passes, start, stop)
+
+
 def _table_grid(space: SpaceSpec, grid: TGrid, read: tuple[float, float]) -> TGrid:
     """Target grid for log-kernel tables of rows on the data grid `grid` that
     are read over read = (lo, hi). The full target grid is the data grid's
@@ -297,15 +301,13 @@ def _table_grid(space: SpaceSpec, grid: TGrid, read: tuple[float, float]) -> TGr
     below the open t-range to the first above it: the data grid's own nodes,
     extended by whole steps, so every argument inside the range lies on it.
     In R^n it starts at the first node above 0 instead, where the radial
-    operator's (n - 1)/t is defined. Of those, the window runs from the
-    node at or below lo to the one at or above hi (`_read_nodes`, which
-    rejects too coarse a grid), plus `_WINDOW_MARGIN` nodes on each side,
-    clipped to the full grid.
+    operator's (n - 1)/t is defined. Of those, the window is `_read_window`'s
+    for the pair of difference passes along the target axis (L_n in R^n,
+    d/dt twice on the cap and the hyperboloid), between the full grid's ends.
     """
     lo, hi = space.tgrid_range
     a, b, N = float(grid.a), float(grid.b), grid.n
     step = (b - a) / (N - 1)
-    first, last = _read_nodes(grid, read)
     # the full grid's end nodes, counted from the data grid's ends: a grid
     # that ends on the range's end (the hyperboloid's cosh 2R) takes the
     # node one step past it, whatever the rounding
@@ -313,22 +315,8 @@ def _table_grid(space: SpaceSpec, grid: TGrid, read: tuple[float, float]) -> TGr
     if space.kind == spaces.EUCLIDEAN:
         below += 1 if a + (below + 1) * step > 0 else 2
     above = N + np.floor((hi - b) / step)
-    window = a + np.arange(max(below, first - _WINDOW_MARGIN),
-                           min(above, last + _WINDOW_MARGIN) + 1.0) * step
-    return TGrid(window)
-
-
-def _read_columns(grid: TGrid, read: tuple[float, float], passes: int) -> slice:
-    """The data grid's nodes that odd n's layers 2 and 3 compute for reads
-    over read = (lo, hi): from the node at or below lo to the one at or
-    above hi (`_read_nodes`, which rejects too coarse a grid), widened by
-    the cubic stencil's reach, 2 nodes for each of the `passes` difference
-    passes that follow, and clipped to the grid. The stencil of a cell
-    starts one node below it and ends two above; one more node on each side
-    takes an argument that rounds past lo or hi into the next cell."""
-    first, last = _read_nodes(grid, read)
-    reach = 2 + 2 * passes
-    return slice(int(max(first - reach, 0)), int(min(last + reach, grid.n - 1)) + 1)
+    first, stop = _read_window(grid, read, 2, int(below), int(above) + 1)
+    return TGrid(a + np.arange(first, stop) * step)
 
 
 def _read_range(space: SpaceSpec, x: np.ndarray) -> tuple[float, float]:
@@ -393,8 +381,8 @@ def _filtered(space: SpaceSpec, grid: TGrid, values: np.ndarray, method: str,
     constant: D = (1/2t) d/dt in R^n, d/dt on the curved grids; k = n - 3
     for odd n and n - 2 for even n. Every step works row by row, so the
     rows of a block of centres come out as they do from all rows at once,
-    and each pass leaves inexact only the 2 columns at each end of a window
-    inside the grid.
+    and a window's passes leave inexact only the columns that
+    `numerics._widen` adds.
     """
     n = space.n
     if method == "modified":
@@ -498,10 +486,10 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     The two operator products run once over every distinct row, each
     against an operator built once: the undoing of a trace's weighting
     (layer 2) and, in even n, the log-kernel table (layer 4), built only on
-    the targets between the points' smallest and largest possible arguments
-    (`_read_range`) plus a margin; an argument outside that window still
-    raises. The even-n filter that feeds the table runs on blocks of rows
-    into the one array the table reads. Every other step works row by row,
+    the targets that the points' smallest and largest possible arguments
+    (`_read_range`) read (`_table_grid`); an argument outside that window
+    still raises. The even-n filter that feeds the table runs on blocks of
+    rows into the one array the table reads. Every other step works row by row,
     so the back-projection pulls its rows block by block from a source: the
     section weighting and the t-filter (odd n, after L_n for `modified`) or
     the block's slice of the table (even n), then the pair of derivative
@@ -509,11 +497,10 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     the operator products.
 
     In odd n every step before the back-projection runs on one window of
-    the t-grid's nodes (`_read_columns`): the nodes whose cells hold the
-    points' arguments, widened by the cubic stencil and by 2 nodes for each
-    difference pass after layer 2. The trace undo builds its operator's
-    rows only there (and applies it at its full shape) and differentiates
-    only the nodes those rows read; the back-projection reads the window
+    the t-grid's nodes: `_read_window`'s for the n - 1 difference passes
+    after layer 2 (`numerics._widen` states the rule). The trace undo
+    builds its operator's rows only there (and applies it at its full
+    shape) and differentiates only the nodes those rows read; the back-projection reads the window
     against the whole grid's a and h. Each window column holds the bits of
     the whole-grid route.
 
@@ -537,7 +524,7 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     # odd n computes layers 2 and 3 on the nodes the back-projection reads,
     # widened by the n - 1 difference passes after layer 2: L_n or the
     # derivative pair, and the filter's n - 3; even n's table reads all
-    columns = _read_columns(grid, read, n - 1) if n % 2 else slice(None)
+    columns = slice(*_read_window(grid, read, n - 1, 0, grid.n)) if n % 2 else slice(None)
     if alpha is not None:
         # the index law: T_{eta+alpha,-alpha} undoes T_{eta,alpha}, eta = n/2 - 1
         values = trace_weighting(space, grid, values, n / 2.0 - 1.0 + alpha, -alpha,

@@ -155,7 +155,14 @@ class TGrid:
 # ---------------------------------------------------------------------------
 
 _QUINTIC_OFFSETS = (-2, -1, 0, 1, 2, 3)
-_QUINTIC_DENOMS = (-120.0, 24.0, -12.0, 12.0, -24.0, 120.0)
+
+
+def _lagrange_powers(offsets, shift: int) -> np.ndarray:
+    """The Lagrange weights of the stencil of nodes `offsets` in powers of a
+    cell's coordinate x: row i holds node offsets[i]'s weight at s = x + shift,
+    lowest power first, integer coefficients over an integer denominator."""
+    return np.array([np.poly([q - shift for q in offsets if q != o])[::-1]
+                     / math.prod(o - q for q in offsets if q != o) for o in offsets])
 
 
 def quintic_interp(values: np.ndarray, grid: TGrid, x: np.ndarray) -> np.ndarray:
@@ -173,11 +180,11 @@ def quintic_interp(values: np.ndarray, grid: TGrid, x: np.ndarray) -> np.ndarray
     idx = np.clip(np.floor(u).astype(np.int64), 2, grid.n - 4)
     s = u - idx
     out = np.zeros(values.shape[:-1] + x.shape, dtype=float)
-    for off, den in zip(_QUINTIC_OFFSETS, _QUINTIC_DENOMS):
-        num = np.ones_like(s)
+    for off in _QUINTIC_OFFSETS:
+        num, den = np.ones_like(s), 1
         for other in _QUINTIC_OFFSETS:
             if other != off:
-                num = num * (s - other)
+                num, den = num * (s - other), den * (off - other)
         out += (num / den) * values[..., idx + off]
     return np.where(inside, out, 0.0)
 
@@ -220,6 +227,22 @@ def _diff1(samples: np.ndarray, h: float, out: np.ndarray | None = None) -> np.n
     return out
 
 
+def _widen(lo: int, hi: int, reach: int, start: int, stop: int) -> tuple[int, int]:
+    """The window (first, one past the last) of the nodes start, ..., stop - 1
+    that a step on the nodes lo, ..., hi - 1 reads, each reading `reach` nodes
+    to either side: the t-grid's one stencil rule. A `_diff1` pass reads 2
+    nodes each way, so a stencil of reach r and p passes after it read
+    r + 2 p, and the passes leave inexact only the 2 p columns at a window
+    end inside the grid. The 2 end columns' one-sided formulas read 5 nodes,
+    as far as the third column's central one, and the 2 end cells' quintic
+    stencils are the third cell's: so a nonzero reach takes the run to hold
+    the third node from either end, and a window at a grid end holds at
+    least reach + 3 nodes."""
+    if reach:
+        lo, hi = min(lo, stop - 3), max(hi, start + 3)
+    return max(lo - reach, start), min(hi + reach, stop)
+
+
 def diff_matrix(samples: np.ndarray, grid: TGrid, k: int = 1) -> np.ndarray:
     """k-fold 4th-order derivative of (..., N) samples on a uniform grid."""
     if k < 0:
@@ -236,8 +259,8 @@ def d_operator_matrix(samples: np.ndarray, grid: TGrid, m: int,
                       columns: slice = slice(None)) -> np.ndarray:
     """Apply D = (1/2t) d/dt m times along the last axis (positive grids only)
     to samples that hold the grid's nodes `columns` (every node by default),
-    at the grid's own step. Each pass's one-sided ends leave the 2 columns at
-    each end of a window inside the grid inexact."""
+    at the grid's own step. Each pass leaves the 2 columns at each end of a
+    window inside the grid inexact: `_widen` gives the window to pass in."""
     if m < 0:
         raise ValueError("operator power must be >= 0")
     t = grid.values[columns]
@@ -275,15 +298,12 @@ def darboux_L_matrix(samples: np.ndarray, grid: TGrid, n: int,
 def _cell_rules():
     """The cubic weights [cell, node, power] in v = (t - t_j)/h on the first,
     an interior and the last cell: the Lagrange polynomials of the offsets
-    {-1, 0, 1, 2} at v - 1, v and v + 1 (the end cells' stencils sit one
-    node inward), exact from their integer roots. Then the 6 Gauss-Legendre
-    nodes v of a far cell and their weights times the cubic ones (3, 6, 4):
-    Gauss 4 misses closed forms by 3e-11 there, Gauss 6 meets them to 1e-14.
-    Built on first use, so that importing the module loads no numpy.polynomial."""
-    offsets = np.arange(-1.0, 3.0)
-    polys = np.array([[np.polynomial.polynomial.polyfromroots(offsets[offsets != o] - shift)
-                       / np.prod(o - offsets[offsets != o]) for o in offsets]
-                      for shift in (-1.0, 0.0, 1.0)])
+    {-1, 0, 1, 2} at v - 1, v and v + 1 (`_lagrange_powers`; the end cells'
+    stencils sit one node inward). Then the 6 Gauss-Legendre nodes v of a
+    far cell and their weights times the cubic ones (3, 6, 4): Gauss 4
+    misses closed forms by 3e-11 there, Gauss 6 meets them to 1e-14. Built
+    on first use, so that importing the module loads no numpy.polynomial."""
+    polys = np.array([_lagrange_powers((-1, 0, 1, 2), shift) for shift in (-1, 0, 1)])
     x, w = _leggauss(6)
     v = 0.5 * (x + 1.0)
     cubic = np.vander(v, 4, increasing=True) @ polys.transpose(0, 2, 1)

@@ -12,7 +12,6 @@ from geomeans.checks import phantom_integral, riesz_potential
 from geomeans.forward import MeanData, default_tgrid, forward_means
 from geomeans.inversion import (
     _BLOCK_CELLS,
-    _WINDOW_MARGIN,
     _chart_coefficients,
     _observation_args,
     _prefactor,
@@ -884,7 +883,9 @@ def test_invert_builds_only_the_window(monkeypatch):
     lo, hi = _geodesic_read_range(data.space, x)
     window = int(np.ceil((hi - full.a) / full.h)) - int(np.floor((lo - full.a) / full.h)) + 1
     assert len(asked) == 1
-    assert asked[0] <= window + 2 * _WINDOW_MARGIN < full.n
+    # the cubic stencil's reach of 2 and 2 per pass of the derivative pair
+    margin = 2 + 2 * 2
+    assert asked[0] <= window + 2 * margin < full.n
 
 
 @pytest.mark.parametrize("kind", [EUCLIDEAN, SPHERE, HYPERBOLIC])
@@ -1161,7 +1162,7 @@ def test_windowed_invert_is_the_whole_array_route(monkeypatch, space, alpha, met
     values = (rng.standard_normal((bd.m, tg.n)) if rows == "dense"
               else np.broadcast_to(rng.standard_normal(tg.n), (bd.m, tg.n)))
     data = MeanData(space, bd, tg, values, alpha)
-    c0, c1, _ = inversion._read_columns(tg, (lo, hi), space.n - 1).indices(tg.n)
+    c0, c1 = inversion._read_window(tg, (lo, hi), space.n - 1, 0, tg.n)
     if cut is None:
         assert 0 < c1 - c0 < tg.n
     elif cut == "above":

@@ -10,6 +10,7 @@ from geomeans.checks import graded_panels
 from geomeans.numerics import (
     TGrid,
     _diff1,
+    _widen,
     d_operator_matrix,
     darboux_L_matrix,
     diff_matrix,
@@ -234,6 +235,39 @@ def test_darboux_matches_the_expression_form(grid, n):
     kept = samples.copy()
     assert np.array_equal(darboux_L_matrix(samples, grid, n), _darboux_reference(samples, grid, n))
     assert np.array_equal(samples, kept)
+
+
+@pytest.mark.parametrize("start,stop", [(0, 64), (-3, 70)])
+def test_widen_states_the_reach_rule(start, stop):
+    # reach 0 is the run itself, clipped to the limits; a limit below 0 or
+    # past the grid, as on a log table's lattice, clips there alike
+    assert _widen(5, 9, 0, start, stop) == (5, 9)
+    assert _widen(start - 2, stop + 2, 0, start, stop) == (start, stop)
+    assert _widen(start, start + 1, 0, start, stop) == (start, start + 1)
+    assert _widen(20, 30, 4, start, stop) == (16, 34)
+    assert _widen(start + 1, stop - 1, 4, start, stop) == (start, stop)
+    # a run of one or two nodes at either limit keeps reach + 3 nodes
+    for reach in (1, 2, 3, 6):
+        for width in (1, 2):
+            assert _widen(start, start + width, reach, start, stop) == (start, start + reach + 3)
+            assert _widen(stop - width, stop, reach, start, stop) == (stop - reach - 3, stop)
+
+
+@pytest.mark.parametrize("passes", [1, 2, 3])
+def test_widened_windows_keep_the_whole_grid_bits(passes):
+    # p difference passes on the window of reach 2 p give every node of the
+    # run the whole grid's bits, at the grid's ends too
+    f = np.random.default_rng(14).standard_normal(64)
+    whole = f
+    for _ in range(passes):
+        whole = _diff1(whole, 0.1)
+    for lo, hi in [(0, 1), (0, 2), (1, 2), (2, 3), (30, 31), (20, 40), (61, 62), (62, 64),
+                   (63, 64)]:
+        w0, w1 = _widen(lo, hi, 2 * passes, 0, 64)
+        part = f[w0:w1]
+        for _ in range(passes):
+            part = _diff1(part, 0.1)
+        assert np.array_equal(part[lo - w0:hi - w0], whole[lo:hi])
 
 
 def log_kernel_reference(samples, grid, s: float, kernel: str = "log|t-s|") -> float:
