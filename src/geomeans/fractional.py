@@ -2,12 +2,14 @@
 
 Positive orders are weighted integrals with an algebraic endpoint factor,
 integrated against the samples' quintic interpolant. The Erdelyi-Kober
-kernel changes with the target: a Gauss-Jacobi rule absorbs its factor
-exactly after substituting out the singularity, at nodes interpolated from
-the samples. The Riemann-Liouville kernel depends on the offset from the
-target alone: each cell takes the kernel's exact moments against its
-stencil's powers (product integration), so one vector of weights by offset
-gives every interior row.
+kernel changes with the target. At an integer order it is a polynomial in
+t^2, so the integral is running sums of exact cell integrals; at a
+fractional order a Gauss-Jacobi rule absorbs its factor exactly after
+substituting out the singularity, at nodes interpolated from the samples.
+The Riemann-Liouville kernel depends on the offset from the target alone:
+each cell takes the kernel's exact moments against its stencil's powers
+(product integration), so one vector of weights by offset gives every
+interior row.
 Nonpositive orders are realized by analytic continuation with
 m = ceil(-alpha), in two orders. `rl_matrix` integrates to the positive
 fractional order m + alpha, then applies (-d/dt)^m. `ek_ac_matrix` applies
@@ -26,7 +28,7 @@ right-sided (Riemann-Liouville) one every node above.
 
 from __future__ import annotations
 
-from math import gamma
+from math import comb, gamma
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -105,6 +107,27 @@ def _quintic_operator(grid: TGrid, x: np.ndarray, coef: np.ndarray,
     return A
 
 
+def _ek_integer_operator(grid: TGrid, eta: float, k: int, lo: int, hi: int) -> np.ndarray:
+    """N x N matrix A with (samples @ A.T)[:, j] the Erdelyi-Kober integral
+    of integer order k of the samples' quintic interpolant, for the target
+    rows lo <= j < hi; the other rows of A are zero. By the binomial theorem
+    it is a sum over i < k of running integrals of r^p phi(r), p = 2i + 2 eta
+    + 1, times 2/Gamma(k) C(k-1, i) (-1)^i t^(-2(i+1+eta)); each running
+    integral sums per-cell integrals (_MOMENT_NODES Gauss-Legendre nodes a
+    cell, exact for integer p <= 26) in one order whatever lo and hi.
+    """
+    x, w = gauss_legendre(_MOMENT_NODES, 0.0, 1.0)
+    cells = grid.a + (np.arange(hi - 1)[:, None] + x) * grid.h
+    t = grid.values[lo:hi, None]
+    for i in range(k):
+        B = _quintic_operator(grid, cells, grid.h * w * cells ** (2 * i + 2 * eta + 1), first=1)
+        np.cumsum(B[:hi], axis=0, out=B[:hi])
+        B[lo:hi] *= 2.0 / gamma(k) * comb(k - 1, i) * (-1) ** i * t ** (-2.0 * (i + 1 + eta))
+        A = B if i == 0 else np.add(A, B, out=A)
+    A[:lo] = 0.0
+    return A
+
+
 def ek_matrix(samples: np.ndarray, grid: TGrid, eta: float, alpha: float,
               order: int = 192, columns: slice = slice(None)) -> np.ndarray:
     """Positive-order Erdelyi-Kober integral of each row of samples (M, N).
@@ -113,20 +136,25 @@ def ek_matrix(samples: np.ndarray, grid: TGrid, eta: float, alpha: float,
                        int_0^t (t^2 - r^2)^{a-1} r^{2 eta + 1} phi(r) dr,
     evaluated at every grid node; rows are treated as independent profiles
     extended by zero outside the grid. The rule is built once as an N x N
-    operator (quintic interpolation at the nodes t * s_q, a block of target
-    rows at a time, so the build holds about 2 N x N arrays whatever the
-    order) and applied to all rows with one matrix product. Only the target
-    rows `columns` are built, and only those columns are returned.
+    operator and applied to all rows with one matrix product: running sums
+    of exact cell integrals at an integer order (`_ek_integer_operator`),
+    else quintic interpolation at the `order` Gauss-Jacobi nodes t * s_q of
+    each target (`order` sizes this rule alone), a block of target rows at a
+    time. Only the target rows `columns` are built and returned.
     """
     if alpha <= 0:
         raise ValueError("use the analytic-continuation path for alpha <= 0")
     if eta < -0.5:
         raise ValueError("positive-order operators need eta >= -1/2")
+    if grid.a <= 0:
+        raise ValueError("Erdelyi-Kober integrals need a t-grid in t > 0")
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     lo, hi, _ = columns.indices(grid.n)
-    s, F = _ek_rule(eta, alpha, order)
-    A = _quintic_operator(grid, grid.values[lo:hi, None] * s[None, :], 2.0 / gamma(alpha) * F,
-                          first=lo)
+    if float(alpha).is_integer():
+        A = _ek_integer_operator(grid, eta, int(alpha), lo, hi)
+    else:
+        s, F = _ek_rule(eta, alpha, order)
+        A = _quintic_operator(grid, grid.values[lo:hi, None] * s, 2.0 / gamma(alpha) * F, first=lo)
     return (samples @ A.T)[:, lo:hi]
 
 

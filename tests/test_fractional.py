@@ -30,15 +30,21 @@ def test_spec_validation(pos_grid):
         ek_matrix(ones, pos_grid, -0.8, 1.0)
     ek_ac_matrix(ones, pos_grid, -0.8, -1.0)  # negative orders do not need the constraint
     ek_matrix(ones, pos_grid, -0.5, 0.5)
+    # the kernel's t^(-2(a + eta)) needs t > 0, at integer and fractional orders
+    for alpha in (1.0, 0.5):
+        with pytest.raises(ValueError, match="t > 0"):
+            ek_matrix(ones[:64], TGrid.linspace(0.0, 2.0, 64), 0.5, alpha)
 
 
 def test_constant_profile(pos_grid):
-    # the weighted integral of 1 is 1/(eta+1) away from the grid cutoff
+    # profiles vanish below the grid start a, so the order-1 integral of 1 is
+    # (1 - (a/t)^(2 eta + 2)) / (eta + 1): 1/(eta + 1) less a^2/t^2 at eta = 0
     ones = np.ones(pos_grid.n)
+    t = pos_grid.values
     for eta in (0.0, 0.5, 1.0):
         out = ek_matrix(ones, pos_grid, eta, 1.0)[0]
-        sel = interior(pos_grid)
-        assert np.max(np.abs(out[sel] - 1.0 / (eta + 1.0))) < 1e-5
+        exact = (1.0 - (pos_grid.a / t) ** (2.0 * eta + 2.0)) / (eta + 1.0)
+        assert np.all(np.abs(out - exact) <= 1e-13 * exact)
 
 
 def test_quadratic_profile(pos_grid):
@@ -186,7 +192,7 @@ def small_rows():
     return g, np.stack([np.exp(-3.0 * (t - 1.0) ** 2), np.cos(2.0 * t), t ** 2])
 
 
-@pytest.mark.parametrize("eta,alpha", [(0.5, 0.3), (1.0, 1.0), (-0.5, 1.7)])
+@pytest.mark.parametrize("eta,alpha", [(0.5, 0.3), (1.0, 1.3), (-0.5, 1.7)])
 def test_ek_operator_matches_per_node_route(small_rows, eta, alpha):
     g, rows = small_rows
     order = 24
@@ -237,6 +243,28 @@ def test_rl_is_exact_on_quintics(alpha):
         assert np.all(np.abs(got - exact[:, window]) <= 1e-13 * np.abs(exact[:, window]))
 
 
+@pytest.mark.parametrize("eta", [-0.5, 0.0, 0.5, 1.0, 0.7])
+def test_ek_integer_orders_are_exact_on_quintics(eta):
+    # the quintic interpolant reproduces t^q, q <= 5, in every cell, and 16
+    # Gauss-Legendre nodes a cell integrate r^(2i + 2 eta + 1) t^q exactly for
+    # integer powers (to rounding at eta = 0.7); profiles vanish below a:
+    # I^k t^q = 2 t^(-2(k+eta)) / Gamma(k) * sum_i C(k-1, i) (-1)^i
+    #           t^(2(k-1-i)) (t^(P+1) - a^(P+1)) / (P+1), P = 2i + 2 eta + 1 + q
+    g = TGrid.linspace(0.2, 1.7, 96)
+    t = g.values
+    rows = np.stack([t ** q for q in range(6)])
+    for k in (1, 2, 3):
+        P = [[2 * i + 2 * eta + 1 + q for i in range(k)] for q in range(6)]
+        exact = np.stack([sum(binom(k - 1, i) * (-1) ** i * t ** (2 * (k - 1 - i))
+                              * (t ** (p + 1) - g.a ** (p + 1)) / (p + 1) for i, p in enumerate(ps))
+                          for ps in P]) * 2.0 / gamma(k) * t ** (-2.0 * (k + eta))
+        bound = 1e-13 * np.max(np.abs(exact), axis=1, keepdims=True)
+        for window in (slice(None), slice(0, 3), slice(1, 2), slice(g.n - 4, None),
+                       slice(g.n - 3, g.n - 1)):
+            got = ek_matrix(rows, g, eta, float(k), columns=window)
+            assert np.all(np.abs(got - exact[:, window]) <= bound)
+
+
 def test_operator_nodes_at_the_grid_ends():
     # nodes on, and one ulp beyond, both grid ends; with a start this close to
     # 0 the node below it lands on the unit stencil's end unless it is masked
@@ -282,6 +310,8 @@ def reference_operator(grid, x, coef, first=0):
 OPERATORS = {
     "ek": lambda rows, g, order, cols: ek_matrix(rows, g, 0.5, 0.7, order, cols),
     "ek_continuation": lambda rows, g, order, cols: ek_ac_matrix(rows, g, 0.5, -1.4, order, cols),
+    "ek_integer": lambda rows, g, order, cols: ek_matrix(rows, g, 0.5, 1.0, order, cols),
+    "ek_integer_2": lambda rows, g, order, cols: ek_matrix(rows, g, 0.5, 2.0, order, cols),
     "rl": lambda rows, g, order, cols: rl_matrix(rows, g, 1.3, cols),
     "rl_negative": lambda rows, g, order, cols: rl_matrix(rows, g, -0.6, cols),
 }
@@ -292,9 +322,12 @@ OPERATORS = {
 # clamp that keeps a node at b on the last sample is pinned by
 # test_operator_nodes_at_the_grid_ends); 7 nodes a block make every row a
 # block of its own. The operators run on windows of target rows, one node
-# wide on the clipped end cells, and the results are joined. The RL operator
-# takes no quadrature nodes and no blocks, so its whole build is its own
-# reference: each window's rows keep the whole build's bits.
+# wide on the clipped end cells, and the results are joined. An integer EK
+# order builds its cell integrals at 16 nodes a cell whatever the order, in
+# blocks of 512 cells (one cell a block at 7 nodes), and sums them up to each
+# target row. The RL operator takes no quadrature nodes and no blocks, so its
+# whole build is its own reference: each window's rows keep the whole build's
+# bits.
 @pytest.mark.parametrize("grid,order,nodes", [
     ((1e-3, 2.0, 797), 16, None),
     ((1e-3, 2.0, 797), 192, None),
@@ -332,9 +365,13 @@ def traced_peak(build):
 def test_operator_builds_stay_near_the_matrix_size():
     # the whole-array build peaked at 9.65 (EK) and 13.2 (RL) N x N matrices;
     # RL's blocked build of its quadrature nodes at 2.82, its moment build at
-    # 1.095, the matrix and its product
+    # 1.095, the matrix and its product. EK's blocked Gauss-Jacobi build
+    # peaks at 1.90; the integer order's cell integrals at 2.02, one block of
+    # 512 cells' rows beside the matrix
     g = TGrid.linspace(1e-3, 2.0, 800)
-    assert traced_peak(lambda: ek_matrix(np.sin(g.values), g, 0.5, 1.0, 192)) < 3 * 8 * 800 ** 2
+    for alpha in (1.0, 0.7):
+        assert traced_peak(lambda: ek_matrix(np.sin(g.values), g, 0.5, alpha, 192)) \
+            < 3 * 8 * 800 ** 2
     g = TGrid.linspace(-0.99, 0.99, 600)
     assert traced_peak(lambda: rl_matrix(np.sin(g.values), g, 1.0)) < 1.1 * 8 * 600 ** 2
 
