@@ -3,8 +3,9 @@
 Positive orders are weighted integrals with an algebraic endpoint factor,
 integrated against the samples' quintic interpolant. The Erdelyi-Kober
 kernel changes with the target. At an integer order it is a polynomial in
-t^2, so the integral is running sums of exact cell integrals; at a
-fractional order a Gauss-Jacobi rule absorbs its factor exactly after
+t^2, so the integral is running sums of exact cell integrals on the samples
+(six weights a cell, a prefix sum along t); at a fractional order a
+Gauss-Jacobi rule absorbs its factor exactly after
 substituting out the singularity, at nodes interpolated from the samples.
 The Riemann-Liouville kernel depends on the offset from the target alone:
 each cell takes the kernel's exact moments against its stencil's powers
@@ -18,12 +19,12 @@ I_{eta+m+alpha}^{-m}: the integer-order derivative formula, then the
 fractional integral. Both derivative formulas come from the numerics module.
 
 Every operator takes the target nodes `columns` (a slice of the grid's
-nodes, all of them by default) and returns those columns alone. A
-positive-order operator is built only on their rows and applied at its full
-(N, N) shape, so each column keeps the bits of the whole operator's; a
-derivative runs on the window its targets read (`numerics._widen`). A
-left-sided (Erdelyi-Kober) integral reads every node below its targets, a
-right-sided (Riemann-Liouville) one every node above.
+nodes, all of them by default) and returns those columns alone, with the
+bits of the whole grid's. A fractional-order operator is built only on their
+rows and applied at its full (N, N) shape; a derivative runs on the window
+its targets read (`numerics._widen`). A left-sided (Erdelyi-Kober) integral
+reads every node below its targets, a right-sided (Riemann-Liouville) one
+every node above.
 """
 
 from __future__ import annotations
@@ -107,25 +108,49 @@ def _quintic_operator(grid: TGrid, x: np.ndarray, coef: np.ndarray,
     return A
 
 
-def _ek_integer_operator(grid: TGrid, eta: float, k: int, lo: int, hi: int) -> np.ndarray:
-    """N x N matrix A with (samples @ A.T)[:, j] the Erdelyi-Kober integral
-    of integer order k of the samples' quintic interpolant, for the target
-    rows lo <= j < hi; the other rows of A are zero. By the binomial theorem
-    it is a sum over i < k of running integrals of r^p phi(r), p = 2i + 2 eta
-    + 1, times 2/Gamma(k) C(k-1, i) (-1)^i t^(-2(i+1+eta)); each running
-    integral sums per-cell integrals (_MOMENT_NODES Gauss-Legendre nodes a
-    cell, exact for integer p <= 26) in one order whatever lo and hi.
+# cells per block of rows in `_ek_running_sums`: its two buffers, reused, stay 256 KiB
+_RUNNING_CELLS = 32_768
+
+
+def _ek_running_sums(samples: np.ndarray, grid: TGrid, eta: float, k: int,
+                     lo: int, hi: int) -> np.ndarray:
+    """Columns lo:hi of the Erdelyi-Kober integral of integer order k of
+    each row's quintic interpolant: by the binomial theorem, a sum over i < k
+    of running integrals of r^p phi(r), p = 2i + 2 eta + 1, times 2/Gamma(k)
+    C(k-1, i) (-1)^i t^(-2(i+1+eta)). Per power and block of rows, each cell
+    below hi weighs its stencil's six samples (_MOMENT_NODES Gauss-Legendre
+    nodes a cell, exact for integer p <= 26) in six shifted multiply-adds,
+    and one prefix sum along t gives node j the cells below j. No step sums
+    across rows or depends on lo: each row and column keeps the whole grid's bits.
     """
+    n, m = grid.n, samples.shape[0]
     x, w = gauss_legendre(_MOMENT_NODES, 0.0, 1.0)
-    cells = grid.a + (np.arange(hi - 1)[:, None] + x) * grid.h
-    t = grid.values[lo:hi, None]
+    # column j holds cell j - 1's integral (none at j = 0) until the prefix
+    # sum; the cell reads nodes start[j] + 0..5 at x + shift: -2, -1 in the first
+    # two cells, 1, 2 in the last two, else 0; on a unit grid s >= 1 reads 2..7
+    start, ends = np.clip(np.arange(n) - 3, 0, n - 6), {1: -2, 2: -1, n - 2: 1, n - 1: 2}
+    unit = quintic_interp(np.eye(8), TGrid(np.arange(8.0)), np.concatenate(
+        [x + s + 2 + 2 * (s > 0) for s in range(-2, 3)])).reshape(8, 5, x.size)
+    stencils = {s: unit[2 * (s > 0):2 * (s > 0) + 6, s + 2].T for s in range(-2, 3)}
+    cells = grid.a + (np.arange(n - 1)[:, None] + x) * grid.h
+    out, t, W = np.zeros((m, hi - lo)), grid.values[lo:hi], np.zeros((n, 6))
+    rows = max(1, min(m, _RUNNING_CELLS // max(hi, 1)))
+    cell, term = np.empty((rows, hi)), np.empty((rows, hi))
     for i in range(k):
-        B = _quintic_operator(grid, cells, grid.h * w * cells ** (2 * i + 2 * eta + 1), first=1)
-        np.cumsum(B[:hi], axis=0, out=B[:hi])
-        B[lo:hi] *= 2.0 / gamma(k) * comb(k - 1, i) * (-1) ** i * t ** (-2.0 * (i + 1 + eta))
-        A = B if i == 0 else np.add(A, B, out=A)
-    A[:lo] = 0.0
-    return A
+        G = cells ** (2 * i + 2 * eta + 1)
+        G *= grid.h * w
+        W[1:] = G @ stencils[0]  # row j: cell j - 1's weights on its stencil
+        W[list(ends)] = [G[j - 1] @ stencils[shift] for j, shift in ends.items()]
+        t_power = 2.0 / gamma(k) * comb(k - 1, i) * (-1) ** i * t ** (-2.0 * (i + 1 + eta))
+        for r in range(0, m, rows):
+            S, C, T = samples[r:r + rows], cell[:m - r], term[:m - r]
+            C.fill(0.0)
+            for o in range(6):
+                np.take(S, start[:hi] + o, axis=1, out=T, mode="clip")
+                C += np.multiply(T, W[:hi, o], out=T)
+            np.cumsum(C, axis=1, out=C)
+            out[r:r + rows] += np.multiply(C[:, lo:], t_power, out=C[:, lo:])
+    return out
 
 
 def ek_matrix(samples: np.ndarray, grid: TGrid, eta: float, alpha: float,
@@ -135,12 +160,12 @@ def ek_matrix(samples: np.ndarray, grid: TGrid, eta: float, alpha: float,
     (I_eta^a phi)(t) = (2 t^{-2(a+eta)} / Gamma(a)) *
                        int_0^t (t^2 - r^2)^{a-1} r^{2 eta + 1} phi(r) dr,
     evaluated at every grid node; rows are treated as independent profiles
-    extended by zero outside the grid. The rule is built once as an N x N
-    operator and applied to all rows with one matrix product: running sums
-    of exact cell integrals at an integer order (`_ek_integer_operator`),
-    else quintic interpolation at the `order` Gauss-Jacobi nodes t * s_q of
-    each target (`order` sizes this rule alone), a block of target rows at a
-    time. Only the target rows `columns` are built and returned.
+    extended by zero outside the grid. An integer order takes banded exact
+    cell integrals of the samples below the last target and one prefix sum
+    per power (`_ek_running_sums`). A fractional order builds an N x N
+    operator of quintic interpolation at the `order` Gauss-Jacobi nodes
+    t * s_q of each target (`order` sizes this rule alone), a block of rows
+    at a time, and applies it with one matrix product. Both return `columns`.
     """
     if alpha <= 0:
         raise ValueError("use the analytic-continuation path for alpha <= 0")
@@ -151,10 +176,9 @@ def ek_matrix(samples: np.ndarray, grid: TGrid, eta: float, alpha: float,
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     lo, hi, _ = columns.indices(grid.n)
     if float(alpha).is_integer():
-        A = _ek_integer_operator(grid, eta, int(alpha), lo, hi)
-    else:
-        s, F = _ek_rule(eta, alpha, order)
-        A = _quintic_operator(grid, grid.values[lo:hi, None] * s, 2.0 / gamma(alpha) * F, first=lo)
+        return _ek_running_sums(samples, grid, eta, int(alpha), lo, hi)
+    s, F = _ek_rule(eta, alpha, order)
+    A = _quintic_operator(grid, grid.values[lo:hi, None] * s, 2.0 / gamma(alpha) * F, first=lo)
     return (samples @ A.T)[:, lo:hi]
 
 

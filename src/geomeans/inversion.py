@@ -483,9 +483,9 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     onto its axis (an argument off the grid names the turned point); the
     one row's tables are made once and repeated to every block of centres.
 
-    The two operator products run once over every distinct row, each
-    against an operator built once: the undoing of a trace's weighting
-    (layer 2) and, in even n, the log-kernel table (layer 4), built only on
+    Two steps run once over every distinct row: the undoing of a trace's
+    weighting (layer 2, an operator product save at integer EK orders) and,
+    in even n, the log-kernel table (layer 4), an operator built only on
     the targets that the points' smallest and largest possible arguments
     (`_read_range`) read (`_table_grid`); an argument outside that window
     still raises. The even-n filter that feeds the table runs on blocks of
@@ -494,15 +494,16 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
     section weighting and the t-filter (odd n, after L_n for `modified`) or
     the block's slice of the table (even n), then the pair of derivative
     passes, on the block's centres alone. No (m, N) array is made after
-    the operator products.
+    those two steps.
 
     In odd n every step before the back-projection runs on one window of
     the t-grid's nodes: `_read_window`'s for the n - 1 difference passes
     after layer 2 (`numerics._widen` states the rule). The trace undo
-    builds its operator's rows only there (and applies it at its full
-    shape) and differentiates only the nodes those rows read; the back-projection reads the window
-    against the whole grid's a and h. Each window column holds the bits of
-    the whole-grid route.
+    builds its operator's rows only there (an integer order reads only the
+    columns below its end) and differentiates only the nodes they read; the
+    back-projection reads the window against the whole grid's a and h. Each
+    window column holds the whole-grid route's bits. A float overflow in
+    these layers raises a ValueError naming the means' largest |value|.
 
     `fd_step` is accepted and ignored: every outer Laplacian is computed in
     closed form inside the back-projection, with no finite-difference step.
@@ -519,68 +520,72 @@ def invert(data: MeanData, x: np.ndarray, method: str = "direct",
         region = "cap" if space.kind == spaces.SPHERE else "ball"
         raise ValueError(f"evaluation points must lie strictly inside the {region} of radius "
                          f"{space.radius:g}; {x[outside][0].tolist()} does not")
+    try:
+        with np.errstate(over="raise"):
+            values, grid, fill, read = data.rows, data.tgrid, 0.0, _read_range(space, x)
+            # odd n computes layers 2 and 3 on the nodes the back-projection reads,
+            # widened by the n - 1 difference passes after layer 2: L_n or the
+            # derivative pair, and the filter's n - 3; even n's table reads all
+            columns = slice(*_read_window(grid, read, n - 1, 0, grid.n)) if n % 2 else slice(None)
+            if alpha is not None:
+                # the index law: T_{eta+alpha,-alpha} undoes T_{eta,alpha}, eta = n/2 - 1
+                values = trace_weighting(space, grid, values, n / 2.0 - 1.0 + alpha, -alpha,
+                                         columns=columns)
+            else:
+                values = values[:, columns]
+            if n % 2 == 0:
+                grid, values = _log_table(space, grid, values, method, read)
+                fill = "error"
 
-    values, grid, fill, read = data.rows, data.tgrid, 0.0, _read_range(space, x)
-    # odd n computes layers 2 and 3 on the nodes the back-projection reads,
-    # widened by the n - 1 difference passes after layer 2: L_n or the
-    # derivative pair, and the filter's n - 3; even n's table reads all
-    columns = slice(*_read_window(grid, read, n - 1, 0, grid.n)) if n % 2 else slice(None)
-    if alpha is not None:
-        # the index law: T_{eta+alpha,-alpha} undoes T_{eta,alpha}, eta = n/2 - 1
-        values = trace_weighting(space, grid, values, n / 2.0 - 1.0 + alpha, -alpha,
-                                 columns=columns)
-    else:
-        values = values[:, columns]
-    if n % 2 == 0:
-        grid, values = _log_table(space, grid, values, method, read)
-        fill = "error"
+            def tables(P: np.ndarray):
+                # the tables of the rows P: layer 3 on means in odd n, rows of
+                # invert's own table in even n (overwritten there)
+                if n % 2:
+                    P = _filtered(space, grid, P, method, columns)
+                if method == "modified":
+                    return (P,)
+                # The Laplacian of x -> P(arg(xi, x)) is P''(arg) |grad arg|^2 +
+                # P'(arg) Lap arg. One pair of passes gives P', then P'' over P. In
+                # R^n this is the back-projection of L_n P = P'' + (n-1)/t P', formed
+                # in place as `darboux_L_matrix` forms it (along the target axis of
+                # the even table); the modified formula has applied L_n to the means.
+                # On the cap and the hyperboloid the back-projection adds BP[t P'']
+                # from the values it gathers for P''.
+                first = _diff1(P, grid.h)
+                P = _diff1(first, grid.h, out=P)
+                if space.kind != spaces.EUCLIDEAN:
+                    return P, first
+                first *= (n - 1) / grid.values[columns]
+                P += first
+                return (P,)
 
-    def tables(P: np.ndarray):
-        # the tables of the rows P: layer 3 on means in odd n, rows of
-        # invert's own table in even n (overwritten there)
-        if n % 2:
-            P = _filtered(space, grid, P, method, columns)
-        if method == "modified":
-            return (P,)
-        # The Laplacian of x -> P(arg(xi, x)) is P''(arg) |grad arg|^2 +
-        # P'(arg) Lap arg. One pair of passes gives P', then P'' over P. In
-        # R^n this is the back-projection of L_n P = P'' + (n-1)/t P', formed
-        # in place as `darboux_L_matrix` forms it (along the target axis of
-        # the even table); the modified formula has applied L_n to the means.
-        # On the cap and the hyperboloid the back-projection adds BP[t P'']
-        # from the values it gathers for P''.
-        first = _diff1(P, grid.h)
-        P = _diff1(first, grid.h, out=P)
-        if space.kind != spaces.EUCLIDEAN:
-            return P, first
-        first *= (n - 1) / grid.values[columns]
-        P += first
-        return (P,)
+            boundary, points = data.boundary, x
+            if values.shape[0] == 1:
+                # every zonal centre takes the one row's tables; the passes work
+                # row by row, so its copies keep the bits of tables made per block
+                boundary, points = _zonal(space, x, grid.n)
+                one = tables(values)
 
-    boundary, points = data.boundary, x
-    if values.shape[0] == 1:
-        # every zonal centre takes the one row's tables; the passes work
-        # row by row, so its copies keep the bits of tables made per block
-        boundary, points = _zonal(space, x, grid.n)
-        one = tables(values)
+                def rows(lo: int, hi: int):
+                    return [np.repeat(table, hi - lo, axis=0) for table in one]
+            else:
+                def rows(lo: int, hi: int):
+                    return tables(values[lo:hi])
 
-        def rows(lo: int, hi: int):
-            return [np.repeat(table, hi - lo, axis=0) for table in one]
-    else:
-        def rows(lo: int, hi: int):
-            return tables(values[lo:hi])
+            f0 = backproject(boundary, grid, rows, points, fill=fill,
+                             times_t=space.kind != spaces.EUCLIDEAN, columns=columns)
 
-    f0 = backproject(boundary, grid, rows, points, fill=fill,
-                     times_t=space.kind != spaces.EUCLIDEAN, columns=columns)
-
-    d = _prefactor(space)
-    if space.kind == spaces.EUCLIDEAN:
-        return d * space.boundary_area * f0[0]
-    p2, p1, tp2 = f0
-    A, B, C = _chart_coefficients(space, spaces.chart(space, x))
-    scale = -1.0 if n % 2 == 1 else 1.0 / np.pi
-    lap = scale * space.boundary_area * (A * p2 + B * tp2 + C * p1)
-    return d * x[:, -1] / space.chart_radius * lap
+            d = _prefactor(space)
+            if space.kind == spaces.EUCLIDEAN:
+                return d * space.boundary_area * f0[0]
+            p2, p1, tp2 = f0
+            A, B, C = _chart_coefficients(space, spaces.chart(space, x))
+            scale = -1.0 if n % 2 == 1 else 1.0 / np.pi
+            lap = scale * space.boundary_area * (A * p2 + B * tp2 + C * p1)
+            return d * x[:, -1] / space.chart_radius * lap
+    except FloatingPointError as e:
+        raise ValueError(f"the inversion overflows the float range ({e}) on means of largest "
+                         f"|value| {np.max(np.abs(data.rows)):.6g}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -933,6 +933,19 @@ def test_roundtrip_of_a_huge_amplitude_reports_its_figures(tmp_path):
         rel.append(float(read_report(str(out))[2]["rel_l2"]))
     assert abs(rel[1] - rel[0]) <= 1e-6 * rel[0] and rel[0] < 1e-4
 
+
+def test_roundtrip_of_an_overflowing_amplitude_names_its_means(tmp_path, capsys):
+    # euclid2 at amplitude 1e308: the t-derivatives of the means leave the
+    # float range, and the roundtrip exits 2 naming the means' largest |value|
+    raw = json.loads((checks.CONFIGS / "euclid2.json").read_text())
+    raw["phantom"][0]["amplitude"] = 1e308
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    peak = np.max(np.abs(cli._forward_data(cli.load_config(str(cfg_path))).rows))
+    assert main(["roundtrip", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "overflows the float range" in err and f"largest |value| {peak:.6g}" in err
+
 NO_SCIPY = """
 import json, sys
 sys.modules["scipy"] = None  # any scipy import now raises

@@ -265,6 +265,48 @@ def test_ek_integer_orders_are_exact_on_quintics(eta):
             assert np.all(np.abs(got - exact[:, window]) <= bound)
 
 
+def dense_ek_integer(rows, grid, eta, k, lo, hi):
+    # the integer-order operator as an N x N matrix, applied at its full
+    # shape: each power's cell integrals scattered by `_quintic_operator`,
+    # summed along the rows and scaled: the reference route for the running
+    # sums taken on the samples
+    x, w = roots_legendre(16)
+    x, w = 0.5 * (1.0 + x), 0.5 * w
+    cells = grid.a + (np.arange(hi - 1)[:, None] + x) * grid.h
+    t = grid.values[lo:hi, None]
+    A = np.zeros((grid.n, grid.n))
+    for i in range(k):
+        B = _quintic_operator(grid, cells, grid.h * w * cells ** (2 * i + 2 * eta + 1), first=1)
+        B = np.cumsum(B[:hi], axis=0)[lo:hi]
+        A[lo:hi] += 2.0 / gamma(k) * binom(k - 1, i) * (-1) ** i * t ** (-2.0 * (i + 1 + eta)) * B
+    return (rows @ A.T)[:, lo:hi]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("eta", [-0.5, 0.5, 0.7])
+def test_ek_running_sums_match_the_dense_operator(eta, k):
+    g = TGrid.linspace(1e-3, 2.0, 797)
+    t = g.values
+    rows = np.stack([np.exp(-3.0 * (t - 1.0) ** 2), np.cos(2.0 * t), t ** 2])
+    for lo, hi in ((0, g.n), (0, 3), (1, 2), (g.n - 4, g.n), (g.n - 3, g.n - 1)):
+        ref = dense_ek_integer(rows, g, eta, k, lo, hi)
+        got = ek_matrix(rows, g, eta, float(k), columns=slice(lo, hi))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
+def test_ek_integer_rows_do_not_depend_on_the_row_count(monkeypatch, alpha):
+    # every step is elementwise or runs along t, so a row alone, or in blocks
+    # of 7 rows, takes the bits it takes among all rows in one block
+    g = TGrid.linspace(0.05, 2.0, 300)
+    S = np.random.default_rng(7).standard_normal((40, g.n))
+    whole = ek_matrix(S, g, 0.5, alpha)
+    monkeypatch.setattr(fractional, "_RUNNING_CELLS", 7 * g.n)
+    assert np.array_equal(ek_matrix(S, g, 0.5, alpha), whole)
+    for i in range(S.shape[0]):
+        assert np.array_equal(whole[i], ek_matrix(S[i:i + 1], g, 0.5, alpha)[0])
+
+
 def test_operator_nodes_at_the_grid_ends():
     # nodes on, and one ulp beyond, both grid ends; with a start this close to
     # 0 the node below it lands on the unit stencil's end unless it is masked
@@ -317,17 +359,17 @@ OPERATORS = {
 }
 
 
-# 797 rows are a whole number of blocks at none of the orders (42, 512 and
-# 32 rows a block); the 128-node grid's (b - a)/h rounds above N - 1 (the
+# 797 rows are a whole number of blocks at none of the orders (42 and 32
+# rows a block); the 128-node grid's (b - a)/h rounds above N - 1 (the
 # clamp that keeps a node at b on the last sample is pinned by
 # test_operator_nodes_at_the_grid_ends); 7 nodes a block make every row a
 # block of its own. The operators run on windows of target rows, one node
 # wide on the clipped end cells, and the results are joined. An integer EK
-# order builds its cell integrals at 16 nodes a cell whatever the order, in
-# blocks of 512 cells (one cell a block at 7 nodes), and sums them up to each
-# target row. The RL operator takes no quadrature nodes and no blocks, so its
-# whole build is its own reference: each window's rows keep the whole build's
-# bits.
+# order takes neither quadrature nodes nor blocks: its running sums over the
+# cells below each window's end are their own reference, and each window
+# keeps the whole grid's bits (test_ek_running_sums_match_the_dense_operator
+# holds them against the operator). The RL operator takes no quadrature
+# nodes and no blocks either, so its whole build is its own reference.
 @pytest.mark.parametrize("grid,order,nodes", [
     ((1e-3, 2.0, 797), 16, None),
     ((1e-3, 2.0, 797), 192, None),
@@ -366,12 +408,17 @@ def test_operator_builds_stay_near_the_matrix_size():
     # the whole-array build peaked at 9.65 (EK) and 13.2 (RL) N x N matrices;
     # RL's blocked build of its quadrature nodes at 2.82, its moment build at
     # 1.095, the matrix and its product. EK's blocked Gauss-Jacobi build
-    # peaks at 1.90; the integer order's cell integrals at 2.02, one block of
-    # 512 cells' rows beside the matrix
+    # peaks at 1.90. An integer order makes no N x N array: one row's running
+    # sums peaked at 0.067, 0.075 and 0.076 N x N at orders 1, 2 and 3 (the
+    # dense operator at 2.02, 3.02 and 4.02), and N rows' at 1.17 (M, N)
+    # arrays: the result and a block of rows' two cache-sized buffers (3.07
+    # with the whole rows in one block)
     g = TGrid.linspace(1e-3, 2.0, 800)
-    for alpha in (1.0, 0.7):
-        assert traced_peak(lambda: ek_matrix(np.sin(g.values), g, 0.5, alpha, 192)) \
-            < 3 * 8 * 800 ** 2
+    assert traced_peak(lambda: ek_matrix(np.sin(g.values), g, 0.5, 0.7, 192)) < 3 * 8 * 800 ** 2
+    rows = np.sin(np.arange(1.0, 801.0)[:, None] * g.values)
+    for alpha in (1.0, 2.0, 3.0):
+        assert traced_peak(lambda: ek_matrix(np.sin(g.values), g, 0.5, alpha)) < 0.1 * 8 * 800 ** 2
+        assert traced_peak(lambda: ek_matrix(rows, g, 0.5, alpha)) < 1.25 * 8 * 800 ** 2
     g = TGrid.linspace(-0.99, 0.99, 600)
     assert traced_peak(lambda: rl_matrix(np.sin(g.values), g, 1.0)) < 1.1 * 8 * 600 ** 2
 

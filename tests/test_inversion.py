@@ -1222,14 +1222,14 @@ def test_windowed_tables_hold_every_column_an_argument_reads(monkeypatch, space,
 
 @pytest.mark.parametrize("space,alpha", [(E3, -1.0), (E3, 0.5), (S3, 0.5)])
 def test_trace_undo_builds_only_the_window(monkeypatch, space, alpha):
-    # the target rows the undo's operator builds: the rows of the order-1
-    # EK operator in R^3 at alpha = -1, the quadrature nodes asked of
-    # quintic_interp over the rule's order (192) for R^3's fractional order
-    # and the rows of the RL moment operator on the cap: the nodes of the
-    # cells that hold the points' argument bounds and a margin on each side,
-    # the cubic stencil and a node for rounding (2), the n - 1 difference
-    # passes after the undo (2 each) and the derivative of the order -0.5
-    # undos (2)
+    # what the undo computes: the quadrature nodes asked of quintic_interp
+    # over the rule's order (192) for R^3's fractional order and the rows of
+    # the RL moment operator on the cap, over the nodes of the cells that
+    # hold the points' argument bounds and a margin on each side: the cubic
+    # stencil and a node for rounding (2), the n - 1 difference passes after
+    # the undo (2 each) and the derivative of the order -0.5 undos (2). The
+    # order-1 EK integral in R^3 at alpha = -1 sums every cell below its
+    # last target, so its end hi stays within the window's top and the margin
     rng = np.random.default_rng(19)
     tg = default_tgrid(space, 400)
     bd = boundary_grid(space, 16)
@@ -1242,20 +1242,24 @@ def test_trace_undo_builds_only_the_window(monkeypatch, space, alpha):
         return quintic_interp(values, grid, x, *args, **kwargs)
 
     def counting_rows(*args):  # the builder's last two arguments are lo, hi
-        built.append(args[-1] - args[-2])
+        built.append(args[-1] if running else args[-1] - args[-2])
         return operator(*args)
 
-    if space.kind == SPHERE or alpha == -1.0:
-        name = "_rl_operator" if space.kind == SPHERE else "_ek_integer_operator"
+    running = space.kind == EUCLIDEAN and alpha == -1.0
+    if space.kind == SPHERE or running:
+        name = "_ek_running_sums" if running else "_rl_operator"
         operator = getattr(fractional, name)
         monkeypatch.setattr(fractional, name, counting_rows)
     else:
         monkeypatch.setattr(fractional, "quintic_interp", counting_nodes)
     invert(data, x)
     lo, hi = _geodesic_read_range(space, x)
-    window = int(np.ceil((hi - tg.a) / tg.h)) - int(np.floor((lo - tg.a) / tg.h)) + 1
+    first, last = int(np.floor((lo - tg.a) / tg.h)), int(np.ceil((hi - tg.a) / tg.h))
     margin = 2 + 2 * (space.n - 1) + 2
-    assert 0 < sum(built) <= window + 2 * margin < tg.n
+    if running:
+        assert 0 < sum(built) <= last + 1 + margin < tg.n
+    else:
+        assert 0 < sum(built) <= last - first + 1 + 2 * margin < tg.n
 
 
 def test_order_two_trace_round_trip_in_r3():
